@@ -213,8 +213,10 @@ def sample_curve(mu, grid) -> list:
     """Evaluate the family at every grid parameter inside the hyperbolic set.
 
     Out-of-domain grid points are logged and skipped, never errors: the
-    grid is a request, the domain decides.  Each returned sample carries
-    its own residual diagnostics, see CurveSample.
+    grid is a request, the domain decides.  So are points whose signal
+    misses mu_0..mu_{2d-2} by more than lift_to_solution allows (a far node
+    whose amplitude only rounding sets).  Each returned sample carries its
+    own residual diagnostics, see CurveSample.
     """
     line = prony_line.line_params(mu)
     domain = prony_line.hyperbolic_domain(line)
@@ -233,13 +235,20 @@ def sample_curve(mu, grid) -> list:
             logger.warning("grid point t=%.17g rejected on direct evaluation: %s", t, exc)
             continue
         defect = compute_moments(Signal(amplitudes=amps, nodes=nodes), 2 * line.d - 2)
+        residual = float(np.max(np.abs(defect.values - moments.values)))
+        budget = prony_line._lift_budget(moments.values, sigma.sigma)
+        if residual > budget:
+            logger.warning(
+                "grid point t=%.17g skipped: its signal misses the moments by "
+                "%.3e (allowed %.3e)", t, residual, budget)
+            continue
         out.append(
             CurveSample(
                 t=t,
                 sigma=sigma,
                 nodes=nodes,
                 amplitudes=amps,
-                residual=float(np.max(np.abs(defect.values - moments.values))),
+                residual=residual,
                 product_residual=_product_mismatch(amps, nodes, line.detM),
             )
         )

@@ -34,6 +34,11 @@ __all__ = [
 # to this relative width before Newton polishing.
 _BISECT_RELWIDTH = 1e-10
 _NEWTON_STEPS = 5
+# Double precision places a double root to about sqrt(eps).  A computed root
+# therefore leaves |P| below this share of its Horner magnitude sum, and a
+# true gcd(P, P') divides the unit-norm P to this remainder; more than that
+# is an artefact of rounding, not a root or a gcd.
+_ROOT_REL = 1.5e-8
 
 
 @dataclass(frozen=True, eq=False)
@@ -43,7 +48,8 @@ class Poly:
     Construct through :meth:`from_coeffs`, which trims leading coefficients
     smaller than 1e-14 of the largest magnitude so the stored leading
     coefficient is genuinely nonzero (the zero polynomial is kept as the
-    single coefficient 0.0).
+    single coefficient 0.0), or through :func:`monic_from_sigma`, whose
+    leading 1 is exact and never trimmed.
     """
 
     coefficients: np.ndarray
@@ -94,14 +100,26 @@ def _as_poly(p) -> Poly:
     return p if isinstance(p, Poly) else Poly.from_coeffs(p)
 
 
-def monic_from_sigma(sigma) -> Poly:
-    """Monic polynomial z^d + s1*z^(d-1) + ... + sd from the coefficient
-    vector (s1, ..., sd)."""
+def _monic_coeffs(sigma) -> list[float]:
+    # ascending coefficients [sd, ..., s1, 1.0] of the monic polynomial of a
+    # checked sigma vector; the leading 1 stays even when the other
+    # coefficients dwarf it
     s = np.asarray(getattr(sigma, "sigma", sigma), dtype=float)
     if s.ndim != 1 or s.size == 0:
         raise ValueError("sigma must be a nonempty 1-d sequence")
-    c = np.concatenate([s[::-1], [1.0]])
-    return Poly.from_coeffs(c)
+    c = s[::-1].tolist()
+    if not all(map(math.isfinite, c)):
+        raise ValueError("sigma must be finite")
+    c.append(1.0)
+    return c
+
+
+def monic_from_sigma(sigma) -> Poly:
+    """Monic polynomial z^d + s1*z^(d-1) + ... + sd from the coefficient
+    vector (s1, ..., sd)."""
+    c = np.array(_monic_coeffs(sigma))
+    c.setflags(write=False)
+    return Poly(c)
 
 
 def derivative_tower(p) -> list[Poly]:
@@ -179,14 +197,13 @@ def sturm_count(p, a, b) -> int:
 
 def is_hyperbolic(sigma) -> bool:
     """True iff z^d + s1*z^(d-1) + ... + sd has d real distinct roots."""
-    s = np.asarray(getattr(sigma, "sigma", sigma), dtype=float)
-    q = monic_from_sigma(s)
-    chain = K.sturm_chain(q.coefficients.tolist())
+    c = _monic_coeffs(sigma)
+    chain = K.sturm_chain(c)
     if not chain:
         return False
     squarefree = len(chain[-1]) == 1
     count = K.chain_variations_inf(chain, False) - K.chain_variations_inf(chain, True)
-    return squarefree and count == len(s)
+    return squarefree and count == len(c) - 1
 
 
 def _quadratic_roots(c0, c1, c2):
@@ -209,8 +226,10 @@ def real_roots(p) -> np.ndarray:
     Degrees 1-2 use stable closed forms; degree >= 3 uses Sturm bisection for
     isolation followed by bisection + Newton refinement.  Repeated roots are
     reported once (the input is reduced by its gcd with its derivative
-    first).  Returns an empty array for constants, including the zero
-    polynomial.
+    first).  A chain whose last element does not divide P is no gcd but a
+    stop on rounding noise; the roots then come from the sign changes of P
+    between consecutive roots of P'.  Returns an empty array for constants,
+    including the zero polynomial.
     """
     p = _as_poly(p)
     c = p.coefficients.tolist()
@@ -226,11 +245,17 @@ def real_roots(p) -> np.ndarray:
     if not chain:
         return np.empty(0)
     if len(chain[-1]) > 1:
-        # repeated roots: the distinct roots are those of P / gcd(P, P')
-        quo, _rem = npoly.polydiv(c, np.asarray(chain[-1]))
-        return real_roots(Poly.from_coeffs(quo))
+        _quo, rem = npoly.polydiv(chain[0], chain[-1])
+        if float(np.max(np.abs(rem), initial=0.0)) <= _ROOT_REL:
+            # repeated roots: the distinct roots are those of P / gcd(P, P')
+            quo, _rem = npoly.polydiv(c, np.asarray(chain[-1]))
+            return real_roots(Poly.from_coeffs(quo))
+        # the chain stopped on a cancellation-noise remainder of a
+        # squarefree P: its variation counts cannot be trusted
+        return _rolle_roots(c)
 
     cauchy = 1.0 + max(abs(v) for v in c[:-1]) / abs(c[-1])
+    abs_c = [abs(v) for v in c]
     v_lo = K.chain_variations(chain, -cauchy)
     v_hi = K.chain_variations(chain, cauchy)
     dc = K.poly_derivative(c)
@@ -244,9 +269,14 @@ def real_roots(p) -> np.ndarray:
             continue
         if n == 1:
             lo_positive = K.horner(c, lo) > 0.0
-            l, h = K.bisect_refine(c, lo, hi, lo_positive, _BISECT_RELWIDTH)
-            x0 = 0.5 * (l + h)
-            roots.append(K.newton_polish(c, dc, x0, l, h, _NEWTON_STEPS))
+            x = _refine(c, dc, lo, hi, lo_positive)
+            if not _on_root(c, abs_c, x):
+                # lo sits on a root itself and the sign read there was
+                # rounding noise: the search ran to the wrong bracket end
+                other = _refine(c, dc, lo, hi, not lo_positive)
+                if _on_root(c, abs_c, other):
+                    x = other
+            roots.append(x)
             continue
         mid = 0.5 * (lo + hi)
         if hi - lo <= 1e-13 * (1.0 + abs(mid)):
@@ -263,6 +293,32 @@ def real_roots(p) -> np.ndarray:
     return np.array(sorted(roots))
 
 
+def _refine(c, dc, lo, hi, lo_positive) -> float:
+    l, h = K.bisect_refine(c, lo, hi, lo_positive, _BISECT_RELWIDTH)
+    return K.newton_polish(c, dc, 0.5 * (l + h), l, h, _NEWTON_STEPS)
+
+
+def _on_root(c, abs_c, x) -> bool:
+    return abs(K.horner(c, x)) <= _ROOT_REL * K.horner(abs_c, abs(x))
+
+
+def _rolle_roots(c) -> np.ndarray:
+    # real roots of a squarefree P without a Sturm chain: P is monotone
+    # between consecutive real roots of P' (Rolle), so each such piece
+    # holds at most one root, found by its sign change
+    cauchy = 1.0 + max(abs(v) for v in c[:-1]) / abs(c[-1])
+    dc = K.poly_derivative(c)
+    ends = [-cauchy] + real_roots(Poly.from_coeffs(dc)).tolist() + [cauchy]
+    roots = []
+    for lo, hi in zip(ends, ends[1:]):  # P(cauchy) != 0, so no root is lost
+        flo, fhi = K.horner(c, lo), K.horner(c, hi)
+        if flo == 0.0:
+            roots.append(lo)
+        elif fhi != 0.0 and (flo > 0.0) != (fhi > 0.0):
+            roots.append(_refine(c, dc, lo, hi, flo > 0.0))
+    return np.array(roots)
+
+
 def _sylvester(pc, qc):
     m = len(pc) - 1
     n = len(qc) - 1
@@ -277,16 +333,34 @@ def _sylvester(pc, qc):
     return s
 
 
+def _discriminant_input(p) -> list[float]:
+    # ascending coefficients of a monic polynomial of degree >= 2.  A Poly
+    # was checked when it was built; a plain sequence is checked here and
+    # taken as given, never trimmed, so its leading 1 cannot be lost
+    if isinstance(p, Poly):
+        c = p.coefficients.tolist()
+    else:
+        c = np.asarray(p, dtype=float)
+        if c.ndim != 1:
+            raise ValueError("coefficients must be a 1-d sequence")
+        c = c.tolist()
+        if not all(map(math.isfinite, c)):
+            raise ValueError("coefficients must be finite")
+    if len(c) < 3:
+        raise ValueError("discriminant requires degree >= 2")
+    if abs(c[-1] - 1.0) > 1e-12 * max(1.0, max(map(abs, c))):
+        raise ValueError("discriminant requires a monic polynomial")
+    return c
+
+
 def discriminant(p) -> float:
     """Standard discriminant Disc(P) = (-1)^(d(d-1)/2) Res(P, P') of a monic
-    polynomial of degree d >= 2, via the Sylvester resultant."""
-    p = _as_poly(p)
-    d = p.degree
-    if d < 2:
-        raise ValueError("discriminant requires degree >= 2")
-    c = p.coefficients
-    if abs(c[-1] - 1.0) > 1e-12 * max(1.0, float(np.max(np.abs(c)))):
-        raise ValueError("discriminant requires a monic polynomial")
-    dp = K.poly_derivative(c.tolist())
-    res = float(np.linalg.det(_sylvester(c.tolist(), dp)))
+    polynomial of degree d >= 2, via the Sylvester resultant.
+
+    p is a Poly or its ascending coefficient sequence; a sequence is used
+    as given (not trimmed), so inner loops may pass plain float lists."""
+    c = _discriminant_input(p)
+    d = len(c) - 1
+    dp = K.poly_derivative(c)
+    res = float(np.linalg.det(_sylvester(c, dp)))
     return res if (d * (d - 1) // 2) % 2 == 0 else -res

@@ -56,25 +56,29 @@ _INTERP_CHECK_REL = 1e-6
 _LIFT_REL = 1e-8
 
 
-def _det_cofactor(a: np.ndarray) -> float:
-    n = a.shape[0]
+def _drop(a: list, i: int, j: int) -> list:
+    # the nested-list matrix a without row i and column j
+    return [r[:j] + r[j + 1 :] for k, r in enumerate(a) if k != i]
+
+
+def _det_cofactor(a: list) -> float:
+    n = len(a)
     if n == 1:
-        return float(a[0, 0])
+        return a[0][0]
     if n == 2:
-        return float(a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0])
+        return a[0][0] * a[1][1] - a[0][1] * a[1][0]
     acc = 0.0
     for j in range(n):
-        sub = np.delete(np.delete(a, 0, axis=0), j, axis=1)
-        term = float(a[0, j]) * _det_cofactor(sub)
+        term = a[0][j] * _det_cofactor(_drop(a, 0, j))
         acc = acc + term if j % 2 == 0 else acc - term
     return acc
 
 
-def _det(a: np.ndarray) -> float:
+def _det(a: list) -> float:
     # exact cofactor recursion while cheap, pivoted LU beyond
-    if a.shape[0] <= 4:
+    if len(a) <= 4:
         return _det_cofactor(a)
-    return float(np.linalg.det(a))
+    return float(np.linalg.det(np.array(a)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,19 +111,14 @@ def hankel(mu) -> HankelMatrix:
     if values.ndim != 1 or values.size == 0 or values.size % 2 == 0:
         raise ValueError("need an odd number of moments mu_0..mu_{2d-2}")
     d = (len(values) + 1) // 2
-    m = np.empty((d, d))
-    for i in range(d):
-        for j in range(d):
-            m[i, j] = values[i + j]
-    minors = np.empty((d, d))
+    v = values.tolist()
+    rows = [v[i : i + d] for i in range(d)]
     if d == 1:
-        minors[0, 0] = 1.0
+        minors = np.ones((1, 1))
     else:
-        for i in range(d):
-            for j in range(d):
-                sub = np.delete(np.delete(m, i, axis=0), j, axis=1)
-                minors[i, j] = _det(sub)
-    det = _det(m)
+        minors = np.array([[_det(_drop(rows, i, j)) for j in range(d)] for i in range(d)])
+    det = _det(rows)
+    m = np.array(rows)
     m.setflags(write=False)
     minors.setflags(write=False)
     return HankelMatrix(entries=m, determinant=det, minors=minors)
@@ -250,16 +249,34 @@ class HyperbolicDomain:
         return any(lo < t < hi for lo, hi in self.intervals)
 
 
-def _interp_disc_poly(line: PronyLine, R: float) -> poly_engine.Poly:
+def _line_evaluators(line: PronyLine):
+    """sigma(t) and the exact restricted discriminant D(t) on plain floats.
+
+    Domain construction evaluates these tens of thousands of times, so no
+    SymmetricCoords or Poly is built per call: the line was checked once
+    when it was made.  D(t) still goes through poly_engine.discriminant.
+    """
+    slopes = line.slopes.tolist()
+    intercepts = line.intercepts.tolist()
+
+    def sigma_at(t):
+        return [s * t + b for s, b in zip(slopes, intercepts)]
+
+    def disc_at(t):
+        c = sigma_at(t)
+        c.reverse()
+        c.append(1.0)
+        return poly_engine.discriminant(c)
+
+    return sigma_at, disc_at
+
+
+def _interp_disc_poly(disc_at, d: int, R: float) -> poly_engine.Poly:
     # Disc(Q_sigma(t)) restricted to the line is a polynomial in t of degree
     # at most 2d-2; recover it from 2d-1 samples at Chebyshev points, in the
     # scaled variable u = t/R for conditioning, and verify on a fresh sample.
-    n = 2 * line.d - 1
-
-    def disc_at(t):
-        return poly_engine.discriminant(poly_engine.monic_from_sigma(line.sigma_at(t)))
-
-    us = np.array([math.cos((2 * i + 1) * math.pi / (2 * n)) for i in range(n)])
+    n = 2 * d - 1
+    us = [math.cos((2 * i + 1) * math.pi / (2 * n)) for i in range(n)]
     vals = np.array([disc_at(R * u) for u in us])
     cu = np.linalg.solve(np.vander(us, increasing=True), vals)
     ct = np.array([cu[k] / R**k for k in range(n)])
@@ -278,12 +295,16 @@ def _interp_disc_poly(line: PronyLine, R: float) -> poly_engine.Poly:
 
 def _turning_points(line: PronyLine) -> list[float]:
     # where an individual sigma coordinate crosses zero; these set the
-    # natural parameter scales of the line
-    out = []
-    for s, b in zip(line.slopes, line.intercepts):
-        if abs(s) > 1e-300:
-            out.append(-b / s)
-    return out
+    # natural parameter scales of the line.  A slope below _DEGENERATE_REL of
+    # the largest is the rounding residue of a vanishing last-row minor (the
+    # det M policy of line_params): that coordinate is constant on the line
+    # and its far "turning point" would only blow up the sampling radius.
+    floor = _DEGENERATE_REL * float(np.max(np.abs(line.slopes)))
+    return [
+        -b / s
+        for s, b in zip(line.slopes.tolist(), line.intercepts.tolist())
+        if abs(s) > floor
+    ]
 
 
 def _turning_radius(line: PronyLine) -> float:
@@ -293,10 +314,11 @@ def _turning_radius(line: PronyLine) -> float:
     return R
 
 
-def _bisect_disc(disc_at, a, b, fallback):
-    """Zero of the exact restricted discriminant inside [a, b], by sign
-    bisection; returns ``fallback`` when the ends do not bracket a sign
-    change (tangential contact)."""
+def _brent_disc(disc_at, a, b, fallback):
+    """Zero of the exact restricted discriminant inside [a, b] by Brent's
+    method (Brent 1973, ch. 4: bisection safeguarding secant and inverse
+    quadratic steps), run to float resolution; returns ``fallback`` when the
+    ends do not bracket a sign change (tangential contact)."""
     fa, fb = disc_at(a), disc_at(b)
     if fa == 0.0:
         return a
@@ -304,18 +326,42 @@ def _bisect_disc(disc_at, a, b, fallback):
         return b
     if (fa > 0.0) == (fb > 0.0):
         return fallback
+    c, fc = a, fa
+    d = e = b - a
     while True:
-        m = 0.5 * (a + b)
-        if m == a or m == b:  # float resolution reached
-            break
-        fm = disc_at(m)
-        if fm == 0.0:
-            return m
-        if (fm > 0.0) == (fa > 0.0):
-            a, fa = m, fm
+        if (fb > 0.0) == (fc > 0.0):  # keep the sign change between b and c
+            c, fc = a, fa
+            d = e = b - a
+        if abs(fc) < abs(fb):  # b is the best estimate so far
+            a, b, c = b, c, b
+            fa, fb, fc = fb, fc, fb
+        if fb == 0.0:
+            return b
+        if math.nextafter(b, c) == c:  # float resolution reached
+            return 0.5 * (b + c)
+        tol = math.ulp(b)
+        m = 0.5 * (c - b)
+        if abs(e) >= tol and abs(fa) > abs(fb):
+            s = fb / fa
+            if a == c:  # secant
+                p, q = 2.0 * m * s, 1.0 - s
+            else:  # inverse quadratic interpolation
+                q, r = fa / fc, fb / fc
+                p = s * (2.0 * m * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            if p > 0.0:
+                q = -q
+            else:
+                p = -p
+            if 2.0 * p < min(3.0 * m * q - abs(tol * q), abs(e * q)):
+                e, d = d, p / q
+            else:
+                d = e = m
         else:
-            b, fb = m, fm
-    return 0.5 * (a + b)
+            d = e = m
+        a, fa = b, fb
+        b = b + d if abs(d) > tol else math.nextafter(b, c)
+        fb = disc_at(b)
 
 
 def _boundary_between(hyperbolic_at, t_in, t_out):
@@ -387,15 +433,14 @@ def hyperbolic_domain(line: PronyLine) -> HyperbolicDomain:
         one = poly_engine.Poly.from_coeffs([1.0])
         return HyperbolicDomain(intervals=((-inf, inf),), endpoints=(), disc_poly=one)
 
-    def disc_at(t):
-        return poly_engine.discriminant(poly_engine.monic_from_sigma(line.sigma_at(t)))
+    sigma_at, disc_at = _line_evaluators(line)
 
     # widen the sampling radius until every discriminant root sits well
     # inside it; roots near or past the radius are poorly determined by the
     # far tail of the interpolant
     R = _turning_radius(line)
     for _ in range(6):
-        D = _interp_disc_poly(line, R)
+        D = _interp_disc_poly(disc_at, line.d, R)
         roots = [float(r) for r in poly_engine.real_roots(D)]
         r_far = max((abs(r) for r in roots), default=0.0)
         if r_far <= 0.7 * R:
@@ -412,7 +457,7 @@ def hyperbolic_domain(line: PronyLine) -> HyperbolicDomain:
     r_max = max((abs(r) for r in merged), default=0.0)
 
     def hyperbolic_at(t):
-        return poly_engine.is_hyperbolic(line.sigma_at(t))
+        return poly_engine.is_hyperbolic(sigma_at(t))
 
     accepted = []
     probes = []
@@ -441,7 +486,7 @@ def hyperbolic_domain(line: PronyLine) -> HyperbolicDomain:
     refined = []
     for idx, r in enumerate(merged):
         if accepted[idx] or accepted[idx + 1]:
-            refined.append(_bisect_disc(disc_at, probes[idx], probes[idx + 1], r))
+            refined.append(_brent_disc(disc_at, probes[idx], probes[idx + 1], r))
         else:
             refined.append(r)
 
@@ -519,6 +564,14 @@ def projection_residuals(mu, X, q: int) -> np.ndarray:
     return out
 
 
+def _lift_budget(moments, sigma) -> float:
+    """Largest moment defect a lifted family point may carry: _LIFT_REL
+    times the scale of the moments and of the node polynomial's
+    coefficients sigma."""
+    mu_scale = max(1.0, float(np.max(np.abs(moments))))
+    return _LIFT_REL * mu_scale * max(1.0, float(np.max(np.abs(sigma))))
+
+
 def lift_to_solution(mu, X, q: int) -> Signal:
     """Signal on nodes X reproducing the full moment vector.
 
@@ -529,18 +582,17 @@ def lift_to_solution(mu, X, q: int) -> Signal:
     mu = mu if isinstance(mu, MomentVector) else MomentVector(mu)
     x = np.asarray(X, dtype=float)
     res = projection_residuals(mu, x, q)
-    rev_scale = float(np.max(np.abs(elementary_symmetric(x).sigma))) if len(x) else 0.0
-    scale = max(1.0, float(np.max(np.abs(mu.values)))) * max(1.0, rev_scale)
-    if float(np.max(np.abs(res), initial=0.0)) > _LIFT_REL * scale:
+    budget = _lift_budget(mu.values, elementary_symmetric(x).sigma)
+    if float(np.max(np.abs(res), initial=0.0)) > budget:
         raise ResidualTooLarge(
             f"projected residual {float(np.max(np.abs(res))):.3e} exceeds "
-            f"{_LIFT_REL * scale:.3e}: nodes are not on the variety"
+            f"{budget:.3e}: nodes are not on the variety"
         )
     d = len(x)
     amps = amplitudes_from_nodes(mu.truncated(d - 1), x)
     signal = Signal(amplitudes=amps, nodes=x)
     back = compute_moments(signal, q).values
-    if float(np.max(np.abs(back - mu.values))) > _LIFT_REL * scale:
+    if float(np.max(np.abs(back - mu.values))) > budget:
         raise ResidualTooLarge(
             "lifted signal fails to reproduce the full moment vector"
         )

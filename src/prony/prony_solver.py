@@ -15,7 +15,6 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from . import prony_line
 from .errors import (
@@ -50,6 +49,12 @@ logger = logging.getLogger(__name__)
 # A reconstructed signal must reproduce its defining moments to this
 # precision relative to the moment scale, or the solve is reported failed.
 _RESIDUAL_RTOL = 1e-8
+
+# golden-section ratio and relative stopping width, as scipy.optimize.golden
+# uses them
+_GOLDEN_R = 0.61803399
+_GOLDEN_C = 1.0 - _GOLDEN_R
+_GOLDEN_XTOL = 1.4901161193847656e-08  # sqrt of the double epsilon
 
 
 @dataclass(frozen=True)
@@ -213,6 +218,34 @@ def _distance_at(line, domain, target, t):
     return float(np.linalg.norm(point - target))
 
 
+def _golden(f, a, b, c):
+    """Minimizer of f by golden-section search in the bracket a < b < c,
+    step for step as scipy.optimize.golden(f, brack=(a, b, c)); None when
+    the bracket is not one (f(b) not strictly below f(a) and f(c))."""
+    fb = f(b)
+    if not (a < b < c and fb < f(a) and fb < f(c)):
+        return None
+    x0, x3 = a, c
+    if abs(c - b) > abs(b - a):
+        x1, x2 = b, b + _GOLDEN_C * (c - b)
+        f1, f2 = fb, f(x2)
+    else:
+        x1, x2 = b - _GOLDEN_C * (b - a), b
+        f1, f2 = f(x1), fb
+    for _ in range(5000):
+        if abs(x3 - x0) <= _GOLDEN_XTOL * (abs(x1) + abs(x2)):
+            break
+        if f2 < f1:
+            x0, x1, f1 = x1, x2, f2
+            x2 = _GOLDEN_R * x1 + _GOLDEN_C * x3
+            f2 = f(x2)
+        else:
+            x3, x2, f2 = x2, x1, f1
+            x1 = _GOLDEN_R * x2 + _GOLDEN_C * x0
+            f1 = f(x1)
+    return x1 if f1 < f2 else x2
+
+
 def _min_distance(line, domain, target, t_grid):
     grid = np.unique(np.asarray(t_grid, dtype=float))
     if grid.ndim != 1 or grid.size == 0:
@@ -228,14 +261,11 @@ def _min_distance(line, domain, target, t_grid):
     step = np.diff(grid).min() if grid.size > 1 else max(1.0, abs(grid[best]))
     lo = grid[best - 1] if best > 0 else grid[best] - step
     hi = grid[best + 1] if best + 1 < grid.size else grid[best] + step
-    try:
-        t_ref = optimize.golden(
-            lambda t: _distance_at(line, domain, target, t),
-            brack=(lo, grid[best], hi))
-        refined = _distance_at(line, domain, target, float(t_ref))
-    except ValueError:
-        # flat bracket: the grid minimum is already as good as it gets
-        refined = np.inf
+    t_ref = _golden(lambda t: _distance_at(line, domain, target, t),
+                    lo, grid[best], hi)
+    # no bracket: the grid minimum is already as good as it gets
+    refined = np.inf if t_ref is None else _distance_at(
+        line, domain, target, float(t_ref))
     return float(min(values[best], refined))
 
 

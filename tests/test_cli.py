@@ -341,6 +341,15 @@ def test_amplify_env_seed_override(tmp_path, capsys, monkeypatch):
     assert json.loads(out)["config"]["seed"] == 9
 
 
+def test_amplify_d4_cluster_exit_code(tmp_path, capsys):
+    # a numerical failure here may exit 3 or 4, never 2 (malformed input)
+    cfg = {"d": 4, "epsilon": 1e-12, "trials": 5, "seed": 1,
+           "h_grid": [0.8, 0.4]}
+    path = _write(tmp_path, "cfg.json", cfg)
+    code, _, _ = _run(capsys, ["amplify", path, "--out", str(tmp_path / "r")])
+    assert code in (0, 3, 4)
+
+
 def test_amplify_invalid_config(tmp_path, capsys):
     path = _write(tmp_path, "cfg.json", {"d": 2})
     code, _, err = _run(capsys, ["amplify", path,

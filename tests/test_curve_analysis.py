@@ -31,6 +31,29 @@ EMPTY_DOMAIN_MU = [
 ]
 
 
+# d = 5 family vector whose generating signal (t* = 15233.46...) is
+# recovered at t*, while at t = -1, 0, 1 one node sits near 1.7e4 with an
+# amplitude only rounding sets (-1.8e-29): those points miss mu_8 by 96%
+FAR_NODE_MU = [
+    -0.176838174077238,
+    -1.8716516153454856,
+    -8.060310826388655,
+    -24.57209313620831,
+    -71.10743629849424,
+    -204.7867432644228,
+    -593.9670158449924,
+    -1738.3798148119618,
+    -5129.234572740597,
+]
+FAR_NODE_T_STAR = 15233.462642638357
+FAR_NODE_SIGNAL = Signal(
+    amplitudes=[-0.7342943024729319, 1.1926702757253218, 0.7640584673120563,
+                -0.7150546226106631, -0.6842179920310211],
+    nodes=[-0.1092320237470874, 0.6471739127846023, 1.1600099569510474,
+           2.153824373814556, 3.0252617384064444],
+)
+
+
 def _tame_instance(rng, d):
     x0 = rng.uniform(-2.0, 0.0)
     nodes = np.concatenate([[x0], x0 + np.cumsum(rng.uniform(0.3, 1.0, size=d - 1))])
@@ -66,6 +89,18 @@ def test_sample_curve_skips_out_of_domain_points(caplog):
     assert [s.t for s in samples] == [-1.0]
     skipped = [r for r in caplog.records if "outside the hyperbolic set" in r.message]
     assert len(skipped) == 2
+
+
+def test_sample_curve_skips_points_that_miss_the_moments(caplog):
+    with caplog.at_level(logging.WARNING, logger="prony.curve_analysis"):
+        samples = ca.sample_curve(FAR_NODE_MU, [FAR_NODE_T_STAR, -1.0, 0.0, 1.0])
+    assert [s.t for s in samples] == [FAR_NODE_T_STAR]
+    skipped = [r for r in caplog.records if "misses the moments" in r.getMessage()]
+    assert len(skipped) == 3
+    (at_star,) = samples
+    assert relerr(at_star.nodes, FAR_NODE_SIGNAL.nodes) < 1e-6
+    assert relerr(at_star.amplitudes, FAR_NODE_SIGNAL.amplitudes) < 1e-6
+    assert at_star.residual <= pl._lift_budget(np.array(FAR_NODE_MU), at_star.sigma.sigma)
 
 
 def test_sample_curve_source_point_recovery():

@@ -188,6 +188,25 @@ def test_real_roots_sorted_and_deduplicated():
     assert relerr(got, [-1.25, 0.5]) < 1e-8
 
 
+def test_real_roots_spurious_chain_gcd():
+    # x^4 + 2^-9 x^3 + 3x: a near-degree drop in the Sturm chain leaves a
+    # cancellation-noise remainder, and the chain's last element (a line
+    # through 1.6e-4) was once divided out as if it were gcd(P, P')
+    p = P(0.0, 3.0, 0.0, 0.001953125, 1.0)
+    want = sorted(r.real for r in npoly.polyroots(p.coefficients) if r.imag == 0.0)
+    assert len(want) == 2
+    assert relerr(pe.real_roots(p), want) < 1e-12
+
+
+def test_real_roots_bracket_end_on_a_root():
+    # the Cauchy bound 3.8 splits at 1.9 and then at the root 0.95, where
+    # P is rounding noise; refinement once took that noise for the sign
+    # inside (0.95, 1.9] and returned 1.9 instead of 1.15
+    roots = [0.25, 0.45, 0.95, 1.15]
+    got = pe.real_roots(pe.Poly.from_coeffs(npoly.polyfromroots(roots)))
+    assert relerr(got, roots) < 1e-10
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.lists(st.floats(-5.0, 5.0, allow_nan=False), min_size=4, max_size=8),
@@ -249,6 +268,29 @@ def test_discriminant_requires_monic():
         pe.discriminant(P(1.0, 0.0, 2.0))
     with pytest.raises(ValueError):
         pe.discriminant(P(1.0, 1.0))
+
+
+def test_discriminant_keeps_the_monic_leading_one():
+    # coefficients 1e15 times the leading 1 once had it trimmed away, and the
+    # polynomial then failed as non-monic
+    p = pe.monic_from_sigma([1e15, -2e15])
+    assert p.degree == 2 and p.coefficients[-1] == 1.0
+    assert pe.discriminant(p) == pytest.approx(1e30 + 8e15, rel=1e-12)
+    assert pe.discriminant([-2e15, 1e15, 1.0]) == pe.discriminant(p)
+
+
+def test_discriminant_plain_sequence_validation():
+    assert pe.discriminant([2.0, -3.0, 1.0]) == pe.discriminant(P(2.0, -3.0, 1.0))
+    with pytest.raises(ValueError):
+        pe.discriminant([1.0, np.nan, 1.0])
+    with pytest.raises(ValueError):
+        pe.discriminant([[2.0, -3.0, 1.0]])
+    with pytest.raises(ValueError):
+        pe.discriminant([1.0, 1.0])
+    with pytest.raises(ValueError):
+        pe.discriminant([1.0, 0.0, 2.0])
+    with pytest.raises(ValueError):
+        pe.is_hyperbolic([0.0, np.inf])
 
 
 def test_discriminant_quadratic_bridge():

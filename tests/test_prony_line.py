@@ -1,12 +1,22 @@
 """Hankel machinery, the sigma-space solution line, and its hyperbolic domain."""
 
+import math
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
-from helpers import random_signal, relerr
+from helpers import random_signal, relerr, signal_strategy
 from prony import poly_engine as pe
 from prony import prony_line as pl
-from prony.errors import DegenerateHankel, InterpolationInconsistency, ResidualTooLarge
+from prony.errors import (
+    DegenerateHankel,
+    InconsistentComputation,
+    InterpolationInconsistency,
+    ResidualTooLarge,
+)
+from prony.prony_solver import make_cluster_signal
 from prony.signal_model import (
     MomentVector,
     Signal,
@@ -49,6 +59,49 @@ def test_hankel_examples():
     H = pl.hankel([1.0, 1.0, 1.0, 1.0, 1.0])
     assert H.d == 3
     assert H.determinant == pytest.approx(0.0, abs=1e-14)
+
+
+def _det_cofactor_reference(a):
+    # the np.delete recursion the nested-list cofactors replace
+    n = a.shape[0]
+    if n == 1:
+        return float(a[0, 0])
+    if n == 2:
+        return float(a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0])
+    acc = 0.0
+    for j in range(n):
+        sub = np.delete(np.delete(a, 0, axis=0), j, axis=1)
+        term = float(a[0, j]) * _det_cofactor_reference(sub)
+        acc = acc + term if j % 2 == 0 else acc - term
+    return acc
+
+
+def _hankel_reference(values):
+    d = (len(values) + 1) // 2
+    m = np.array([[values[i + j] for j in range(d)] for i in range(d)])
+
+    def det(a):
+        return _det_cofactor_reference(a) if a.shape[0] <= 4 else float(np.linalg.det(a))
+
+    minors = np.ones((1, 1)) if d == 1 else np.array(
+        [[det(np.delete(np.delete(m, i, axis=0), j, axis=1)) for j in range(d)]
+         for i in range(d)])
+    return det(m), minors
+
+
+def test_hankel_cofactors_match_delete_recursion():
+    rng = np.random.default_rng(1011)
+    for n in range(1, 5):
+        for _ in range(50):
+            a = rng.normal(size=(n, n)) * 10.0 ** rng.integers(-4, 5)
+            assert pl._det_cofactor(a.tolist()) == _det_cofactor_reference(a)
+    for d in range(1, 6):
+        for _ in range(40):
+            values = rng.uniform(-3.0, 3.0, 2 * d - 1) * 10.0 ** rng.integers(-3, 4)
+            H = pl.hankel(values)
+            det, minors = _hankel_reference(values)
+            assert H.determinant == det
+            assert np.array_equal(H.minors, minors)
 
 
 def test_hankel_validation():
@@ -234,6 +287,99 @@ def test_domain_source_point_recovery_random():
             narrow_misses += 1
     assert recovered >= 40
     assert narrow_misses <= 2
+
+
+def _bisect_reference(disc_at, a, b, fallback):
+    # the sign bisection Brent's method replaces, on the same bracket
+    fa, fb = disc_at(a), disc_at(b)
+    if fa == 0.0:
+        return a
+    if fb == 0.0:
+        return b
+    if (fa > 0.0) == (fb > 0.0):
+        return fallback
+    while True:
+        m = 0.5 * (a + b)
+        if m == a or m == b:
+            break
+        fm = disc_at(m)
+        if fm == 0.0:
+            return m
+        if (fm > 0.0) == (fa > 0.0):
+            a, fa = m, fm
+        else:
+            b, fb = m, fm
+    return 0.5 * (a + b)
+
+
+def _is_float_zero(disc_at, t):
+    # the computed discriminant vanishes at t or changes sign between t and
+    # a neighbouring float
+    at = disc_at(t)
+    if at == 0.0:
+        return True
+    sides = {disc_at(math.nextafter(t, -INF)) > 0.0, disc_at(math.nextafter(t, INF)) > 0.0}
+    return (not at > 0.0) in sides
+
+
+def _drawn_line(signal):
+    try:
+        return pl.line_params(compute_moments(signal, 2 * signal.d - 2))
+    except (DegenerateHankel, InconsistentComputation):
+        assume(False)
+
+
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(signal_strategy(min_d=2, max_d=5))
+def test_brent_endpoints_match_bisection(signal):
+    line = _drawn_line(signal)
+    pairs, brackets = [], []
+    brent = pl._brent_disc
+
+    def both(disc_at, a, b, fallback):
+        got = brent(disc_at, a, b, fallback)
+        pairs.append((got, _bisect_reference(disc_at, a, b, fallback)))
+        brackets.append((a, b))
+        return got
+
+    with mock.patch.object(pl, "_brent_disc", both):
+        try:
+            pl.hyperbolic_domain(line)
+        except InterpolationInconsistency:
+            pass  # the brackets refined before the flag still count
+    _, disc_at = pl._line_evaluators(line)
+    for (got, want), (a, b) in zip(pairs, brackets):
+        assert min(a, b) <= got <= max(a, b)
+        if abs(got - want) <= 1e-13 * abs(want):
+            continue
+        # farther apart only where the computed discriminant changes sign
+        # more than once in the bracket (several roots, or rounding noise
+        # wider than 1e-13 of the root): both must then be zeros of it
+        assert _is_float_zero(disc_at, got) and _is_float_zero(disc_at, want)
+
+
+@settings(max_examples=80, deadline=None)
+@given(signal_strategy(min_d=2, max_d=5), st.floats(-1e4, 1e4))
+def test_raw_line_evaluations_match_checked_path(signal, t):
+    line = _drawn_line(signal)
+    sigma_at, disc_at = pl._line_evaluators(line)
+    sigma = line.sigma_at(t)
+    assert sigma_at(t) == sigma.sigma.tolist()
+    assert disc_at(t) == pe.discriminant(pe.monic_from_sigma(sigma))
+    assert pe.is_hyperbolic(sigma_at(t)) == pe.is_hyperbolic(sigma)
+
+
+def test_domain_ignores_rounding_level_slope():
+    # mu_0 = 0 makes the last-row minor behind sigma_1's slope vanish;
+    # rounding leaves a slope of -7.45e-13, whose turning point near -2e12
+    # once set the sampling radius and drove sigma(t) to ~1e14
+    s = make_cluster_signal(4, 0.8)
+    line = pl.line_params(compute_moments(s, 6))
+    assert abs(line.slopes[0]) < 1e-12 * float(np.max(np.abs(line.slopes)))
+    assert all(abs(t) < 1.0 for t in pl._turning_points(line))
+    dom = pl.hyperbolic_domain(line)
+    assert dom.contains(line.parameter_of(elementary_symmetric(s.nodes)))
 
 
 def test_domain_empty_is_returned_not_raised():

@@ -26,6 +26,8 @@ from prony import prony_line as pl
 from prony import prony_solver as ps
 from prony.errors import (
     EmptyDomain,
+    InconsistentComputation,
+    MathDegeneracy,
     NoRealSolution,
     TooFewValidTrials,
 )
@@ -202,6 +204,29 @@ def test_distance_bounded_by_perturbation():
         assert dist <= np.linalg.norm(delta) * (1.0 + 1e-9) + 1e-12
 
 
+def _golden_brackets():
+    # (f, a, b, c): smooth, kinked, flat and one-sided cases
+    yield lambda t: (t - 0.3) ** 2, -1.0, 0.0, 2.0
+    yield lambda t: (t - 0.3) ** 2, -1.0, 0.5, 0.6
+    yield lambda t: abs(t + 1e-3), -2.0, 0.0, 1.0
+    yield lambda t: np.cosh(t - 17.0), 16.0, 17.5, 21.0
+    yield lambda t: 1.0, -1.0, 0.0, 1.0
+    yield lambda t: t, -1.0, 0.0, 1.0
+    yield lambda t: np.inf if t < 0.0 else (t - 1.0) ** 2, -1.0, 0.5, 3.0
+
+
+def test_golden_matches_scipy():
+    optimize = pytest.importorskip("scipy.optimize")
+    for f, a, b, c in _golden_brackets():
+        got = ps._golden(f, a, b, c)
+        try:
+            want = optimize.golden(f, brack=(a, b, c))
+        except ValueError:  # scipy's "not a bracket"
+            assert got is None
+        else:
+            assert got == want
+
+
 def test_distance_empty_domain():
     s = _random_signal(np.random.default_rng(3), 3)
     with pytest.raises(EmptyDomain):
@@ -323,6 +348,19 @@ def test_experiment_epsilon_too_large():
                          h_grid=(0.4, 0.2))
     with pytest.raises(ValueError):
         ps.amplification_experiment(cfg)
+
+
+def test_experiment_d4_cluster_is_not_malformed_input():
+    # mu_0 = 0 leaves a rounding-level slope on the d = 4 cluster line; it
+    # once set the domain's sampling radius and the run died on a
+    # ValueError, which the CLI reports as malformed input
+    cfg = ps.NoiseConfig(d=4, epsilon=1e-12, trials=5, seed=1,
+                         h_grid=(0.8, 0.4))
+    try:
+        res = ps.amplification_experiment(cfg)
+    except (MathDegeneracy, InconsistentComputation):
+        return
+    assert [row[0] for row in res.rows] == [0.8, 0.4]
 
 
 def test_experiment_reports_failure_flood():
