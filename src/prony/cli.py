@@ -31,7 +31,7 @@ import numpy as np
 
 from . import __version__, closed_forms, curve_analysis, prony_line, prony_solver
 from .errors import InconsistentComputation, MathDegeneracy
-from .signal_model import Signal, compute_moments
+from .signal_model import MomentVector, Signal, compute_moments
 
 
 # ---------------------------------------------------------------------------
@@ -151,10 +151,7 @@ def _signal_from(doc) -> Signal:
 
 def _moments_from(doc) -> np.ndarray:
     values = doc.get("moments") if isinstance(doc, dict) else doc
-    arr = np.asarray(values, dtype=float)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValueError("moments must be a flat nonempty array")
-    return arr
+    return MomentVector(values).values
 
 
 # ---------------------------------------------------------------------------
@@ -202,9 +199,8 @@ def cmd_curve(args) -> int:
             f"the solution family needs an odd moment count >= 3, got {len(mu)}")
     d = (len(mu) + 1) // 2
     line = prony_line.line_params(mu)
-    domain = prony_line.hyperbolic_domain(line)
 
-    t_lo, t_hi = _default_t_range(domain)
+    t_lo, t_hi = _default_t_range(line.domain)
     if args.t_min is not None:
         t_lo = args.t_min
     if args.t_max is not None:
@@ -213,7 +209,7 @@ def cmd_curve(args) -> int:
         raise ValueError(f"need t-min < t-max, got [{t_lo}, {t_hi}]")
     grid = np.linspace(t_lo, t_hi, args.samples)
 
-    samples = curve_analysis.sample_curve(mu, grid)
+    samples = curve_analysis.sample_curve(line, grid)
     if not samples:
         print(f"warning: no sample parameter in [{t_lo:g}, {t_hi:g}] lies in "
               "the hyperbolic set; emitting empty data", file=sys.stderr)
@@ -288,13 +284,13 @@ def _escape_doc(report) -> dict:
 
 
 def cmd_analyze(args) -> int:
-    mu = _moments_from(_load_json(args.moments_file))
-    collisions = curve_analysis.detect_collisions(mu)
+    line = prony_line.line_params(_moments_from(_load_json(args.moments_file)))
+    collisions = curve_analysis.detect_collisions(line)
     escapes = []
     for direction in (math.inf, -math.inf):
         try:
             escapes.append(_escape_doc(
-                curve_analysis.escape_analysis(mu, direction)))
+                curve_analysis.escape_analysis(line, direction)))
         except curve_analysis.NoUnboundedComponent:
             pass
     doc = {"collisions": [_collision_doc(r) for r in collisions],
@@ -393,7 +389,7 @@ def main(argv=None) -> int:
     except MathDegeneracy as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, KeyError, OSError) as exc:
+    except (ValueError, KeyError, OSError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -101,6 +101,8 @@ def _delta_term_scale(s1: float, s2: float, s3: float) -> float:
 
 
 def _check_length(mu, n: int) -> np.ndarray:
+    if isinstance(mu, prony_line.PronyLine):
+        mu = mu.mu
     m = np.asarray(getattr(mu, "values", mu), dtype=float)
     if m.shape != (n,):
         raise ValueError(f"expected a moment vector of length {n}")
@@ -156,12 +158,13 @@ def quartic_Pmu(mu) -> poly_engine.Poly:
     recovered from five samples; the denominator clearing makes every
     coefficient polynomial in the moments, with P8_closed_form leading.
 
-    Raises DegenerateHankel through line_params and
-    InterpolationInconsistency if a sixth fresh evaluation disagrees with the
-    interpolant beyond relative 1e-8.
+    mu may be the d=3 line itself.  Raises DegenerateHankel through
+    line_params and InterpolationInconsistency if a sixth fresh evaluation
+    disagrees with the interpolant beyond relative 1e-8.
     """
     m = _check_length(mu, 5)
-    line = prony_line.line_params(m)
+    line = (mu if isinstance(mu, prony_line.PronyLine)  # not built twice
+            else prony_line.line_params(m))
     scale4 = line.detM ** 4
 
     # Interpolate in u = t/S so the Vandermonde solve stays conditioned even
@@ -198,7 +201,7 @@ def classify_d2(mu) -> Classification:
     _INDET_REL of det M = 0 the collision verdict abstains.
     """
     m = _check_length(mu, 3)
-    line = prony_line.line_params(m)
+    line = prony_line.line_params(mu)
     detM = line.detM
     tol = _INDET_REL * max(1.0, abs(m[0] * m[2]) + m[1] * m[1])
     if abs(detM) <= tol:
@@ -211,7 +214,7 @@ def classify_d2(mu) -> Classification:
 
 def _domain_evidence(line) -> dict:
     try:
-        dom = prony_line.hyperbolic_domain(line)
+        dom = line.domain
     except InterpolationInconsistency as exc:
         logger.warning("domain evidence unavailable: %s", exc)
         return {"domain_intervals": None, "domain_all_bounded": None,
@@ -233,8 +236,8 @@ def classify_d3(mu) -> Classification:
     evidence so callers can cross-examine the closed-form answer.
     """
     m = _check_length(mu, 5)
-    line = prony_line.line_params(m)
-    quartic = quartic_Pmu(m)
+    line = prony_line.line_params(mu)
+    quartic = quartic_Pmu(line)
     s = _moment_scale(m)
 
     d1 = m[0] * m[2] - m[1] * m[1]

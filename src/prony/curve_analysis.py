@@ -128,13 +128,6 @@ class EscapeReport:
         return None
 
 
-def _point(line, t):
-    sigma = line.sigma_at(t)
-    nodes = vieta_inverse(sigma)
-    amps = amplitudes_from_nodes(line.mu, nodes)
-    return sigma, nodes, amps
-
-
 def _split_merged_pair(coeffs, roots):
     """Resolve one nearly-double root into its two members, or None.
 
@@ -219,24 +212,22 @@ def sample_curve(mu, grid) -> list:
     own residual diagnostics, see CurveSample.
     """
     line = prony_line.line_params(mu)
-    domain = prony_line.hyperbolic_domain(line)
-    moments = line.mu
     out = []
     for t_raw in np.asarray(grid, dtype=float):
         t = float(t_raw)
-        if not domain.contains(t):
+        if not line.domain.contains(t):
             logger.info("grid point t=%.17g outside the hyperbolic set; skipped", t)
             continue
         try:
-            sigma, nodes, amps = _point(line, t)
+            sigma, nodes, amps = line.point(t)
         except (NotHyperbolic, RepeatedNodes) as exc:
             # containment came from interpolated boundary data; very close
             # to a boundary the direct check can still refuse the point
             logger.warning("grid point t=%.17g rejected on direct evaluation: %s", t, exc)
             continue
         defect = compute_moments(Signal(amplitudes=amps, nodes=nodes), 2 * line.d - 2)
-        residual = float(np.max(np.abs(defect.values - moments.values)))
-        budget = prony_line._lift_budget(moments.values, sigma.sigma)
+        residual = float(np.max(np.abs(defect.values - line.mu.values)))
+        budget = prony_line._lift_budget(line.mu.values, sigma.sigma)
         if residual > budget:
             logger.warning(
                 "grid point t=%.17g skipped: its signal misses the moments by "
@@ -331,7 +322,7 @@ def detect_collisions(mu, blowup_threshold: float = _BLOWUP_THRESHOLD) -> list:
     list when the parameter set has no finite boundary points.
     """
     line = prony_line.line_params(mu)
-    domain = prony_line.hyperbolic_domain(line)
+    domain = line.domain
     reports = []
     for ep in domain.endpoints:
         t0 = ep.t0
@@ -405,7 +396,7 @@ def escape_analysis(mu, direction) -> EscapeReport:
     if not math.isinf(direction):
         raise ValueError("direction must be +inf or -inf")
     line = prony_line.line_params(mu)
-    domain = prony_line.hyperbolic_domain(line)
+    domain = line.domain
     if direction > 0:
         pick = [iv for iv in domain.intervals if iv[1] == math.inf]
         finite_end = pick[0][0] if pick else math.nan
@@ -459,9 +450,10 @@ def escape_analysis(mu, direction) -> EscapeReport:
         if not ambiguous or k > _ESCAPE_KDEEP:
             break
 
-    H = prony_line.hankel(line.mu)
+    H = line.hankel
     minor_scale = max(1.0, float(np.max(np.abs(H.minors))))
-    hypothesis_met = abs(H.minor(line.d, line.d)) > 1e-12 * minor_scale
+    hypothesis_met = (
+        abs(H.minor(line.d, line.d)) > prony_line._DEGENERATE_REL * minor_scale)
 
     if hypothesis_met:
         if len(escaping) > 1:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -32,6 +33,7 @@ from .signal_model import (
     amplitudes_from_nodes,
     compute_moments,
     elementary_symmetric,
+    vieta_inverse,
 )
 
 __all__ = [
@@ -130,18 +132,36 @@ class PronyLine:
     equations with the top right-hand side entry replaced by t.
 
     ``slopes[j-1]`` and ``intercepts[j-1]`` belong to sigma_j.  The source
-    moments (length 2d-1) and det M are kept for residual evaluation and
-    downstream certificates.
+    moments (length 2d-1) and their Hankel matrix are kept for residual
+    evaluation and downstream certificates.  The analyses of the family
+    (sample_curve, detect_collisions, escape_analysis, curve_distance,
+    classify_d2/d3, quartic_Pmu) accept the line in place of the moments.
     """
 
     d: int
     slopes: np.ndarray
     intercepts: np.ndarray
-    detM: float
+    hankel: HankelMatrix
     mu: MomentVector
+
+    @property
+    def detM(self) -> float:
+        return self.hankel.determinant
+
+    @cached_property
+    def domain(self) -> "HyperbolicDomain":
+        """hyperbolic_domain of this line, computed once."""
+        return hyperbolic_domain(self)
 
     def sigma_at(self, t: float) -> SymmetricCoords:
         return SymmetricCoords(self.slopes * float(t) + self.intercepts)
+
+    def point(self, t: float):
+        """The family point (sigma, nodes, amplitudes) at t; NotHyperbolic or
+        RepeatedNodes where sigma(t) has no d real distinct roots."""
+        sigma = self.sigma_at(t)
+        nodes = vieta_inverse(sigma)
+        return sigma, nodes, amplitudes_from_nodes(self.mu, nodes)
 
     def parameter_of(self, sigma) -> float:
         """The t value whose line point has these coordinates: the last
@@ -168,24 +188,38 @@ class PronyLine:
         return out
 
 
+def _regular_hankel(mu) -> HankelMatrix:
+    """Hankel matrix of mu, refused when det M is not finite (ValueError) or
+    below _DEGENERATE_REL of the largest first minor (DegenerateHankel): the
+    one det M policy, shared by line_params and prony_solver.solve_complete."""
+    H = hankel(mu)
+    max_minor = float(np.max(np.abs(H.minors)))
+    # NaN from inf - inf in the cofactors of huge moments passes every test
+    if not (math.isfinite(H.determinant) and math.isfinite(max_minor)):
+        raise ValueError("moments exceed double range: det M or a minor is not finite")
+    if abs(H.determinant) <= _DEGENERATE_REL * max_minor:
+        raise DegenerateHankel(
+            f"det M = {H.determinant:.3e} is degenerate, below "
+            f"{_DEGENERATE_REL} of the largest first minor {max_minor:.3e}: "
+            "nodes collide identically or an amplitude vanishes identically"
+        )
+    return H
+
+
 def line_params(mu) -> PronyLine:
-    """Build the solution line from a moment vector of length 2d-1.
+    """Build the solution line from a moment vector of length 2d-1; a
+    PronyLine is returned as it is.
 
     Slopes and intercepts come from the cofactor (Cramer) formulas
     sigma_{d-k+1} slope = (-1)^(d+k) M_{d,k} / det M; the result is then
     cross-checked against a direct linear solve of the full system at two
     parameter values.  The two routes are kept deliberately independent.
     """
+    if isinstance(mu, PronyLine):
+        return mu
     mu = mu if isinstance(mu, MomentVector) else MomentVector(mu)
-    H = hankel(mu)
+    H = _regular_hankel(mu)
     d = H.d
-    max_minor = float(np.max(np.abs(H.minors)))
-    if abs(H.determinant) <= _DEGENERATE_REL * max_minor:
-        raise DegenerateHankel(
-            f"det M = {H.determinant:.3e} is below {_DEGENERATE_REL} of the "
-            f"largest first minor {max_minor:.3e}: nodes collide identically "
-            "or an amplitude vanishes identically"
-        )
 
     v = mu.values
     slopes = np.empty(d)
@@ -197,6 +231,8 @@ def line_params(mu) -> PronyLine:
         for i in range(1, d):
             acc += (-1.0) ** (i + 1) * v[d + i - 1] * H.minors[i - 1, k - 1]
         intercepts[j - 1] = (-1.0) ** k * acc / H.determinant
+    if not (np.all(np.isfinite(slopes)) and np.all(np.isfinite(intercepts))):
+        raise ValueError("moments exceed double range: the line is not finite")
 
     # independent route: solve M * (sigma_d..sigma_1)^T = rhs(t) at t = 0, 1
     # and recover the affine data from the two solutions
@@ -217,7 +253,7 @@ def line_params(mu) -> PronyLine:
 
     slopes.setflags(write=False)
     intercepts.setflags(write=False)
-    return PronyLine(d=d, slopes=slopes, intercepts=intercepts, detM=H.determinant, mu=mu)
+    return PronyLine(d=d, slopes=slopes, intercepts=intercepts, hankel=H, mu=mu)
 
 
 @dataclass(frozen=True)
@@ -307,13 +343,6 @@ def _turning_points(line: PronyLine) -> list[float]:
     ]
 
 
-def _turning_radius(line: PronyLine) -> float:
-    R = 1.0
-    for t in _turning_points(line):
-        R = max(R, 1.0 + abs(t))
-    return R
-
-
 def _brent_disc(disc_at, a, b, fallback):
     """Zero of the exact restricted discriminant inside [a, b] by Brent's
     method (Brent 1973, ch. 4: bisection safeguarding secant and inverse
@@ -364,14 +393,14 @@ def _brent_disc(disc_at, a, b, fallback):
         fb = disc_at(b)
 
 
-def _boundary_between(hyperbolic_at, t_in, t_out):
-    # boolean bisection: t_in hyperbolic, t_out not
+def _boundary_between(inside, t_in, t_out):
+    # boolean bisection: inside(t_in) holds, inside(t_out) does not
     a, b = t_in, t_out
     while True:
         m = 0.5 * (a + b)
         if m == a or m == b:  # float resolution reached
             break
-        if hyperbolic_at(m):
+        if inside(m):
             a = m
         else:
             b = m
@@ -379,36 +408,23 @@ def _boundary_between(hyperbolic_at, t_in, t_out):
 
 
 def _expand_window(hyperbolic_at, p):
-    """Maximal hyperbolic interval around a hyperbolic point p, found by
-    outward geometric expansion and boolean bisection on the exact root
-    count.  Sides with no exit within ~20 orders of magnitude are taken as
-    unbounded."""
+    """Maximal interval around p on which the exact root count gives the
+    answer it gives at p: a hyperbolic window around a hyperbolic p, a gap
+    around a non-hyperbolic one.  Found by outward geometric expansion and
+    boolean bisection; sides with no exit within ~20 orders of magnitude
+    are taken as unbounded."""
+    at_p = hyperbolic_at(p)
+
+    def inside(t):
+        return hyperbolic_at(t) == at_p
 
     def edge(direction):
         step = 1e-3 * (1.0 + abs(p))
         t_in = p
         for _ in range(80):
             t_out = t_in + direction * step
-            if not hyperbolic_at(t_out):
-                return _boundary_between(hyperbolic_at, t_in, t_out)
-            t_in = t_out
-            step *= 2.0
-        return direction * float("inf")
-
-    return (edge(-1.0), edge(1.0))
-
-
-def _expand_gap(hyperbolic_at, p):
-    """Mirror of :func:`_expand_window`: maximal non-hyperbolic interval
-    around a non-hyperbolic point p."""
-
-    def edge(direction):
-        step = 1e-3 * (1.0 + abs(p))
-        t_in = p
-        for _ in range(80):
-            t_out = t_in + direction * step
-            if hyperbolic_at(t_out):
-                return _boundary_between(hyperbolic_at, t_out, t_in)
+            if not inside(t_out):
+                return _boundary_between(inside, t_in, t_out)
             t_in = t_out
             step *= 2.0
         return direction * float("inf")
@@ -434,11 +450,12 @@ def hyperbolic_domain(line: PronyLine) -> HyperbolicDomain:
         return HyperbolicDomain(intervals=((-inf, inf),), endpoints=(), disc_poly=one)
 
     sigma_at, disc_at = _line_evaluators(line)
+    turning = _turning_points(line)
 
     # widen the sampling radius until every discriminant root sits well
     # inside it; roots near or past the radius are poorly determined by the
     # far tail of the interpolant
-    R = _turning_radius(line)
+    R = max([1.0] + [1.0 + abs(t) for t in turning])
     for _ in range(6):
         D = _interp_disc_poly(disc_at, line.d, R)
         roots = [float(r) for r in poly_engine.real_roots(D)]
@@ -498,7 +515,7 @@ def hyperbolic_domain(line: PronyLine) -> HyperbolicDomain:
     # hyperbolic probe outside every kept interval pins the lost window by
     # direct expansion; a non-hyperbolic probe inside a kept interval carves
     # the lost gap out of it.
-    for p in [0.0] + _turning_points(line):
+    for p in [0.0] + turning:
         if any(abs(p - r) <= 1e-9 * (1.0 + abs(p)) for r in refined):
             continue
         cover = next((i for i, (lo, hi) in enumerate(kept) if lo < p < hi), None)
@@ -507,7 +524,7 @@ def hyperbolic_domain(line: PronyLine) -> HyperbolicDomain:
                 kept.append(_expand_window(hyperbolic_at, p))
         elif cover is not None:
             lo, hi = kept.pop(cover)
-            a, b = _expand_gap(hyperbolic_at, p)
+            a, b = _expand_window(hyperbolic_at, p)
             a, b = max(a, lo), min(b, hi)
             if a <= lo and b >= hi:
                 raise InterpolationInconsistency(

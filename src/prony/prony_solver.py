@@ -18,7 +18,6 @@ import numpy as np
 
 from . import prony_line
 from .errors import (
-    DegenerateHankel,
     EmptyDomain,
     NoRealSolution,
     NotHyperbolic,
@@ -27,7 +26,6 @@ from .errors import (
     TooFewValidTrials,
 )
 from .signal_model import (
-    MomentVector,
     Signal,
     amplitudes_from_nodes,
     compute_moments,
@@ -109,8 +107,10 @@ class NoiseConfig:
         for field in ("d", "epsilon", "trials", "seed", "h_grid"):
             if field not in known:
                 raise ValueError(f"config is missing {field!r}")
-        known["h_grid"] = tuple(known["h_grid"])
-        return cls(**known)
+        try:
+            return cls(**known)
+        except TypeError as exc:  # a field of the wrong JSON type
+            raise ValueError(f"malformed config: {exc}") from exc
 
 
 @dataclass(frozen=True, eq=False)
@@ -160,13 +160,7 @@ def solve_complete(mu) -> Signal:
         raise ValueError("moments must be finite")
     d = values.size // 2
 
-    H = prony_line.hankel(values[: 2 * d - 1])
-    max_minor = max(1e-300, float(np.max(np.abs(H.minors))))
-    if abs(H.determinant) <= prony_line._DEGENERATE_REL * max_minor:
-        # same degeneracy policy as the line construction
-        raise DegenerateHankel(
-            f"det M = {H.determinant:.3e} is degenerate relative to the "
-            f"largest first minor {max_minor:.3e}")
+    H = prony_line._regular_hankel(values[: 2 * d - 1])
 
     # M (sigma_d, ..., sigma_1)^T = -(mu_d, ..., mu_{2d-1})^T
     sigma = np.linalg.solve(H.entries, -values[d : 2 * d])[::-1]
@@ -191,12 +185,8 @@ def solve_complete(mu) -> Signal:
     return signal
 
 
-def make_cluster_signal(d: int, h: float, seed: int = 0) -> Signal:
-    """d nodes equispaced across [0, h] with alternating +-1 amplitudes.
-
-    Deterministic; seed is accepted for interface stability with randomized
-    cluster variants and is unused here.
-    """
+def make_cluster_signal(d: int, h: float) -> Signal:
+    """d nodes equispaced across [0, h] with alternating +-1 amplitudes."""
     if int(d) != d or d < 2:
         raise ValueError("cluster needs an integer d >= 2")
     if not (h > 0.0):
@@ -206,16 +196,14 @@ def make_cluster_signal(d: int, h: float, seed: int = 0) -> Signal:
     return Signal(amps, nodes)
 
 
-def _distance_at(line, domain, target, t):
-    if not domain.contains(t):
+def _distance_at(line, target, t):
+    if not line.domain.contains(t):
         return np.inf
     try:
-        nodes = vieta_inverse(line.sigma_at(t))
-        amps = amplitudes_from_nodes(line.mu, nodes)
+        _, nodes, amps = line.point(t)
     except (NotHyperbolic, RepeatedNodes):
         return np.inf
-    point = np.concatenate([amps, nodes])
-    return float(np.linalg.norm(point - target))
+    return float(np.linalg.norm(np.concatenate([amps, nodes]) - target))
 
 
 def _golden(f, a, b, c):
@@ -246,11 +234,11 @@ def _golden(f, a, b, c):
     return x1 if f1 < f2 else x2
 
 
-def _min_distance(line, domain, target, t_grid):
+def _min_distance(line, target, t_grid):
     grid = np.unique(np.asarray(t_grid, dtype=float))
     if grid.ndim != 1 or grid.size == 0:
         raise ValueError("t_grid must be a nonempty 1-d sequence")
-    values = np.array([_distance_at(line, domain, target, t) for t in grid])
+    values = np.array([_distance_at(line, target, t) for t in grid])
     best = int(np.argmin(values))
     if not np.isfinite(values[best]):
         raise EmptyDomain(
@@ -261,11 +249,11 @@ def _min_distance(line, domain, target, t_grid):
     step = np.diff(grid).min() if grid.size > 1 else max(1.0, abs(grid[best]))
     lo = grid[best - 1] if best > 0 else grid[best] - step
     hi = grid[best + 1] if best + 1 < grid.size else grid[best] + step
-    t_ref = _golden(lambda t: _distance_at(line, domain, target, t),
+    t_ref = _golden(lambda t: _distance_at(line, target, t),
                     lo, grid[best], hi)
     # no bracket: the grid minimum is already as good as it gets
     refined = np.inf if t_ref is None else _distance_at(
-        line, domain, target, float(t_ref))
+        line, target, float(t_ref))
     return float(min(values[best], refined))
 
 
@@ -280,11 +268,10 @@ def curve_distance(signal: Signal, mu, t_grid) -> float:
     if signal.d != line.d:
         raise ValueError(
             f"signal has {signal.d} nodes but the family has {line.d}")
-    domain = prony_line.hyperbolic_domain(line)
-    if domain.empty:
+    if line.domain.empty:
         raise EmptyDomain("the hyperbolic parameter set is empty")
     target = np.concatenate([signal.amplitudes, signal.nodes])
-    return _min_distance(line, domain, target, t_grid)
+    return _min_distance(line, target, t_grid)
 
 
 def _experiment_grid(t_star: float, resolution: int) -> np.ndarray:
@@ -329,7 +316,7 @@ def amplification_experiment(cfg: NoiseConfig) -> AmplificationResult:
     q = 2 * cfg.d - 1
     rows = []
     for h_idx, h in enumerate(cfg.h_grid):
-        true = make_cluster_signal(cfg.d, h, cfg.seed)
+        true = make_cluster_signal(cfg.d, h)
         mu_true = compute_moments(true, q)
         scale = float(np.max(np.abs(mu_true.values)))
         if cfg.epsilon > 0.1 * scale:
@@ -337,9 +324,7 @@ def amplification_experiment(cfg: NoiseConfig) -> AmplificationResult:
                 f"epsilon {cfg.epsilon} is not small against the moment "
                 f"scale {scale} at h={h}")
 
-        head = MomentVector(mu_true.values[: q], q - 1)
-        line = prony_line.line_params(head)
-        domain = prony_line.hyperbolic_domain(line)
+        line = prony_line.line_params(mu_true.values[:q])
         # the family parameter of the true signal: the last complete-system
         # equation reads dot(mu[d-1:2d-1], reversed(sigma)) = -mu_{2d-1}
         t_star = -float(mu_true.values[q])
@@ -365,13 +350,13 @@ def amplification_experiment(cfg: NoiseConfig) -> AmplificationResult:
             # parameter: the nearest point tracks the tangent drift and
             # would hide one power of h
             t_hat = line.parameter_of(elementary_symmetric(rec.nodes))
-            curve_dist = _distance_at(line, domain, guess, float(t_hat))
+            curve_dist = _distance_at(line, guess, float(t_hat))
             if not np.isfinite(curve_dist):
                 logger.warning(
                     "h=%g trial %d: parameter %.6g left the hyperbolic "
                     "set, falling back to the nearest family point",
                     h, trial, t_hat)
-                curve_dist = _min_distance(line, domain, guess, grid)
+                curve_dist = _min_distance(line, guess, grid)
             worst_point = max(worst_point, point_err)
             worst_curve = max(worst_curve, curve_dist)
         if failed > cfg.trials // 2:

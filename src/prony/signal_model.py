@@ -34,7 +34,10 @@ ROUND_TRIP_RTOL = 1e-9
 
 
 def _as_float_vector(values, name):
-    v = np.asarray(values, dtype=float)
+    try:
+        v = np.asarray(values, dtype=float)
+    except TypeError as exc:  # an object where numbers belong
+        raise ValueError(f"{name} must be numbers: {exc}") from exc
     if v.ndim != 1 or v.size == 0:
         raise ValueError(f"{name} must be a nonempty 1-d sequence")
     if not np.all(np.isfinite(v)):

@@ -8,12 +8,15 @@ re-ingested output must compare equal bit for bit.
 
 import json
 import math
+import os
 import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from prony import cli, prony_solver
+from prony import cli, prony_line, prony_solver
 from prony.errors import InconsistentComputation
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
@@ -302,6 +305,23 @@ def test_analyze_degenerate_exit_3(tmp_path, capsys):
     assert err.strip()
 
 
+def test_analyze_and_curve_build_one_domain(tmp_path, capsys, monkeypatch):
+    built = []
+    real = prony_line.hyperbolic_domain
+    monkeypatch.setattr(prony_line, "hyperbolic_domain",
+                        lambda line: built.append(line) or real(line))
+    # moments of A = (1, -0.5, 2), X = (-1, 0.3, 1.4): two collisions and an
+    # escape in each direction
+    mu = _write(tmp_path, "mu.json", [2.5, 1.65, 4.874999999999999,
+                                      4.474499999999999, 8.679149999999998])
+    for argv in (["analyze", mu],
+                 ["curve", mu, "--samples", "20", "--out", str(tmp_path / "r")]):
+        built.clear()
+        code, _, _ = _run(capsys, argv)
+        assert code == 0
+        assert len(built) == 1
+
+
 # ---------------------------------------------------------------------------
 # amplify
 
@@ -356,3 +376,35 @@ def test_amplify_invalid_config(tmp_path, capsys):
                                  "--out", str(tmp_path / "r")])
     assert code == 2
     assert "missing" in err
+
+
+# ---------------------------------------------------------------------------
+# malformed, non-finite and out-of-range input
+
+
+BAD_INPUTS = [
+    ("classify", {"moments": {"a": 1}}),
+    ("analyze", {"moments": {"a": 1}}),
+    ("moments", {"amplitudes": [1], "nodes": {"x": 1}}),
+    ("amplify", {"d": 2, "epsilon": 1e-10, "trials": 4, "seed": 0,
+                 "h_grid": 5}),
+    ("classify", [1e200, 1, 1e-200, 2, 3]),  # det M ** 4 overflows
+    ("classify", [1e308, 1e308, 1e308]),  # det M = inf - inf
+    ("classify", [math.nan, 1, 2]),
+    ("classify", [[1, 2], [3]]),
+]
+
+
+@pytest.mark.parametrize("command, doc", BAD_INPUTS,
+                         ids=[f"{c}-{i}" for i, (c, _) in enumerate(BAD_INPUTS)])
+def test_bad_input_exits_2_without_traceback(tmp_path, command, doc):
+    path = _write(tmp_path, "in.json", doc)
+    extra = {"moments": ["-q", "3"], "amplify": ["--out", str(tmp_path / "r")]}
+    src = str(pathlib.Path(cli.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "prony.cli", command, path, *extra.get(command, [])],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2
+    assert "error:" in proc.stderr
+    assert "Traceback" not in proc.stderr

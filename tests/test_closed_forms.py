@@ -309,6 +309,20 @@ def test_classify_d3_evidence_shape():
     assert abs(lead - c.evidence["P8"]) <= 1e-8 * abs(c.evidence["P8"])
 
 
+def test_classify_d3_builds_one_line_and_one_domain(monkeypatch):
+    calls = {"line_params": 0, "hyperbolic_domain": 0}
+    for name in calls:
+        real = getattr(pl, name)
+
+        def counted(*args, _name=name, _real=real):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(pl, name, counted)
+    cf.classify_d3((3.0, 3.0, 5.0, 9.0, 17.0))
+    assert calls == {"line_params": 1, "hyperbolic_domain": 1}
+
+
 def test_classify_d3_degenerate():
     with pytest.raises(DegenerateHankel):
         cf.classify_d3((1.0, 1.0, 1.0, 1.0, 1.0))

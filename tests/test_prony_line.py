@@ -1,6 +1,8 @@
 """Hankel machinery, the sigma-space solution line, and its hyperbolic domain."""
 
+import dataclasses
 import math
+import struct
 from unittest import mock
 
 import numpy as np
@@ -8,6 +10,8 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from helpers import random_signal, relerr, signal_strategy
+from prony import closed_forms as cf
+from prony import curve_analysis as ca
 from prony import poly_engine as pe
 from prony import prony_line as pl
 from prony.errors import (
@@ -16,7 +20,7 @@ from prony.errors import (
     InterpolationInconsistency,
     ResidualTooLarge,
 )
-from prony.prony_solver import make_cluster_signal
+from prony.prony_solver import curve_distance, make_cluster_signal, solve_complete
 from prony.signal_model import (
     MomentVector,
     Signal,
@@ -163,6 +167,91 @@ def test_line_params_d1():
     assert line.sigma_at(4.0).sigma[0] == 2.0
     with pytest.raises(DegenerateHankel):
         pl.line_params([0.0])
+
+
+def test_line_params_refuses_moments_past_double_range():
+    # inf - inf in det M gave NaN, every check passed, and classify_d2
+    # returned collision "no"; the others overflow det M and an intercept
+    for mu in ([1e308, 1e308, 1e308], [1e200, 0.0, 1e200], [1.0, 0.0, 1e200]):
+        with pytest.raises(ValueError, match="exceed double range"):
+            pl.line_params(mu)
+    with pytest.raises(ValueError, match="exceed double range"):
+        cf.classify_d2([1e308, 1e308, 1e308])
+    with pytest.raises(ValueError, match="exceed double range"):
+        solve_complete([1e308, 1e308, 1e308, 1e308])
+
+
+def test_line_params_returns_a_line_unchanged():
+    line = pl.line_params([0.0, 1.0, 0.0])
+    assert pl.line_params(line) is line
+    assert line.detM == line.hankel.determinant == -1.0
+
+
+def test_line_point_is_the_family_point():
+    # mu = (0, 1, 0): sigma(t) = (0, t), nodes -+sqrt(-t), amplitudes
+    # -+1/(2 sqrt(-t))
+    sigma, nodes, amps = pl.line_params([0.0, 1.0, 0.0]).point(-4.0)
+    assert np.array_equal(sigma.sigma, [0.0, -4.0])
+    assert np.array_equal(nodes, [-2.0, 2.0])
+    assert np.array_equal(amps, [-0.25, 0.25])
+
+
+def _bits(obj):
+    """obj with every float as its IEEE bytes, through dataclasses,
+    containers and arrays, so that == compares bit for bit."""
+    if dataclasses.is_dataclass(obj):
+        return (type(obj).__name__,
+                [_bits(getattr(obj, f.name)) for f in dataclasses.fields(obj)])
+    if isinstance(obj, np.ndarray):
+        return (obj.dtype.str, obj.shape, obj.tobytes())
+    if isinstance(obj, dict):
+        return {k: _bits(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_bits(v) for v in obj]
+    if isinstance(obj, float):
+        return struct.pack("<d", obj)
+    return obj
+
+
+def _outcome(analysis, arg):
+    try:
+        return _bits(analysis(arg))
+    except Exception as exc:  # the same refusal must come from both inputs
+        return type(exc).__name__, str(exc)
+
+
+# generating signals of families with collisions, punctures and escapes in
+# one or both directions; the first is the mu = (0, 1, 0) family
+FAMILY_SIGNALS = [
+    Signal([-0.5, 0.5], [-1.0, 1.0]),
+    Signal([1.25, -0.75], [-0.5, 1.5]),
+    Signal([1.0, -0.5, 2.0], [-1.0, 0.3, 1.4]),
+    Signal([-0.6, 1.3, 0.9], [-0.8, 0.1, 1.2]),
+    Signal([0.8, -1.2, 1.0, 0.6], [-1.1, -0.2, 0.7, 1.5]),
+]
+
+
+@pytest.mark.parametrize("signal", FAMILY_SIGNALS, ids=lambda s: f"d{s.d}")
+def test_analyses_give_the_same_bits_for_moments_and_line(signal):
+    d = signal.d
+    mu = compute_moments(signal, 2 * d - 2).values
+    line = pl.line_params(mu)
+    t_star = line.parameter_of(elementary_symmetric(signal.nodes))
+    grid = t_star + np.linspace(-3.0, 3.0, 13)
+    near = Signal(signal.amplitudes, signal.nodes + 1e-3)
+    analyses = [
+        lambda m: ca.sample_curve(m, grid),
+        ca.detect_collisions,
+        lambda m: ca.escape_analysis(m, INF),
+        lambda m: ca.escape_analysis(m, -INF),
+        lambda m: curve_distance(near, m, grid),
+    ]
+    if d == 2:
+        analyses.append(cf.classify_d2)
+    if d == 3:
+        analyses += [cf.quartic_Pmu, cf.classify_d3]
+    for analysis in analyses:
+        assert _outcome(analysis, line) == _outcome(analysis, mu)
 
 
 def test_line_slopes_match_minor_formula_exactly():
@@ -368,6 +457,16 @@ def test_raw_line_evaluations_match_checked_path(signal, t):
     assert sigma_at(t) == sigma.sigma.tolist()
     assert disc_at(t) == pe.discriminant(pe.monic_from_sigma(sigma))
     assert pe.is_hyperbolic(sigma_at(t)) == pe.is_hyperbolic(sigma)
+
+
+def test_expand_window_finds_windows_and_gaps():
+    # the same expansion pins a hyperbolic window around a hyperbolic point
+    # and a gap around a non-hyperbolic one, to the adjacent floats
+    window = pl._expand_window(lambda t: -1.0 < t < 2.0, 0.5)
+    gap = pl._expand_window(lambda t: not -1.0 < t < 2.0, 0.5)
+    for lo, hi in (window, gap):
+        assert abs(lo + 1.0) <= 4e-16 and abs(hi - 2.0) <= 8e-16
+    assert pl._expand_window(lambda t: t < 3.0, 0.0) == (-INF, pytest.approx(3.0))
 
 
 def test_domain_ignores_rounding_level_slope():

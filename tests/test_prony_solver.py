@@ -138,13 +138,6 @@ def test_cluster_small_h_moments():
         assert np.isclose(mu.values[2], -h * h, rtol=1e-15)
 
 
-def test_cluster_seed_is_inert():
-    a = ps.make_cluster_signal(2, 0.2, seed=0)
-    b = ps.make_cluster_signal(2, 0.2, seed=99)
-    assert np.array_equal(a.nodes, b.nodes)
-    assert np.array_equal(a.amplitudes, b.amplitudes)
-
-
 def test_cluster_validation():
     with pytest.raises(ValueError):
         ps.make_cluster_signal(1, 0.1)
