@@ -159,13 +159,18 @@ def quartic_Pmu(mu) -> poly_engine.Poly:
     coefficient polynomial in the moments, with P8_closed_form leading.
 
     mu may be the d=3 line itself.  Raises DegenerateHankel through
-    line_params and InterpolationInconsistency if a sixth fresh evaluation
-    disagrees with the interpolant beyond relative 1e-8.
+    line_params, ValueError when det(M)^4 exceeds the double range, and
+    InterpolationInconsistency if a sixth fresh evaluation disagrees with
+    the interpolant beyond relative 1e-8.
     """
-    m = _check_length(mu, 5)
-    line = (mu if isinstance(mu, prony_line.PronyLine)  # not built twice
-            else prony_line.line_params(m))
-    scale4 = line.detM ** 4
+    _check_length(mu, 5)
+    line = prony_line.line_params(mu)
+    try:
+        scale4 = line.detM ** 4
+    except OverflowError:
+        raise ValueError(
+            "moments exceed double range: det M^4 overflows "
+            f"(det M = {line.detM:.3e})") from None
 
     # Interpolate in u = t/S so the Vandermonde solve stays conditioned even
     # on lines whose interesting range sits far from the origin.

@@ -69,10 +69,6 @@ class Poly:
     def degree(self) -> int:
         return len(self.coefficients) - 1
 
-    @property
-    def is_zero(self) -> bool:
-        return self.degree == 0 and self.coefficients[0] == 0.0
-
     def __call__(self, x):
         return npoly.polyval(x, self.coefficients)
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -134,8 +134,9 @@ class PronyLine:
     ``slopes[j-1]`` and ``intercepts[j-1]`` belong to sigma_j.  The source
     moments (length 2d-1) and their Hankel matrix are kept for residual
     evaluation and downstream certificates.  The analyses of the family
-    (sample_curve, detect_collisions, escape_analysis, curve_distance,
-    classify_d2/d3, quartic_Pmu) accept the line in place of the moments.
+    (hyperbolic_domain, sample_curve, detect_collisions, escape_analysis,
+    curve_distance, classify_d2/d3, quartic_Pmu) accept the line in place
+    of the moments.
     """
 
     d: int
@@ -150,8 +151,8 @@ class PronyLine:
 
     @cached_property
     def domain(self) -> "HyperbolicDomain":
-        """hyperbolic_domain of this line, computed once."""
-        return hyperbolic_domain(self)
+        """The hyperbolic domain of this line, computed once."""
+        return _build_domain(self)
 
     def sigma_at(self, t: float) -> SymmetricCoords:
         return SymmetricCoords(self.slopes * float(t) + self.intercepts)
@@ -214,10 +215,23 @@ def line_params(mu) -> PronyLine:
     sigma_{d-k+1} slope = (-1)^(d+k) M_{d,k} / det M; the result is then
     cross-checked against a direct linear solve of the full system at two
     parameter values.  The two routes are kept deliberately independent.
+
+    The most recent line is remembered under the exact bytes of its
+    moments, so analyses of one moment vector run back to back share one
+    line and one domain build; 0.0 and -0.0 are different moments here.
+    A vector that raises is not remembered and raises again on every call.
     """
     if isinstance(mu, PronyLine):
         return mu
     mu = mu if isinstance(mu, MomentVector) else MomentVector(mu)
+    return _line_of(mu.values.tobytes())
+
+
+@lru_cache(maxsize=1)
+def _line_of(raw: bytes) -> PronyLine:
+    # one entry: the callers that repeat a vector (analyze, curve, the
+    # analyses of one family) finish with it before they turn to the next
+    mu = MomentVector(np.frombuffer(raw))
     H = _regular_hankel(mu)
     d = H.d
 
@@ -432,9 +446,19 @@ def _expand_window(hyperbolic_at, p):
     return (edge(-1.0), edge(1.0))
 
 
-def hyperbolic_domain(line: PronyLine) -> HyperbolicDomain:
-    """Parameter set where the line's node polynomial is real-rooted with
-    distinct roots.
+def hyperbolic_domain(mu) -> HyperbolicDomain:
+    """Parameter set where the node polynomial of the solution line of mu
+    (moments of length 2d-1, or the PronyLine itself) is real-rooted with
+    distinct roots: ``line_params(mu).domain``, built once per line.
+
+    Raises what line_params raises, and InterpolationInconsistency when
+    domain construction (_build_domain) flags a conditioning failure.
+    """
+    return line_params(mu).domain
+
+
+def _build_domain(line: PronyLine) -> HyperbolicDomain:
+    """The hyperbolic domain of a line, built afresh.
 
     Candidate endpoints are the real roots of the restricted discriminant;
     each candidate subinterval is accepted or rejected by a root-count probe

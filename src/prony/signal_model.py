@@ -113,9 +113,6 @@ class SymmetricCoords:
         """True iff the polynomial has d real distinct roots (Sturm count)."""
         return poly_engine.is_hyperbolic(self.sigma)
 
-    def poly(self) -> poly_engine.Poly:
-        return poly_engine.monic_from_sigma(self.sigma)
-
 
 def compute_moments(signal: Signal, q: int) -> MomentVector:
     """Moments mu_k = sum_i a_i x_i^k, k = 0..q.

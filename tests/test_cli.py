@@ -307,8 +307,8 @@ def test_analyze_degenerate_exit_3(tmp_path, capsys):
 
 def test_analyze_and_curve_build_one_domain(tmp_path, capsys, monkeypatch):
     built = []
-    real = prony_line.hyperbolic_domain
-    monkeypatch.setattr(prony_line, "hyperbolic_domain",
+    real = prony_line._build_domain
+    monkeypatch.setattr(prony_line, "_build_domain",
                         lambda line: built.append(line) or real(line))
     # moments of A = (1, -0.5, 2), X = (-1, 0.3, 1.4): two collisions and an
     # escape in each direction
@@ -317,6 +317,7 @@ def test_analyze_and_curve_build_one_domain(tmp_path, capsys, monkeypatch):
     for argv in (["analyze", mu],
                  ["curve", mu, "--samples", "20", "--out", str(tmp_path / "r")]):
         built.clear()
+        prony_line._line_of.cache_clear()  # each command runs in its own process
         code, _, _ = _run(capsys, argv)
         assert code == 0
         assert len(built) == 1
@@ -382,22 +383,24 @@ def test_amplify_invalid_config(tmp_path, capsys):
 # malformed, non-finite and out-of-range input
 
 
-BAD_INPUTS = [
-    ("classify", {"moments": {"a": 1}}),
-    ("analyze", {"moments": {"a": 1}}),
-    ("moments", {"amplitudes": [1], "nodes": {"x": 1}}),
+BAD_INPUTS = [  # command, input document, a phrase naming the cause
+    ("classify", {"moments": {"a": 1}}, "moments must be numbers"),
+    ("analyze", {"moments": {"a": 1}}, "moments must be numbers"),
+    ("moments", {"amplitudes": [1], "nodes": {"x": 1}}, "nodes must be numbers"),
     ("amplify", {"d": 2, "epsilon": 1e-10, "trials": 4, "seed": 0,
-                 "h_grid": 5}),
-    ("classify", [1e200, 1, 1e-200, 2, 3]),  # det M ** 4 overflows
-    ("classify", [1e308, 1e308, 1e308]),  # det M = inf - inf
-    ("classify", [math.nan, 1, 2]),
-    ("classify", [[1, 2], [3]]),
+                 "h_grid": 5}, "malformed config"),
+    ("classify", [1e200, 1, 1e-200, 2, 3],  # det M ** 4 overflows
+     "moments exceed double range: det M^4 overflows"),
+    ("classify", [1e308, 1e308, 1e308],  # det M = inf - inf
+     "moments exceed double range: det M or a minor is not finite"),
+    ("classify", [math.nan, 1, 2], "moments must be finite"),
+    ("classify", [[1, 2], [3]], "sequence"),
 ]
 
 
-@pytest.mark.parametrize("command, doc", BAD_INPUTS,
-                         ids=[f"{c}-{i}" for i, (c, _) in enumerate(BAD_INPUTS)])
-def test_bad_input_exits_2_without_traceback(tmp_path, command, doc):
+@pytest.mark.parametrize("command, doc, cause", BAD_INPUTS,
+                         ids=[f"{c}-{i}" for i, (c, _, _) in enumerate(BAD_INPUTS)])
+def test_bad_input_exits_2_without_traceback(tmp_path, command, doc, cause):
     path = _write(tmp_path, "in.json", doc)
     extra = {"moments": ["-q", "3"], "amplify": ["--out", str(tmp_path / "r")]}
     src = str(pathlib.Path(cli.__file__).parents[1])
@@ -407,4 +410,5 @@ def test_bad_input_exits_2_without_traceback(tmp_path, command, doc):
         capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 2
     assert "error:" in proc.stderr
+    assert cause in proc.stderr
     assert "Traceback" not in proc.stderr

@@ -310,17 +310,13 @@ def test_classify_d3_evidence_shape():
 
 
 def test_classify_d3_builds_one_line_and_one_domain(monkeypatch):
-    calls = {"line_params": 0, "hyperbolic_domain": 0}
-    for name in calls:
-        real = getattr(pl, name)
-
-        def counted(*args, _name=name, _real=real):
-            calls[_name] += 1
-            return _real(*args)
-
-        monkeypatch.setattr(pl, name, counted)
+    built = []
+    real = pl._build_domain
+    monkeypatch.setattr(pl, "_build_domain",
+                        lambda line: built.append(line) or real(line))
     cf.classify_d3((3.0, 3.0, 5.0, 9.0, 17.0))
-    assert calls == {"line_params": 1, "hyperbolic_domain": 1}
+    assert pl._line_of.cache_info().misses == 1  # line builds
+    assert len(built) == 1
 
 
 def test_classify_d3_degenerate():

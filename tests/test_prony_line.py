@@ -187,6 +187,77 @@ def test_line_params_returns_a_line_unchanged():
     assert line.detM == line.hankel.determinant == -1.0
 
 
+def test_equal_bits_share_one_line():
+    mu = [2.5, 1.65, 4.874999999999999, 4.474499999999999, 8.679149999999998]
+    line = pl.line_params(list(mu))
+    for same in (tuple(mu), np.array(mu), MomentVector(mu)):
+        assert pl.line_params(same) is line
+    assert pl._line_of.cache_info().misses == 1
+
+
+def test_signed_zeros_are_different_moments():
+    plus = pl.line_params([0.0, 1.0, 0.0])
+    minus = pl.line_params([-0.0, 1.0, 0.0])
+    assert plus is not minus
+    assert math.copysign(1.0, minus.mu.values[0]) == -1.0
+    assert pl.line_params([0.0, 1.0, 0.0]) is not plus  # one entry only
+
+
+@pytest.mark.parametrize("mu, error", [
+    ([1.0, 1.0, 1.0], DegenerateHankel),
+    ([1e308, 1e308, 1e308], ValueError),
+    ([1.0, math.inf, 1.0], ValueError),
+    ([1.0, math.nan, 1.0], ValueError),
+])
+def test_refused_moments_raise_on_every_call(mu, error):
+    for _ in range(3):
+        with pytest.raises(error):
+            pl.line_params(mu)
+        with pytest.raises(error):
+            pl.hyperbolic_domain(mu)
+    assert pl._line_of.cache_info().currsize == 0
+
+
+def test_remembered_line_is_read_only():
+    # every caller of line_params on these moments gets these objects
+    line = pl.line_params([2.0, 1.0, 3.0])
+    for array in (line.slopes, line.intercepts, line.mu.values,
+                  line.hankel.entries, line.hankel.minors,
+                  line.domain.disc_poly.coefficients):
+        assert not array.flags.writeable
+    assert isinstance(line.domain.intervals, tuple)
+    for obj, field in ((line, "d"), (line.domain, "intervals")):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(obj, field, None)
+
+
+def test_hyperbolic_domain_takes_moments_or_a_line():
+    dom = pl.hyperbolic_domain([1.0, 0.0, 1.0])
+    assert dom.intervals == ((-INF, INF),)
+    line = pl.line_params([1.0, 0.0, 1.0])
+    assert pl.hyperbolic_domain(line) is dom is line.domain
+
+
+def test_analyses_of_raw_moments_build_one_domain(monkeypatch):
+    built = []
+    real = pl._build_domain
+    monkeypatch.setattr(pl, "_build_domain",
+                        lambda line: built.append(line) or real(line))
+    # moments of A = (1, -0.5, 2), X = (-1, 0.3, 1.4): two collisions and an
+    # escape in each direction
+    mu = [2.5, 1.65, 4.874999999999999, 4.474499999999999, 8.679149999999998]
+    line = pl.line_params(mu)
+    dom = pl.hyperbolic_domain(mu)
+    assert ca.detect_collisions(mu)
+    for direction in (INF, -INF):
+        ca.escape_analysis(mu, direction)
+    assert ca.sample_curve(mu, [0.5 * (lo + hi) for lo, hi in dom.intervals
+                                if math.isfinite(lo + hi)])
+    cf.classify_d3(mu)
+    assert built == [line]
+    assert pl._line_of.cache_info().misses == 1
+
+
 def test_line_point_is_the_family_point():
     # mu = (0, 1, 0): sigma(t) = (0, t), nodes -+sqrt(-t), amplitudes
     # -+1/(2 sqrt(-t))
@@ -434,7 +505,7 @@ def test_brent_endpoints_match_bisection(signal):
 
     with mock.patch.object(pl, "_brent_disc", both):
         try:
-            pl.hyperbolic_domain(line)
+            pl._build_domain(line)  # a build, even where the line is remembered
         except InterpolationInconsistency:
             pass  # the brackets refined before the flag still count
     _, disc_at = pl._line_evaluators(line)
@@ -559,7 +630,7 @@ def test_domain_puncture_classification(monkeypatch):
         return np.array([0.0]) if p.degree == 2 else real(p)
 
     monkeypatch.setattr("prony.prony_line.poly_engine.real_roots", fake)
-    dom = pl.hyperbolic_domain(line)
+    dom = pl._build_domain(line)  # not cached on the line: the roots are fake
     assert dom.intervals == ((-INF, 0.0), (0.0, INF))
     assert [(e.t0, e.kind) for e in dom.endpoints] == [(0.0, "puncture")]
     assert not dom.contains(0.0)
