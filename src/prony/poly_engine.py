@@ -39,9 +39,6 @@ _NEWTON_STEPS = 5
 # true gcd(P, P') divides the unit-norm P to this remainder; more than that
 # is an artefact of rounding, not a root or a gcd.
 _ROOT_REL = 1.5e-8
-# the kernels' chain_variations skips a chain value within this share of its
-# Horner magnitude sum, as if it were zero
-_EVAL_GUARD = 1e-14
 
 
 @dataclass(frozen=True, eq=False)
@@ -282,11 +279,8 @@ def real_roots(p) -> np.ndarray:
             # cluster below float resolution: report one representative
             roots.append(mid)
             continue
-        # chain_variations reads a value within _EVAL_GUARD of its Horner
-        # magnitude sum as zero, so a split there counts the root next to
-        # it into the wrong bracket; step off such values
         for _ in range(4):
-            if abs(K.horner(c, mid)) > _EVAL_GUARD * K.horner(abs_c, abs(mid)):
+            if K.horner(c, mid) != 0.0:
                 break
             mid += (hi - lo) * 1e-9
         vm = K.chain_variations(chain, mid)

@@ -10,7 +10,6 @@ sign convention is fixed here and consumed by every other module.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -115,40 +114,22 @@ class SymmetricCoords:
         return poly_engine.is_hyperbolic(self.sigma)
 
 
-def _dyadic(values) -> tuple[list[int], int]:
-    # integers n_i and one shift e with values[i] == n_i / 2**e exactly;
-    # every finite double is such a dyadic rational
-    ratios = [v.as_integer_ratio() for v in values]
-    e = max(den.bit_length() - 1 for _, den in ratios)
-    return [n << (e - den.bit_length() + 1) for n, den in ratios], e
-
-
-def _ratio(num: int, den: int) -> float:
-    # num / den rounded once; int / int rounds correctly and raises
-    # OverflowError past the double range, where the result is +-inf
-    try:
-        return num / den
-    except OverflowError:
-        return math.copysign(math.inf, num) * math.copysign(1.0, den)
-
-
 def compute_moments(signal: Signal, q: int) -> MomentVector:
     """Moments mu_k = sum_i a_i x_i^k, k = 0..q.
 
-    Each moment is the exact sum, computed on the amplitudes and nodes as
-    dyadic integers, rounded once, so results are reproducible to the bit
-    across runs and platforms and do not depend on the summation order.
+    Summation is plain left-to-right in node order, so results are
+    reproducible to the bit across runs and platforms.
     """
     if q < 0:
         raise ValueError("q must be nonnegative")
-    A, ea = _dyadic(signal.amplitudes.tolist())
-    X, ex = _dyadic(signal.nodes.tolist())
+    a = signal.amplitudes
+    x = signal.nodes
     out = np.empty(q + 1)
-    terms = A
     for k in range(q + 1):
-        if k:
-            terms = [t * xi for t, xi in zip(terms, X)]
-        out[k] = _ratio(sum(terms), 1 << (ea + ex * k))
+        acc = 0.0
+        for i in range(len(a)):
+            acc += a[i] * x[i] ** k
+        out[k] = acc
     return MomentVector(out)
 
 
@@ -195,11 +176,6 @@ def amplitudes_from_nodes(mu, nodes) -> np.ndarray:
     signed symmetric functions of the remaining nodes (r_0 = 1) and
     L_k = prod_{i != k} (x_k - x_i).  A generic linear solve is kept out of
     the library on purpose; it serves as a test oracle only.
-
-    The numerator cancels heavily when nodes cluster away from the origin,
-    so the formula is evaluated exactly on the nodes and moments as dyadic
-    integers and each a_k is rounded once.  The only error left is then the
-    one the moments themselves carry.
     """
     x = np.asarray(nodes, dtype=float)
     if x.ndim != 1 or x.size == 0:
@@ -208,27 +184,24 @@ def amplitudes_from_nodes(mu, nodes) -> np.ndarray:
     values = np.asarray(getattr(mu, "values", mu), dtype=float)
     if len(values) < d:
         raise ValueError(f"need at least {d} moments, got {len(values)}")
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(values[:d]))):
-        raise ValueError("nodes and moments must be finite")
 
-    # x_i = X[i] / 2**ex and mu_j = M[j] / 2**em, so
-    # a_k = sum_j C_j M_j 2**(ex*j) / (2**em * prod_{i != k} (X[k] - X[i]))
-    # with C_j the integer coefficients of prod_{i != k} (z - X[i])
-    X, ex = _dyadic(x.tolist())
-    M, em = _dyadic(values[:d].tolist())
-    weighted = [m << (ex * j) for j, m in enumerate(M)]
     out = np.empty(d)
     for k in range(d):
-        lagrange = 1
-        c = [1]
+        lagrange = 1.0
         for i in range(d):
-            if i == k:
-                continue
-            lagrange *= X[k] - X[i]
-            c = [0] + c
-            for j in range(len(c) - 1):
-                c[j] -= X[i] * c[j + 1]
-        if lagrange == 0:
+            if i != k:
+                lagrange *= x[k] - x[i]
+        if lagrange == 0.0:
             raise RepeatedNodes(f"node {x[k]} repeats; Lagrange denominator vanishes")
-        out[k] = _ratio(sum(cj * wj for cj, wj in zip(c, weighted)), lagrange << em)
+        rest = np.delete(x, k)
+        if len(rest):
+            rho = elementary_symmetric(rest).sigma  # rho[i-1] = r_i
+        else:
+            rho = np.empty(0)
+        acc = 0.0
+        for j in range(d):
+            order = d - 1 - j
+            coeff = 1.0 if order == 0 else rho[order - 1]
+            acc += coeff * values[j]
+        out[k] = acc / lagrange
     return out

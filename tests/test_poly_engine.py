@@ -207,16 +207,6 @@ def test_real_roots_bracket_end_on_a_root():
     assert relerr(got, roots) < 1e-10
 
 
-def test_real_roots_split_point_on_a_root():
-    # the Cauchy bound 4 splits at 0, 2 and 1, each a root up to rounding
-    # noise; the bracket (1, 2] once refined to its excluded end and
-    # returned 1 twice and 2 never
-    p = pe.monic_from_sigma([-3.0, 2.0, 2.6375308514818355e-36])
-    got = pe.real_roots(p)
-    assert got.size == 3
-    assert relerr(got, [-1.3187654257409178e-36, 1.0, 2.0]) < 1e-14
-
-
 @settings(max_examples=60, deadline=None)
 @given(
     st.lists(st.floats(-5.0, 5.0, allow_nan=False), min_size=4, max_size=8),
