@@ -7,6 +7,11 @@ implement identical operation order, so results agree bit-for-bit.
 
 import os
 
+# Both lanes read an evaluation as zero when it is at most this share of its
+# Horner magnitude sum (see ``pure._EVAL_GUARD``); above it the computed sign
+# is the true sign.  The compiled lane keeps the same value as a C constant.
+from .pure import _EVAL_GUARD as EVAL_GUARD
+
 if os.environ.get("PRONY_PURE"):
     from . import pure as _impl
 

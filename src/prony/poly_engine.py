@@ -4,6 +4,16 @@ Sturm counting, Budan-Fourier sign-variation bounds, root isolation and
 refinement, and resultant-based discriminants.  Everything here works on the
 standard discriminant convention; sign adapters for the d=2/d=3 closed forms
 live in :mod:`prony.closed_forms`.
+
+Root isolation (:func:`real_roots`, degree >= 3) is seeded: the real
+eigenvalues of the companion matrix are taken as candidate roots and
+certified by the Sturm count.  Each seed gets a bracket on which P changes
+sign for sure (|P| at both ends above the kernels' rounding guard
+``_kernels.EVAL_GUARD`` of its Horner magnitude sum), never wider than half
+the gap to a neighbouring seed.  n such disjoint brackets against a Sturm
+count of n distinct real roots hold exactly one root each, and Newton from
+the seed, kept inside the bracket, refines it.  When the seeds do not
+certify, isolation falls back to Sturm bisection from the Cauchy bound.
 """
 
 from __future__ import annotations
@@ -26,6 +36,7 @@ __all__ = [
     "budan_fourier_bound",
     "sturm_count",
     "is_hyperbolic",
+    "hyperbolic_roots",
     "real_roots",
     "discriminant",
 ]
@@ -34,6 +45,11 @@ __all__ = [
 # to this relative width before Newton polishing.
 _BISECT_RELWIDTH = 1e-10
 _NEWTON_STEPS = 5
+# Seeded isolation: the first bracket around a companion eigenvalue reaches
+# this relative distance from it, and each widening multiplies the distance
+# by _SEED_GROWTH.
+_SEED_WIDTH = 1e-10
+_SEED_GROWTH = 16.0
 # Double precision places a double root to about sqrt(eps).  A computed root
 # therefore leaves |P| below this share of its Horner magnitude sum, and a
 # true gcd(P, P') divides the unit-norm P to this remainder; more than that
@@ -191,15 +207,37 @@ def sturm_count(p, a, b) -> int:
     return variations(a, False) - variations(b, True)
 
 
-def is_hyperbolic(sigma) -> bool:
-    """True iff z^d + s1*z^(d-1) + ... + sd has d real distinct roots."""
-    c = _monic_coeffs(sigma)
-    chain = K.sturm_chain(c)
+def _hyperbolic_chain(chain, d) -> bool:
+    # d real distinct roots: the chain ends in a constant (squarefree) and
+    # loses d sign variations from -inf to +inf
     if not chain:
         return False
     squarefree = len(chain[-1]) == 1
     count = K.chain_variations_inf(chain, False) - K.chain_variations_inf(chain, True)
-    return squarefree and count == len(c) - 1
+    return squarefree and count == d
+
+
+def is_hyperbolic(sigma) -> bool:
+    """True iff z^d + s1*z^(d-1) + ... + sd has d real distinct roots."""
+    c = _monic_coeffs(sigma)
+    return _hyperbolic_chain(K.sturm_chain(c), len(c) - 1)
+
+
+def hyperbolic_roots(sigma):
+    """Sorted roots of z^d + s1*z^(d-1) + ... + sd when it has d real
+    distinct roots, else None.
+
+    Same verdict as :func:`is_hyperbolic` and same roots as
+    :func:`real_roots` of :func:`monic_from_sigma`, from one Sturm chain
+    that serves both the test and the isolation.
+    """
+    c = _monic_coeffs(sigma)
+    chain = K.sturm_chain(c)
+    if not _hyperbolic_chain(chain, len(c) - 1):
+        return None
+    if len(c) <= 3:
+        return _low_degree_roots(c)
+    return _chain_roots(c, chain)
 
 
 def _quadratic_roots(c0, c1, c2):
@@ -216,30 +254,50 @@ def _quadratic_roots(c0, c1, c2):
     return sorted((r1, r2))
 
 
+def _low_degree_roots(c) -> np.ndarray:
+    if len(c) == 2:
+        return np.array([-c[0] / c[1]])
+    return np.array(_quadratic_roots(c[0], c[1], c[2]))
+
+
 def real_roots(p) -> np.ndarray:
     """All real roots, sorted ascending.
 
-    Degrees 1-2 use stable closed forms; degree >= 3 uses Sturm bisection for
-    isolation followed by bisection + Newton refinement.  Repeated roots are
-    reported once (the input is reduced by its gcd with its derivative
-    first).  A chain whose last element does not divide P is no gcd but a
-    stop on rounding noise; the roots then come from the sign changes of P
-    between consecutive roots of P'.  Returns an empty array for constants,
-    including the zero polynomial.
+    Degrees 1-2 use stable closed forms.  From degree 3 on, the Sturm chain
+    counts the n distinct real roots inside the Cauchy bound, and the real
+    eigenvalues of the companion matrix serve as seeds.  Around each seed a
+    bracket widens geometrically, never past half the gap to a neighbouring
+    seed, until P has a sure sign at both ends: |P| above the kernels'
+    rounding guard ``EVAL_GUARD`` of its Horner magnitude sum.  Exactly n
+    seeds, each in its own bracket with a sure sign change, against a Sturm
+    count of n certify one root per bracket; Newton from the seed, kept
+    inside the bracket, then places it, with bisection on the bracket when
+    Newton does not land on a root.  When the certificate fails (fewer real
+    seeds than roots, as for a cluster below eigenvalue resolution, or a
+    bracket without a sure sign change) isolation falls back to Sturm
+    bisection from the Cauchy bound, followed by bisection + Newton
+    refinement.
+
+    Repeated roots are reported once (the input is reduced by its gcd with
+    its derivative first).  A chain whose last element does not divide P is
+    no gcd but a stop on rounding noise; the roots then come from the sign
+    changes of P between consecutive roots of P'.  Returns an empty array
+    for constants, including the zero polynomial.
     """
     p = _as_poly(p)
     c = p.coefficients.tolist()
-    deg = p.degree
-    if deg <= 0:
+    if p.degree <= 0:
         return np.empty(0)
-    if deg == 1:
-        return np.array([-c[0] / c[1]])
-    if deg == 2:
-        return np.array(_quadratic_roots(c[0], c[1], c[2]))
-
+    if p.degree <= 2:
+        return _low_degree_roots(c)
     chain = K.sturm_chain(c)
     if not chain:
         return np.empty(0)
+    return _chain_roots(c, chain)
+
+
+def _chain_roots(c, chain) -> np.ndarray:
+    # real roots of P (degree >= 3) from its nonempty Sturm chain
     if len(chain[-1]) > 1:
         _quo, rem = npoly.polydiv(chain[0], chain[-1])
         if float(np.max(np.abs(rem), initial=0.0)) <= _ROOT_REL:
@@ -255,7 +313,63 @@ def real_roots(p) -> np.ndarray:
     v_lo = K.chain_variations(chain, -cauchy)
     v_hi = K.chain_variations(chain, cauchy)
     dc = K.poly_derivative(c)
+    roots = _seeded_roots(c, abs_c, dc, v_lo - v_hi, cauchy)
+    if roots is None:
+        roots = _bisected_roots(c, abs_c, dc, chain, cauchy, v_lo, v_hi)
+    return np.array(roots)
 
+
+def _sure_sign(c, abs_c, x) -> int:
+    # sign of P(x) when |P(x)| clears the kernels' rounding guard, else 0
+    v = K.horner(c, x)
+    if abs(v) <= K.EVAL_GUARD * K.horner(abs_c, abs(x)):
+        return 0
+    return 1 if v > 0.0 else -1
+
+
+def _seed_bracket(c, abs_c, seed, left, right):
+    # widen [seed - w, seed + w] by _SEED_GROWTH, clamped to [left, right],
+    # until P has sure and opposite signs at its ends: (lo, hi, P(lo) > 0),
+    # or None when even [left, right] has no such ends
+    w = _SEED_WIDTH * (1.0 + abs(seed))
+    while True:
+        lo, hi = max(seed - w, left), min(seed + w, right)
+        sign_lo = _sure_sign(c, abs_c, lo)
+        if sign_lo and sign_lo == -_sure_sign(c, abs_c, hi):
+            return lo, hi, sign_lo > 0
+        if lo == left and hi == right:
+            return None
+        w *= _SEED_GROWTH
+
+
+def _seeded_roots(c, abs_c, dc, n, cauchy):
+    """The n real roots of the squarefree P from companion-matrix seeds,
+    or None when the seeds do not certify (see :func:`real_roots`)."""
+    if n <= 0:
+        return []
+    companion = np.eye(len(c) - 1, k=-1)
+    companion[:, -1] = c[:-1]
+    companion[:, -1] /= -c[-1]
+    eig = np.linalg.eigvals(companion)
+    seeds = np.sort(eig.real[eig.imag == 0.0]).tolist()
+    if len(seeds) != n or not -cauchy < seeds[0] <= seeds[-1] < cauchy:
+        return None
+    bounds = [-cauchy] + [0.5 * (a + b) for a, b in zip(seeds, seeds[1:])] + [cauchy]
+    roots = []
+    for k, s in enumerate(seeds):
+        bracket = _seed_bracket(c, abs_c, s, bounds[k], bounds[k + 1])
+        if bracket is None:
+            return None
+        lo, hi, lo_positive = bracket
+        x = K.newton_polish(c, dc, s, lo, hi, _NEWTON_STEPS)
+        if not _on_root(c, abs_c, x):
+            x = _refine(c, dc, lo, hi, lo_positive)
+        roots.append(x)
+    return roots
+
+
+def _bisected_roots(c, abs_c, dc, chain, cauchy, v_lo, v_hi) -> list[float]:
+    # Sturm bisection from the Cauchy bound down to one root per bracket
     roots: list[float] = []
     stack = [(-cauchy, cauchy, v_lo, v_hi)]
     while stack:
@@ -286,7 +400,7 @@ def real_roots(p) -> np.ndarray:
         vm = K.chain_variations(chain, mid)
         stack.append((lo, mid, vl, vm))
         stack.append((mid, hi, vm, vh))
-    return np.array(sorted(roots))
+    return sorted(roots)
 
 
 def _refine(c, dc, lo, hi, lo_positive) -> float:

@@ -58,29 +58,40 @@ _INTERP_CHECK_REL = 1e-6
 _LIFT_REL = 1e-8
 
 
-def _drop(a: list, i: int, j: int) -> list:
-    # the nested-list matrix a without row i and column j
-    return [r[:j] + r[j + 1 :] for k, r in enumerate(a) if k != i]
+def _sub_det(a: list, rows: tuple, cols: tuple, memo: dict) -> float:
+    # determinant of a[rows][cols] by cofactor expansion along its first
+    # row; every sub-determinant is computed once per memo, keyed by its
+    # (rows, cols)
+    key = (rows, cols)
+    if key in memo:
+        return memo[key]
+    n = len(rows)
+    top = a[rows[0]]
+    if n == 1:
+        det = top[cols[0]]
+    elif n == 2:
+        low = a[rows[1]]
+        det = top[cols[0]] * low[cols[1]] - top[cols[1]] * low[cols[0]]
+    else:
+        det = 0.0
+        for j in range(n):
+            term = top[cols[j]] * _sub_det(a, rows[1:], cols[:j] + cols[j + 1 :], memo)
+            det = det + term if j % 2 == 0 else det - term
+    memo[key] = det
+    return det
 
 
 def _det_cofactor(a: list) -> float:
-    n = len(a)
-    if n == 1:
-        return a[0][0]
-    if n == 2:
-        return a[0][0] * a[1][1] - a[0][1] * a[1][0]
-    acc = 0.0
-    for j in range(n):
-        term = a[0][j] * _det_cofactor(_drop(a, 0, j))
-        acc = acc + term if j % 2 == 0 else acc - term
-    return acc
+    full = tuple(range(len(a)))
+    return _sub_det(a, full, full, {})
 
 
-def _det(a: list) -> float:
-    # exact cofactor recursion while cheap, pivoted LU beyond
-    if len(a) <= 4:
-        return _det_cofactor(a)
-    return float(np.linalg.det(np.array(a)))
+def _det(a: list, rows: tuple, cols: tuple, memo: dict) -> float:
+    # determinant of a[rows][cols]: exact cofactor recursion while cheap,
+    # pivoted LU beyond
+    if len(rows) <= 4:
+        return _sub_det(a, rows, cols, memo)
+    return float(np.linalg.det(np.array([[a[r][c] for c in cols] for r in rows])))
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,11 +126,16 @@ def hankel(mu) -> HankelMatrix:
     d = (len(values) + 1) // 2
     v = values.tolist()
     rows = [v[i : i + d] for i in range(d)]
+    full = tuple(range(d))
+    memo: dict = {}  # the minors share their sub-determinants
     if d == 1:
         minors = np.ones((1, 1))
     else:
-        minors = np.array([[_det(_drop(rows, i, j)) for j in range(d)] for i in range(d)])
-    det = _det(rows)
+        minors = np.array(
+            [[_det(rows, full[:i] + full[i + 1 :], full[:j] + full[j + 1 :], memo)
+              for j in range(d)] for i in range(d)]
+        )
+    det = _det(rows, full, full, memo)
     m = np.array(rows)
     m.setflags(write=False)
     minors.setflags(write=False)

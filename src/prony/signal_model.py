@@ -133,13 +133,9 @@ def compute_moments(signal: Signal, q: int) -> MomentVector:
     return MomentVector(out)
 
 
-def elementary_symmetric(nodes) -> SymmetricCoords:
-    """Signed symmetric functions s_k = (-1)^k e_k of the node vector, i.e.
-    the coefficients of prod (z - x_i) below the leading 1."""
-    x = np.asarray(nodes, dtype=float)
-    if x.ndim != 1 or x.size == 0:
-        raise ValueError("nodes must be a nonempty 1-d sequence")
-    # ascending coefficients of the monic product, built one factor at a time
+def _monic_product(x) -> list:
+    # ascending coefficients of prod (z - x_i) over the plain floats x,
+    # built one factor at a time; the leading 1 is exact
     c = [1.0]
     for xi in x:
         nxt = [0.0] * (len(c) + 1)
@@ -147,6 +143,16 @@ def elementary_symmetric(nodes) -> SymmetricCoords:
             nxt[k + 1] += c[k]
             nxt[k] -= xi * c[k]
         c = nxt
+    return c
+
+
+def elementary_symmetric(nodes) -> SymmetricCoords:
+    """Signed symmetric functions s_k = (-1)^k e_k of the node vector, i.e.
+    the coefficients of prod (z - x_i) below the leading 1."""
+    x = np.asarray(nodes, dtype=float)
+    if x.ndim != 1 or x.size == 0:
+        raise ValueError("nodes must be a nonempty 1-d sequence")
+    c = _monic_product(x.tolist())
     d = len(x)
     sigma = np.array([c[d - k] for k in range(1, d + 1)])
     return SymmetricCoords(sigma)
@@ -158,9 +164,9 @@ def vieta_inverse(sigma) -> np.ndarray:
     Raises NotHyperbolic unless the polynomial has d real distinct roots.
     """
     s = np.asarray(getattr(sigma, "sigma", sigma), dtype=float)
-    if not poly_engine.is_hyperbolic(s):
+    roots = poly_engine.hyperbolic_roots(s)
+    if roots is None:
         raise NotHyperbolic("polynomial does not have d real distinct roots")
-    roots = poly_engine.real_roots(poly_engine.monic_from_sigma(s))
     if len(roots) != len(s):
         raise InconsistentComputation(
             f"Sturm count promised {len(s)} distinct roots, refinement found {len(roots)}"
@@ -185,23 +191,20 @@ def amplitudes_from_nodes(mu, nodes) -> np.ndarray:
     if len(values) < d:
         raise ValueError(f"need at least {d} moments, got {len(values)}")
 
+    xs = x.tolist()
+    head = values[:d].tolist()
     out = np.empty(d)
     for k in range(d):
         lagrange = 1.0
         for i in range(d):
             if i != k:
-                lagrange *= x[k] - x[i]
+                lagrange *= xs[k] - xs[i]
         if lagrange == 0.0:
-            raise RepeatedNodes(f"node {x[k]} repeats; Lagrange denominator vanishes")
-        rest = np.delete(x, k)
-        if len(rest):
-            rho = elementary_symmetric(rest).sigma  # rho[i-1] = r_i
-        else:
-            rho = np.empty(0)
+            raise RepeatedNodes(f"node {xs[k]} repeats; Lagrange denominator vanishes")
+        # rest[j] = r_{d-1-j}(X \ x_k), with rest[d-1] = r_0 = 1
+        rest = _monic_product(xs[:k] + xs[k + 1 :])
         acc = 0.0
         for j in range(d):
-            order = d - 1 - j
-            coeff = 1.0 if order == 0 else rho[order - 1]
-            acc += coeff * values[j]
+            acc += rest[j] * head[j]
         out[k] = acc / lagrange
     return out

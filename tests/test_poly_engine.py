@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from numpy.polynomial import polynomial as npoly
 
 from helpers import relerr
+from prony import _kernels as K
 from prony import poly_engine as pe
 from prony.errors import DegenerateSequence
 
@@ -234,8 +235,6 @@ def test_budan_bound_dominates_sturm(coeffs, a, width):
     p = pe.Poly.from_coeffs(coeffs)
     if p.degree < 1:
         return
-    from prony import _kernels as K
-
     chain = K.sturm_chain(p.coefficients.tolist())
     if not chain or len(chain[-1]) > 1:
         return  # parity statement needs a squarefree input
@@ -247,6 +246,104 @@ def test_budan_bound_dominates_sturm(coeffs, a, width):
     bound = pe.budan_fourier_bound(p, a, b)
     assert bound >= exact
     assert (bound - exact) % 2 == 0
+
+
+# ---------------------------------------------------------------------------
+# seeded isolation and its bisection fallback
+
+
+def _count_paths(monkeypatch):
+    """Count real_roots isolations that certify from companion seeds and
+    those that fall back to Sturm bisection."""
+    counts = {"seeded": 0, "bisected": 0}
+    seeded, bisected = pe._seeded_roots, pe._bisected_roots
+
+    def counting_seeded(*args):
+        roots = seeded(*args)
+        counts["seeded"] += roots is not None
+        return roots
+
+    def counting_bisected(*args):
+        counts["bisected"] += 1
+        return bisected(*args)
+
+    monkeypatch.setattr(pe, "_seeded_roots", counting_seeded)
+    monkeypatch.setattr(pe, "_bisected_roots", counting_bisected)
+    return counts
+
+
+@st.composite
+def _real_rooted(draw):
+    # degree 3..6, all roots real: a cluster of 0 or 2..d roots spaced
+    # 10^-1..10^-7 apart in [0, 5.5], the rest distinct multiples of 1/32
+    # in [-5, 0)
+    d = draw(st.integers(3, 6))
+    size = draw(st.sampled_from([0] + list(range(2, d + 1))))
+    spread = 10.0 ** -draw(st.integers(1, 7))
+    center = draw(st.integers(0, 160)) / 32.0
+    others = draw(st.lists(st.integers(-160, -1), min_size=d - size, max_size=d - size,
+                           unique=True))
+    roots = [center + spread * k for k in range(size)] + [k / 32.0 for k in others]
+    scale = draw(st.sampled_from([-3.0, 0.5, 1.0, 2.0]))
+    return scale * npoly.polyfromroots(roots)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_real_rooted())
+def test_seeded_roots_agree_with_bisection(coeffs):
+    p = pe.Poly.from_coeffs(coeffs)
+    c = p.coefficients.tolist()
+    abs_c = [abs(v) for v in c]
+    got = pe.real_roots(p)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pe, "_seeded_roots", lambda *args: None)
+        want = pe.real_roots(p)
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        # the residual test cannot judge roots whose magnitude sum sits at
+        # the bottom of the float range (a root at 6.7e-324 came back as
+        # 5e-11 from the seeded bracket and 2.5e-11 from bisection); there
+        # the two must agree to the bisection's own stopping width
+        assert (
+            relerr(a, b) < 1e-12
+            or (pe._on_root(c, abs_c, a) and pe._on_root(c, abs_c, b))
+            or abs(a - b) <= pe._BISECT_RELWIDTH * (1.0 + abs(b))
+        )
+
+
+def test_seeded_path_certifies_separated_roots(monkeypatch):
+    counts = _count_paths(monkeypatch)
+    got = pe.real_roots(pe.Poly.from_coeffs(npoly.polyfromroots([-2.0, 0.5, 1.0, 3.0])))
+    assert relerr(got, [-2.0, 0.5, 1.0, 3.0]) < 1e-14
+    assert counts == {"seeded": 1, "bisected": 0}
+
+
+def test_near_double_pair_falls_back_to_bisection(monkeypatch):
+    # a collision probe's node polynomial: a pair 8.3e-7 apart near -4.73.
+    # |P| at the pair's midpoint stays under the rounding guard, so no
+    # bracket gets a sure sign change and the seeds cannot certify
+    counts = _count_paths(monkeypatch)
+    c = [-52.2868722567103, 0.2638330689659605, 7.122841458445947, 1.0]
+    got = pe.real_roots(pe.Poly.from_coeffs(c))
+    assert counts == {"seeded": 0, "bisected": 1}
+    abs_c = [abs(v) for v in c]
+    assert len(got) == 3
+    assert all(pe._on_root(c, abs_c, x) for x in got)
+
+
+def test_seed_certificate_reads_the_kernel_guard(monkeypatch):
+    from prony._kernels import pure
+
+    assert K.EVAL_GUARD == pure._EVAL_GUARD
+    counts = _count_paths(monkeypatch)
+    p = pe.Poly.from_coeffs(npoly.polyfromroots([-1.0, 0.25, 2.0]))
+    # |P(x)| never exceeds its Horner magnitude sum, so a guard of 1 leaves
+    # no sure sign anywhere and the certificate must refuse every seed
+    monkeypatch.setattr(K, "EVAL_GUARD", 1.0)
+    assert pe._sure_sign(p.coefficients.tolist(), np.abs(p.coefficients).tolist(), 5.0) == 0
+    got = pe.real_roots(p)
+    assert counts == {"seeded": 0, "bisected": 1}
+    assert relerr(got, [-1.0, 0.25, 2.0]) < 1e-10
 
 
 # ---------------------------------------------------------------------------

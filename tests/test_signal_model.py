@@ -132,6 +132,53 @@ def test_amplitudes_examples():
     assert relerr(a, [5.0]) < 1e-14
 
 
+def _amplitudes_reference(mu, x):
+    # the np.delete and SymmetricCoords formulation amplitudes_from_nodes
+    # replaced with plain-float products in the same operation order
+    d = len(x)
+    out = np.empty(d)
+    for k in range(d):
+        lagrange = 1.0
+        for i in range(d):
+            if i != k:
+                lagrange *= x[k] - x[i]
+        rest = np.delete(x, k)
+        rho = sm.elementary_symmetric(rest).sigma if len(rest) else np.empty(0)
+        acc = 0.0
+        for j in range(d):
+            order = d - 1 - j
+            acc += (1.0 if order == 0 else rho[order - 1]) * mu[j]
+        out[k] = acc / lagrange
+    return out
+
+
+def test_amplitudes_bit_equal_to_reference():
+    rng = np.random.default_rng(913)
+    for _ in range(200):
+        d = int(rng.integers(1, 7))
+        x = np.sort(rng.uniform(-3.0, 3.0, size=d)) * 10.0 ** rng.integers(-3, 4)
+        mu = rng.uniform(-5.0, 5.0, size=2 * d)
+        assert np.array_equal(sm.amplitudes_from_nodes(mu, x), _amplitudes_reference(mu, x))
+
+
+def test_vieta_inverse_builds_one_sturm_chain(monkeypatch):
+    from prony import _kernels as K
+
+    calls = []
+    chain = K.sturm_chain
+
+    def counting(c):
+        calls.append(c)
+        return chain(c)
+
+    monkeypatch.setattr(K, "sturm_chain", counting)
+    for nodes in ([0.5], [-1.0, 2.0], [-1.0, 0.25, 2.0], [-2.0, -0.5, 1.0, 3.0, 4.5]):
+        calls.clear()
+        x = sm.vieta_inverse(sm.elementary_symmetric(nodes))
+        assert relerr(x, nodes) < 1e-12
+        assert len(calls) == 1
+
+
 def test_amplitudes_validation():
     with pytest.raises(RepeatedNodes):
         sm.amplitudes_from_nodes(sm.MomentVector([1.0, 1.0]), [1.0, 1.0])
