@@ -41,10 +41,6 @@ _PROBE_KMAX = 8
 _PROBE_KDEEP = 16
 _PROBE_QUALITY = 1e-7
 _BLOWUP_THRESHOLD = 1e6
-_ESCAPE_KMAX = 8
-_ESCAPE_KDEEP = 14
-_ESCAPE_GROWTH = 5.0
-_CAUCHY_TOL = 1e-4
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,11 +97,12 @@ class CollisionReport:
 class EscapeReport:
     """Limit classification of the node vector along an unbounded component.
 
-    probes rows are (t, nodes-as-tuple) with |t| growing geometrically.
-    Indices refer to positions in the sorted node vector; bounded_limits
-    holds the last probed value for each bounded index, in order.
-    hypothesis_met records whether the top-left (d-1) minor of the moment
-    matrix is nonzero; only then is a single escaping node guaranteed.
+    Indices refer to positions in the sorted node vector.  bounded_limits
+    holds the limit of each bounded index, in order: the real roots of the
+    slope polynomial S.  probes rows are (t, nodes-as-tuple) with |t|
+    growing geometrically, kept as evidence.  hypothesis_met records
+    whether the top-left (d-1) minor of the moment matrix is nonzero; only
+    then does a single node escape.  ambiguous_indices is always empty.
     """
 
     direction: float
@@ -380,17 +377,21 @@ def detect_collisions(mu, blowup_threshold: float = _BLOWUP_THRESHOLD) -> list:
 
 
 def escape_analysis(mu, direction) -> EscapeReport:
-    """Classify every node as escaping, bounded, or ambiguous toward +-inf.
+    """Which nodes escape toward +-inf, and the limits of the others.
 
-    Probes the node vector at |t| = base * 10^k, k = 1..8 inside the
-    unbounded component (base clears its finite end).  A node escapes when
-    its magnitude grows monotonically by at least x5 over the last three
-    probes; it is bounded when those probes are Cauchy within 1e-4; the
-    rest are reported as ambiguous, never asserted on.  When the top-left
-    (d-1) minor of the moment matrix is nonzero, exactly one node must
-    escape and any other outcome raises InconsistentComputation; with the
-    minor zero (mu_0 = 0 style data) multiple escapes are legitimate and
-    the report is informational.
+    The node polynomial on the line is Q_b(z) + t*S(z), with the slopes
+    s_1..s_d as the coefficients of S.  With m - 1 leading slopes zero
+    (last-row minors below _DEGENERATE_REL of the largest first minor), m
+    nodes escape like the m-th roots of -s_m*t and the rest tend to the
+    roots of S.  m = 1 (hypothesis_met): the last node escapes when
+    -s_1*direction > 0, else the first.  m = 2: the first and the last
+    escape, which needs -s_2*direction > 0.  Any other case, or S without
+    d-m distinct real roots, contradicts the unbounded component and raises
+    InterpolationInconsistency, as does a non-hyperbolic probe at
+    |t| = base * 10^k, k = 1..8 (base clears the component's finite end).
+    The last probe is evidence: each bounded node must lie nearer to its
+    own limit than to any other, and each escaping node beyond every limit
+    on its side, else InconsistentComputation is raised.
     """
     direction = float(direction)
     if not math.isinf(direction):
@@ -408,32 +409,33 @@ def escape_analysis(mu, direction) -> EscapeReport:
     base = max(1.0, abs(finite_end)) if math.isfinite(finite_end) else 1.0
     sign = 1.0 if direction > 0 else -1.0
 
-    def classify(rows):
-        tail = [row[1] for row in rows[-3:]]
-        esc, bnd, amb, lim = [], [], [], []
-        for i in range(line.d):
-            seq = [row[i] for row in tail]
-            mags = [abs(v) for v in seq]
-            cauchy = (
-                abs(seq[2] - seq[1]) <= _CAUCHY_TOL
-                and abs(seq[1] - seq[0]) <= _CAUCHY_TOL
-            )
-            growing = (
-                mags[0] < mags[1] < mags[2]
-                and mags[2] >= _ESCAPE_GROWTH * max(mags[0], 1e-300)
-            )
-            if cauchy:
-                bnd.append(i)
-                lim.append(seq[2])
-            elif growing:
-                esc.append(i)
-            else:
-                amb.append(i)
-        return esc, bnd, amb, lim
+    d = line.d
+    minors = line.hankel.minors
+    zero = prony_line._DEGENERATE_REL * max(1.0, float(np.max(np.abs(minors))))
+    m = 1  # s_j is M_{d,d-j+1} / det M
+    while m <= d and abs(minors[d - 1, d - m]) <= zero:
+        m += 1
+    lead = float(line.slopes[m - 1]) if m <= d else 0.0
+    if m == 1:
+        escaping = (d - 1,) if -lead * sign > 0.0 else (0,)
+    elif m == 2 and -lead * sign > 0.0:
+        escaping = (0, d - 1)
+    else:
+        raise InterpolationInconsistency(
+            f"unbounded component claim contradicted toward {direction:+g}: "
+            f"{m} nodes would escape, not all along real branches"
+        )
+    limits = (np.empty(0) if m == d
+              else poly_engine.hyperbolic_roots(line.slopes[m:] / lead))
+    if limits is None:
+        raise InterpolationInconsistency(
+            f"unbounded component claim contradicted toward {direction:+g}: "
+            f"S has no {d - m} distinct real roots for the bounded nodes to tend to"
+        )
+    bounded = tuple(i for i in range(d) if i not in escaping)
 
     probes = []
-    k = 1
-    while True:
+    for k in range(1, 9):
         t = sign * base * 10.0 ** k
         try:
             nodes = vieta_inverse(line.sigma_at(t))
@@ -442,43 +444,28 @@ def escape_analysis(mu, direction) -> EscapeReport:
                 f"unbounded component claim contradicted at t={t:.17g}"
             ) from exc
         probes.append((t, tuple(float(x) for x in nodes)))
-        k += 1
-        if k <= _ESCAPE_KMAX:
-            continue
-        escaping, bounded, ambiguous, limits = classify(probes)
-        # slow convergence constants clear up a few decades further out
-        if not ambiguous or k > _ESCAPE_KDEEP:
-            break
 
-    H = line.hankel
-    minor_scale = max(1.0, float(np.max(np.abs(H.minors))))
-    hypothesis_met = (
-        abs(H.minor(line.d, line.d)) > prony_line._DEGENERATE_REL * minor_scale)
-
-    if hypothesis_met:
-        if len(escaping) > 1:
-            raise InconsistentComputation(
-                f"{len(escaping)} nodes escape toward {direction:+g} although the "
-                "top-left minor is nonzero; at most one is possible"
-            )
-        if not ambiguous and len(escaping) != 1:
-            raise InconsistentComputation(
-                f"no node escapes toward {direction:+g} although the top-left "
-                "minor is nonzero; exactly one is required"
-            )
-    if ambiguous:
-        logger.warning(
-            "nodes %s match neither the escape nor the convergence pattern toward %+g",
-            ambiguous,
-            direction,
+    # evidence, free of tolerances: the last probe already shows the order
+    # the expansion predicts
+    x = probes[-1][1]
+    lim = limits.tolist()
+    nearest_own = all(abs(x[i] - lim[j]) < abs(x[i] - other)
+                      for j, i in enumerate(bounded)
+                      for other in lim[:j] + lim[j + 1:])
+    beyond = all(x[i] > max(lim, default=-math.inf) if i == d - 1
+                 else x[i] < min(lim, default=math.inf) for i in escaping)
+    if not (nearest_own and beyond):
+        raise InconsistentComputation(
+            f"the probe at t={t:.17g} does not show nodes {escaping} escaping "
+            f"toward {direction:+g} and the rest nearing the roots of S"
         )
 
     return EscapeReport(
         direction=direction,
-        escaping_indices=tuple(escaping),
-        bounded_indices=tuple(bounded),
-        bounded_limits=np.asarray(limits, dtype=float),
-        ambiguous_indices=tuple(ambiguous),
-        hypothesis_met=hypothesis_met,
+        escaping_indices=escaping,
+        bounded_indices=bounded,
+        bounded_limits=limits,
+        ambiguous_indices=(),
+        hypothesis_met=m == 1,
         probes=tuple(probes),
     )

@@ -57,14 +57,6 @@ class NoUnboundedComponent(MathDegeneracy):
     """No unbounded hyperbolic interval exists in the requested direction."""
 
 
-class AmbiguousClassification(MathDegeneracy):
-    """A probed node matched neither the escape nor the convergence pattern.
-
-    escape_analysis never raises this itself (ambiguity is reported in the
-    EscapeReport); it is provided for consumers that must treat an
-    ambiguous report as a hard failure."""
-
-
 class TooFewValidTrials(MathDegeneracy):
     """More than half of the noise trials failed at some cluster size."""
 

@@ -409,7 +409,13 @@ def _refine(c, dc, lo, hi, lo_positive) -> float:
 
 
 def _on_root(c, abs_c, x) -> bool:
-    return abs(K.horner(c, x)) <= _ROOT_REL * K.horner(abs_c, abs(x))
+    v = abs(K.horner(c, x))
+    if v <= _ROOT_REL * K.horner(abs_c, abs(x)):
+        return True
+    # near a subnormal root the share of the magnitude sum underflows to 0;
+    # a Newton step within one ulp of x places the root there.  For normal
+    # x that step implies the test above, so only such roots reach this.
+    return v <= abs(K.horner(K.poly_derivative(c), x)) * math.ulp(x)
 
 
 def _rolle_roots(c) -> np.ndarray:

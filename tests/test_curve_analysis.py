@@ -11,11 +11,16 @@ import logging
 
 import numpy as np
 import pytest
+import sympy
 
 from helpers import relerr
 from prony import curve_analysis as ca
 from prony import prony_line as pl
-from prony.errors import InconsistentComputation, NoUnboundedComponent
+from prony.errors import (
+    InconsistentComputation,
+    InterpolationInconsistency,
+    NoUnboundedComponent,
+)
 from prony.signal_model import Signal, compute_moments, elementary_symmetric
 
 INF = float("inf")
@@ -344,12 +349,26 @@ def test_escape_report_validation():
         )
 
 
+def _exact_slope_roots(mu):
+    """Real roots of the slope polynomial S from the exact rational Hankel
+    solve of the float moments, to 30 digits."""
+    d = (len(mu) + 1) // 2
+    M = sympy.Matrix(d, d, lambda i, j: sympy.Rational(float(mu[i + j])))
+    # the slopes solve M (s_d, ..., s_1)^T = e_d
+    s = M.LUsolve(sympy.Matrix([0] * (d - 1) + [1]))[::-1]
+    z = sympy.Symbol("z")
+    S = sympy.Poly(sum(c * z ** (d - 1 - j) for j, c in enumerate(s)), z)
+    return [float(r.evalf(30)) for r in S.real_roots()]
+
+
 def test_escape_exactly_one_random():
     rng = np.random.default_rng(306)
-    checked = 0
-    while checked < 60:
-        d = int(rng.integers(2, 4))
+    checked = dict.fromkeys(range(2, 6), 0)
+    while min(checked.values()) < 12:
+        d = int(rng.integers(2, 6))
         mu = rng.uniform(-2.0, 2.0, size=2 * d - 1)
+        if checked[d] >= 12:
+            continue
         H = pl.hankel(mu)
         scale = max(1.0, float(np.max(np.abs(H.minors))))
         if abs(H.determinant) <= 1e-6 * scale or abs(H.minor(d, d)) <= 1e-6 * scale:
@@ -357,8 +376,55 @@ def test_escape_exactly_one_random():
         for direction in (INF, -INF):
             try:
                 r = ca.escape_analysis(mu, direction)
-            except (NoUnboundedComponent, InconsistentComputation):
+            except (NoUnboundedComponent, InterpolationInconsistency):
                 continue
             assert len(r.escaping_indices) == 1
             assert not r.ambiguous_indices
-            checked += 1
+            exact = _exact_slope_roots(mu)
+            assert len(exact) == d - 1
+            assert np.all(np.abs(r.bounded_limits - exact) <= 1e-10 * np.abs(exact))
+            checked[d] += 1
+
+
+def test_escape_limits_are_the_roots_of_s_where_deepening_raised():
+    # d = 3, toward -inf: the old probe ladder deepened to t = -1.45e15,
+    # where rounding makes the point non-hyperbolic, and raised
+    mu = [-0.361967878832556, -0.07030681535543604, -0.011110615093620435,
+          1.702295712202743, -1.3313294636454165]
+    r = ca.escape_analysis(mu, -INF)
+    assert r.escaping_indices == (0,)
+    assert r.bounded_indices == (1, 2)
+    assert r.hypothesis_met
+    assert np.allclose(r.bounded_limits, [0.1942454649, 669.42006], rtol=1e-8)
+    assert np.allclose(r.bounded_limits, _exact_slope_roots(mu), rtol=1e-10, atol=0.0)
+
+
+def test_escape_pair_d3():
+    # mu = (1, 1, 1, 0, 3): M_33 = 0, so s_1 = 0 and S = s_2 (z - 1); the
+    # first and last nodes escape like -+sqrt(-s_2 t), the middle one tends to 1
+    r = ca.escape_analysis([1.0, 1.0, 1.0, 0.0, 3.0], INF)
+    assert r.escaping_indices == (0, 2)
+    assert r.bounded_indices == (1,)
+    assert r.bounded_limits.tolist() == pytest.approx([1.0], rel=1e-12)
+    assert not r.hypothesis_met
+    assert len(r.probes) == 8
+    nodes = r.probes[-1][1]
+    assert nodes[0] < 1.0 < nodes[2]
+
+
+def test_escape_abstains_when_s_has_a_double_root():
+    # the domain claims an unbounded component toward -inf, but S has a
+    # double root: no d - 1 distinct limits exist
+    with pytest.raises(InterpolationInconsistency):
+        ca.escape_analysis([3.0, -4.0, 5.0, -6.0, 0.0], -INF)
+
+
+def test_escape_probes_are_checked_against_the_expansion(monkeypatch):
+    # mu = (1, 0, 1) toward +inf: node 0 escapes to -inf.  A limit of S
+    # put at -1e9 lies beyond the last probe's escaping node (-1e8); the
+    # probes themselves (sigma of length 2) keep their true roots
+    real = ca.poly_engine.hyperbolic_roots
+    monkeypatch.setattr(ca.poly_engine, "hyperbolic_roots",
+                        lambda s: real(s) if len(s) == 2 else np.array([-1e9]))
+    with pytest.raises(InconsistentComputation, match="does not show nodes"):
+        ca.escape_analysis([1.0, 0.0, 1.0], INF)

@@ -208,6 +208,14 @@ def test_real_roots_bracket_end_on_a_root():
     assert relerr(got, roots) < 1e-10
 
 
+def test_real_roots_subnormal_root():
+    # the root near 6.6e-324 has a subnormal magnitude sum, whose 1.5e-8 share
+    # underflows to 0; the one-ulp Newton step still places it
+    got = pe.real_roots(P(3e-323, -4.5, 7.5, -3.0))
+    assert got[0] == 5e-324
+    assert got[1:].tolist() == pytest.approx([1.0, 1.5], rel=1e-14)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.lists(st.floats(-5.0, 5.0, allow_nan=False), min_size=4, max_size=8),
