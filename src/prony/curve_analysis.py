@@ -101,8 +101,9 @@ class EscapeReport:
     holds the limit of each bounded index, in order: the real roots of the
     slope polynomial S.  probes rows are (t, nodes-as-tuple) with |t|
     growing geometrically, kept as evidence.  hypothesis_met records
-    whether the top-left (d-1) minor of the moment matrix is nonzero; only
-    then does a single node escape.  ambiguous_indices is always empty.
+    whether the leading slope s_1 (the top-left (d-1) minor of the moment
+    matrix over det M) is nonzero; only then does a single node escape.
+    ambiguous_indices is always empty.
     """
 
     direction: float
@@ -381,7 +382,7 @@ def escape_analysis(mu, direction) -> EscapeReport:
 
     The node polynomial on the line is Q_b(z) + t*S(z), with the slopes
     s_1..s_d as the coefficients of S.  With m - 1 leading slopes zero
-    (last-row minors below _DEGENERATE_REL of the largest first minor), m
+    (below _DEGENERATE_REL of the largest slope, a scale-free test), m
     nodes escape like the m-th roots of -s_m*t and the rest tend to the
     roots of S.  m = 1 (hypothesis_met): the last node escapes when
     -s_1*direction > 0, else the first.  m = 2: the first and the last
@@ -410,10 +411,9 @@ def escape_analysis(mu, direction) -> EscapeReport:
     sign = 1.0 if direction > 0 else -1.0
 
     d = line.d
-    minors = line.hankel.minors
-    zero = prony_line._DEGENERATE_REL * max(1.0, float(np.max(np.abs(minors))))
-    m = 1  # s_j is M_{d,d-j+1} / det M
-    while m <= d and abs(minors[d - 1, d - m]) <= zero:
+    zero = prony_line._vanishing_slopes(line)
+    m = 1
+    while m <= d and zero[m - 1]:
         m += 1
     lead = float(line.slopes[m - 1]) if m <= d else 0.0
     if m == 1:

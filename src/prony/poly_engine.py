@@ -362,7 +362,7 @@ def _seeded_roots(c, abs_c, dc, n, cauchy):
             return None
         lo, hi, lo_positive = bracket
         x = K.newton_polish(c, dc, s, lo, hi, _NEWTON_STEPS)
-        if not _on_root(c, abs_c, x):
+        if not _on_root(c, abs_c, dc, x):
             x = _refine(c, dc, lo, hi, lo_positive)
         roots.append(x)
     return roots
@@ -380,11 +380,11 @@ def _bisected_roots(c, abs_c, dc, chain, cauchy, v_lo, v_hi) -> list[float]:
         if n == 1:
             lo_positive = K.horner(c, lo) > 0.0
             x = _refine(c, dc, lo, hi, lo_positive)
-            if not _on_root(c, abs_c, x):
+            if not _on_root(c, abs_c, dc, x):
                 # lo sits on a root itself and the sign read there was
                 # rounding noise: the search ran to the wrong bracket end
                 other = _refine(c, dc, lo, hi, not lo_positive)
-                if _on_root(c, abs_c, other):
+                if _on_root(c, abs_c, dc, other):
                     x = other
             roots.append(x)
             continue
@@ -408,14 +408,14 @@ def _refine(c, dc, lo, hi, lo_positive) -> float:
     return K.newton_polish(c, dc, 0.5 * (l + h), l, h, _NEWTON_STEPS)
 
 
-def _on_root(c, abs_c, x) -> bool:
+def _on_root(c, abs_c, dc, x) -> bool:
     v = abs(K.horner(c, x))
     if v <= _ROOT_REL * K.horner(abs_c, abs(x)):
         return True
     # near a subnormal root the share of the magnitude sum underflows to 0;
     # a Newton step within one ulp of x places the root there.  For normal
     # x that step implies the test above, so only such roots reach this.
-    return v <= abs(K.horner(K.poly_derivative(c), x)) * math.ulp(x)
+    return v <= abs(K.horner(dc, x)) * math.ulp(x)
 
 
 def _rolle_roots(c) -> np.ndarray:

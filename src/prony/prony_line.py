@@ -359,17 +359,25 @@ def _interp_disc_poly(disc_at, d: int, R: float) -> poly_engine.Poly:
     return poly_engine.Poly.from_coeffs(ct)
 
 
+def _vanishing_slopes(line: PronyLine) -> list[bool]:
+    # which slopes are zero on the line.  A slope below _DEGENERATE_REL of
+    # the largest is the rounding residue of a vanishing last-row minor (the
+    # det M policy of line_params); the slopes are those minors over det M,
+    # so the test does not depend on the scale of the moments.
+    floor = _DEGENERATE_REL * float(np.max(np.abs(line.slopes)))
+    return [abs(s) <= floor for s in line.slopes.tolist()]
+
+
 def _turning_points(line: PronyLine) -> list[float]:
     # where an individual sigma coordinate crosses zero; these set the
-    # natural parameter scales of the line.  A slope below _DEGENERATE_REL of
-    # the largest is the rounding residue of a vanishing last-row minor (the
-    # det M policy of line_params): that coordinate is constant on the line
-    # and its far "turning point" would only blow up the sampling radius.
-    floor = _DEGENERATE_REL * float(np.max(np.abs(line.slopes)))
+    # natural parameter scales of the line.  A coordinate with a vanishing
+    # slope is constant on the line, and its far "turning point" would only
+    # blow up the sampling radius.
     return [
         -b / s
-        for s, b in zip(line.slopes.tolist(), line.intercepts.tolist())
-        if abs(s) > floor
+        for s, b, zero in zip(line.slopes.tolist(), line.intercepts.tolist(),
+                              _vanishing_slopes(line))
+        if not zero
     ]
 
 

@@ -419,6 +419,22 @@ def test_escape_abstains_when_s_has_a_double_root():
         ca.escape_analysis([3.0, -4.0, 5.0, -6.0, 0.0], -INF)
 
 
+@pytest.mark.parametrize("c", [1.0, 1e-3, 1e-6, 1e-9])
+def test_escape_verdict_does_not_depend_on_amplitude_scale(c):
+    # nodes (-100, 0, 100), all amplitudes c: scaling the moments only
+    # reparametrises the line, so S = 1.5 z^2 - 1e4 up to a factor for every
+    # c, with limits +-100 sqrt(2/3).  At c = 1e-9 every last-row minor is
+    # below 1e-12 in absolute terms; an absolute floor called the leading
+    # slope zero and claimed three escaping nodes
+    mu = [c * sum(x**k for x in (-100.0, 0.0, 100.0)) for k in range(5)]
+    limits = 100.0 * np.sqrt(2.0 / 3.0) * np.array([-1.0, 1.0])
+    for direction, escaping in ((INF, (0,)), (-INF, (2,))):
+        r = ca.escape_analysis(mu, direction)
+        assert r.escaping_indices == escaping
+        assert r.hypothesis_met
+        assert np.allclose(r.bounded_limits, limits, rtol=1e-12, atol=0.0)
+
+
 def test_escape_probes_are_checked_against_the_expansion(monkeypatch):
     # mu = (1, 0, 1) toward +inf: node 0 escapes to -inf.  A limit of S
     # put at -1e9 lies beyond the last probe's escaping node (-1e8); the

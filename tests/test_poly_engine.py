@@ -302,6 +302,7 @@ def test_seeded_roots_agree_with_bisection(coeffs):
     p = pe.Poly.from_coeffs(coeffs)
     c = p.coefficients.tolist()
     abs_c = [abs(v) for v in c]
+    dc = K.poly_derivative(c)
     got = pe.real_roots(p)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(pe, "_seeded_roots", lambda *args: None)
@@ -314,7 +315,7 @@ def test_seeded_roots_agree_with_bisection(coeffs):
         # the two must agree to the bisection's own stopping width
         assert (
             relerr(a, b) < 1e-12
-            or (pe._on_root(c, abs_c, a) and pe._on_root(c, abs_c, b))
+            or (pe._on_root(c, abs_c, dc, a) and pe._on_root(c, abs_c, dc, b))
             or abs(a - b) <= pe._BISECT_RELWIDTH * (1.0 + abs(b))
         )
 
@@ -334,9 +335,9 @@ def test_near_double_pair_falls_back_to_bisection(monkeypatch):
     c = [-52.2868722567103, 0.2638330689659605, 7.122841458445947, 1.0]
     got = pe.real_roots(pe.Poly.from_coeffs(c))
     assert counts == {"seeded": 0, "bisected": 1}
-    abs_c = [abs(v) for v in c]
+    abs_c, dc = [abs(v) for v in c], K.poly_derivative(c)
     assert len(got) == 3
-    assert all(pe._on_root(c, abs_c, x) for x in got)
+    assert all(pe._on_root(c, abs_c, dc, x) for x in got)
 
 
 def test_seed_certificate_reads_the_kernel_guard(monkeypatch):
