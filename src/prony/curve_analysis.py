@@ -205,9 +205,10 @@ def sample_curve(mu, grid) -> list:
 
     Out-of-domain grid points are logged and skipped, never errors: the
     grid is a request, the domain decides.  So are points whose signal
-    misses mu_0..mu_{2d-2} by more than lift_to_solution allows (a far node
-    whose amplitude only rounding sets).  Each returned sample carries its
-    own residual diagnostics, see CurveSample.
+    misses mu_0..mu_{2d-2} by more than lift_to_solution allows, or has an
+    amplitude rounded to zero (a far node whose amplitude only rounding
+    sets).  Each returned sample carries its own residual diagnostics, see
+    CurveSample.
     """
     line = prony_line.line_params(mu)
     out = []
@@ -222,6 +223,9 @@ def sample_curve(mu, grid) -> list:
             # containment came from interpolated boundary data; very close
             # to a boundary the direct check can still refuse the point
             logger.warning("grid point t=%.17g rejected on direct evaluation: %s", t, exc)
+            continue
+        if not np.all(amps):  # det M != 0: a zero is rounding, not the family
+            logger.warning("grid point t=%.17g skipped: an amplitude rounds to zero", t)
             continue
         defect = compute_moments(Signal(amplitudes=amps, nodes=nodes), 2 * line.d - 2)
         residual = float(np.max(np.abs(defect.values - line.mu.values)))
@@ -411,11 +415,8 @@ def escape_analysis(mu, direction) -> EscapeReport:
     sign = 1.0 if direction > 0 else -1.0
 
     d = line.d
-    zero = prony_line._vanishing_slopes(line)
-    m = 1
-    while m <= d and zero[m - 1]:
-        m += 1
-    lead = float(line.slopes[m - 1]) if m <= d else 0.0
+    m = prony_line._leading_zero_slopes(line) + 1
+    lead = float(line.slopes[m - 1])
     if m == 1:
         escaping = (d - 1,) if -lead * sign > 0.0 else (0,)
     elif m == 2 and -lead * sign > 0.0:

@@ -67,5 +67,8 @@ class InconsistentComputation(PronyError):
 
 
 class InterpolationInconsistency(InconsistentComputation):
-    """A held-out evaluation deviates from the fitted interpolant; the
-    underlying polynomial reconstruction is not trustworthy."""
+    """A polynomial reconstruction cannot be trusted at the resolution the
+    answer needs: a held-out evaluation deviates from the fitted
+    interpolant, critical values of the hyperbolic domain lie closer than
+    its endpoint tolerance to decide what lies between them, or the
+    expansion at infinity contradicts the domain."""

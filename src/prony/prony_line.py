@@ -15,10 +15,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property, lru_cache
 
 import numpy as np
+from numpy.polynomial import polynomial as npoly
 
+from . import _kernels as K
 from . import poly_engine
 from .errors import (
     DegenerateHankel,
@@ -52,8 +55,12 @@ __all__ = [
 _DEGENERATE_REL = 1e-12
 # agreement required between the cofactor formulas and the two-point solve
 _CROSS_CHECK_REL = 1e-6
-# agreement required from the extra discriminant interpolation sample
-_INTERP_CHECK_REL = 1e-6
+# two critical values closer than this share of the larger one are below
+# the resolution of the domain build
+_ENDPOINT_REL = 1e-8
+# iterative refinement steps that take the cofactor line to the exact line
+# of the float moments
+_REFINE_STEPS = 2
 # projected-system residuals below this (times scale) admit lifting
 _LIFT_REL = 1e-8
 
@@ -231,6 +238,9 @@ def line_params(mu) -> PronyLine:
     sigma_{d-k+1} slope = (-1)^(d+k) M_{d,k} / det M; the result is then
     cross-checked against a direct linear solve of the full system at two
     parameter values.  The two routes are kept deliberately independent.
+    Two steps of iterative refinement, with residuals exact in rationals,
+    then take both to the exact line of the float moments to within about
+    one rounding.
 
     The most recent line is remembered under the exact bytes of its
     moments, so analyses of one moment vector run back to back share one
@@ -241,6 +251,19 @@ def line_params(mu) -> PronyLine:
         return mu
     mu = mu if isinstance(mu, MomentVector) else MomentVector(mu)
     return _line_of(mu.values.tobytes())
+
+
+def _refined(m: list, entries: np.ndarray, rhs: list, sigma: np.ndarray) -> np.ndarray:
+    # (sigma_1..sigma_d) solving M (sigma_d..sigma_1)^T = rhs, refined from
+    # the estimate sigma with residuals taken exactly in rationals (m: the
+    # moments as Fractions); the float moments and rhs are exact data
+    y = sigma[::-1]
+    for _ in range(_REFINE_STEPS):
+        exact = [Fraction(v) for v in y.tolist()]
+        res = [float(Fraction(r) - sum(m[k + j] * v for j, v in enumerate(exact)))
+               for k, r in enumerate(rhs)]
+        y = y + np.linalg.solve(entries, res)
+    return y[::-1].copy()
 
 
 @lru_cache(maxsize=1)
@@ -281,6 +304,11 @@ def _line_of(raw: bytes) -> PronyLine:
             "cofactor line formulas disagree with the direct two-point solve"
         )
 
+    # the cofactor formulas lose up to cond(M) * eps, which sigma(t) far out
+    # on the line (slopes*t and intercepts cancel) and the domain cannot bear
+    m = [Fraction(x) for x in v.tolist()]
+    slopes = _refined(m, H.entries, [0.0] * (d - 1) + [1.0], slopes)
+    intercepts = _refined(m, H.entries, rhs0.tolist(), intercepts)
     slopes.setflags(write=False)
     intercepts.setflags(write=False)
     return PronyLine(d=d, slopes=slopes, intercepts=intercepts, hankel=H, mu=mu)
@@ -288,7 +316,8 @@ def _line_of(raw: bytes) -> PronyLine:
 
 @dataclass(frozen=True)
 class DomainEndpoint:
-    """Finite boundary point of the hyperbolic parameter set.
+    """Finite boundary point of the hyperbolic parameter set, a critical
+    value of phi = -Q_b/S (see hyperbolic_domain).
 
     kind is "collision-boundary" when exactly one side is hyperbolic and
     "puncture" when both sides are (an isolated interior collision).
@@ -301,11 +330,11 @@ class DomainEndpoint:
 @dataclass(frozen=True, eq=False)
 class HyperbolicDomain:
     """Open set of parameters where sigma(t) has d real distinct roots:
-    disjoint sorted open intervals, possibly unbounded, possibly none."""
+    disjoint sorted open intervals, possibly unbounded, possibly none,
+    whose finite ends are critical values of phi = -Q_b/S."""
 
     intervals: tuple
     endpoints: tuple
-    disc_poly: poly_engine.Poly
 
     @property
     def empty(self) -> bool:
@@ -315,159 +344,14 @@ class HyperbolicDomain:
         return any(lo < t < hi for lo, hi in self.intervals)
 
 
-def _line_evaluators(line: PronyLine):
-    """sigma(t) and the exact restricted discriminant D(t) on plain floats.
-
-    Domain construction evaluates these tens of thousands of times, so no
-    SymmetricCoords or Poly is built per call: the line was checked once
-    when it was made.  D(t) still goes through poly_engine.discriminant.
-    """
-    slopes = line.slopes.tolist()
-    intercepts = line.intercepts.tolist()
-
-    def sigma_at(t):
-        return [s * t + b for s, b in zip(slopes, intercepts)]
-
-    def disc_at(t):
-        c = sigma_at(t)
-        c.reverse()
-        c.append(1.0)
-        return poly_engine.discriminant(c)
-
-    return sigma_at, disc_at
-
-
-def _interp_disc_poly(disc_at, d: int, R: float) -> poly_engine.Poly:
-    # Disc(Q_sigma(t)) restricted to the line is a polynomial in t of degree
-    # at most 2d-2; recover it from 2d-1 samples at Chebyshev points, in the
-    # scaled variable u = t/R for conditioning, and verify on a fresh sample.
-    n = 2 * d - 1
-    us = [math.cos((2 * i + 1) * math.pi / (2 * n)) for i in range(n)]
-    vals = np.array([disc_at(R * u) for u in us])
-    cu = np.linalg.solve(np.vander(us, increasing=True), vals)
-    ct = np.array([cu[k] / R**k for k in range(n)])
-
-    u_check = math.cos(1.0)  # never a Chebyshev node
-    exact = disc_at(R * u_check)
-    approx = float(np.polynomial.polynomial.polyval(u_check, cu))
-    denom = max(float(np.max(np.abs(vals))), abs(exact))
-    if denom > 0.0 and abs(approx - exact) > _INTERP_CHECK_REL * denom:
-        raise InterpolationInconsistency(
-            f"discriminant interpolant off by {abs(approx - exact):.3e} "
-            f"(budget {_INTERP_CHECK_REL * denom:.3e}) at the check sample"
-        )
-    return poly_engine.Poly.from_coeffs(ct)
-
-
-def _vanishing_slopes(line: PronyLine) -> list[bool]:
-    # which slopes are zero on the line.  A slope below _DEGENERATE_REL of
-    # the largest is the rounding residue of a vanishing last-row minor (the
-    # det M policy of line_params); the slopes are those minors over det M,
-    # so the test does not depend on the scale of the moments.
+def _leading_zero_slopes(line: PronyLine) -> int:
+    # how many leading slopes are zero on the line.  A slope below
+    # _DEGENERATE_REL of the largest is the rounding residue of a vanishing
+    # last-row minor (the det M policy of line_params); the slopes are those
+    # minors over det M, so the test does not depend on the scale of the
+    # moments.  The largest slope is never zero: M is regular.
     floor = _DEGENERATE_REL * float(np.max(np.abs(line.slopes)))
-    return [abs(s) <= floor for s in line.slopes.tolist()]
-
-
-def _turning_points(line: PronyLine) -> list[float]:
-    # where an individual sigma coordinate crosses zero; these set the
-    # natural parameter scales of the line.  A coordinate with a vanishing
-    # slope is constant on the line, and its far "turning point" would only
-    # blow up the sampling radius.
-    return [
-        -b / s
-        for s, b, zero in zip(line.slopes.tolist(), line.intercepts.tolist(),
-                              _vanishing_slopes(line))
-        if not zero
-    ]
-
-
-def _brent_disc(disc_at, a, b, fallback):
-    """Zero of the exact restricted discriminant inside [a, b] by Brent's
-    method (Brent 1973, ch. 4: bisection safeguarding secant and inverse
-    quadratic steps), run to float resolution; returns ``fallback`` when the
-    ends do not bracket a sign change (tangential contact)."""
-    fa, fb = disc_at(a), disc_at(b)
-    if fa == 0.0:
-        return a
-    if fb == 0.0:
-        return b
-    if (fa > 0.0) == (fb > 0.0):
-        return fallback
-    c, fc = a, fa
-    d = e = b - a
-    while True:
-        if (fb > 0.0) == (fc > 0.0):  # keep the sign change between b and c
-            c, fc = a, fa
-            d = e = b - a
-        if abs(fc) < abs(fb):  # b is the best estimate so far
-            a, b, c = b, c, b
-            fa, fb, fc = fb, fc, fb
-        if fb == 0.0:
-            return b
-        if math.nextafter(b, c) == c:  # float resolution reached
-            return 0.5 * (b + c)
-        tol = math.ulp(b)
-        m = 0.5 * (c - b)
-        if abs(e) >= tol and abs(fa) > abs(fb):
-            s = fb / fa
-            if a == c:  # secant
-                p, q = 2.0 * m * s, 1.0 - s
-            else:  # inverse quadratic interpolation
-                q, r = fa / fc, fb / fc
-                p = s * (2.0 * m * q * (q - r) - (b - a) * (r - 1.0))
-                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
-            if p > 0.0:
-                q = -q
-            else:
-                p = -p
-            if 2.0 * p < min(3.0 * m * q - abs(tol * q), abs(e * q)):
-                e, d = d, p / q
-            else:
-                d = e = m
-        else:
-            d = e = m
-        a, fa = b, fb
-        b = b + d if abs(d) > tol else math.nextafter(b, c)
-        fb = disc_at(b)
-
-
-def _boundary_between(inside, t_in, t_out):
-    # boolean bisection: inside(t_in) holds, inside(t_out) does not
-    a, b = t_in, t_out
-    while True:
-        m = 0.5 * (a + b)
-        if m == a or m == b:  # float resolution reached
-            break
-        if inside(m):
-            a = m
-        else:
-            b = m
-    return 0.5 * (a + b)
-
-
-def _expand_window(hyperbolic_at, p):
-    """Maximal interval around p on which the exact root count gives the
-    answer it gives at p: a hyperbolic window around a hyperbolic p, a gap
-    around a non-hyperbolic one.  Found by outward geometric expansion and
-    boolean bisection; sides with no exit within ~20 orders of magnitude
-    are taken as unbounded."""
-    at_p = hyperbolic_at(p)
-
-    def inside(t):
-        return hyperbolic_at(t) == at_p
-
-    def edge(direction):
-        step = 1e-3 * (1.0 + abs(p))
-        t_in = p
-        for _ in range(80):
-            t_out = t_in + direction * step
-            if not inside(t_out):
-                return _boundary_between(inside, t_in, t_out)
-            t_in = t_out
-            step *= 2.0
-        return direction * float("inf")
-
-    return (edge(-1.0), edge(1.0))
+    return next(k for k, s in enumerate(line.slopes.tolist()) if abs(s) > floor)
 
 
 def hyperbolic_domain(mu) -> HyperbolicDomain:
@@ -475,8 +359,11 @@ def hyperbolic_domain(mu) -> HyperbolicDomain:
     (moments of length 2d-1, or the PronyLine itself) is real-rooted with
     distinct roots: ``line_params(mu).domain``, built once per line.
 
-    Raises what line_params raises, and InterpolationInconsistency when
-    domain construction (_build_domain) flags a conditioning failure.
+    The node polynomial on the line is Q_t = Q_b + t*S, so x is a real node
+    of Q_t exactly when t = phi(x) = -Q_b(x)/S(x); the finite ends of the
+    set are critical values of phi (see _build_domain).  Raises what
+    line_params raises, and InterpolationInconsistency when critical values
+    closer than _ENDPOINT_REL of the larger leave the set undecided.
     """
     return line_params(mu).domain
 
@@ -484,126 +371,79 @@ def hyperbolic_domain(mu) -> HyperbolicDomain:
 def _build_domain(line: PronyLine) -> HyperbolicDomain:
     """The hyperbolic domain of a line, built afresh.
 
-    Candidate endpoints are the real roots of the restricted discriminant;
-    each candidate subinterval is accepted or rejected by a root-count probe
-    at its midpoint (or at +-(|r_max|+1) for unbounded pieces, with a
-    further probe one decade out demanding the same answer).  An empty
-    result is returned as such, not raised; consumers that need a nonempty
-    domain raise on it.
+    With t0 the least-squares centre of the line, Q_t = Q_t0 + (t - t0)*S
+    (S from the slopes, leading zero slopes dropped), and x is a real node
+    of Q_t exactly when t = phi(x) = t0 - Q_t0(x)/S(x).  The real roots of
+    S (poles) and of W = Q_t0'*S - Q_t0*S' (critical points; a root of W
+    where S is zero to rounding is a multiple pole) cut the axis into
+    branches on which phi is monotone, increasing where W < 0.  Each branch
+    maps onto an open interval bounded by its critical values and, at a
+    pole or at infinity, by +-inf.  t is hyperbolic when d branch images
+    contain it, which holds piecewise between the critical values, the
+    roots of the restricted discriminant D(t).
+
+    Critical values within _ENDPOINT_REL of the larger form one cut.  t
+    crossing one gains or loses two real nodes, or none, so two such values
+    between a piece in and a piece out of the domain are one boundary; any
+    other cut of several may hide a window, a gap or a puncture, and the
+    build raises InterpolationInconsistency.  An empty result is returned.
     """
-    inf = float("inf")
-    if line.d == 1:
-        # a monic linear polynomial always has its one real root
-        one = poly_engine.Poly.from_coeffs([1.0])
-        return HyperbolicDomain(intervals=((-inf, inf),), endpoints=(), disc_poly=one)
+    d = line.d
+    slopes, intercepts = line.slopes.tolist(), line.intercepts.tolist()
+    t0 = -sum(a * b for a, b in zip(slopes, intercepts)) / sum(a * a for a in slopes)
+    q = line.sigma_at(t0).sigma.tolist()[::-1] + [1.0]
+    # x in units of a power of two near the size of the roots of Q_t0, so
+    # that the coefficients of W stay within the range real_roots resolves
+    size = max((abs(c) ** (1.0 / (d - k)) for k, c in enumerate(q[:-1])), default=0.0)
+    unit = 2.0 ** round(math.log2(size)) if size > 0.0 else 1.0
+    q = [c / unit ** (d - k) for k, c in enumerate(q)]
+    s = [c * unit**k for k, c in enumerate(slopes[_leading_zero_slopes(line):][::-1])]
+    w = npoly.polysub(npoly.polymul(K.poly_derivative(q), s),
+                      npoly.polymul(q, K.poly_derivative(s))).tolist()
 
-    sigma_at, disc_at = _line_evaluators(line)
-    turning = _turning_points(line)
+    inf = math.inf
+    breaks = [(x, None) for x in poly_engine.real_roots(poly_engine.Poly.from_coeffs(s)).tolist()]
+    for c in poly_engine.real_roots(poly_engine.Poly.from_coeffs(w)).tolist():
+        if abs(K.horner(s, c)) > K.EVAL_GUARD * K.horner([abs(v) for v in s], abs(c)):
+            breaks.append((c, t0 - unit**d * K.horner(q, c) / K.horner(s, c)))
+    ends = [(-inf, None)] + sorted(breaks) + [(inf, None)]
+    images = []
+    for (lo, v_lo), (hi, v_hi) in zip(ends, ends[1:]):
+        # past its last real root W has the sign of its leading coefficient
+        w_sign = (K.horner(w, 0.5 * (lo + hi)) if math.isfinite(lo + hi)
+                  else w[-1] if hi == inf or len(w) % 2 else -w[-1])
+        low, high = (v_lo, v_hi) if w_sign < 0.0 else (v_hi, v_lo)
+        images.append((-inf if low is None else low, inf if high is None else high))
 
-    # widen the sampling radius until every discriminant root sits well
-    # inside it; roots near or past the radius are poorly determined by the
-    # far tail of the interpolant
-    R = max([1.0] + [1.0 + abs(t) for t in turning])
-    for _ in range(6):
-        D = _interp_disc_poly(disc_at, line.d, R)
-        roots = [float(r) for r in poly_engine.real_roots(D)]
-        r_far = max((abs(r) for r in roots), default=0.0)
-        if r_far <= 0.7 * R:
-            break
-        R = 2.0 * max(r_far, R)
-    merged: list[float] = []
-    for r in roots:
-        if merged and abs(r - merged[-1]) <= 1e-10 * (1.0 + abs(r)):
-            continue
-        merged.append(r)
-
-    bounds = [-inf] + merged + [inf]
-    candidates = list(zip(bounds[:-1], bounds[1:]))
-    r_max = max((abs(r) for r in merged), default=0.0)
-
-    def hyperbolic_at(t):
-        return poly_engine.is_hyperbolic(sigma_at(t))
-
-    accepted = []
-    probes = []
-    for lo, hi in candidates:
-        if math.isinf(lo) and math.isinf(hi):
-            probe, fars = 0.0, (-10.0, 10.0)
-        elif math.isinf(lo):
-            probe = -(r_max + 1.0)
-            fars = (10.0 * probe,)
-        elif math.isinf(hi):
-            probe = r_max + 1.0
-            fars = (10.0 * probe,)
+    cuts = [[-inf]]
+    for v in sorted({v for _, v in breaks if v is not None}):
+        last = cuts[-1][-1]
+        if last > -inf and v - last <= _ENDPOINT_REL * max(abs(v), abs(last)):
+            cuts[-1].append(v)
         else:
-            probe, fars = 0.5 * (lo + hi), ()
-        ok = hyperbolic_at(probe)
-        if any(hyperbolic_at(far) != ok for far in fars):
+            cuts.append([v])
+    cuts.append([inf])
+    pieces = [(a[-1], b[0]) for a, b in zip(cuts, cuts[1:])]
+    inside = [sum(lo <= a and b <= hi for lo, hi in images) == d for a, b in pieces]
+    for k, cut in enumerate(cuts[1:-1]):
+        if len(cut) > 2 or (len(cut) == 2 and inside[k] == inside[k + 1]):
             raise InterpolationInconsistency(
-                "root count changes past the last discriminant root: far "
-                "structure missed by the interpolant"
+                f"critical values {cut[0]:.17g} to {cut[-1]:.17g} lie within "
+                f"{_ENDPOINT_REL} of each other: whether a window, a gap or a "
+                "puncture lies among them is below the resolution of the build"
             )
-        accepted.append(ok)
-        probes.append(probe)
-
-    # pin each kept endpoint down on the exact discriminant: interpolant
-    # roots can drift when the sampled values span many orders of magnitude
-    refined = []
-    for idx, r in enumerate(merged):
-        if accepted[idx] or accepted[idx + 1]:
-            refined.append(_brent_disc(disc_at, probes[idx], probes[idx + 1], r))
-        else:
-            refined.append(r)
-
-    bounds = [-inf] + refined + [inf]
-    kept = [c for c, ok in zip(zip(bounds[:-1], bounds[1:]), accepted) if ok]
-
-    # structural probes: the coordinate turning scales are where the
-    # interpolant is most likely to have lost structure to rounding.  A
-    # hyperbolic probe outside every kept interval pins the lost window by
-    # direct expansion; a non-hyperbolic probe inside a kept interval carves
-    # the lost gap out of it.
-    for p in [0.0] + turning:
-        if any(abs(p - r) <= 1e-9 * (1.0 + abs(p)) for r in refined):
-            continue
-        cover = next((i for i, (lo, hi) in enumerate(kept) if lo < p < hi), None)
-        if hyperbolic_at(p):
-            if cover is None:
-                kept.append(_expand_window(hyperbolic_at, p))
-        elif cover is not None:
-            lo, hi = kept.pop(cover)
-            a, b = _expand_window(hyperbolic_at, p)
-            a, b = max(a, lo), min(b, hi)
-            if a <= lo and b >= hi:
-                raise InterpolationInconsistency(
-                    f"non-hyperbolic probe at t={p:.6g} contradicts the whole "
-                    "accepted interval around it"
-                )
-            if a > lo:
-                kept.append((lo, a))
-            if b < hi:
-                kept.append((b, hi))
-
-    kept.sort()
-    swept: list = []
-    for lo, hi in kept:
-        if swept and lo < swept[-1][1]:
-            swept[-1] = (swept[-1][0], max(swept[-1][1], hi))
-        else:
-            swept.append((lo, hi))
+    kept = [piece for piece, ok in zip(pieces, inside) if ok]
 
     endpoints = []
-    for i, (lo, hi) in enumerate(swept):
-        if math.isfinite(lo) and not (i > 0 and swept[i - 1][1] == lo):
+    for i, (lo, hi) in enumerate(kept):
+        if math.isfinite(lo) and not (i > 0 and kept[i - 1][1] == lo):
             endpoints.append(DomainEndpoint(lo, "collision-boundary"))
         if math.isfinite(hi):
-            if i + 1 < len(swept) and swept[i + 1][0] == hi:
+            if i + 1 < len(kept) and kept[i + 1][0] == hi:
                 endpoints.append(DomainEndpoint(hi, "puncture"))
             else:
                 endpoints.append(DomainEndpoint(hi, "collision-boundary"))
-    return HyperbolicDomain(
-        intervals=tuple(swept), endpoints=tuple(endpoints), disc_poly=D
-    )
+    return HyperbolicDomain(intervals=tuple(kept), endpoints=tuple(endpoints))
 
 
 def projection_residuals(mu, X, q: int) -> np.ndarray:

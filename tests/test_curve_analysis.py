@@ -100,7 +100,10 @@ def test_sample_curve_skips_points_that_miss_the_moments(caplog):
     with caplog.at_level(logging.WARNING, logger="prony.curve_analysis"):
         samples = ca.sample_curve(FAR_NODE_MU, [FAR_NODE_T_STAR, -1.0, 0.0, 1.0])
     assert [s.t for s in samples] == [FAR_NODE_T_STAR]
-    skipped = [r for r in caplog.records if "misses the moments" in r.getMessage()]
+    # the far node's amplitude only rounding sets: it misses the moments,
+    # or rounds to zero outright
+    skipped = [r for r in caplog.records
+               if "misses the moments" in r.getMessage() or "rounds to zero" in r.getMessage()]
     assert len(skipped) == 3
     (at_star,) = samples
     assert relerr(at_star.nodes, FAR_NODE_SIGNAL.nodes) < 1e-6
