@@ -265,7 +265,7 @@ def _collision_doc(report) -> dict:
         "t0": report.t0,
         "pair_index": report.pair_index,
         "numerator": report.numerator,
-        "threshold": report.threshold,
+        "numerator_bound": report.numerator_bound,
         "blowup_confirmed": report.blowup_confirmed,
         "probes": [list(row) for row in report.probes],
     }

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from . import _kernels as K
 from . import poly_engine, prony_line
 from .errors import (
     InconsistentComputation,
@@ -38,9 +37,7 @@ logger = logging.getLogger(__name__)
 
 _PROBE_KMIN = 2
 _PROBE_KMAX = 8
-_PROBE_KDEEP = 16
 _PROBE_QUALITY = 1e-7
-_BLOWUP_THRESHOLD = 1e6
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,26 +68,29 @@ class CurveSample:
 class CollisionReport:
     """Blow-up certificate for one finite boundary point of the family.
 
+    pair_index is the 0-based position i of the colliding pair (nodes i and
+    i+1) in the sorted node vector.  numerator is collision_numerator of
+    the limit configuration at t0, NaN when that configuration has no d-1
+    distinct real nodes; numerator_bound is its rounding allowance (NaN
+    likewise).  blowup_confirmed holds exactly when |numerator| exceeds
+    numerator_bound: False means "not certified", never "no blow-up".
     probes rows are (t, gap, |a_i|, |a_{i+1}|, product mismatch) ordered
-    toward t0; pair_index is the 0-based position i of the colliding pair
-    (nodes i and i+1) in the sorted node vector.  numerator is the limit
-    value that must stay away from zero for the blow-up mechanism to
-    operate (NaN when the limit configuration could not be resolved).
+    toward t0, evidence of the 1/gap law that may be empty.
     """
 
     t0: float
     pair_index: int
     probes: tuple
     numerator: float
-    threshold: float
+    numerator_bound: float
     blowup_confirmed: bool
 
     def __post_init__(self):
         gaps = [row[1] for row in self.probes]
         if any(b >= a for a, b in zip(gaps, gaps[1:])):
             raise ValueError("probe gaps must strictly decrease toward t0")
-        if self.blowup_confirmed and not _blowup_certified(self.probes, self.threshold):
-            raise ValueError("confirmed verdict is not supported by the probe table")
+        if self.blowup_confirmed != (abs(self.numerator) > self.numerator_bound):
+            raise ValueError("the verdict must be |numerator| > numerator_bound")
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,58 +126,15 @@ class EscapeReport:
         return None
 
 
-def _split_merged_pair(coeffs, roots):
-    """Resolve one nearly-double root into its two members, or None.
-
-    Near a collision the certified root finder reports the pair as a
-    single merged root m.  The quadratic Taylor factor at m still
-    separates the members down to a gap of order sqrt(eps); two Newton
-    steps against the full polynomial then sharpen each member.
-    """
-    c = list(coeffs)
-    dc = K.poly_derivative(c)
-    ddc = K.poly_derivative(dc)
-    j = int(np.argmin([abs(K.horner(dc, r)) for r in roots]))
-    m = roots[j]
-    q0 = K.horner(c, m)
-    q1 = K.horner(dc, m)
-    q2 = 0.5 * K.horner(ddc, m)
-    disc = q1 * q1 - 4.0 * q2 * q0
-    if disc <= 0.0 or q2 == 0.0:
-        return None
-    sq = math.sqrt(disc)
-    u1 = (-q1 - sq) / (2.0 * q2)
-    u2 = (-q1 + sq) / (2.0 * q2)
-    pair = []
-    for u in (u1, u2):
-        x = m + u
-        for _ in range(2):
-            fp = K.horner(dc, x)
-            if fp == 0.0:
-                break
-            x -= K.horner(c, x) / fp
-        pair.append(x)
-    full = np.sort(np.concatenate((np.delete(roots, j), pair)))
-    if len(full) != len(roots) + 1 or np.any(np.diff(full) <= 0.0):
-        return None
-    return full
-
-
 def _probe_point(line, t):
     """Family point plus product mismatch, without the conservative gate.
 
-    Collision probes sit deliberately close to a double root, where
-    vieta_inverse refuses to classify; the root finder still resolves the
-    pair directly (d = 2 closed form) or via the merged-pair split until
-    roughly the sqrt(eps) wall.  None marks that resolution wall.
+    Collision probes sit close to a double root, where vieta_inverse
+    refuses to classify; real_roots still resolves the pair there.  None
+    marks the resolution wall: fewer than d real roots, or repeated nodes.
     """
-    q = poly_engine.monic_from_sigma(line.sigma_at(t))
-    roots = poly_engine.real_roots(q)
-    if len(roots) == line.d - 1 and line.d >= 3:
-        roots = _split_merged_pair(q.coefficients.tolist(), roots)
-        if roots is None:
-            return None
-    elif len(roots) != line.d:
+    roots = poly_engine.real_roots(poly_engine.monic_from_sigma(line.sigma_at(t)))
+    if len(roots) != line.d:
         return None
     try:
         amps = amplitudes_from_nodes(line.mu, roots)
@@ -220,8 +177,8 @@ def sample_curve(mu, grid) -> list:
         try:
             sigma, nodes, amps = line.point(t)
         except (NotHyperbolic, RepeatedNodes) as exc:
-            # containment came from interpolated boundary data; very close
-            # to a boundary the direct check can still refuse the point
+            # containment comes from the critical values of the build; very
+            # close to a boundary the direct check can still refuse the point
             logger.warning("grid point t=%.17g rejected on direct evaluation: %s", t, exc)
             continue
         if not np.all(amps):  # det M != 0: a zero is rounding, not the family
@@ -254,8 +211,8 @@ def collision_numerator(mu, Xstar) -> float:
     r_k are the signed symmetric functions of the d-1 limit nodes, i.e.
     the ascending coefficients of prod (z - x_i).  When det M != 0 this
     value is nonzero at every collision limit configuration, which is what
-    drives the colliding amplitudes to infinity; it is exposed here as a
-    certificate diagnostic.
+    drives the colliding amplitudes to infinity; detect_collisions certifies
+    the blow-up from it.
     """
     values = np.asarray(getattr(mu, "values", mu), dtype=float)
     if values.ndim != 1 or values.size == 0 or values.size % 2 == 0:
@@ -266,20 +223,6 @@ def collision_numerator(mu, Xstar) -> float:
         raise ValueError(f"need {d - 1} limit nodes, got {len(x)}")
     coeffs = npoly.polyfromroots(x)  # coeffs[k] = r_{d-1-k}, coeffs[d-1] = 1
     return float(np.dot(values[:d], coeffs))
-
-
-def _blowup_certified(rows, threshold):
-    # both colliding amplitudes strictly increasing over the last 4 probes
-    # and past the threshold at the closest one
-    if len(rows) < 4:
-        return False
-    for col in (2, 3):
-        vals = [row[col] for row in rows[-4:]]
-        if any(b <= a for a, b in zip(vals, vals[1:])):
-            return False
-        if vals[-1] < threshold:
-            return False
-    return True
 
 
 def _probe_table(raw, pair):
@@ -304,30 +247,42 @@ def _probe_table(raw, pair):
     return tuple(rows[cut:])
 
 
-def _limit_nodes(raw_last, pair):
-    # limit configuration: the colliding pair merged at its midpoint,
-    # taken from the closest resolvable probe
-    nodes = raw_last[1]
-    merged = np.delete(nodes, pair + 1)
-    merged[pair] = 0.5 * (nodes[pair] + nodes[pair + 1])
-    return merged
-
-
-def detect_collisions(mu, blowup_threshold: float = _BLOWUP_THRESHOLD) -> list:
+def detect_collisions(mu) -> list:
     """One blow-up certificate per finite boundary point of the family.
 
-    Probes approach each endpoint from inside the adjacent component at
-    t0 -+ 10^-k * max(1, |t0|), k = 2..8, deepened to k <= 14 while the
-    probed amplitudes keep growing but have not cleared the threshold.
-    The colliding pair is the adjacent pair with the smallest gap at the
-    closest probe, ties broken toward the smaller index.  Returns an empty
-    list when the parameter set has no finite boundary points.
+    At an endpoint t0 = phi(x0) (see prony_line.DomainEndpoint) two nodes
+    collide at the double root x0 of Q_t0; the other d-2 limit nodes are
+    the real roots of Q_t0 / (z - x0)^2.  By the blow-up theorem the
+    colliding amplitudes grow like 1/gap when the numerator of this limit
+    configuration (collision_numerator) is nonzero, which det M != 0
+    guarantees in exact arithmetic.  The report certifies the blow-up when
+    |numerator| exceeds _ENDPOINT_REL * sum_k |mu_k| |c_k|, with c_k the
+    coefficients of the limit polynomial prod (z - x_i); it abstains
+    (numerator NaN) when the quotient has no d-2 distinct real roots.
+
+    Probes at t0 -+ 10^-k * max(1, |t0|), k = 2..8, from inside the
+    adjacent component are evidence only; the ladder stops at the first
+    unresolvable probe and may be empty.  Returns an empty list when the
+    parameter set has no finite boundary points.
     """
     line = prony_line.line_params(mu)
     domain = line.domain
+    d = line.d
     reports = []
     for ep in domain.endpoints:
-        t0 = ep.t0
+        t0, x0 = ep.t0, ep.x0
+        q = poly_engine.monic_from_sigma(line.sigma_at(t0)).coefficients
+        others = poly_engine.real_roots(npoly.polydiv(q, [x0 * x0, -2.0 * x0, 1.0])[0])
+        pair = int(np.sum(others < x0))
+        numerator = bound = math.nan
+        if len(others) == d - 2:
+            limit = np.insert(others, pair, x0)
+            numerator = collision_numerator(line.mu, limit)
+            bound = prony_line._ENDPOINT_REL * float(
+                np.dot(np.abs(line.mu.values[:d]), np.abs(npoly.polyfromroots(limit))))
+        else:
+            logger.warning("no real limit configuration at endpoint t0=%.17g", t0)
+
         adjacent = [iv for iv in domain.intervals if iv[1] == t0]
         if adjacent:
             side = -1.0  # approach from the left component (puncture tie-break)
@@ -335,46 +290,32 @@ def detect_collisions(mu, blowup_threshold: float = _BLOWUP_THRESHOLD) -> list:
             adjacent = [iv for iv in domain.intervals if iv[0] == t0]
             side = 1.0
         lo, hi = adjacent[0]
-        scale = max(1.0, abs(t0))
         raw = []
-        k = _PROBE_KMIN
-        while k <= _PROBE_KDEEP:
-            if k > _PROBE_KMAX and raw:
-                pair = int(np.argmin(np.diff(raw[-1][1])))
-                if _blowup_certified(_probe_table(raw, pair), blowup_threshold):
-                    break
-            t = t0 + side * scale * 10.0 ** (-k)
-            k += 1
-            if t == t0:
-                break  # below float spacing at t0; deeper probes collapse
+        for k in range(_PROBE_KMIN, _PROBE_KMAX + 1):
+            t = t0 + side * max(1.0, abs(t0)) * 10.0 ** (-k)
             if not lo < t < hi:
                 continue
             point = _probe_point(line, t)
             if point is None or point[2] > _PROBE_QUALITY:
                 break  # past the numerically resolvable part of the approach
             raw.append((t,) + point)
-        if not raw:
-            logger.warning("no resolvable probes at endpoint t0=%.17g; skipped", t0)
-            continue
-        pair = int(np.argmin(np.diff(raw[-1][1])))
         rows = _probe_table(raw, pair)
-        verdict = _blowup_certified(rows, blowup_threshold)
-        if verdict:
-            band = [row[1] * row[2] for row in rows[-4:]]
-            if max(band) > 10.0 * min(band):
-                # soft check: expected ~1/gap rate, worth flagging but not an error
-                logger.warning(
-                    "blow-up rate drifts from the ~1/gap band at t0=%.17g (spread %.3g)",
-                    t0,
-                    max(band) / min(band),
-                )
+        verdict = abs(numerator) > bound
+        band = [row[1] * row[2] for row in rows[-4:]]
+        if verdict and band and max(band) > 10.0 * min(band):
+            # soft check: expected ~1/gap rate, worth flagging but not an error
+            logger.warning(
+                "blow-up rate drifts from the ~1/gap band at t0=%.17g (spread %.3g)",
+                t0,
+                max(band) / min(band),
+            )
         reports.append(
             CollisionReport(
                 t0=t0,
                 pair_index=pair,
                 probes=rows,
-                numerator=collision_numerator(line.mu, _limit_nodes(raw[-1], pair)),
-                threshold=float(blowup_threshold),
+                numerator=numerator,
+                numerator_bound=bound,
                 blowup_confirmed=verdict,
             )
         )
@@ -392,11 +333,13 @@ def escape_analysis(mu, direction) -> EscapeReport:
     -s_1*direction > 0, else the first.  m = 2: the first and the last
     escape, which needs -s_2*direction > 0.  Any other case, or S without
     d-m distinct real roots, contradicts the unbounded component and raises
-    InterpolationInconsistency, as does a non-hyperbolic probe at
-    |t| = base * 10^k, k = 1..8 (base clears the component's finite end).
-    The last probe is evidence: each bounded node must lie nearer to its
-    own limit than to any other, and each escaping node beyond every limit
-    on its side, else InconsistentComputation is raised.
+    InterpolationInconsistency.  The probes at |t| = base * 10^k, k = 1..8
+    (base clears the component's finite end) are evidence: the ladder stops
+    at the first probe that rounding makes non-hyperbolic, and raises
+    InterpolationInconsistency when that is the first.  On the last probe
+    each bounded node must lie nearer to its own limit than to any other,
+    and each escaping node beyond every limit on its side, else
+    InconsistentComputation is raised.
     """
     direction = float(direction)
     if not math.isinf(direction):
@@ -441,14 +384,16 @@ def escape_analysis(mu, direction) -> EscapeReport:
         try:
             nodes = vieta_inverse(line.sigma_at(t))
         except NotHyperbolic as exc:
+            if probes:
+                break  # past what double precision resolves; S decides
             raise InterpolationInconsistency(
                 f"unbounded component claim contradicted at t={t:.17g}"
             ) from exc
         probes.append((t, tuple(float(x) for x in nodes)))
 
-    # evidence, free of tolerances: the last probe already shows the order
-    # the expansion predicts
-    x = probes[-1][1]
+    # evidence, free of tolerances: the last resolved probe already shows
+    # the order the expansion predicts
+    t, x = probes[-1]
     lim = limits.tolist()
     nearest_own = all(abs(x[i] - lim[j]) < abs(x[i] - other)
                       for j, i in enumerate(bounded)

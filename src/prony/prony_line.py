@@ -317,14 +317,16 @@ def _line_of(raw: bytes) -> PronyLine:
 @dataclass(frozen=True)
 class DomainEndpoint:
     """Finite boundary point of the hyperbolic parameter set, a critical
-    value of phi = -Q_b/S (see hyperbolic_domain).
+    value t0 = phi(x0) of phi = -Q_b/S (see hyperbolic_domain).
 
     kind is "collision-boundary" when exactly one side is hyperbolic and
-    "puncture" when both sides are (an isolated interior collision).
+    "puncture" when both sides are (an isolated interior collision).  x0 is
+    the critical point, the double root of Q_t0 where two nodes collide.
     """
 
     t0: float
     kind: str
+    x0: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -434,15 +436,15 @@ def _build_domain(line: PronyLine) -> HyperbolicDomain:
             )
     kept = [piece for piece, ok in zip(pieces, inside) if ok]
 
+    point = {v: c * unit for c, v in breaks if v is not None}
     endpoints = []
     for i, (lo, hi) in enumerate(kept):
         if math.isfinite(lo) and not (i > 0 and kept[i - 1][1] == lo):
-            endpoints.append(DomainEndpoint(lo, "collision-boundary"))
+            endpoints.append(DomainEndpoint(lo, "collision-boundary", point[lo]))
         if math.isfinite(hi):
-            if i + 1 < len(kept) and kept[i + 1][0] == hi:
-                endpoints.append(DomainEndpoint(hi, "puncture"))
-            else:
-                endpoints.append(DomainEndpoint(hi, "collision-boundary"))
+            puncture = i + 1 < len(kept) and kept[i + 1][0] == hi
+            kind = "puncture" if puncture else "collision-boundary"
+            endpoints.append(DomainEndpoint(hi, kind, point[hi]))
     return HyperbolicDomain(intervals=tuple(kept), endpoints=tuple(endpoints))
 
 

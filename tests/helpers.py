@@ -1,6 +1,7 @@
 """Shared test utilities: tolerances, random-instance builders, strategies."""
 
 import numpy as np
+import sympy
 from hypothesis import strategies as st
 
 from prony.signal_model import Signal
@@ -12,6 +13,17 @@ def relerr(a, b):
     b = np.asarray(b, dtype=float)
     scale = np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
     return float(np.max(np.abs(a - b) / scale))
+
+
+def exact_line(mu):
+    """(base, slope) of sigma(t) in exact rationals, from the float moments."""
+    d = (len(mu) + 1) // 2
+    m = [sympy.Rational(v) for v in mu]
+    M = sympy.Matrix(d, d, lambda i, j: m[i + j])
+    rhs = sympy.Matrix([-m[d + k] for k in range(d - 1)] + [0])
+    base = M.LUsolve(rhs)
+    slope = M.LUsolve(sympy.Matrix([0] * (d - 1) + [1]))
+    return list(base)[::-1], list(slope)[::-1]
 
 
 def random_signal(rng, d, min_gap=0.1, max_gap=2.0, amp_lo=0.1, amp_hi=10.0):

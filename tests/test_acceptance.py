@@ -49,14 +49,17 @@ def test_acceptance_01_square_root_curve_and_collision():
         got = np.concatenate([sample.amplitudes, sample.nodes])
         worst = max(worst, float(np.max(np.abs(got - ref))))
     reports = ca.detect_collisions(mu)
-    tight = [row for row in reports[0].probes
-             if row[1] < 1e-6 and min(row[2], row[3]) > 1e6]
+    # |a_i| * gap = 1 exactly on this family, and the numerator is mu_1 = 1
+    rows = reports[0].probes if reports else ()
+    law = max((abs(row[1] * a - 1.0) for row in rows for a in row[2:4]), default=math.inf)
     elapsed = time.perf_counter() - start
     ok = (len(samples) == len(s_vals) and worst <= 1e-9
           and len(reports) == 1 and reports[0].t0 == 0.0
-          and reports[0].blowup_confirmed and tight and elapsed < 1.0)
-    detail = (f"max deviation {worst:.2e}, blow-up rows past 1e6 before "
-              f"gap 1e-6: {len(tight)}, runtime {elapsed:.2f}s")
+          and abs(reports[0].numerator - 1.0) <= 1e-12
+          and reports[0].blowup_confirmed and len(rows) >= 4 and law <= 1e-9
+          and elapsed < 1.0)
+    detail = (f"max deviation {worst:.2e}, {len(rows)} probe rows, worst "
+              f"|a|*gap - 1 {law:.1e}, runtime {elapsed:.2f}s")
     assert _report(1, ok, detail), detail
 
 

@@ -13,10 +13,11 @@ import numpy as np
 import pytest
 import sympy
 
-from helpers import relerr
+from helpers import exact_line, relerr
 from prony import curve_analysis as ca
 from prony import prony_line as pl
 from prony.errors import (
+    DegenerateHankel,
     InconsistentComputation,
     InterpolationInconsistency,
     NoUnboundedComponent,
@@ -24,6 +25,7 @@ from prony.errors import (
 from prony.signal_model import Signal, compute_moments, elementary_symmetric
 
 INF = float("inf")
+NAN = float("nan")
 
 # frozen by seeded search (rng 424242) and confirmed empty by a 6000-point
 # hyperbolicity scan; same anchor as the domain tests
@@ -57,6 +59,28 @@ FAR_NODE_SIGNAL = Signal(
     nodes=[-0.1092320237470874, 0.6471739127846023, 1.1600099569510474,
            2.153824373814556, 3.0252617384064444],
 )
+
+
+# family vectors with the colliding pair at each of their endpoints.  On
+# the d = 3 and d = 4 vectors a probe ladder toward t0 meets the resolution
+# wall near the last bits of t0; on the d = 5 vector (endpoints 19156.9 and
+# 19161.8, a narrow gap far out on the line) no probe resolves at all
+CERTIFIED_ENDPOINTS = [
+    ([-0.41140088574752975, 0.009112922001232416, -0.7960052699174545,
+      -1.1680416040183426, -1.635346932117728], [1, 1, 0, 0]),
+    ([-2.775562225469871, -2.617514715344051, -3.7996644626266316,
+      -4.897638490954011, -6.606985551721292, -9.075938645511718,
+      -12.69760956224126], [2, 1, 0, 0]),
+    ([-3.0911090248675173, -3.726529518785383, -2.6727932455649137,
+      -5.624178139527285, -5.682023514447089, -10.24571048528914,
+      -12.674071319871603], [0, 0]),
+    ([0.47084728904027473, -2.897714657069175, -5.546818044795769,
+      -10.97880610120717, -21.825626135350394, -44.24585078801553,
+      -91.14215940199719], [2, 1]),
+    ([-3.559494971653416, -6.4323986950341405, -17.171349340174885,
+      -43.50873415451965, -114.5329227658238, -309.67243716334195,
+      -854.2014053320287, -2388.8241004583033, -6743.744045416453], [1, 1]),
+]
 
 
 def _tame_instance(rng, d):
@@ -201,23 +225,22 @@ def test_collision_numerator_validation():
 
 
 def test_detect_collisions_worked_family():
+    # nodes +-sqrt(-t), amplitudes -+1/(2 sqrt(-t)): |a_i| * gap = 1 on every
+    # probe, and the limit node 0 gives the numerator mu_1 = 1
     reports = ca.detect_collisions([0.0, 1.0, 0.0])
     assert len(reports) == 1
     r = reports[0]
     assert r.t0 == 0.0
     assert r.pair_index == 0
     assert r.blowup_confirmed
-    assert abs(r.numerator - 1.0) < 1e-9
-    last = r.probes[-1]
-    assert last[1] < 1e-6  # gap
-    assert last[2] >= 1e6 and last[3] >= 1e6
+    assert abs(r.numerator - 1.0) <= 1e-12
+    assert len(r.probes) >= 4
     gaps = [row[1] for row in r.probes]
     assert all(b < a for a, b in zip(gaps, gaps[1:]))
     for row in r.probes:
         assert row[4] <= 1e-6
-    # nodes are +-sqrt(-t), so |a|*gap = 1 exactly on this family
-    band = [row[1] * row[2] for row in r.probes[-4:]]
-    assert max(band) <= 10.0 * min(band)
+        assert abs(row[1] * row[2] - 1.0) <= 1e-9
+        assert abs(row[1] * row[3] - 1.0) <= 1e-9
 
 
 def test_detect_collisions_empty_cases():
@@ -258,6 +281,57 @@ def test_detect_collisions_certificates_random():
             assert all(b < a for a, b in zip(gaps, gaps[1:]))
 
 
+def _exact_numerators(mu):
+    """(t0, numerator) of the exact limit configuration at every critical
+    point x0 of phi = -Q_b/S, on the exact rational line of the float
+    moments: Q_t0 = Q_b + t0*S has the double root x0, and the limit
+    polynomial is Q_t0/(z - x0).  x0 is taken to 40 digits."""
+    base, slope = exact_line(mu)
+    z = sympy.Symbol("z")
+    qb = sympy.Poly([1] + base, z)
+    s = sympy.Poly(slope, z)
+    out = []
+    for root in (qb.diff(z) * s - qb * s.diff(z)).real_roots():
+        x0 = root.evalf(40)
+        if s.eval(x0) == 0:
+            continue
+        t0 = -qb.eval(x0) / s.eval(x0)
+        quotient = [sympy.Integer(1)]  # descending, by synthetic division
+        for b, sl in zip(base[:-1], slope[:-1]):
+            quotient.append(b + t0 * sl + x0 * quotient[-1])
+        out.append((t0, sum(sympy.Rational(m) * c for m, c in zip(mu, quotient[::-1]))))
+    return out
+
+
+def test_detect_collisions_numerator_matches_exact_limit():
+    # unscreened moments: the float numerator lies within its bound of the
+    # numerator of the exact limit configuration at the exact root of D
+    rng = np.random.default_rng(307)
+    checked = 0
+    for _ in range(100):
+        d = int(rng.integers(2, 5))
+        mu = rng.uniform(-2.0, 2.0, size=2 * d - 1)
+        try:
+            reports = ca.detect_collisions(mu)
+        except (DegenerateHankel, InterpolationInconsistency):
+            continue
+        exact = _exact_numerators(mu) if reports else []
+        for r in reports:
+            t0, numerator = min(exact, key=lambda e: abs(e[0] - r.t0))
+            assert abs(float(t0) - r.t0) <= 1e-8 * abs(r.t0)
+            assert abs(r.numerator - float(numerator)) <= r.numerator_bound, (list(mu), r.t0)
+            checked += 1
+    assert checked >= 100
+
+
+@pytest.mark.parametrize("mu, pairs", CERTIFIED_ENDPOINTS)
+def test_detect_collisions_certifies_every_endpoint(mu, pairs):
+    reports = ca.detect_collisions(mu)
+    assert [r.t0 for r in reports] == [e.t0 for e in pl.hyperbolic_domain(mu).endpoints]
+    assert [r.pair_index for r in reports] == pairs
+    assert all(r.blowup_confirmed for r in reports)
+
+
 def test_collision_report_validation():
     rows = (
         (-1e-2, 1e-2, 10.0, 10.0, 0.0),
@@ -266,31 +340,34 @@ def test_collision_report_validation():
     with pytest.raises(ValueError):
         ca.CollisionReport(
             t0=0.0, pair_index=0, probes=rows, numerator=1.0,
-            threshold=1e6, blowup_confirmed=False,
+            numerator_bound=1e-8, blowup_confirmed=True,
         )
     rows = (
         (-1e-2, 1e-2, 10.0, 10.0, 0.0),
         (-1e-3, 1e-3, 100.0, 100.0, 0.0),
-        (-1e-4, 1e-4, 1000.0, 1000.0, 0.0),
-        (-1e-5, 1e-5, 10000.0, 10000.0, 0.0),
     )
+    for numerator in (1e-9, -1e-8, NAN):
+        with pytest.raises(ValueError):
+            # verdict claims blow-up but |numerator| does not clear its bound
+            ca.CollisionReport(
+                t0=0.0, pair_index=0, probes=rows, numerator=numerator,
+                numerator_bound=1e-8, blowup_confirmed=True,
+            )
     with pytest.raises(ValueError):
-        # verdict claims blow-up but the last amplitudes sit below threshold
         ca.CollisionReport(
             t0=0.0, pair_index=0, probes=rows, numerator=1.0,
-            threshold=1e6, blowup_confirmed=True,
+            numerator_bound=1e-8, blowup_confirmed=False,
         )
     r = ca.CollisionReport(
-        t0=0.0, pair_index=0, probes=rows, numerator=1.0,
-        threshold=1e3, blowup_confirmed=True,
+        t0=0.0, pair_index=0, probes=(), numerator=-1.0,
+        numerator_bound=1e-8, blowup_confirmed=True,
     )
     assert r.blowup_confirmed
-
-
-def test_detect_collisions_threshold_configurable():
-    reports = ca.detect_collisions([0.0, 1.0, 0.0], blowup_threshold=1e3)
-    assert reports[0].blowup_confirmed
-    assert reports[0].threshold == 1e3
+    r = ca.CollisionReport(
+        t0=0.0, pair_index=0, probes=rows, numerator=NAN,
+        numerator_bound=NAN, blowup_confirmed=False,
+    )
+    assert not r.blowup_confirmed
 
 
 # ---------------------------------------------------------------- escapes
@@ -402,6 +479,20 @@ def test_escape_limits_are_the_roots_of_s_where_deepening_raised():
     assert np.allclose(r.bounded_limits, _exact_slope_roots(mu), rtol=1e-10, atol=0.0)
 
 
+def test_escape_limits_are_the_roots_of_s_past_the_resolved_probes():
+    # d = 3, toward -inf: the component's finite end is near -9.3e6, so the
+    # probes at |t| = 9.3e13 and beyond round to non-hyperbolic points; S
+    # decides, and the six resolved probes are the evidence
+    mu = [1.6055852294440953, 1.1315172262118032, 0.7975666470651088,
+          0.19886020736845778, 1.2589838994774105]
+    r = ca.escape_analysis(mu, -INF)
+    assert r.escaping_indices == (0,)
+    assert r.bounded_indices == (1, 2)
+    assert np.allclose(r.bounded_limits, [-2536.298416, 0.7047382237], rtol=1e-9)
+    assert np.allclose(r.bounded_limits, _exact_slope_roots(mu), rtol=1e-10, atol=0.0)
+    assert len(r.probes) == 6
+
+
 def test_escape_pair_d3():
     # mu = (1, 1, 1, 0, 3): M_33 = 0, so s_1 = 0 and S = s_2 (z - 1); the
     # first and last nodes escape like -+sqrt(-s_2 t), the middle one tends to 1
@@ -422,13 +513,14 @@ def test_escape_abstains_when_s_has_a_double_root():
         ca.escape_analysis([3.0, -4.0, 5.0, -6.0, 0.0], -INF)
 
 
-@pytest.mark.parametrize("c", [1.0, 1e-3, 1e-6, 1e-9])
+@pytest.mark.parametrize("c", [1.0, 1e-3, 1e-6, 1e-9, 1e-11])
 def test_escape_verdict_does_not_depend_on_amplitude_scale(c):
     # nodes (-100, 0, 100), all amplitudes c: scaling the moments only
     # reparametrises the line, so S = 1.5 z^2 - 1e4 up to a factor for every
     # c, with limits +-100 sqrt(2/3).  At c = 1e-9 every last-row minor is
     # below 1e-12 in absolute terms; an absolute floor called the leading
-    # slope zero and claimed three escaping nodes
+    # slope zero and claimed three escaping nodes.  At c = 1e-11 rounding
+    # makes the last probe non-hyperbolic; the one before is the evidence
     mu = [c * sum(x**k for x in (-100.0, 0.0, 100.0)) for k in range(5)]
     limits = 100.0 * np.sqrt(2.0 / 3.0) * np.array([-1.0, 1.0])
     for direction, escaping in ((INF, (0,)), (-INF, (2,))):

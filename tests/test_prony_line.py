@@ -9,7 +9,7 @@ import pytest
 import sympy
 from hypothesis import HealthCheck, assume, given, settings
 
-from helpers import random_signal, relerr, signal_strategy
+from helpers import exact_line, random_signal, relerr, signal_strategy
 from prony import closed_forms as cf
 from prony import curve_analysis as ca
 from prony import poly_engine as pe
@@ -578,17 +578,6 @@ def test_domain_abstains_below_resolution():
         pl.hyperbolic_domain(mu)
 
 
-def _exact_line(mu):
-    # (base, slope) of sigma(t) in exact rationals, from the float moments
-    d = (len(mu) + 1) // 2
-    m = [sympy.Rational(v) for v in mu]
-    M = sympy.Matrix(d, d, lambda i, j: m[i + j])
-    rhs = sympy.Matrix([-m[d + k] for k in range(d - 1)] + [0])
-    base = M.LUsolve(rhs)
-    slope = M.LUsolve(sympy.Matrix([0] * (d - 1) + [1]))
-    return list(base)[::-1], list(slope)[::-1]
-
-
 def _exactly_hyperbolic(base, slope, t):
     z = sympy.Symbol("z")
     t = sympy.Rational(t)
@@ -624,7 +613,7 @@ def test_domain_matches_exact_root_counts():
         except InterpolationInconsistency:
             abstained += 1
             continue
-        base, slope = _exact_line(mu)
+        base, slope = exact_line(mu)
         ends = [e.t0 for e in dom.endpoints]
         cuts = [-INF] + ends + [INF]
         for lo, hi in zip(cuts, cuts[1:]):
