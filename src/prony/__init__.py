@@ -6,13 +6,8 @@ behavior numerically: node collisions with amplitude blow-up, single-node
 escape to infinity, closed-form collision/boundedness classification for
 d = 2 and d = 3, and the error-amplification scaling of clustered nodes
 under moment noise.
-
-The heavy polynomial kernels run through a compiled extension when it is
-built; set ``PRONY_PURE=1`` to force the pure-Python lane.  Both lanes are
-bit-for-bit identical, which :data:`HAVE_FAST` / :data:`IMPL_NAME` report.
 """
 
-from ._kernels import HAVE_FAST, IMPL_NAME
 from .closed_forms import Classification, classify_d2, classify_d3
 from .curve_analysis import (
     CollisionReport,
@@ -53,8 +48,6 @@ from .signal_model import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "HAVE_FAST",
-    "IMPL_NAME",
     "__version__",
     "PronyError",
     "MathDegeneracy",

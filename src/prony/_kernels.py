@@ -1,10 +1,9 @@
-"""Pure-Python kernel lane.
+"""Polynomial kernels.
 
 Low-level polynomial primitives shared by the root machinery: Horner
 evaluation, Taylor shifts, Sturm chains and sign-variation counting, plus the
 bisection/Newton refinement loops.  Coefficients are plain lists of floats in
-ascending degree order.  The compiled lane in ``_fast.pyx`` mirrors these
-functions operation-for-operation so both lanes return bit-identical results.
+ascending degree order.
 """
 
 # Leading coefficients below this are treated as zero when counting
@@ -17,7 +16,7 @@ _SIGN_TINY = 1e-290
 # accurate reading.  An absolute cutoff is wrong here: chains built from
 # subnormal-range coefficients produce honest values far below any fixed
 # threshold.
-_EVAL_GUARD = 1e-14
+EVAL_GUARD = 1e-14
 
 # Relative threshold below which a Sturm remainder counts as underflowed
 # (inputs are rescaled to unit max-norm, so this is an absolute test too).
@@ -141,7 +140,7 @@ def chain_variations(chain, x):
         for k in range(len(c) - 1, -1, -1):
             v = v * x + c[k]
             b = b * ax + abs(c[k])
-        if -_EVAL_GUARD * b <= v <= _EVAL_GUARD * b:
+        if -EVAL_GUARD * b <= v <= EVAL_GUARD * b:
             continue
         s = 1 if v > 0.0 else -1
         if prev != 0 and s != prev:

@@ -261,8 +261,8 @@ def detect_collisions(mu) -> list:
     (numerator NaN) when the quotient has no d-2 distinct real roots.
 
     Probes at t0 -+ 10^-k * max(1, |t0|), k = 2..8, from inside the
-    adjacent component are evidence only; the ladder stops at the first
-    unresolvable probe and may be empty.  Returns an empty list when the
+    adjacent component are evidence only; an unresolvable rung is skipped,
+    and the table may be empty.  Returns an empty list when the
     parameter set has no finite boundary points.
     """
     line = prony_line.line_params(mu)
@@ -297,7 +297,7 @@ def detect_collisions(mu) -> list:
                 continue
             point = _probe_point(line, t)
             if point is None or point[2] > _PROBE_QUALITY:
-                break  # past the numerically resolvable part of the approach
+                continue  # unresolvable rung; a closer one may still resolve
             raw.append((t,) + point)
         rows = _probe_table(raw, pair)
         verdict = abs(numerator) > bound

@@ -31,7 +31,6 @@ __all__ = [
     "Poly",
     "SignVariation",
     "monic_from_sigma",
-    "derivative_tower",
     "sign_variation",
     "budan_fourier_bound",
     "sturm_count",
@@ -88,9 +87,6 @@ class Poly:
     def __call__(self, x):
         return npoly.polyval(x, self.coefficients)
 
-    def deriv(self) -> "Poly":
-        return Poly.from_coeffs(K.poly_derivative(self.coefficients.tolist()))
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Poly(degree={self.degree}, coefficients={self.coefficients.tolist()})"
 
@@ -132,15 +128,6 @@ def monic_from_sigma(sigma) -> Poly:
     c = np.array(_monic_coeffs(sigma))
     c.setflags(write=False)
     return Poly(c)
-
-
-def derivative_tower(p) -> list[Poly]:
-    """[P, P', ..., P^(n)] down to the constant derivative."""
-    p = _as_poly(p)
-    tower = [p]
-    while tower[-1].degree > 0:
-        tower.append(tower[-1].deriv())
-    return tower
 
 
 def sign_variation(p, x) -> SignVariation:

@@ -64,7 +64,8 @@ FAR_NODE_SIGNAL = Signal(
 # family vectors with the colliding pair at each of their endpoints.  On
 # the d = 3 and d = 4 vectors a probe ladder toward t0 meets the resolution
 # wall near the last bits of t0; on the d = 5 vector (endpoints 19156.9 and
-# 19161.8, a narrow gap far out on the line) no probe resolves at all
+# 19161.8, a narrow gap far out on the line) the two farthest probes miss
+# the moments and the closer ones resolve
 CERTIFIED_ENDPOINTS = [
     ([-0.41140088574752975, 0.009112922001232416, -0.7960052699174545,
       -1.1680416040183426, -1.635346932117728], [1, 1, 0, 0]),
@@ -330,6 +331,18 @@ def test_detect_collisions_certifies_every_endpoint(mu, pairs):
     assert [r.t0 for r in reports] == [e.t0 for e in pl.hyperbolic_domain(mu).endpoints]
     assert [r.pair_index for r in reports] == pairs
     assert all(r.blowup_confirmed for r in reports)
+
+
+def test_detect_collisions_skips_an_unresolvable_probe():
+    # on the d = 5 vector the rungs t0 -+ 1e-2*|t0| and 1e-3*|t0| miss the
+    # product invariant; the closer rungs still give a 1/gap table
+    reports = ca.detect_collisions(CERTIFIED_ENDPOINTS[-1][0])
+    assert len(reports) == 2
+    for r in reports:
+        gaps = [row[1] for row in r.probes]
+        assert len(gaps) >= 4
+        assert all(a > b for a, b in zip(gaps, gaps[1:]))
+        assert all(row[4] <= ca._PROBE_QUALITY for row in r.probes)
 
 
 def test_collision_report_validation():

@@ -1,126 +1,39 @@
-"""Kernel dispatch and bit-level parity between the compiled and pure lanes."""
-
-import os
-import subprocess
-import sys
-
-import numpy as np
-import pytest
+"""Unit tests of the polynomial kernels."""
 
 from prony import _kernels as K
-from prony._kernels import pure
-
-try:
-    from prony._kernels import _fast
-except ImportError:  # pragma: no cover - build without a C compiler
-    _fast = None
-
-needs_fast = pytest.mark.skipif(_fast is None, reason="compiled lane not built")
-
-
-def test_dispatcher_exposes_lane_name():
-    assert K.IMPL_NAME in ("fast", "pure")
-    assert K.HAVE_FAST == (K.IMPL_NAME == "fast")
-
-
-def test_pure_lane_forced_in_subprocess():
-    env = dict(os.environ, PRONY_PURE="1")
-    out = subprocess.run(
-        [sys.executable, "-c", "import prony; print(prony.IMPL_NAME)"],
-        capture_output=True,
-        text=True,
-        env=env,
-        check=True,
-    )
-    assert out.stdout.strip() == "pure"
 
 
 def test_horner_and_derivative():
     c = [2.0, -3.0, 1.0]
-    assert pure.horner(c, 2.0) == 0.0
-    assert pure.horner(c, 0.0) == 2.0
-    assert pure.poly_derivative(c) == [-3.0, 2.0]
-    assert pure.poly_derivative([5.0]) == [0.0]
+    assert K.horner(c, 2.0) == 0.0
+    assert K.horner(c, 0.0) == 2.0
+    assert K.poly_derivative(c) == [-3.0, 2.0]
+    assert K.poly_derivative([5.0]) == [0.0]
 
 
 def test_trim_coeffs():
-    assert pure.trim_coeffs([1.0, 2.0, 0.0, 0.0]) == [1.0, 2.0]
-    assert pure.trim_coeffs([0.0, 0.0]) == [0.0]
+    assert K.trim_coeffs([1.0, 2.0, 0.0, 0.0]) == [1.0, 2.0]
+    assert K.trim_coeffs([0.0, 0.0]) == [0.0]
     # relative threshold: a leading term 1e-20 of the max is noise
-    assert pure.trim_coeffs([1.0, 1e-20]) == [1.0]
+    assert K.trim_coeffs([1.0, 1e-20]) == [1.0]
 
 
 def test_shifted_coeffs_is_taylor_shift():
     # P(x) = x^3: shift by 2 gives (y+2)^3 = 8 + 12y + 6y^2 + y^3
-    assert pure.shifted_coeffs([0.0, 0.0, 0.0, 1.0], 2.0) == [8.0, 12.0, 6.0, 1.0]
+    assert K.shifted_coeffs([0.0, 0.0, 0.0, 1.0], 2.0) == [8.0, 12.0, 6.0, 1.0]
 
 
 def test_sign_changes():
-    assert pure.sign_changes([1.0, -1.0, 1.0], 0.0) == 2
-    assert pure.sign_changes([1.0, 0.0, 1.0], 0.0) == 0
-    assert pure.sign_changes([1.0, 0.0, -1.0], 0.0) == 1
-    assert pure.sign_changes([], 0.0) == 0
+    assert K.sign_changes([1.0, -1.0, 1.0], 0.0) == 2
+    assert K.sign_changes([1.0, 0.0, 1.0], 0.0) == 0
+    assert K.sign_changes([1.0, 0.0, -1.0], 0.0) == 1
+    assert K.sign_changes([], 0.0) == 0
 
 
 def test_sturm_chain_shapes():
-    chain = pure.sturm_chain([-1.0, 0.0, 1.0])  # x^2 - 1
+    chain = K.sturm_chain([-1.0, 0.0, 1.0])  # x^2 - 1
     assert len(chain) == 3
     assert len(chain[-1]) == 1  # squarefree: constant tail
-    chain = pure.sturm_chain([1.0, -2.0, 1.0])  # (x-1)^2
+    chain = K.sturm_chain([1.0, -2.0, 1.0])  # (x-1)^2
     assert len(chain[-1]) > 1  # gcd tail carries the repeated root
-    assert pure.sturm_chain([0.0]) == []
-
-
-def _random_coeff_sets(seed, n):
-    rng = np.random.default_rng(seed)
-    out = []
-    for _ in range(n):
-        deg = int(rng.integers(1, 9))
-        c = rng.uniform(-5.0, 5.0, size=deg + 1)
-        if abs(c[-1]) < 1e-2:
-            c[-1] = 1.0
-        out.append([float(v) for v in c])
-    return out
-
-
-@needs_fast
-def test_lane_parity_chains_and_variations():
-    rng = np.random.default_rng(321)
-    for c in _random_coeff_sets(123, 200):
-        cp = pure.sturm_chain(c)
-        cf = _fast.sturm_chain(c)
-        assert cp == cf  # bit-identical, not merely close
-        x = float(rng.uniform(-6.0, 6.0))
-        assert pure.shifted_coeffs(c, x) == _fast.shifted_coeffs(c, x)
-        if cp:
-            assert pure.chain_variations(cp, x) == _fast.chain_variations(cf, x)
-            for positive in (False, True):
-                assert pure.chain_variations_inf(cp, positive) == _fast.chain_variations_inf(
-                    cf, positive
-                )
-
-
-@needs_fast
-def test_lane_parity_refinement():
-    for c in _random_coeff_sets(456, 100):
-        lo, hi = -8.0, 8.0
-        flo = pure.horner(c, lo)
-        fhi = pure.horner(c, hi)
-        if flo == 0.0 or fhi == 0.0 or (flo > 0.0) == (fhi > 0.0):
-            continue
-        args = (c, lo, hi, flo > 0.0, 1e-10)
-        assert pure.bisect_refine(*args) == _fast.bisect_refine(*args)
-        dc = pure.poly_derivative(c)
-        l, h = pure.bisect_refine(*args)
-        x0 = 0.5 * (l + h)
-        assert pure.newton_polish(c, dc, x0, l, h, 5) == _fast.newton_polish(
-            c, dc, x0, l, h, 5
-        )
-
-
-@needs_fast
-def test_lane_parity_scalar_helpers():
-    for c in _random_coeff_sets(789, 50):
-        assert pure.max_abs(c) == _fast.max_abs(c)
-        assert pure.poly_derivative(c) == _fast.poly_derivative(c)
-        assert pure.trim_coeffs(c) == _fast.trim_coeffs(c)
+    assert K.sturm_chain([0.0]) == []
