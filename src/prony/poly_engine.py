@@ -216,15 +216,17 @@ def hyperbolic_roots(sigma):
 
     Same verdict as :func:`is_hyperbolic` and same roots as
     :func:`real_roots` of :func:`monic_from_sigma`, from one Sturm chain
-    that serves both the test and the isolation.
+    that serves both the test and the isolation; the d roots the test
+    proves are the count the seeded isolation certifies against.
     """
     c = _monic_coeffs(sigma)
+    d = len(c) - 1
     chain = K.sturm_chain(c)
-    if not _hyperbolic_chain(chain, len(c) - 1):
+    if not _hyperbolic_chain(chain, d):
         return None
-    if len(c) <= 3:
+    if d <= 2:
         return _low_degree_roots(c)
-    return _chain_roots(c, chain)
+    return _chain_roots(c, chain, d)
 
 
 def _quadratic_roots(c0, c1, c2):
@@ -283,8 +285,9 @@ def real_roots(p) -> np.ndarray:
     return _chain_roots(c, chain)
 
 
-def _chain_roots(c, chain) -> np.ndarray:
-    # real roots of P (degree >= 3) from its nonempty Sturm chain
+def _chain_roots(c, chain, n=None) -> np.ndarray:
+    # real roots of P (degree >= 3) from its nonempty Sturm chain; n is the
+    # number of distinct real roots when the chain has proven it already
     if len(chain[-1]) > 1:
         _quo, rem = npoly.polydiv(chain[0], chain[-1])
         if float(np.max(np.abs(rem), initial=0.0)) <= _ROOT_REL:
@@ -297,12 +300,12 @@ def _chain_roots(c, chain) -> np.ndarray:
 
     cauchy = 1.0 + max(abs(v) for v in c[:-1]) / abs(c[-1])
     abs_c = [abs(v) for v in c]
-    v_lo = K.chain_variations(chain, -cauchy)
-    v_hi = K.chain_variations(chain, cauchy)
     dc = K.poly_derivative(c)
-    roots = _seeded_roots(c, abs_c, dc, v_lo - v_hi, cauchy)
+    if n is None:  # every real root lies inside the Cauchy bound
+        n = K.chain_variations(chain, -cauchy) - K.chain_variations(chain, cauchy)
+    roots = _seeded_roots(c, abs_c, dc, n, cauchy)
     if roots is None:
-        roots = _bisected_roots(c, abs_c, dc, chain, cauchy, v_lo, v_hi)
+        roots = _bisected_roots(c, abs_c, dc, chain, cauchy)
     return np.array(roots)
 
 
@@ -355,10 +358,11 @@ def _seeded_roots(c, abs_c, dc, n, cauchy):
     return roots
 
 
-def _bisected_roots(c, abs_c, dc, chain, cauchy, v_lo, v_hi) -> list[float]:
+def _bisected_roots(c, abs_c, dc, chain, cauchy) -> list[float]:
     # Sturm bisection from the Cauchy bound down to one root per bracket
     roots: list[float] = []
-    stack = [(-cauchy, cauchy, v_lo, v_hi)]
+    stack = [(-cauchy, cauchy, K.chain_variations(chain, -cauchy),
+              K.chain_variations(chain, cauchy))]
     while stack:
         lo, hi, vl, vh = stack.pop()
         n = vl - vh

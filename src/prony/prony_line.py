@@ -178,7 +178,9 @@ class PronyLine:
         return _build_domain(self)
 
     def sigma_at(self, t: float) -> SymmetricCoords:
-        return SymmetricCoords(self.slopes * float(t) + self.intercepts)
+        t = float(t)
+        return SymmetricCoords([s * t + b for s, b in
+                                zip(self.slopes.tolist(), self.intercepts.tolist())])
 
     def point(self, t: float):
         """The family point (sigma, nodes, amplitudes) at t; NotHyperbolic or
@@ -217,10 +219,11 @@ def _regular_hankel(mu) -> HankelMatrix:
     below _DEGENERATE_REL of the largest first minor (DegenerateHankel): the
     one det M policy, shared by line_params and prony_solver.solve_complete."""
     H = hankel(mu)
-    max_minor = float(np.max(np.abs(H.minors)))
+    minors = [abs(m) for row in H.minors.tolist() for m in row]
     # NaN from inf - inf in the cofactors of huge moments passes every test
-    if not (math.isfinite(H.determinant) and math.isfinite(max_minor)):
+    if not (math.isfinite(H.determinant) and all(map(math.isfinite, minors))):
         raise ValueError("moments exceed double range: det M or a minor is not finite")
+    max_minor = max(minors)
     if abs(H.determinant) <= _DEGENERATE_REL * max_minor:
         raise DegenerateHankel(
             f"det M = {H.determinant:.3e} is degenerate, below "

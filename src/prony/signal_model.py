@@ -10,6 +10,7 @@ sign convention is fixed here and consumed by every other module.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -34,15 +35,16 @@ ROUND_TRIP_RTOL = 1e-9
 
 
 def _as_float_vector(values, name):
+    # a read-only float copy of values, checked on plain floats: numpy's
+    # reductions cost more than the loop on vectors of a few entries
     try:
-        v = np.asarray(values, dtype=float)
+        v = np.array(values, dtype=float)
     except TypeError as exc:  # an object where numbers belong
         raise ValueError(f"{name} must be numbers: {exc}") from exc
     if v.ndim != 1 or v.size == 0:
         raise ValueError(f"{name} must be a nonempty 1-d sequence")
-    if not np.all(np.isfinite(v)):
+    if not all(map(math.isfinite, v.tolist())):
         raise ValueError(f"{name} must be finite")
-    v = v.copy()
     v.setflags(write=False)
     return v
 
@@ -59,9 +61,10 @@ class Signal:
         x = _as_float_vector(self.nodes, "nodes")
         if len(a) != len(x):
             raise ValueError("amplitudes and nodes must have equal length")
-        if np.any(a == 0.0):
+        if 0.0 in a.tolist():  # -0.0 == 0.0
             raise ValueError("amplitudes must be nonzero")
-        if np.any(np.diff(x) <= 0.0):
+        xs = x.tolist()
+        if any(hi <= lo for lo, hi in zip(xs, xs[1:])):
             raise ValueError("nodes must be strictly increasing")
         object.__setattr__(self, "amplitudes", a)
         object.__setattr__(self, "nodes", x)
@@ -118,18 +121,21 @@ def compute_moments(signal: Signal, q: int) -> MomentVector:
     """Moments mu_k = sum_i a_i x_i^k, k = 0..q.
 
     Summation is plain left-to-right in node order, so results are
-    reproducible to the bit across runs and platforms.
+    reproducible to the bit across runs and platforms.  Moments beyond the
+    double range raise ValueError, as any non-finite moment vector does.
     """
     if q < 0:
         raise ValueError("q must be nonnegative")
-    a = signal.amplitudes
-    x = signal.nodes
-    out = np.empty(q + 1)
-    for k in range(q + 1):
-        acc = 0.0
-        for i in range(len(a)):
-            acc += a[i] * x[i] ** k
-        out[k] = acc
+    terms = list(zip(signal.amplitudes.tolist(), signal.nodes.tolist()))
+    out = []
+    try:
+        for k in range(q + 1):
+            acc = 0.0
+            for a, x in terms:
+                acc += a * x**k
+            out.append(acc)
+    except OverflowError:  # a float power past the double range raises
+        raise ValueError("moments must be finite") from None
     return MomentVector(out)
 
 

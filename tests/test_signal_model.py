@@ -27,6 +27,25 @@ def test_signal_validation():
         sm.Signal(amplitudes=[1.0], nodes=[0.0, 1.0])  # length mismatch
 
 
+@pytest.mark.parametrize("amplitudes, nodes", [
+    ([1.0, np.nan], [0.0, 1.0]),
+    ([np.inf, 1.0], [0.0, 1.0]),
+    ([1.0, 2.0], [np.nan, 1.0]),
+    ([1.0, 2.0], [0.0, -np.inf]),
+    ([1.0, 0.0], [0.0, 1.0]),
+    ([-0.0, 1.0], [0.0, 1.0]),
+    (np.array([1.0, -0.0, 2.0]), np.array([0.0, 1.0, 2.0])),
+    ([1.0, 2.0, 3.0], [0.0, 1.0, 1.0]),
+    ([1.0, 2.0, 3.0], [0.0, 2.0, 1.0]),
+    ([1.0, 2.0], [-0.0, 0.0]),
+    ([1.0, 2.0], [0.0]),
+    ([1.0], [0.0, 1.0]),
+])
+def test_signal_rejects(amplitudes, nodes):
+    with pytest.raises(ValueError):
+        sm.Signal(amplitudes=amplitudes, nodes=nodes)
+
+
 def test_moment_vector_container():
     mu = sm.MomentVector([1.0, 2.0, 3.0])
     assert mu.q == 2
@@ -64,6 +83,37 @@ def test_compute_moments_validation():
     s = sm.Signal(amplitudes=[1.0], nodes=[0.5])
     with pytest.raises(ValueError):
         sm.compute_moments(s, -1)
+
+
+def test_compute_moments_overflow_is_a_value_error():
+    # x^3 = 1e309 is past the double range; the moments are not finite
+    s = sm.Signal([1.0, -1.0], [1e103, 2e103])
+    with pytest.raises(ValueError, match="moments must be finite"):
+        sm.compute_moments(s, 3)
+    assert np.isfinite(sm.compute_moments(s, 2).values).all()
+
+
+def _moments_reference(s, q):
+    # the numpy-scalar loop compute_moments replaced with plain floats
+    a, x = s.amplitudes, s.nodes
+    out = np.empty(q + 1)
+    for k in range(q + 1):
+        acc = 0.0
+        for i in range(len(a)):
+            acc += a[i] * x[i] ** k
+        out[k] = acc
+    return out
+
+
+def test_compute_moments_bit_equal_to_reference():
+    rng = np.random.default_rng(914)
+    for d in range(1, 7):
+        for scale in 10.0 ** np.arange(-3, 4):
+            x = np.sort(rng.uniform(-3.0, 3.0, size=d)) * scale
+            a = rng.uniform(0.5, 1.5, size=d) * rng.choice([-1.0, 1.0], size=d)
+            s = sm.Signal(a, x)
+            assert np.array_equal(sm.compute_moments(s, 2 * d + 1).values,
+                                  _moments_reference(s, 2 * d + 1))
 
 
 def test_compute_moments_matches_direct_sum():
@@ -163,20 +213,40 @@ def test_amplitudes_bit_equal_to_reference():
 
 def test_vieta_inverse_builds_one_sturm_chain(monkeypatch):
     from prony import _kernels as K
+    from prony import poly_engine as pe
 
     calls = []
-    chain = K.sturm_chain
+    variations = []
+    chain, chain_variations = K.sturm_chain, K.chain_variations
 
     def counting(c):
         calls.append(c)
         return chain(c)
 
+    def counting_variations(ch, x):
+        variations.append(x)
+        return chain_variations(ch, x)
+
     monkeypatch.setattr(K, "sturm_chain", counting)
+    monkeypatch.setattr(K, "chain_variations", counting_variations)
     for nodes in ([0.5], [-1.0, 2.0], [-1.0, 0.25, 2.0], [-2.0, -0.5, 1.0, 3.0, 4.5]):
         calls.clear()
+        variations.clear()
         x = sm.vieta_inverse(sm.elementary_symmetric(nodes))
         assert relerr(x, nodes) < 1e-12
         assert len(calls) == 1
+        # the chain's count at +-inf proves d roots: the seeded isolation
+        # needs no further count at the Cauchy bound
+        assert variations == []
+
+    # a pair 8.3e-7 apart that the seeds cannot certify: the bisection
+    # fallback counts the chain at the Cauchy bound and finds all three
+    c = [-52.2868722567103, 0.2638330689659605, 7.122841458445947, 1.0]
+    calls.clear()
+    x = sm.vieta_inverse(c[-2::-1])
+    assert len(calls) == 1 and len(variations) > 2
+    abs_c, dc = [abs(v) for v in c], K.poly_derivative(c)
+    assert len(x) == 3 and all(pe._on_root(c, abs_c, dc, r) for r in x)
 
 
 def test_amplitudes_validation():
