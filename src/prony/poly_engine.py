@@ -5,15 +5,15 @@ refinement, and resultant-based discriminants.  Everything here works on the
 standard discriminant convention; sign adapters for the d=2/d=3 closed forms
 live in :mod:`prony.closed_forms`.
 
-Root isolation (:func:`real_roots`, degree >= 3) is seeded: the real
-eigenvalues of the companion matrix are taken as candidate roots and
-certified by the Sturm count.  Each seed gets a bracket on which P changes
-sign for sure (|P| at both ends above the kernels' rounding guard
-``_kernels.EVAL_GUARD`` of its Horner magnitude sum), never wider than half
-the gap to a neighbouring seed.  n such disjoint brackets against a Sturm
-count of n distinct real roots hold exactly one root each, and Newton from
-the seed, kept inside the bracket, refines it.  When the seeds do not
-certify, isolation falls back to Sturm bisection from the Cauchy bound.
+Root isolation (:func:`real_roots`, degree n >= 3) certifies its roots
+without a Sturm chain: the real eigenvalues of the companion matrix are the
+seeds, and each gets a bracket on which P changes sign for sure (|P| at both
+ends above the kernels' rounding guard ``_kernels.EVAL_GUARD`` of its Horner
+magnitude sum), never wider than half the gap to a neighbouring seed.  n
+such disjoint brackets prove n simple real roots, one each, and Newton from
+the seed, kept inside the bracket, refines it.  Only when the seeds fall
+short is a Sturm chain built: it counts the roots and isolation falls back
+to Sturm bisection from the Cauchy bound.
 """
 
 from __future__ import annotations
@@ -206,27 +206,31 @@ def _hyperbolic_chain(chain, d) -> bool:
 
 def is_hyperbolic(sigma) -> bool:
     """True iff z^d + s1*z^(d-1) + ... + sd has d real distinct roots."""
-    c = _monic_coeffs(sigma)
-    return _hyperbolic_chain(K.sturm_chain(c), len(c) - 1)
+    return hyperbolic_roots(sigma) is not None
 
 
 def hyperbolic_roots(sigma):
     """Sorted roots of z^d + s1*z^(d-1) + ... + sd when it has d real
     distinct roots, else None.
 
-    Same verdict as :func:`is_hyperbolic` and same roots as
-    :func:`real_roots` of :func:`monic_from_sigma`, from one Sturm chain
-    that serves both the test and the isolation; the d roots the test
-    proves are the count the seeded isolation certifies against.
+    The roots of :func:`real_roots` of :func:`monic_from_sigma`, certified
+    first: d = 1 always has its root, a quadratic surely negative at its
+    vertex -s1/2 has two, and from d = 3 on d certified companion seeds
+    prove d (see :func:`real_roots`).  Only when these fall short does a
+    Sturm chain decide, by its count from -inf to +inf, and isolate.
     """
     c = _monic_coeffs(sigma)
     d = len(c) - 1
-    chain = K.sturm_chain(c)
-    if not _hyperbolic_chain(chain, d):
-        return None
-    if d <= 2:
+    if d == 1 or (d == 2 and _sure_sign(c, [abs(v) for v in c], -0.5 * c[1]) < 0):
         return _low_degree_roots(c)
-    return _chain_roots(c, chain, d)
+    if d == 2:
+        return _low_degree_roots(c) if _hyperbolic_chain(K.sturm_chain(c), 2) else None
+    seeds = _companion_seeds(c)
+    roots = _seeded_roots(c, seeds, d)
+    if roots is None:
+        chain = K.sturm_chain(c)
+        roots = _bisected_roots(c, chain) if _hyperbolic_chain(chain, d) else None
+    return roots
 
 
 def _quadratic_roots(c0, c1, c2):
@@ -252,20 +256,20 @@ def _low_degree_roots(c) -> np.ndarray:
 def real_roots(p) -> np.ndarray:
     """All real roots, sorted ascending.
 
-    Degrees 1-2 use stable closed forms.  From degree 3 on, the Sturm chain
-    counts the n distinct real roots inside the Cauchy bound, and the real
+    Degrees 1-2 use stable closed forms.  From degree n >= 3 on, the real
     eigenvalues of the companion matrix serve as seeds.  Around each seed a
     bracket widens geometrically, never past half the gap to a neighbouring
     seed, until P has a sure sign at both ends: |P| above the kernels'
-    rounding guard ``EVAL_GUARD`` of its Horner magnitude sum.  Exactly n
-    seeds, each in its own bracket with a sure sign change, against a Sturm
-    count of n certify one root per bracket; Newton from the seed, kept
-    inside the bracket, then places it, with bisection on the bracket when
-    Newton does not land on a root.  When the certificate fails (fewer real
-    seeds than roots, as for a cluster below eigenvalue resolution, or a
-    bracket without a sure sign change) isolation falls back to Sturm
-    bisection from the Cauchy bound, followed by bisection + Newton
-    refinement.
+    rounding guard ``EVAL_GUARD`` of its Horner magnitude sum.  n seeds,
+    each in its own bracket with a sure sign change, prove n simple real
+    roots, one per bracket, without a Sturm chain; Newton from the seed,
+    kept inside the bracket, then places each, with bisection on the
+    bracket when Newton does not land on a root.  Only when this
+    certificate fails (fewer real seeds than n, as for complex roots or a
+    cluster below eigenvalue resolution, or a bracket without a sure sign
+    change) is a Sturm chain built: the seeds are tried against its count
+    of distinct real roots, then Sturm bisection from the Cauchy bound,
+    followed by bisection + Newton refinement, isolates the roots.
 
     Repeated roots are reported once (the input is reduced by its gcd with
     its derivative first).  A chain whose last element does not divide P is
@@ -279,15 +283,27 @@ def real_roots(p) -> np.ndarray:
         return np.empty(0)
     if p.degree <= 2:
         return _low_degree_roots(c)
-    chain = K.sturm_chain(c)
-    if not chain:
-        return np.empty(0)
-    return _chain_roots(c, chain)
+    seeds = _companion_seeds(c)
+    roots = _seeded_roots(c, seeds, p.degree)
+    return _chain_roots(c, K.sturm_chain(c), seeds) if roots is None else roots
 
 
-def _chain_roots(c, chain, n=None) -> np.ndarray:
-    # real roots of P (degree >= 3) from its nonempty Sturm chain; n is the
-    # number of distinct real roots when the chain has proven it already
+def _companion_seeds(c) -> list[float]:
+    # sorted real eigenvalues of the companion matrix of P (degree >= 3)
+    companion = np.eye(len(c) - 1, k=-1)
+    companion[:, -1] = c[:-1]
+    companion[:, -1] /= -c[-1]
+    eig = np.linalg.eigvals(companion)
+    return np.sort(eig.real[eig.imag == 0.0]).tolist()
+
+
+def _cauchy_bound(c) -> float:
+    return 1.0 + max(abs(v) for v in c[:-1]) / abs(c[-1])
+
+
+def _chain_roots(c, chain, seeds) -> np.ndarray:
+    # real roots of P (degree >= 3) from its Sturm chain and its companion
+    # seeds, which have failed to certify deg P roots
     if len(chain[-1]) > 1:
         _quo, rem = npoly.polydiv(chain[0], chain[-1])
         if float(np.max(np.abs(rem), initial=0.0)) <= _ROOT_REL:
@@ -297,22 +313,17 @@ def _chain_roots(c, chain, n=None) -> np.ndarray:
         # the chain stopped on a cancellation-noise remainder of a
         # squarefree P: its variation counts cannot be trusted
         return _rolle_roots(c)
-
-    cauchy = 1.0 + max(abs(v) for v in c[:-1]) / abs(c[-1])
-    abs_c = [abs(v) for v in c]
-    dc = K.poly_derivative(c)
-    if n is None:  # every real root lies inside the Cauchy bound
-        n = K.chain_variations(chain, -cauchy) - K.chain_variations(chain, cauchy)
-    roots = _seeded_roots(c, abs_c, dc, n, cauchy)
-    if roots is None:
-        roots = _bisected_roots(c, abs_c, dc, chain, cauchy)
-    return np.array(roots)
+    cauchy = _cauchy_bound(c)  # every real root lies inside the Cauchy bound
+    n = K.chain_variations(chain, -cauchy) - K.chain_variations(chain, cauchy)
+    roots = _seeded_roots(c, seeds, n) if n < len(c) - 1 else None
+    return _bisected_roots(c, chain) if roots is None else roots
 
 
 def _sure_sign(c, abs_c, x) -> int:
-    # sign of P(x) when |P(x)| clears the kernels' rounding guard, else 0
+    # sign of P(x) when |P(x)| clears the kernels' rounding guard, else 0;
+    # a NaN left by an overflow clears nothing
     v = K.horner(c, x)
-    if abs(v) <= K.EVAL_GUARD * K.horner(abs_c, abs(x)):
+    if not abs(v) > K.EVAL_GUARD * K.horner(abs_c, abs(x)):
         return 0
     return 1 if v > 0.0 else -1
 
@@ -332,18 +343,15 @@ def _seed_bracket(c, abs_c, seed, left, right):
         w *= _SEED_GROWTH
 
 
-def _seeded_roots(c, abs_c, dc, n, cauchy):
-    """The n real roots of the squarefree P from companion-matrix seeds,
-    or None when the seeds do not certify (see :func:`real_roots`)."""
+def _seeded_roots(c, seeds, n):
+    """The n real roots of the squarefree P from its sorted companion
+    seeds, or None when the seeds do not certify (see :func:`real_roots`)."""
     if n <= 0:
-        return []
-    companion = np.eye(len(c) - 1, k=-1)
-    companion[:, -1] = c[:-1]
-    companion[:, -1] /= -c[-1]
-    eig = np.linalg.eigvals(companion)
-    seeds = np.sort(eig.real[eig.imag == 0.0]).tolist()
+        return np.empty(0)
+    cauchy = _cauchy_bound(c)
     if len(seeds) != n or not -cauchy < seeds[0] <= seeds[-1] < cauchy:
         return None
+    abs_c, dc = [abs(v) for v in c], K.poly_derivative(c)
     bounds = [-cauchy] + [0.5 * (a + b) for a, b in zip(seeds, seeds[1:])] + [cauchy]
     roots = []
     for k, s in enumerate(seeds):
@@ -355,11 +363,12 @@ def _seeded_roots(c, abs_c, dc, n, cauchy):
         if not _on_root(c, abs_c, dc, x):
             x = _refine(c, dc, lo, hi, lo_positive)
         roots.append(x)
-    return roots
+    return np.array(roots)
 
 
-def _bisected_roots(c, abs_c, dc, chain, cauchy) -> list[float]:
+def _bisected_roots(c, chain) -> np.ndarray:
     # Sturm bisection from the Cauchy bound down to one root per bracket
+    cauchy, abs_c, dc = _cauchy_bound(c), [abs(v) for v in c], K.poly_derivative(c)
     roots: list[float] = []
     stack = [(-cauchy, cauchy, K.chain_variations(chain, -cauchy),
               K.chain_variations(chain, cauchy))]
@@ -391,7 +400,7 @@ def _bisected_roots(c, abs_c, dc, chain, cauchy) -> list[float]:
         vm = K.chain_variations(chain, mid)
         stack.append((lo, mid, vl, vm))
         stack.append((mid, hi, vm, vh))
-    return sorted(roots)
+    return np.array(sorted(roots))
 
 
 def _refine(c, dc, lo, hi, lo_positive) -> float:
@@ -413,7 +422,7 @@ def _rolle_roots(c) -> np.ndarray:
     # real roots of a squarefree P without a Sturm chain: P is monotone
     # between consecutive real roots of P' (Rolle), so each such piece
     # holds at most one root, found by its sign change
-    cauchy = 1.0 + max(abs(v) for v in c[:-1]) / abs(c[-1])
+    cauchy = _cauchy_bound(c)
     dc = K.poly_derivative(c)
     ends = [-cauchy] + real_roots(Poly.from_coeffs(dc)).tolist() + [cauchy]
     roots = []

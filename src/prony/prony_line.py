@@ -277,18 +277,22 @@ def _line_of(raw: bytes) -> PronyLine:
     H = _regular_hankel(mu)
     d = H.d
 
+    # plain floats: a product past the double range is inf, without the
+    # RuntimeWarning of a numpy scalar, and is refused below
     v = mu.values
-    slopes = np.empty(d)
-    intercepts = np.empty(d)
+    vals, minors, det = v.tolist(), H.minors.tolist(), float(H.determinant)
+    slopes = [0.0] * d
+    intercepts = [0.0] * d
     for k in range(1, d + 1):
         j = d - k + 1
-        slopes[j - 1] = (-1.0) ** (d + k) * H.minors[d - 1, k - 1] / H.determinant
+        slopes[j - 1] = (-1.0) ** (d + k) * minors[d - 1][k - 1] / det
         acc = 0.0
         for i in range(1, d):
-            acc += (-1.0) ** (i + 1) * v[d + i - 1] * H.minors[i - 1, k - 1]
-        intercepts[j - 1] = (-1.0) ** k * acc / H.determinant
-    if not (np.all(np.isfinite(slopes)) and np.all(np.isfinite(intercepts))):
+            acc += (-1.0) ** (i + 1) * vals[d + i - 1] * minors[i - 1][k - 1]
+        intercepts[j - 1] = (-1.0) ** k * acc / det
+    if not all(map(math.isfinite, slopes + intercepts)):
         raise ValueError("moments exceed double range: the line is not finite")
+    slopes, intercepts = np.array(slopes), np.array(intercepts)
 
     # independent route: solve M * (sigma_d..sigma_1)^T = rhs(t) at t = 0, 1
     # and recover the affine data from the two solutions

@@ -494,8 +494,10 @@ def test_escape_limits_are_the_roots_of_s_where_deepening_raised():
 
 def test_escape_limits_are_the_roots_of_s_past_the_resolved_probes():
     # d = 3, toward -inf: the component's finite end is near -9.3e6, so the
-    # probes at |t| = 9.3e13 and beyond round to non-hyperbolic points; S
-    # decides, and the six resolved probes are the evidence
+    # probes reach |t| = 9.3e14.  A Sturm chain trimmed the leading 1 of the
+    # node polynomial from |t| = 9.3e13 on and called those probes
+    # non-hyperbolic; the seed certificate resolves all eight, and their
+    # nodes are the roots of the float polynomial
     mu = [1.6055852294440953, 1.1315172262118032, 0.7975666470651088,
           0.19886020736845778, 1.2589838994774105]
     r = ca.escape_analysis(mu, -INF)
@@ -503,7 +505,15 @@ def test_escape_limits_are_the_roots_of_s_past_the_resolved_probes():
     assert r.bounded_indices == (1, 2)
     assert np.allclose(r.bounded_limits, [-2536.298416, 0.7047382237], rtol=1e-9)
     assert np.allclose(r.bounded_limits, _exact_slope_roots(mu), rtol=1e-10, atol=0.0)
-    assert len(r.probes) == 6
+    assert len(r.probes) == 8
+    line = pl.line_params(mu)
+    z = sympy.Symbol("z")
+    for t, nodes in r.probes[-2:]:
+        sigma = [sympy.Rational(v) for v in line.sigma_at(t).sigma.tolist()]
+        q = sympy.Poly([1] + sigma, z)
+        exact = [float(x.evalf(30)) for x in q.real_roots()]
+        assert len(exact) == 3
+        assert np.allclose(nodes, exact, rtol=1e-14, atol=0.0)
 
 
 def test_escape_pair_d3():

@@ -104,10 +104,15 @@ def test_sturm_count_zero_poly_raises():
 
 
 def test_is_hyperbolic_examples():
-    assert pe.is_hyperbolic([0.0, -1.0]) is True  # z^2 - 1
-    assert pe.is_hyperbolic([0.0, 1.0]) is False  # z^2 + 1
-    assert pe.is_hyperbolic([-2.0, 1.0]) is False  # (z-1)^2, repeated
-    assert pe.is_hyperbolic([-6.0, 11.0, -6.0]) is True  # (z-1)(z-2)(z-3)
+    for sigma, hyperbolic in (
+        ([0.0, -1.0], True),  # z^2 - 1
+        ([0.0, 1.0], False),  # z^2 + 1
+        ([-2.0, 1.0], False),  # (z-1)^2, repeated
+        ([-6.0, 11.0, -6.0], True),  # (z-1)(z-2)(z-3)
+    ):
+        assert pe.is_hyperbolic(sigma) is hyperbolic
+        # one verdict: hyperbolic_roots finds the roots or says None
+        assert (pe.hyperbolic_roots(sigma) is not None) is hyperbolic
 
 
 def test_is_hyperbolic_random_products():
@@ -296,6 +301,13 @@ def test_seeded_roots_agree_with_bisection(coeffs):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(pe, "_seeded_roots", lambda *args: None)
         want = pe.real_roots(p)
+    if len(K.sturm_chain(c)[-1]) > 1 and len(got) == p.degree:
+        # the chain reads a pair closer than its resolution (1e-7 apart at
+        # 0 in -3z(z - 1e-7)(z + 1/32)) as a double root, and the fallback
+        # reports it once; the seeds prove two simple roots there, so
+        # real_roots reports every root, each of them on P
+        assert all(pe._on_root(c, abs_c, dc, x) for x in got)
+        return
     assert len(got) == len(want)
     for a, b in zip(got, want):
         # the residual test cannot judge roots whose magnitude sum sits at
@@ -342,6 +354,46 @@ def test_seed_certificate_reads_the_kernel_guard(monkeypatch):
     got = pe.real_roots(p)
     assert counts == {"seeded": 0, "bisected": 1}
     assert relerr(got, [-1.0, 0.25, 2.0]) < 1e-10
+
+
+def _chain_first_roots(c):
+    """Roots of P (ascending c, degree >= 2) with the Sturm chain built
+    first, as before the seed certificate: None unless the chain proves
+    deg P distinct real roots, else the closed form (degree 2) or the
+    seeds tried against that count, with Sturm bisection when they fail."""
+    d = len(c) - 1
+    chain = K.sturm_chain(c)
+    if not pe._hyperbolic_chain(chain, d):
+        return None
+    if d == 2:
+        return pe._low_degree_roots(c)
+    roots = pe._seeded_roots(c, pe._companion_seeds(c), d)
+    return pe._bisected_roots(c, chain) if roots is None else roots
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(
+    _real_rooted().map(lambda c: (c / c[-1])[-2::-1]),
+    st.lists(st.floats(-50.0, 50.0), min_size=2, max_size=6, unique=True)
+    .map(lambda x: npoly.polyfromroots(x)[-2::-1]),
+))
+def test_certified_roots_equal_the_chain_roots(sigma):
+    # the certificate only skips the chain: wherever the chain proves d
+    # roots, the roots are the same bits
+    roots = pe.hyperbolic_roots(sigma)
+    assert pe.is_hyperbolic(sigma) == (roots is not None)
+    want = _chain_first_roots(pe._monic_coeffs(sigma))
+    if want is not None:
+        assert roots is not None and np.array_equal(roots, want)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_real_rooted())
+def test_certified_real_roots_equal_the_chain_roots(coeffs):
+    p = pe.Poly.from_coeffs(coeffs)
+    want = _chain_first_roots(p.coefficients.tolist())
+    if want is not None:
+        assert np.array_equal(pe.real_roots(p), want)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -175,6 +176,11 @@ def test_line_params_refuses_moments_past_double_range():
     for mu in ([1e308, 1e308, 1e308], [1e200, 0.0, 1e200], [1.0, 0.0, 1e200]):
         with pytest.raises(ValueError, match="exceed double range"):
             pl.line_params(mu)
+        # and without an overflow warning on the way
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="exceed double range"):
+                pl.line_params(mu)
     with pytest.raises(ValueError, match="exceed double range"):
         cf.classify_d2([1e308, 1e308, 1e308])
     with pytest.raises(ValueError, match="exceed double range"):

@@ -201,40 +201,37 @@ def test_amplitudes_bit_equal_to_reference():
         assert np.array_equal(sm.amplitudes_from_nodes(mu, x), _amplitudes_reference(mu, x))
 
 
-def test_vieta_inverse_builds_one_sturm_chain(monkeypatch):
+def test_vieta_inverse_builds_a_sturm_chain_only_when_the_seeds_fall_short(monkeypatch):
     from prony import _kernels as K
     from prony import poly_engine as pe
 
-    calls = []
-    variations = []
-    chain, chain_variations = K.sturm_chain, K.chain_variations
+    counts = dict.fromkeys(("chains", "variations", "bisected", "eigvals"), 0)
 
-    def counting(c):
-        calls.append(c)
-        return chain(c)
+    def counting(key, f):
+        def wrapped(*args):
+            counts[key] += 1
+            return f(*args)
+        return wrapped
 
-    def counting_variations(ch, x):
-        variations.append(x)
-        return chain_variations(ch, x)
-
-    monkeypatch.setattr(K, "sturm_chain", counting)
-    monkeypatch.setattr(K, "chain_variations", counting_variations)
+    monkeypatch.setattr(K, "sturm_chain", counting("chains", K.sturm_chain))
+    monkeypatch.setattr(K, "chain_variations", counting("variations", K.chain_variations))
+    monkeypatch.setattr(pe, "_bisected_roots", counting("bisected", pe._bisected_roots))
+    monkeypatch.setattr(np.linalg, "eigvals", counting("eigvals", np.linalg.eigvals))
     for nodes in ([0.5], [-1.0, 2.0], [-1.0, 0.25, 2.0], [-2.0, -0.5, 1.0, 3.0, 4.5]):
-        calls.clear()
-        variations.clear()
+        counts.update(dict.fromkeys(counts, 0))
         x = sm.vieta_inverse(sm.elementary_symmetric(nodes))
         assert relerr(x, nodes) < 1e-12
-        assert len(calls) == 1
-        # the chain's count at +-inf proves d roots: the seeded isolation
-        # needs no further count at the Cauchy bound
-        assert variations == []
+        # the root, the vertex sign or the seeds certify the roots: no chain
+        assert counts == {"chains": 0, "variations": 0, "bisected": 0,
+                          "eigvals": int(len(nodes) >= 3)}
 
-    # a pair 8.3e-7 apart that the seeds cannot certify: the bisection
-    # fallback counts the chain at the Cauchy bound and finds all three
+    # a pair 8.3e-7 apart that the seeds cannot certify: one chain proves
+    # the three roots and its bisection finds them, with the eigenvalues
+    # computed once
     c = [-52.2868722567103, 0.2638330689659605, 7.122841458445947, 1.0]
-    calls.clear()
+    counts.update(dict.fromkeys(counts, 0))
     x = sm.vieta_inverse(c[-2::-1])
-    assert len(calls) == 1 and len(variations) > 2
+    assert counts["chains"] == 1 and counts["bisected"] == 1 and counts["eigvals"] == 1
     abs_c, dc = [abs(v) for v in c], K.poly_derivative(c)
     assert len(x) == 3 and all(pe._on_root(c, abs_c, dc, r) for r in x)
 
@@ -278,6 +275,17 @@ def test_vieta_round_trip(s):
     sigma = sm.elementary_symmetric(s.nodes)
     x = sm.vieta_inverse(sigma)
     assert relerr(x, s.nodes) < 1e-7
+
+
+def test_vieta_round_trip_with_nodes_of_size_1e4():
+    # the leading 1 of such quintics is below 1e-14 of their largest
+    # coefficient: a Sturm chain trimmed it and called all 50 non-hyperbolic
+    rng = np.random.default_rng(4104)
+    R = 1e4
+    for _ in range(50):
+        nodes = np.sort(rng.uniform(-R, R, size=5))
+        x = sm.vieta_inverse(sm.elementary_symmetric(nodes))
+        assert np.max(np.abs(x - nodes)) <= 1e-6 * R
 
 
 def test_monic_product_identity():
