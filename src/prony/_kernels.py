@@ -1,26 +1,17 @@
 """Polynomial kernels.
 
 Low-level polynomial primitives shared by the root machinery: Horner
-evaluation, Taylor shifts, Sturm chains and sign-variation counting, plus the
+evaluation, Taylor shifts and sign-variation counting, plus the
 bisection/Newton refinement loops.  Coefficients are plain lists of floats in
 ascending degree order.
 """
 
-# Leading coefficients below this are treated as zero when counting
-# variations at +-infinity; guards against subnormal garbage.
-_SIGN_TINY = 1e-290
-
-# Pointwise variation counting snaps an evaluation to zero when it is smaller
-# than this multiple of its own Horner magnitude sum: at that size the true
-# sign is unknowable in double precision and "x sits on a root" is the
-# accurate reading.  An absolute cutoff is wrong here: chains built from
-# subnormal-range coefficients produce honest values far below any fixed
-# threshold.
+# An evaluation smaller than this multiple of its own Horner magnitude sum
+# has no sure sign: at that size the true sign is unknowable in double
+# precision and "x sits on a root" is the accurate reading.  An absolute
+# cutoff is wrong here: subnormal-range coefficients produce honest values
+# far below any fixed threshold.
 EVAL_GUARD = 1e-14
-
-# Relative threshold below which a Sturm remainder counts as underflowed
-# (inputs are rescaled to unit max-norm, so this is an absolute test too).
-_REM_TOL = 1e-13
 
 _TRIM_TOL = 1e-14
 
@@ -77,88 +68,6 @@ def sign_changes(vals, zero_tol):
         if abs(v) <= zero_tol:
             continue
         s = 1 if v > 0.0 else -1
-        if prev != 0 and s != prev:
-            count += 1
-        prev = s
-    return count
-
-
-def _rescale(c):
-    m = max_abs(c)
-    if m == 0.0 or m == 1.0:
-        return list(c)
-    inv = 1.0 / m
-    return [v * inv for v in c]
-
-
-def _poly_mod(num, den):
-    # remainder of num / den; den trimmed with nonzero leading coefficient
-    r = [float(v) for v in num]
-    dn = len(den) - 1
-    lead = den[dn]
-    for k in range(len(r) - 1, dn - 1, -1):
-        f = r[k] / lead
-        if f != 0.0:
-            for j in range(dn):
-                r[k - dn + j] -= f * den[j]
-        r[k] = 0.0
-    return r[:dn] if dn > 0 else [0.0]
-
-
-def sturm_chain(c):
-    """Sturm chain of c, each element rescaled to unit max-norm.
-
-    Ends early at (a positive multiple of) gcd(P, P') when a remainder
-    underflows, which yields distinct-root counts for non-squarefree input.
-    Returns [] when c is numerically the zero polynomial.
-    """
-    p0 = trim_coeffs(c)
-    if max_abs(p0) == 0.0:
-        return []
-    p0 = _rescale(p0)
-    chain = [p0]
-    if len(p0) == 1:
-        return chain
-    p1 = trim_coeffs(poly_derivative(p0))
-    p1 = _rescale(p1)
-    chain.append(p1)
-    while len(chain[-1]) > 1:
-        rem = trim_coeffs(_poly_mod(chain[-2], chain[-1]))
-        if max_abs(rem) <= _REM_TOL:
-            break
-        chain.append(_rescale([-v for v in rem]))
-    return chain
-
-
-def chain_variations(chain, x):
-    prev = 0
-    count = 0
-    ax = abs(x)
-    for c in chain:
-        v = 0.0
-        b = 0.0
-        for k in range(len(c) - 1, -1, -1):
-            v = v * x + c[k]
-            b = b * ax + abs(c[k])
-        if -EVAL_GUARD * b <= v <= EVAL_GUARD * b:
-            continue
-        s = 1 if v > 0.0 else -1
-        if prev != 0 and s != prev:
-            count += 1
-        prev = s
-    return count
-
-
-def chain_variations_inf(chain, positive):
-    prev = 0
-    count = 0
-    for c in chain:
-        lead = c[len(c) - 1]
-        if -_SIGN_TINY <= lead <= _SIGN_TINY:
-            continue
-        s = 1 if lead > 0.0 else -1
-        if not positive and (len(c) - 1) % 2 == 1:
-            s = -s
         if prev != 0 and s != prev:
             count += 1
         prev = s

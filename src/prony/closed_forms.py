@@ -232,8 +232,8 @@ def _domain_evidence(line) -> dict:
 
 
 def classify_d3(mu) -> Classification:
-    """Collision iff the cleared quartic has a real root (Sturm count, exact
-    for the computed coefficients); bounded iff K < 0, decided only while
+    """Collision iff the cleared quartic has a real root (counted by
+    :func:`poly_engine.real_roots`); bounded iff K < 0, decided only while
     mu0, the top-left 2x2 Hankel determinant, and P8 are all safely nonzero.
 
     Whenever a pivot quantity falls inside its indeterminate band the verdict
@@ -255,7 +255,7 @@ def classify_d3(mu) -> Classification:
     d1_ok = abs(d1) > _INDET_REL * max(1.0, abs(m[0] * m[2]) + m[1] * m[1])
 
     if p8_ok:
-        n_real = poly_engine.sturm_count(quartic, -np.inf, np.inf)
+        n_real = len(poly_engine.real_roots(quartic))
         collision = "yes" if n_real >= 1 else "no"
     else:
         # With the leading coefficient this close to zero the quartic's

@@ -36,10 +36,6 @@ class RepeatedNodes(MathDegeneracy):
     """A node appears at least twice; Lagrange denominators vanish."""
 
 
-class DegenerateSequence(MathDegeneracy):
-    """Sturm sequence collapsed (input polynomial numerically zero)."""
-
-
 class ResidualTooLarge(MathDegeneracy):
     """A residual that the contract requires to vanish exceeded tolerance."""
 

@@ -1,19 +1,19 @@
 """Real-root machinery for univariate polynomials.
 
-Sturm counting, Budan-Fourier sign-variation bounds, root isolation and
-refinement, and resultant-based discriminants.  Everything here works on the
-standard discriminant convention; sign adapters for the d=2/d=3 closed forms
-live in :mod:`prony.closed_forms`.
+Budan-Fourier sign-variation bounds, root isolation and refinement, and
+resultant-based discriminants.  Everything here works on the standard
+discriminant convention; sign adapters for the d=2/d=3 closed forms live in
+:mod:`prony.closed_forms`.
 
-Root isolation (:func:`real_roots`, degree n >= 3) certifies its roots
-without a Sturm chain: the real eigenvalues of the companion matrix are the
-seeds, and each gets a bracket on which P changes sign for sure (|P| at both
-ends above the kernels' rounding guard ``_kernels.EVAL_GUARD`` of its Horner
-magnitude sum), never wider than half the gap to a neighbouring seed.  n
-such disjoint brackets prove n simple real roots, one each, and Newton from
-the seed, kept inside the bracket, refines it.  Only when the seeds fall
-short is a Sturm chain built: it counts the roots and isolation falls back
-to Sturm bisection from the Cauchy bound.
+Root isolation (:func:`real_roots`, degree n >= 3) certifies its roots from
+the real eigenvalues of the companion matrix: each seed gets a bracket on
+which P changes sign for sure (|P| at both ends above the kernels' rounding
+guard ``_kernels.EVAL_GUARD`` of its Horner magnitude sum), never wider than
+half the gap to a neighbouring seed.  n such disjoint brackets prove n
+simple real roots, one each, and Newton from the seed, kept inside the
+bracket, refines it.  Only when the seeds fall short does Rolle's theorem
+count the roots: P is monotone between consecutive real roots of P', so
+each such piece holds a root exactly when P changes sign across it.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from . import _kernels as K
-from .errors import DegenerateSequence
 
 __all__ = [
     "Poly",
@@ -33,7 +32,6 @@ __all__ = [
     "monic_from_sigma",
     "sign_variation",
     "budan_fourier_bound",
-    "sturm_count",
     "is_hyperbolic",
     "hyperbolic_roots",
     "real_roots",
@@ -50,9 +48,8 @@ _NEWTON_STEPS = 5
 _SEED_WIDTH = 1e-10
 _SEED_GROWTH = 16.0
 # Double precision places a double root to about sqrt(eps).  A computed root
-# therefore leaves |P| below this share of its Horner magnitude sum, and a
-# true gcd(P, P') divides the unit-norm P to this remainder; more than that
-# is an artefact of rounding, not a root or a gcd.
+# therefore leaves |P| below this share of its Horner magnitude sum; more
+# than that is an artefact of rounding, not a root.
 _ROOT_REL = 1.5e-8
 
 
@@ -160,50 +157,6 @@ def budan_fourier_bound(p, a, b) -> int:
     return sign_variation(p, a).count - sign_variation(p, b).count
 
 
-def _nudge_off_root(chain, coeffs, x):
-    # Sturm endpoint evaluation needs P(x) != 0; step outward by a
-    # machine-scale offset when we land on a root.
-    for _ in range(4):
-        if K.horner(coeffs, x) != 0.0:
-            return x
-        x = x + 1e-10 * (1.0 + abs(x))
-    return x
-
-
-def sturm_count(p, a, b) -> int:
-    """Exact number of distinct real roots in (a, b] (endpoints may be
-    +-inf).  Non-squarefree input is handled by the generalized chain, which
-    terminates at the gcd and still counts distinct roots."""
-    a = float(a)
-    b = float(b)
-    if not a < b:
-        raise ValueError("need a < b")
-    p = _as_poly(p)
-    chain = K.sturm_chain(p.coefficients.tolist())
-    if not chain:
-        raise DegenerateSequence("input polynomial is numerically zero")
-    if len(chain) == 1:
-        return 0
-    coeffs = list(chain[0])
-
-    def variations(x, side_positive):
-        if math.isinf(x):
-            return K.chain_variations_inf(chain, x > 0)
-        return K.chain_variations(chain, _nudge_off_root(chain, coeffs, x))
-
-    return variations(a, False) - variations(b, True)
-
-
-def _hyperbolic_chain(chain, d) -> bool:
-    # d real distinct roots: the chain ends in a constant (squarefree) and
-    # loses d sign variations from -inf to +inf
-    if not chain:
-        return False
-    squarefree = len(chain[-1]) == 1
-    count = K.chain_variations_inf(chain, False) - K.chain_variations_inf(chain, True)
-    return squarefree and count == d
-
-
 def is_hyperbolic(sigma) -> bool:
     """True iff z^d + s1*z^(d-1) + ... + sd has d real distinct roots."""
     return hyperbolic_roots(sigma) is not None
@@ -213,24 +166,24 @@ def hyperbolic_roots(sigma):
     """Sorted roots of z^d + s1*z^(d-1) + ... + sd when it has d real
     distinct roots, else None.
 
-    The roots of :func:`real_roots` of :func:`monic_from_sigma`, certified
-    first: d = 1 always has its root, a quadratic surely negative at its
-    vertex -s1/2 has two, and from d = 3 on d certified companion seeds
-    prove d (see :func:`real_roots`).  Only when these fall short does a
-    Sturm chain decide, by its count from -inf to +inf, and isolate.
+    The roots of :func:`real_roots` of :func:`monic_from_sigma`: d = 1
+    always has its root, and a quadratic has two only when it is surely
+    negative at its vertex -s1/2 (else None, also where rounding leaves the
+    vertex sign unknown).  From d = 3 on, d certified companion seeds prove
+    d roots; else the Rolle pass decides, with d sign changes of P on the
+    monotone pieces between the roots of P' (see :func:`real_roots`).
     """
     c = _monic_coeffs(sigma)
     d = len(c) - 1
-    if d == 1 or (d == 2 and _sure_sign(c, [abs(v) for v in c], -0.5 * c[1]) < 0):
+    if d == 2 and not _sure_sign(c, [abs(v) for v in c], -0.5 * c[1]) < 0:
+        return None
+    if d <= 2:
         return _low_degree_roots(c)
-    if d == 2:
-        return _low_degree_roots(c) if _hyperbolic_chain(K.sturm_chain(c), 2) else None
     seeds = _companion_seeds(c)
     roots = _seeded_roots(c, seeds, d)
     if roots is None:
-        chain = K.sturm_chain(c)
-        roots = _bisected_roots(c, chain) if _hyperbolic_chain(chain, d) else None
-    return roots
+        roots = _rolle_roots(c, seeds)
+    return roots if len(roots) == d else None
 
 
 def _quadratic_roots(c0, c1, c2):
@@ -262,20 +215,19 @@ def real_roots(p) -> np.ndarray:
     seed, until P has a sure sign at both ends: |P| above the kernels'
     rounding guard ``EVAL_GUARD`` of its Horner magnitude sum.  n seeds,
     each in its own bracket with a sure sign change, prove n simple real
-    roots, one per bracket, without a Sturm chain; Newton from the seed,
-    kept inside the bracket, then places each, with bisection on the
-    bracket when Newton does not land on a root.  Only when this
-    certificate fails (fewer real seeds than n, as for complex roots or a
-    cluster below eigenvalue resolution, or a bracket without a sure sign
-    change) is a Sturm chain built: the seeds are tried against its count
-    of distinct real roots, then Sturm bisection from the Cauchy bound,
-    followed by bisection + Newton refinement, isolates the roots.
+    roots, one per bracket; Newton from the seed, kept inside the bracket,
+    then places each, with bisection on the bracket when Newton does not
+    land on a root.  Only when this certificate fails (fewer real seeds
+    than n, as for complex roots or a cluster below eigenvalue resolution,
+    or a bracket without a sure sign change) does Rolle's theorem count the
+    roots: the real roots of P' (found the same way) split the axis into
+    pieces on which P is monotone, and each piece holds a root exactly when
+    P changes sign across it.  The seeds are tried against that count, and
+    where they fail the roots come from bisection + Newton on the pieces.
 
-    Repeated roots are reported once (the input is reduced by its gcd with
-    its derivative first).  A chain whose last element does not divide P is
-    no gcd but a stop on rounding noise; the roots then come from the sign
-    changes of P between consecutive roots of P'.  Returns an empty array
-    for constants, including the zero polynomial.
+    A critical point where P is exactly 0 is a multiple root; it is
+    reported once, and the seeds are not used to place the roots.  Returns
+    an empty array for constants, including the zero polynomial.
     """
     p = _as_poly(p)
     c = p.coefficients.tolist()
@@ -285,7 +237,7 @@ def real_roots(p) -> np.ndarray:
         return _low_degree_roots(c)
     seeds = _companion_seeds(c)
     roots = _seeded_roots(c, seeds, p.degree)
-    return _chain_roots(c, K.sturm_chain(c), seeds) if roots is None else roots
+    return _rolle_roots(c, seeds) if roots is None else roots
 
 
 def _companion_seeds(c) -> list[float]:
@@ -299,24 +251,6 @@ def _companion_seeds(c) -> list[float]:
 
 def _cauchy_bound(c) -> float:
     return 1.0 + max(abs(v) for v in c[:-1]) / abs(c[-1])
-
-
-def _chain_roots(c, chain, seeds) -> np.ndarray:
-    # real roots of P (degree >= 3) from its Sturm chain and its companion
-    # seeds, which have failed to certify deg P roots
-    if len(chain[-1]) > 1:
-        _quo, rem = npoly.polydiv(chain[0], chain[-1])
-        if float(np.max(np.abs(rem), initial=0.0)) <= _ROOT_REL:
-            # repeated roots: the distinct roots are those of P / gcd(P, P')
-            quo, _rem = npoly.polydiv(c, np.asarray(chain[-1]))
-            return real_roots(Poly.from_coeffs(quo))
-        # the chain stopped on a cancellation-noise remainder of a
-        # squarefree P: its variation counts cannot be trusted
-        return _rolle_roots(c)
-    cauchy = _cauchy_bound(c)  # every real root lies inside the Cauchy bound
-    n = K.chain_variations(chain, -cauchy) - K.chain_variations(chain, cauchy)
-    roots = _seeded_roots(c, seeds, n) if n < len(c) - 1 else None
-    return _bisected_roots(c, chain) if roots is None else roots
 
 
 def _sure_sign(c, abs_c, x) -> int:
@@ -366,43 +300,6 @@ def _seeded_roots(c, seeds, n):
     return np.array(roots)
 
 
-def _bisected_roots(c, chain) -> np.ndarray:
-    # Sturm bisection from the Cauchy bound down to one root per bracket
-    cauchy, abs_c, dc = _cauchy_bound(c), [abs(v) for v in c], K.poly_derivative(c)
-    roots: list[float] = []
-    stack = [(-cauchy, cauchy, K.chain_variations(chain, -cauchy),
-              K.chain_variations(chain, cauchy))]
-    while stack:
-        lo, hi, vl, vh = stack.pop()
-        n = vl - vh
-        if n <= 0:
-            continue
-        if n == 1:
-            lo_positive = K.horner(c, lo) > 0.0
-            x = _refine(c, dc, lo, hi, lo_positive)
-            if not _on_root(c, abs_c, dc, x):
-                # lo sits on a root itself and the sign read there was
-                # rounding noise: the search ran to the wrong bracket end
-                other = _refine(c, dc, lo, hi, not lo_positive)
-                if _on_root(c, abs_c, dc, other):
-                    x = other
-            roots.append(x)
-            continue
-        mid = 0.5 * (lo + hi)
-        if hi - lo <= 1e-13 * (1.0 + abs(mid)):
-            # cluster below float resolution: report one representative
-            roots.append(mid)
-            continue
-        for _ in range(4):
-            if K.horner(c, mid) != 0.0:
-                break
-            mid += (hi - lo) * 1e-9
-        vm = K.chain_variations(chain, mid)
-        stack.append((lo, mid, vl, vm))
-        stack.append((mid, hi, vm, vh))
-    return np.array(sorted(roots))
-
-
 def _refine(c, dc, lo, hi, lo_positive) -> float:
     l, h = K.bisect_refine(c, lo, hi, lo_positive, _BISECT_RELWIDTH)
     return K.newton_polish(c, dc, 0.5 * (l + h), l, h, _NEWTON_STEPS)
@@ -418,21 +315,28 @@ def _on_root(c, abs_c, dc, x) -> bool:
     return v <= abs(K.horner(dc, x)) * math.ulp(x)
 
 
-def _rolle_roots(c) -> np.ndarray:
-    # real roots of a squarefree P without a Sturm chain: P is monotone
-    # between consecutive real roots of P' (Rolle), so each such piece
-    # holds at most one root, found by its sign change
+def _rolle_roots(c, seeds) -> np.ndarray:
+    # real roots of P (degree >= 3) whose companion seeds did not certify
+    # deg P of them: P is monotone between consecutive real roots of P'
+    # (Rolle), so each such piece holds one root exactly when P changes sign
+    # across it, and a critical point where P is 0 is a multiple root.
+    # P(cauchy) != 0, so no root is lost at the right end
     cauchy = _cauchy_bound(c)
     dc = K.poly_derivative(c)
     ends = [-cauchy] + real_roots(Poly.from_coeffs(dc)).tolist() + [cauchy]
-    roots = []
-    for lo, hi in zip(ends, ends[1:]):  # P(cauchy) != 0, so no root is lost
-        flo, fhi = K.horner(c, lo), K.horner(c, hi)
-        if flo == 0.0:
-            roots.append(lo)
-        elif fhi != 0.0 and (flo > 0.0) != (fhi > 0.0):
-            roots.append(_refine(c, dc, lo, hi, flo > 0.0))
-    return np.array(roots)
+    vals = [K.horner(c, x) for x in ends]
+    multiple, pieces = [], []
+    for k in range(len(ends) - 1):
+        if vals[k] == 0.0:
+            multiple.append(ends[k])
+        elif vals[k + 1] != 0.0 and (vals[k] > 0.0) != (vals[k + 1] > 0.0):
+            pieces.append(k)
+    if not multiple and len(pieces) < len(c) - 1:
+        roots = _seeded_roots(c, seeds, len(pieces))
+        if roots is not None:
+            return roots
+    roots = multiple + [_refine(c, dc, ends[k], ends[k + 1], vals[k] > 0.0) for k in pieces]
+    return np.array(sorted(roots))
 
 
 def _sylvester(pc, qc):

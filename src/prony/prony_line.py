@@ -88,11 +88,6 @@ def _sub_det(a: list, rows: tuple, cols: tuple, memo: dict) -> float:
     return det
 
 
-def _det_cofactor(a: list) -> float:
-    full = tuple(range(len(a)))
-    return _sub_det(a, full, full, {})
-
-
 def _det(a: list, rows: tuple, cols: tuple, memo: dict) -> float:
     # determinant of a[rows][cols]: exact cofactor recursion while cheap,
     # pivoted LU beyond

@@ -113,7 +113,8 @@ class SymmetricCoords:
 
     @cached_property
     def hyperbolic(self) -> bool:
-        """True iff the polynomial has d real distinct roots (Sturm count)."""
+        """True iff the polynomial has d real distinct roots (see
+        :func:`poly_engine.hyperbolic_roots`)."""
         return poly_engine.is_hyperbolic(self.sigma)
 
 
@@ -175,7 +176,7 @@ def vieta_inverse(sigma) -> np.ndarray:
         raise NotHyperbolic("polynomial does not have d real distinct roots")
     if len(roots) != len(s):
         raise InconsistentComputation(
-            f"Sturm count promised {len(s)} distinct roots, refinement found {len(roots)}"
+            f"root isolation proved {len(s)} distinct roots, but returned {len(roots)}"
         )
     return roots
 

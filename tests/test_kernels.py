@@ -29,11 +29,3 @@ def test_sign_changes():
     assert K.sign_changes([1.0, 0.0, -1.0], 0.0) == 1
     assert K.sign_changes([], 0.0) == 0
 
-
-def test_sturm_chain_shapes():
-    chain = K.sturm_chain([-1.0, 0.0, 1.0])  # x^2 - 1
-    assert len(chain) == 3
-    assert len(chain[-1]) == 1  # squarefree: constant tail
-    chain = K.sturm_chain([1.0, -2.0, 1.0])  # (x-1)^2
-    assert len(chain[-1]) > 1  # gcd tail carries the repeated root
-    assert K.sturm_chain([0.0]) == []

@@ -1,23 +1,37 @@
-"""Real-root machinery: sign variations, Sturm counts, root isolation, discriminants."""
+"""Real-root machinery: sign variations, root isolation, discriminants."""
 
 from types import SimpleNamespace
 
 import numpy as np
+import mpmath
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 from numpy.polynomial import polynomial as npoly
 
 from helpers import relerr
 from prony import _kernels as K
 from prony import poly_engine as pe
-from prony.errors import DegenerateSequence
 
 INF = float("inf")
+Z = sympy.Symbol("z")
 
 
 def P(*coeffs):
     """Ascending-order polynomial shorthand."""
     return pe.Poly.from_coeffs(coeffs)
+
+
+def _exact_poly(c):
+    """The polynomial with the exact rational values of the ascending float
+    coefficients c."""
+    return sympy.Poly([sympy.Rational(float(v)) for v in c[::-1]], Z)
+
+
+def _exact_real_roots(c):
+    """Distinct real roots of the polynomial with the float coefficients c,
+    exact up to the conversion of each to the nearest double."""
+    return sorted({float(r.evalf(60)) for r in _exact_poly(c).real_roots()})
 
 
 # ---------------------------------------------------------------------------
@@ -68,35 +82,6 @@ def test_budan_fourier_bad_interval():
         pe.budan_fourier_bound(P(1.0, 1.0), 2.0, 2.0)
     with pytest.raises(ValueError):
         pe.budan_fourier_bound(P(1.0, 1.0), 3.0, 1.0)
-
-
-# ---------------------------------------------------------------------------
-# sturm_count
-
-
-def test_sturm_count_examples():
-    cubic = P(-6.0, 11.0, -6.0, 1.0)
-    assert pe.sturm_count(cubic, 0.0, 4.0) == 3
-    assert pe.sturm_count(cubic, 1.5, 2.5) == 1
-    assert pe.sturm_count(P(1.0, 0.0, 1.0), -10.0, 10.0) == 0
-
-
-def test_sturm_count_half_open_endpoints():
-    p = P(-1.0, 0.0, 1.0)  # roots -1, 1
-    assert pe.sturm_count(p, -1.0, 0.0) == 0  # left endpoint excluded
-    assert pe.sturm_count(p, -2.0, 1.0) == 2  # right endpoint included
-    assert pe.sturm_count(p, -INF, INF) == 2
-
-
-def test_sturm_count_repeated_roots_counted_once():
-    # (x-1)^2 (x+2): the generalized chain counts distinct roots.
-    p = pe.Poly.from_coeffs(npoly.polyfromroots([1.0, 1.0, -2.0]))
-    assert pe.sturm_count(p, -INF, INF) == 2
-
-
-def test_sturm_count_zero_poly_raises():
-    with pytest.raises(DegenerateSequence):
-        pe.sturm_count(P(0.0), -1.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -184,9 +169,10 @@ def test_real_roots_sorted_and_deduplicated():
 
 
 def test_real_roots_spurious_chain_gcd():
-    # x^4 + 2^-9 x^3 + 3x: a near-degree drop in the Sturm chain leaves a
-    # cancellation-noise remainder, and the chain's last element (a line
-    # through 1.6e-4) was once divided out as if it were gcd(P, P')
+    # x^4 + 2^-9 x^3 + 3x: a near-degree drop once left the Sturm chain of
+    # an earlier root fallback on a cancellation-noise remainder, and its
+    # last element (a line through 1.6e-4) was divided out as if it were
+    # gcd(P, P')
     p = P(0.0, 3.0, 0.0, 0.001953125, 1.0)
     want = sorted(r.real for r in npoly.polyroots(p.coefficients) if r.imag == 0.0)
     assert len(want) == 2
@@ -232,45 +218,46 @@ def test_real_roots_residual_property(coeffs):
     st.floats(0.1, 12.0, allow_nan=False),
 )
 def test_budan_bound_dominates_sturm(coeffs, a, width):
+    # the exact count in (a, b] is sympy's Sturm count on the rational
+    # values of the float coefficients, as in the Budan-Fourier acceptance
+    # check
     if max(abs(c) for c in coeffs) < 1e-6 or abs(coeffs[-1]) < 1e-3:
         return
     p = pe.Poly.from_coeffs(coeffs)
     if p.degree < 1:
         return
-    chain = K.sturm_chain(p.coefficients.tolist())
-    if not chain or len(chain[-1]) > 1:
+    poly = _exact_poly(p.coefficients)
+    if sympy.degree(sympy.gcd(poly, poly.diff(Z))) > 0:
         return  # parity statement needs a squarefree input
     b = a + width
-    try:
-        exact = pe.sturm_count(p, a, b)
-    except DegenerateSequence:
-        return
+    ra, rb = sympy.Rational(a), sympy.Rational(b)
+    exact = int(poly.count_roots(ra, rb)) - int(poly.eval(ra) == 0)
     bound = pe.budan_fourier_bound(p, a, b)
     assert bound >= exact
     assert (bound - exact) % 2 == 0
 
 
 # ---------------------------------------------------------------------------
-# seeded isolation and its bisection fallback
+# seeded isolation and its Rolle fallback
 
 
 def _count_paths(monkeypatch):
     """Count real_roots isolations that certify from companion seeds and
-    those that fall back to Sturm bisection."""
-    counts = {"seeded": 0, "bisected": 0}
-    seeded, bisected = pe._seeded_roots, pe._bisected_roots
+    those that fall back to the Rolle pass."""
+    counts = {"seeded": 0, "rolle": 0}
+    seeded, rolle = pe._seeded_roots, pe._rolle_roots
 
     def counting_seeded(*args):
         roots = seeded(*args)
         counts["seeded"] += roots is not None
         return roots
 
-    def counting_bisected(*args):
-        counts["bisected"] += 1
-        return bisected(*args)
+    def counting_rolle(*args):
+        counts["rolle"] += 1
+        return rolle(*args)
 
     monkeypatch.setattr(pe, "_seeded_roots", counting_seeded)
-    monkeypatch.setattr(pe, "_bisected_roots", counting_bisected)
+    monkeypatch.setattr(pe, "_rolle_roots", counting_rolle)
     return counts
 
 
@@ -290,55 +277,127 @@ def _real_rooted(draw):
     return scale * npoly.polyfromroots(roots)
 
 
+def _mp_coeffs(p):
+    """The descending coefficients of the sympy Poly p as mpmath numbers."""
+    return [mpmath.mpf(v.p) / v.q for v in p.all_coeffs()]
+
+
+def _mp_real_roots(p):
+    """The distinct real roots of the sympy Poly p to 30 digits, bisected
+    in mpmath from the exact isolating intervals of its squarefree part."""
+    p = p.sqf_part()
+    q = _mp_coeffs(p)
+    roots = []
+    for (a, b), _mult in p.intervals():
+        # the sign of P just right of a, taken exactly; a may be a (simple)
+        # root itself, the exact root of the neighbouring interval
+        lo_sign = int(sympy.sign(p.eval(a))) or int(sympy.sign(p.diff(Z).eval(a)))
+        lo, hi = mpmath.mpf(a.p) / a.q, mpmath.mpf(b.p) / b.q
+        while hi - lo > 1e-30 * max(abs(lo), abs(hi)):
+            mid = (lo + hi) / 2
+            if mpmath.sign(mpmath.polyval(q, mid)) == lo_sign:
+                lo = mid
+            else:
+                hi = mid
+        roots.append((lo + hi) / 2)
+    return roots
+
+
+def _clears_rounding(q, x):
+    """|P(x)| above 1e3 times EVAL_GUARD of its Horner magnitude sum, for
+    the mpmath coefficients q of P."""
+    return abs(mpmath.polyval(q, x)) > 1e3 * K.EVAL_GUARD * mpmath.polyval(
+        [abs(v) for v in q], abs(x))
+
+
+def _resolved(poly):
+    """True when rounding cannot change the sign pattern that the real
+    roots of P are read from: at every real critical point x of every
+    derivative P^(k) of degree >= 2, |P^(k)(x)| exceeds 1e3 times its
+    rounding guard.  Then no real root of any derivative, down to the
+    linear one, can appear, vanish or turn double under rounding."""
+    p = poly
+    while p.degree() >= 2:
+        q, p = _mp_coeffs(p), p.diff(Z)
+        if not all(_clears_rounding(q, x) for x in _mp_real_roots(p)):
+            return False
+    return True
+
+
+def _check_against_exact(c, got):
+    """got, the real roots found for the ascending float coefficients c,
+    against the roots of the same polynomial in exact arithmetic.
+
+    Rounding in the evaluation of P, up to EVAL_GUARD of its Horner
+    magnitude sum, guard(w), can flip the sign of P only where |P| is below
+    that.  Where double precision resolves the roots (see
+    :func:`_resolved`), got holds each exact real root w, to the distance
+    guard(w) / |P'(w)| over which rounding moves it, plus the bisection
+    width of the fallback.  Below resolution a cluster may lose or gain
+    real roots (five roots 1e-5 apart have come back as two, of a float
+    polynomial with one real root), and only the residual is checked."""
+    poly = _exact_poly(c)
+    with mpmath.workdps(40):
+        if not _resolved(poly):
+            scale = max(map(abs, c))
+            assert all(abs(K.horner(c, x)) <= 1e-7 * scale * (1.0 + abs(x)) ** (len(c) - 1)
+                       for x in got)
+            return
+        abs_q, dq = [abs(v) for v in _mp_coeffs(poly)], _mp_coeffs(poly.diff(Z))
+        want = [(float(w), float(K.EVAL_GUARD * mpmath.polyval(abs_q, abs(w))
+                                 / abs(mpmath.polyval(dq, w))))
+                for w in _mp_real_roots(poly)]
+    assert len(got) == len(want)
+    for x, (w, blur) in zip(got, want):
+        assert abs(x - w) <= blur + pe._BISECT_RELWIDTH * (1.0 + abs(w))
+
+
 @settings(max_examples=80, deadline=None)
 @given(_real_rooted())
 def test_seeded_roots_agree_with_bisection(coeffs):
+    # with every seed refused, the Rolle pass bisects its monotone pieces;
+    # the seeded route (test_certified_real_roots_equal_the_exact_roots)
+    # and this one both hold to the exact roots where they are resolved
     p = pe.Poly.from_coeffs(coeffs)
-    c = p.coefficients.tolist()
-    abs_c = [abs(v) for v in c]
-    dc = K.poly_derivative(c)
-    got = pe.real_roots(p)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(pe, "_seeded_roots", lambda *args: None)
-        want = pe.real_roots(p)
-    if len(K.sturm_chain(c)[-1]) > 1 and len(got) == p.degree:
-        # the chain reads a pair closer than its resolution (1e-7 apart at
-        # 0 in -3z(z - 1e-7)(z + 1/32)) as a double root, and the fallback
-        # reports it once; the seeds prove two simple roots there, so
-        # real_roots reports every root, each of them on P
-        assert all(pe._on_root(c, abs_c, dc, x) for x in got)
-        return
-    assert len(got) == len(want)
-    for a, b in zip(got, want):
-        # the residual test cannot judge roots whose magnitude sum sits at
-        # the bottom of the float range (a root at 6.7e-324 came back as
-        # 5e-11 from the seeded bracket and 2.5e-11 from bisection); there
-        # the two must agree to the bisection's own stopping width
-        assert (
-            relerr(a, b) < 1e-12
-            or (pe._on_root(c, abs_c, dc, a) and pe._on_root(c, abs_c, dc, b))
-            or abs(a - b) <= pe._BISECT_RELWIDTH * (1.0 + abs(b))
-        )
+        bisected = pe.real_roots(p)
+    _check_against_exact(p.coefficients.tolist(), bisected.tolist())
 
 
 def test_seeded_path_certifies_separated_roots(monkeypatch):
     counts = _count_paths(monkeypatch)
     got = pe.real_roots(pe.Poly.from_coeffs(npoly.polyfromroots([-2.0, 0.5, 1.0, 3.0])))
     assert relerr(got, [-2.0, 0.5, 1.0, 3.0]) < 1e-14
-    assert counts == {"seeded": 1, "bisected": 0}
+    assert counts == {"seeded": 1, "rolle": 0}
 
 
 def test_near_double_pair_falls_back_to_bisection(monkeypatch):
     # a collision probe's node polynomial: a pair 8.3e-7 apart near -4.73.
     # |P| at the pair's midpoint stays under the rounding guard, so no
-    # bracket gets a sure sign change and the seeds cannot certify
+    # bracket gets a sure sign change and the seeds cannot certify.  The
+    # Rolle pass bisects the pieces between the roots of P' and places the
+    # pair within 1e-8 of the exact roots (Sturm bisection missed by 8.3e-7)
     counts = _count_paths(monkeypatch)
     c = [-52.2868722567103, 0.2638330689659605, 7.122841458445947, 1.0]
     got = pe.real_roots(pe.Poly.from_coeffs(c))
-    assert counts == {"seeded": 0, "bisected": 1}
-    abs_c, dc = [abs(v) for v in c], K.poly_derivative(c)
-    assert len(got) == 3
-    assert all(pe._on_root(c, abs_c, dc, x) for x in got)
+    assert counts == {"seeded": 0, "rolle": 1}
+    want = _exact_real_roots(c)
+    assert len(got) == 3 and len(want) == 3
+    assert np.max(np.abs(got - want)) <= 1e-8
+    assert np.array_equal(pe.hyperbolic_roots(c[-2::-1]), got)
+
+
+def test_cluster_of_four_roots_within_resolution():
+    # prod (z - (1.375 + 1e-3 k)), k = 0..3: the seeds do not certify the
+    # cluster.  Sturm bisection once returned a phantom root at 1.40112
+    # (2.3e-2 from any root) and another 3.8e-5 off
+    c = npoly.polyfromroots([1.375 + 1e-3 * k for k in range(4)])
+    want = _exact_real_roots(c)
+    assert len(want) == 4
+    for got in (pe.real_roots(pe.Poly.from_coeffs(c)), pe.hyperbolic_roots(c[-2::-1])):
+        assert len(got) == 4
+        assert np.max(np.abs(got - want)) <= 1e-6
 
 
 def test_seed_certificate_reads_the_kernel_guard(monkeypatch):
@@ -346,29 +405,13 @@ def test_seed_certificate_reads_the_kernel_guard(monkeypatch):
     counts = _count_paths(monkeypatch)
     p = pe.Poly.from_coeffs(npoly.polyfromroots([-1.0, 0.25, 2.0]))
     # |P(x)| never exceeds its Horner magnitude sum, so a guard of 1 leaves
-    # no sure sign anywhere and the certificate must refuse every seed.  The
-    # guard is raised in poly_engine's view of the kernels only: the Sturm
-    # counting of the bisection fallback reads the kernels' own guard
+    # no sure sign anywhere and the certificate must refuse every seed; the
+    # Rolle pass reads plain signs and still finds the three roots
     monkeypatch.setattr(pe, "K", SimpleNamespace(**{**vars(K), "EVAL_GUARD": 1.0}))
     assert pe._sure_sign(p.coefficients.tolist(), np.abs(p.coefficients).tolist(), 5.0) == 0
     got = pe.real_roots(p)
-    assert counts == {"seeded": 0, "bisected": 1}
+    assert counts == {"seeded": 0, "rolle": 1}
     assert relerr(got, [-1.0, 0.25, 2.0]) < 1e-10
-
-
-def _chain_first_roots(c):
-    """Roots of P (ascending c, degree >= 2) with the Sturm chain built
-    first, as before the seed certificate: None unless the chain proves
-    deg P distinct real roots, else the closed form (degree 2) or the
-    seeds tried against that count, with Sturm bisection when they fail."""
-    d = len(c) - 1
-    chain = K.sturm_chain(c)
-    if not pe._hyperbolic_chain(chain, d):
-        return None
-    if d == 2:
-        return pe._low_degree_roots(c)
-    roots = pe._seeded_roots(c, pe._companion_seeds(c), d)
-    return pe._bisected_roots(c, chain) if roots is None else roots
 
 
 @settings(max_examples=100, deadline=None)
@@ -377,23 +420,24 @@ def _chain_first_roots(c):
     st.lists(st.floats(-50.0, 50.0), min_size=2, max_size=6, unique=True)
     .map(lambda x: npoly.polyfromroots(x)[-2::-1]),
 ))
-def test_certified_roots_equal_the_chain_roots(sigma):
-    # the certificate only skips the chain: wherever the chain proves d
-    # roots, the roots are the same bits
+def test_certified_roots_equal_the_exact_roots(sigma):
+    # one verdict: hyperbolic_roots finds d roots or says None, and the
+    # roots it finds hold to the exact roots where those are resolved
     roots = pe.hyperbolic_roots(sigma)
     assert pe.is_hyperbolic(sigma) == (roots is not None)
-    want = _chain_first_roots(pe._monic_coeffs(sigma))
-    if want is not None:
-        assert roots is not None and np.array_equal(roots, want)
+    if roots is None:
+        return
+    assert len(roots) == len(sigma)
+    _check_against_exact(pe._monic_coeffs(sigma), roots.tolist())
 
 
 @settings(max_examples=100, deadline=None)
 @given(_real_rooted())
-def test_certified_real_roots_equal_the_chain_roots(coeffs):
+def test_certified_real_roots_equal_the_exact_roots(coeffs):
     p = pe.Poly.from_coeffs(coeffs)
-    want = _chain_first_roots(p.coefficients.tolist())
-    if want is not None:
-        assert np.array_equal(pe.real_roots(p), want)
+    roots = pe.real_roots(p)
+    assert np.all(np.diff(roots) > 0)
+    _check_against_exact(p.coefficients.tolist(), roots.tolist())
 
 
 # ---------------------------------------------------------------------------

@@ -201,11 +201,11 @@ def test_amplitudes_bit_equal_to_reference():
         assert np.array_equal(sm.amplitudes_from_nodes(mu, x), _amplitudes_reference(mu, x))
 
 
-def test_vieta_inverse_builds_a_sturm_chain_only_when_the_seeds_fall_short(monkeypatch):
+def test_vieta_inverse_falls_back_to_rolle_only_when_the_seeds_fall_short(monkeypatch):
     from prony import _kernels as K
     from prony import poly_engine as pe
 
-    counts = dict.fromkeys(("chains", "variations", "bisected", "eigvals"), 0)
+    counts = dict.fromkeys(("rolle", "eigvals"), 0)
 
     def counting(key, f):
         def wrapped(*args):
@@ -213,25 +213,23 @@ def test_vieta_inverse_builds_a_sturm_chain_only_when_the_seeds_fall_short(monke
             return f(*args)
         return wrapped
 
-    monkeypatch.setattr(K, "sturm_chain", counting("chains", K.sturm_chain))
-    monkeypatch.setattr(K, "chain_variations", counting("variations", K.chain_variations))
-    monkeypatch.setattr(pe, "_bisected_roots", counting("bisected", pe._bisected_roots))
+    monkeypatch.setattr(pe, "_rolle_roots", counting("rolle", pe._rolle_roots))
     monkeypatch.setattr(np.linalg, "eigvals", counting("eigvals", np.linalg.eigvals))
     for nodes in ([0.5], [-1.0, 2.0], [-1.0, 0.25, 2.0], [-2.0, -0.5, 1.0, 3.0, 4.5]):
         counts.update(dict.fromkeys(counts, 0))
         x = sm.vieta_inverse(sm.elementary_symmetric(nodes))
         assert relerr(x, nodes) < 1e-12
-        # the root, the vertex sign or the seeds certify the roots: no chain
-        assert counts == {"chains": 0, "variations": 0, "bisected": 0,
-                          "eigvals": int(len(nodes) >= 3)}
+        # the root, the vertex sign or the seeds certify the roots: no
+        # Rolle pass
+        assert counts == {"rolle": 0, "eigvals": int(len(nodes) >= 3)}
 
-    # a pair 8.3e-7 apart that the seeds cannot certify: one chain proves
-    # the three roots and its bisection finds them, with the eigenvalues
-    # computed once
+    # a pair 8.3e-7 apart that the seeds cannot certify: one Rolle pass
+    # proves the three roots and finds them, with the eigenvalues computed
+    # once (the derivative is a quadratic and needs none)
     c = [-52.2868722567103, 0.2638330689659605, 7.122841458445947, 1.0]
     counts.update(dict.fromkeys(counts, 0))
     x = sm.vieta_inverse(c[-2::-1])
-    assert counts["chains"] == 1 and counts["bisected"] == 1 and counts["eigvals"] == 1
+    assert counts == {"rolle": 1, "eigvals": 1}
     abs_c, dc = [abs(v) for v in c], K.poly_derivative(c)
     assert len(x) == 3 and all(pe._on_root(c, abs_c, dc, r) for r in x)
 
