@@ -51,6 +51,9 @@ _SEED_GROWTH = 16.0
 # therefore leaves |P| below this share of its Horner magnitude sum; more
 # than that is an artefact of rounding, not a root.
 _ROOT_REL = 1.5e-8
+# Horner's rounding error bound: computed P(x) is within deg P * _EPS of the
+# Horner magnitude sum of the exact value.
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True, eq=False)
@@ -225,9 +228,14 @@ def real_roots(p) -> np.ndarray:
     P changes sign across it.  The seeds are tried against that count, and
     where they fail the roots come from bisection + Newton on the pieces.
 
-    A critical point where P is exactly 0 is a multiple root; it is
-    reported once, and the seeds are not used to place the roots.  Returns
-    an empty array for constants, including the zero polynomial.
+    A critical point where |P| is within Horner's rounding error bound,
+    deg P * eps of its magnitude sum, has no known sign there and is taken
+    for a multiple root: it is reported once, and the seeds are not used
+    to place the roots.  So a double root whose float coefficients leave
+    only rounding noise at the critical point is neither dropped nor split
+    in two, and two roots whose midpoint value is within that bound come
+    back as one.  Returns an empty array for constants, including the zero
+    polynomial.
     """
     p = _as_poly(p)
     c = p.coefficients.tolist()
@@ -319,18 +327,21 @@ def _rolle_roots(c, seeds) -> np.ndarray:
     # real roots of P (degree >= 3) whose companion seeds did not certify
     # deg P of them: P is monotone between consecutive real roots of P'
     # (Rolle), so each such piece holds one root exactly when P changes sign
-    # across it, and a critical point where P is 0 is a multiple root.
+    # across it.  A critical point where |P| is within Horner's rounding
+    # error bound, deg P * eps of its magnitude sum, has no known sign: it
+    # is taken for a multiple root, reported once, and P counts as 0 there.
     # P(cauchy) != 0, so no root is lost at the right end
     cauchy = _cauchy_bound(c)
-    dc = K.poly_derivative(c)
+    abs_c, dc = [abs(v) for v in c], K.poly_derivative(c)
     ends = [-cauchy] + real_roots(Poly.from_coeffs(dc)).tolist() + [cauchy]
     vals = [K.horner(c, x) for x in ends]
-    multiple, pieces = [], []
-    for k in range(len(ends) - 1):
-        if vals[k] == 0.0:
+    multiple = []
+    for k in range(1, len(ends) - 1):
+        if abs(vals[k]) <= (len(c) - 1) * _EPS * K.horner(abs_c, abs(ends[k])):
             multiple.append(ends[k])
-        elif vals[k + 1] != 0.0 and (vals[k] > 0.0) != (vals[k + 1] > 0.0):
-            pieces.append(k)
+            vals[k] = 0.0
+    pieces = [k for k in range(len(ends) - 1)
+              if vals[k] != 0.0 and vals[k + 1] != 0.0 and (vals[k] > 0.0) != (vals[k + 1] > 0.0)]
     if not multiple and len(pieces) < len(c) - 1:
         roots = _seeded_roots(c, seeds, len(pieces))
         if roots is not None:

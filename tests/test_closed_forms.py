@@ -21,6 +21,7 @@ import json
 import pathlib
 
 import numpy as np
+from numpy.polynomial import polynomial as npoly
 import pytest
 
 from prony import closed_forms as cf
@@ -307,6 +308,19 @@ def test_classify_d3_evidence_shape():
     # descending order: first entry is the interpolated t^4 coefficient
     lead = c.evidence["quartic_coefficients"][0]
     assert abs(lead - c.evidence["P8"]) <= 1e-8 * abs(c.evidence["P8"])
+
+
+@pytest.mark.parametrize("root, factor", [(-1.9, [5.0, 2.0, 1.0]), (0.7, [0.02, 0.0, 1.0])])
+def test_classify_d3_counts_an_inexact_double_root_once(monkeypatch, root, factor):
+    # a quartic whose only real root is a double one, not exact in floats:
+    # rounding noise at the critical point must neither hide the collision
+    # nor count the root twice
+    quartic = pe.Poly.from_coeffs(npoly.polymul(npoly.polyfromroots([root, root]), factor))
+    monkeypatch.setattr(cf, "quartic_Pmu", lambda mu: quartic)
+    c = cf.classify_d3((3.0, 3.0, 5.0, 9.0, 17.0))
+    assert c.evidence["p8_ok"]
+    assert c.evidence["real_root_count"] == 1
+    assert c.collision == "yes"
 
 
 def test_classify_d3_builds_one_line_and_one_domain(monkeypatch):

@@ -1,5 +1,6 @@
 """Real-root machinery: sign variations, root isolation, discriminants."""
 
+import sys
 from types import SimpleNamespace
 
 import numpy as np
@@ -26,12 +27,6 @@ def _exact_poly(c):
     """The polynomial with the exact rational values of the ascending float
     coefficients c."""
     return sympy.Poly([sympy.Rational(float(v)) for v in c[::-1]], Z)
-
-
-def _exact_real_roots(c):
-    """Distinct real roots of the polynomial with the float coefficients c,
-    exact up to the conversion of each to the nearest double."""
-    return sorted({float(r.evalf(60)) for r in _exact_poly(c).real_roots()})
 
 
 # ---------------------------------------------------------------------------
@@ -168,11 +163,27 @@ def test_real_roots_sorted_and_deduplicated():
     assert relerr(got, [-1.25, 0.5]) < 1e-8
 
 
+@pytest.mark.parametrize("c, want", [
+    (npoly.polyfromroots([0.1, 0.1, -2.0]), [-2.0, 0.1]),
+    (npoly.polyfromroots([0.1, 0.1, 0.3, -2.0]), [-2.0, 0.1, 0.3]),
+    (npoly.polyfromroots([0.7, 0.7, 2.5, 2.5]), [0.7, 2.5]),
+    (npoly.polyfromroots([0.1, 0.1, 0.1, -2.0]), [-2.0, 0.1]),
+    (npoly.polymul(npoly.polyfromroots([-1.9, -1.9]), [5.0, 2.0, 1.0]), [-1.9]),
+    (npoly.polymul(npoly.polyfromroots([0.7, 0.7]), [0.02, 0.0, 1.0]), [0.7]),
+])
+def test_real_roots_inexact_repeated_root(c, want):
+    # a double root whose float coefficients leave P at the critical point
+    # to rounding noise; the noise's sign must neither drop the root nor
+    # split it in two
+    got = pe.real_roots(pe.Poly.from_coeffs(c))
+    assert len(got) == len(want)
+    assert np.max(np.abs(got - want)) <= 1e-12
+
+
 def test_real_roots_spurious_chain_gcd():
-    # x^4 + 2^-9 x^3 + 3x: a near-degree drop once left the Sturm chain of
-    # an earlier root fallback on a cancellation-noise remainder, and its
-    # last element (a line through 1.6e-4) was divided out as if it were
-    # gcd(P, P')
+    # x^4 + 2^-9 x^3 + 3x has two simple real roots, 0 and one near -1.44;
+    # its small cubic coefficient must not pass a critical point off as a
+    # common root of P and P'
     p = P(0.0, 3.0, 0.0, 0.001953125, 1.0)
     want = sorted(r.real for r in npoly.polyroots(p.coefficients) if r.imag == 0.0)
     assert len(want) == 2
@@ -284,43 +295,54 @@ def _mp_coeffs(p):
 
 def _mp_real_roots(p):
     """The distinct real roots of the sympy Poly p to 30 digits, bisected
-    in mpmath from the exact isolating intervals of its squarefree part."""
+    in 40-digit mpmath from the exact isolating intervals of its squarefree
+    part."""
     p = p.sqf_part()
     q = _mp_coeffs(p)
     roots = []
-    for (a, b), _mult in p.intervals():
-        # the sign of P just right of a, taken exactly; a may be a (simple)
-        # root itself, the exact root of the neighbouring interval
-        lo_sign = int(sympy.sign(p.eval(a))) or int(sympy.sign(p.diff(Z).eval(a)))
-        lo, hi = mpmath.mpf(a.p) / a.q, mpmath.mpf(b.p) / b.q
-        while hi - lo > 1e-30 * max(abs(lo), abs(hi)):
-            mid = (lo + hi) / 2
-            if mpmath.sign(mpmath.polyval(q, mid)) == lo_sign:
-                lo = mid
-            else:
-                hi = mid
-        roots.append((lo + hi) / 2)
+    with mpmath.workdps(40):
+        for (a, b), _mult in p.intervals():
+            # the sign of P just right of a, taken exactly; a may be a
+            # (simple) root itself, the exact root of the neighbouring interval
+            lo_sign = int(sympy.sign(p.eval(a))) or int(sympy.sign(p.diff(Z).eval(a)))
+            lo, hi = mpmath.mpf(a.p) / a.q, mpmath.mpf(b.p) / b.q
+            while hi - lo > 1e-30 * max(abs(lo), abs(hi)):
+                mid = (lo + hi) / 2
+                if mpmath.sign(mpmath.polyval(q, mid)) == lo_sign:
+                    lo = mid
+                else:
+                    hi = mid
+            roots.append((lo + hi) / 2)
     return roots
 
 
 def _clears_rounding(q, x):
-    """|P(x)| above 1e3 times EVAL_GUARD of its Horner magnitude sum, for
-    the mpmath coefficients q of P."""
-    return abs(mpmath.polyval(q, x)) > 1e3 * K.EVAL_GUARD * mpmath.polyval(
-        [abs(v) for v in q], abs(x))
+    """|P(x)| above 1e3 times EVAL_GUARD of its Horner magnitude sum, and
+    above 1e3 times the smallest normal double, under which doubles lose
+    their relative precision, for the mpmath coefficients q of P."""
+    guard = K.EVAL_GUARD * mpmath.polyval([abs(v) for v in q], abs(x))
+    return abs(mpmath.polyval(q, x)) > 1e3 * max(guard, sys.float_info.min)
 
 
 def _resolved(poly):
-    """True when rounding cannot change the sign pattern that the real
-    roots of P are read from: at every real critical point x of every
-    derivative P^(k) of degree >= 2, |P^(k)(x)| exceeds 1e3 times its
-    rounding guard.  Then no real root of any derivative, down to the
-    linear one, can appear, vanish or turn double under rounding."""
-    p = poly
-    while p.degree() >= 2:
-        q, p = _mp_coeffs(p), p.diff(Z)
-        if not all(_clears_rounding(q, x) for x in _mp_real_roots(p)):
+    """True when double precision resolves the real roots of P and of its
+    derivatives.  Rounding cannot change the sign pattern that they are
+    read from: at every real critical point x of every derivative P^(k) of
+    degree >= 2, |P^(k)(x)| clears its rounding guard (see
+    :func:`_clears_rounding`), so no real root of any derivative, down to
+    the linear one, can appear, vanish or turn double under rounding.  And
+    the real roots of each P^(k) lie further apart than 1e3 times the
+    absolute width _BISECT_RELWIDTH * (1 + |x|) to which the root layer
+    places them."""
+    q, p = None, poly
+    while p.degree() >= 1:
+        roots = _mp_real_roots(p)
+        if q is not None and not all(_clears_rounding(q, x) for x in roots):
             return False
+        if any(b - a <= 1e3 * pe._BISECT_RELWIDTH * (1 + abs(a))
+               for a, b in zip(roots, roots[1:])):
+            return False
+        q, p = _mp_coeffs(p), p.diff(Z)
     return True
 
 
@@ -376,13 +398,13 @@ def test_near_double_pair_falls_back_to_bisection(monkeypatch):
     # a collision probe's node polynomial: a pair 8.3e-7 apart near -4.73.
     # |P| at the pair's midpoint stays under the rounding guard, so no
     # bracket gets a sure sign change and the seeds cannot certify.  The
-    # Rolle pass bisects the pieces between the roots of P' and places the
-    # pair within 1e-8 of the exact roots (Sturm bisection missed by 8.3e-7)
+    # Rolle pass bisects the pieces between the roots of P' and must place
+    # the pair within 1e-8 of the exact roots
     counts = _count_paths(monkeypatch)
     c = [-52.2868722567103, 0.2638330689659605, 7.122841458445947, 1.0]
     got = pe.real_roots(pe.Poly.from_coeffs(c))
     assert counts == {"seeded": 0, "rolle": 1}
-    want = _exact_real_roots(c)
+    want = [float(w) for w in _mp_real_roots(_exact_poly(c))]
     assert len(got) == 3 and len(want) == 3
     assert np.max(np.abs(got - want)) <= 1e-8
     assert np.array_equal(pe.hyperbolic_roots(c[-2::-1]), got)
@@ -390,10 +412,10 @@ def test_near_double_pair_falls_back_to_bisection(monkeypatch):
 
 def test_cluster_of_four_roots_within_resolution():
     # prod (z - (1.375 + 1e-3 k)), k = 0..3: the seeds do not certify the
-    # cluster.  Sturm bisection once returned a phantom root at 1.40112
-    # (2.3e-2 from any root) and another 3.8e-5 off
+    # cluster, and the Rolle pass must find all four roots, each within
+    # 1e-6 of the exact roots of the float polynomial
     c = npoly.polyfromroots([1.375 + 1e-3 * k for k in range(4)])
-    want = _exact_real_roots(c)
+    want = [float(w) for w in _mp_real_roots(_exact_poly(c))]
     assert len(want) == 4
     for got in (pe.real_roots(pe.Poly.from_coeffs(c)), pe.hyperbolic_roots(c[-2::-1])):
         assert len(got) == 4
@@ -421,11 +443,14 @@ def test_seed_certificate_reads_the_kernel_guard(monkeypatch):
     .map(lambda x: npoly.polyfromroots(x)[-2::-1]),
 ))
 def test_certified_roots_equal_the_exact_roots(sigma):
-    # one verdict: hyperbolic_roots finds d roots or says None, and the
-    # roots it finds hold to the exact roots where those are resolved
+    # hyperbolic_roots finds d roots or says None.  The roots it finds hold
+    # to the exact roots where those are resolved, and it says None there
+    # only when the exact polynomial has fewer than d distinct real roots
     roots = pe.hyperbolic_roots(sigma)
-    assert pe.is_hyperbolic(sigma) == (roots is not None)
     if roots is None:
+        poly = _exact_poly(pe._monic_coeffs(sigma))
+        with mpmath.workdps(40):
+            assert not _resolved(poly) or len(_mp_real_roots(poly)) < len(sigma)
         return
     assert len(roots) == len(sigma)
     _check_against_exact(pe._monic_coeffs(sigma), roots.tolist())
