@@ -268,6 +268,10 @@ def _collision_doc(report) -> dict:
         "numerator_bound": report.numerator_bound,
         "blowup_confirmed": report.blowup_confirmed,
         "probes": [list(row) for row in report.probes],
+        "beta": report.beta,
+        "predicted_gap": report.predicted_gap,
+        "blowup_bound": report.blowup_bound,
+        "gap_bound": report.gap_bound,
     }
 
 
@@ -280,6 +284,8 @@ def _escape_doc(report) -> dict:
         "ambiguous_indices": list(report.ambiguous_indices),
         "hypothesis_met": report.hypothesis_met,
         "probes": [[t, list(nodes)] for t, nodes in report.probes],
+        "predicted": list(report.predicted),
+        "escape_bound": report.escape_bound,
     }
 
 

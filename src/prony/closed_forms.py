@@ -136,8 +136,10 @@ def K_value(mu) -> float:
         raise ValueError("moments must be finite")
     if m[0] == 0.0:
         raise ValueError("K is undefined for a zero leading moment")
-    return discriminant_cubic_paper(
-        (3.0 * m[1] / m[0], 3.0 * m[2] / m[0], m[3] / m[0]))
+    # plain floats: a ratio past the double range is inf, without a
+    # RuntimeWarning, and refused as not finite
+    m0, m1, m2, m3 = m[:4].tolist()
+    return discriminant_cubic_paper((3.0 * m1 / m0, 3.0 * m2 / m0, m3 / m0))
 
 
 def P8_second_form(mu) -> float:

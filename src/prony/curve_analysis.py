@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
+from . import _kernels as K
 from . import poly_engine, prony_line
 from .errors import (
     InconsistentComputation,
@@ -35,8 +36,8 @@ from .signal_model import (
 
 logger = logging.getLogger(__name__)
 
-_PROBE_KMIN = 2
-_PROBE_KMAX = 8
+# a collision probe whose product invariant misses by more than this is
+# unresolved, and the next rung out is tried
 _PROBE_QUALITY = 1e-7
 
 
@@ -74,8 +75,14 @@ class CollisionReport:
     distinct real nodes; numerator_bound is its rounding allowance (NaN
     likewise).  blowup_confirmed holds exactly when |numerator| exceeds
     numerator_bound: False means "not certified", never "no blow-up".
-    probes rows are (t, gap, |a_i|, |a_{i+1}|, product mismatch) ordered
-    toward t0, evidence of the 1/gap law that may be empty.
+
+    The rest is evidence, never part of the verdict (see
+    detect_collisions).  probes holds at most one row (t, gap, |a_i|,
+    |a_{i+1}|, product mismatch), the resolved family point nearest t0.
+    beta is the limit of |a_i| * gap; predicted_gap is the gap the limit
+    predicts at the probe's t; blowup_bound and gap_bound are the stated
+    relative bounds on | |a| * gap / |beta| - 1 | and |gap / predicted_gap
+    - 1|.  Each is NaN where it does not apply.
     """
 
     t0: float
@@ -84,6 +91,10 @@ class CollisionReport:
     numerator: float
     numerator_bound: float
     blowup_confirmed: bool
+    beta: float = math.nan
+    predicted_gap: float = math.nan
+    blowup_bound: float = math.nan
+    gap_bound: float = math.nan
 
     def __post_init__(self):
         gaps = [row[1] for row in self.probes]
@@ -99,11 +110,16 @@ class EscapeReport:
 
     Indices refer to positions in the sorted node vector.  bounded_limits
     holds the limit of each bounded index, in order: the real roots of the
-    slope polynomial S.  probes rows are (t, nodes-as-tuple) with |t|
-    growing geometrically, kept as evidence.  hypothesis_met records
-    whether the leading slope s_1 (the top-left (d-1) minor of the moment
-    matrix over det M) is nonzero; only then does a single node escape.
-    ambiguous_indices is always empty.
+    slope polynomial S.  hypothesis_met records whether the leading slope
+    s_1 (the top-left (d-1) minor of the moment matrix over det M) is
+    nonzero; only then does a single node escape.  ambiguous_indices is
+    always empty.
+
+    The rest is evidence (see escape_analysis).  probes holds one row (t,
+    nodes-as-tuple), the first probe outward that shows the order the
+    expansion predicts; predicted is the expansion's node vector at that t,
+    and escape_bound the stated relative bound on |x / predicted - 1| for
+    the escaping nodes (the bounded ones have the order check instead).
     """
 
     direction: float
@@ -113,6 +129,8 @@ class EscapeReport:
     ambiguous_indices: tuple
     hypothesis_met: bool
     probes: tuple
+    predicted: tuple = ()
+    escape_bound: float = math.nan
 
     def __post_init__(self):
         if len(self.bounded_limits) != len(self.bounded_indices):
@@ -152,7 +170,10 @@ def _vandermonde_det(nodes):
 
 
 def _product_mismatch(amps, nodes, detM):
-    lhs = abs(float(np.prod(amps))) * _vandermonde_det(nodes) ** 2
+    # plain floats: a product past the double range is inf, without a
+    # RuntimeWarning, and the mismatch NaN (** raises OverflowError there)
+    vdet = _vandermonde_det(nodes.tolist())
+    lhs = abs(math.prod(amps.tolist())) * (vdet**2 if abs(vdet) < 1e154 else math.inf)
     rhs = abs(detM)
     return abs(lhs - rhs) / max(lhs, rhs, 1e-300)
 
@@ -225,26 +246,23 @@ def collision_numerator(mu, Xstar) -> float:
     return float(np.dot(values[:d], coeffs))
 
 
-def _probe_table(raw, pair):
-    rows = []
-    for t, nodes, amps, mismatch in raw:
-        rows.append(
-            (
-                t,
-                float(nodes[pair + 1] - nodes[pair]),
-                abs(float(amps[pair])),
-                abs(float(amps[pair + 1])),
-                mismatch,
-            )
-        )
-    # keep the longest tail on which the gap strictly decreases; far probes
-    # may predate the asymptotic regime
-    cut = 0
-    for i in range(len(rows) - 1, 0, -1):
-        if rows[i - 1][1] <= rows[i][1]:
-            cut = i
-            break
-    return tuple(rows[cut:])
+def _taylor3(c, x):
+    # the Taylor coefficients of orders 0, 1, 2 at x of the polynomial with
+    # ascending coefficients c, zero past its degree
+    return (K.shifted_coeffs(c, x) + [0.0, 0.0])[:3]
+
+
+def _collision_probe(line, t0, side, lo, hi):
+    # the rung t0 + side * 1e-8 * max(1, |t0|) nearest t0, stepped out by a
+    # factor 10 (up to 1e-2) only while the family point is unresolved:
+    # (t, nodes, amplitudes, mismatch), or None
+    for k in range(8, 1, -1):
+        t = t0 + side * max(1.0, abs(t0)) * 10.0 ** (-k)
+        if lo < t < hi:
+            point = _probe_point(line, t)
+            if point is not None and point[2] <= _PROBE_QUALITY:
+                return (t,) + point
+    return None
 
 
 def detect_collisions(mu) -> list:
@@ -252,18 +270,30 @@ def detect_collisions(mu) -> list:
 
     At an endpoint t0 = phi(x0) (see prony_line.DomainEndpoint) two nodes
     collide at the double root x0 of Q_t0; the other d-2 limit nodes are
-    the real roots of Q_t0 / (z - x0)^2.  By the blow-up theorem the
+    the real roots of R = Q_t0 / (z - x0)^2.  By the blow-up theorem the
     colliding amplitudes grow like 1/gap when the numerator of this limit
     configuration (collision_numerator) is nonzero, which det M != 0
     guarantees in exact arithmetic.  The report certifies the blow-up when
     |numerator| exceeds _ENDPOINT_REL * sum_k |mu_k| |c_k|, with c_k the
-    coefficients of the limit polynomial prod (z - x_i); it abstains
-    (numerator NaN) when the quotient has no d-2 distinct real roots.
+    coefficients of the limit polynomial p = prod (z - x_i); it abstains
+    (numerator NaN) when R has no d-2 distinct real roots.
 
-    Probes at t0 -+ 10^-k * max(1, |t0|), k = 2..8, from inside the
-    adjacent component are evidence only; an unresolvable rung is skipped,
-    and the table may be empty.  Returns an empty list when the
-    parameter set has no finite boundary points.
+    Evidence, from the confluent limit: the limit measure at t0 is
+    sum c_j delta_{x_j} + a delta_{x0} + beta delta'_{x0}, so the numerator
+    sum mu_k p_k is beta p'(x0) and |a_i| * gap -> |beta|.  Near t0 the
+    pair sits at x0 +- g/2 with g = 2 sqrt(|t - t0| |S(x0)| / |R(x0)|)
+    (R(x0) = Q_t0''(x0)/2 = p'(x0)), and its amplitudes are
+    (a -+ beta * 2/g) / 2 + O(|t - t0|).  So | |a_i| * gap / |beta| - 1 |
+    is |a / beta| g/2 + O(|t - t0|), and gap / g - 1 is -K g^2/8 +
+    O(|t - t0|^2), K from the Taylor coefficients of R and S at x0.  Each
+    bound is twice that next term, plus the rounding of the probe
+    (2d eps times Horner's magnitude of Q_t at x0 over |Q_t(x0)|) and,
+    for the blow-up, the numerator's own allowance.  (t - t0) S(x0) is
+    evaluated as Q_t(x0), equal in exact arithmetic and free of the
+    rounding of t0.  The probe is the point nearest t0 that resolves (see
+    _collision_probe); one warning is logged when it falls outside a bound.
+    Returns an empty list when the parameter set has no finite boundary
+    points.
     """
     line = prony_line.line_params(mu)
     domain = line.domain
@@ -272,14 +302,21 @@ def detect_collisions(mu) -> list:
     for ep in domain.endpoints:
         t0, x0 = ep.t0, ep.x0
         q = poly_engine.monic_from_sigma(line.sigma_at(t0)).coefficients
-        others = poly_engine.real_roots(npoly.polydiv(q, [x0 * x0, -2.0 * x0, 1.0])[0])
+        rest = npoly.polydiv(q, [x0 * x0, -2.0 * x0, 1.0])[0]
+        others = poly_engine.real_roots(rest)
         pair = int(np.sum(others < x0))
-        numerator = bound = math.nan
+        r0, r1, r2 = _taylor3(rest, x0)
+        numerator = bound = beta = weight = math.nan
         if len(others) == d - 2:
             limit = np.insert(others, pair, x0)
             numerator = collision_numerator(line.mu, limit)
             bound = prony_line._ENDPOINT_REL * float(
                 np.dot(np.abs(line.mu.values[:d]), np.abs(npoly.polyfromroots(limit))))
+            if r0 != 0.0:
+                # p = (z - x0) R: p'(x0) = R(x0), and a = (L(R) - beta R'(x0)) / R(x0)
+                beta = numerator / r0
+                moment_of_rest = sum(m * c for m, c in zip(line.mu.values.tolist(), rest.tolist()))
+                weight = (moment_of_rest - beta * r1) / r0
         else:
             logger.warning("no real limit configuration at endpoint t0=%.17g", t0)
 
@@ -289,26 +326,35 @@ def detect_collisions(mu) -> list:
         else:
             adjacent = [iv for iv in domain.intervals if iv[0] == t0]
             side = 1.0
-        lo, hi = adjacent[0]
-        raw = []
-        for k in range(_PROBE_KMIN, _PROBE_KMAX + 1):
-            t = t0 + side * max(1.0, abs(t0)) * 10.0 ** (-k)
-            if not lo < t < hi:
-                continue
-            point = _probe_point(line, t)
-            if point is None or point[2] > _PROBE_QUALITY:
-                continue  # unresolvable rung; a closer one may still resolve
-            raw.append((t,) + point)
-        rows = _probe_table(raw, pair)
-        verdict = abs(numerator) > bound
-        band = [row[1] * row[2] for row in rows[-4:]]
-        if verdict and band and max(band) > 10.0 * min(band):
-            # soft check: expected ~1/gap rate, worth flagging but not an error
-            logger.warning(
-                "blow-up rate drifts from the ~1/gap band at t0=%.17g (spread %.3g)",
-                t0,
-                max(band) / min(band),
-            )
+        probe = _collision_probe(line, t0, side, *adjacent[0])
+        rows = ()
+        gap_pred = blowup_bound = gap_bound = math.nan
+        drive = 0.0
+        if probe is not None:
+            t, nodes, amps, mismatch = probe
+            gap = float(nodes[pair + 1] - nodes[pair])
+            rows = ((t, gap, abs(float(amps[pair])), abs(float(amps[pair + 1])), mismatch),)
+            qt = line.sigma_at(t).sigma.tolist()[::-1] + [1.0]
+            drive = K.horner(qt, x0)  # (t - t0) S(x0)
+        half = math.sqrt(abs(drive / r0)) if r0 != 0.0 else 0.0
+        s0, s1, s2 = _taylor3(line.slopes[::-1], x0)
+        if 0.0 < half < math.inf and s0 != 0.0:
+            gap_pred = 2.0 * half
+            magnitude = K.horner([abs(c) for c in qt], abs(x0))
+            rounding = 2 * d * poly_engine._EPS * magnitude / abs(drive)
+            shift = 0.5 * (s1 / s0 - r1 / r0)
+            curvature = shift * shift + (3.0 * r1 / r0 - s1 / s0) * shift + r2 / r0 - s2 / s0
+            gap_bound = abs(curvature) * half * half + rounding
+            outside = abs(gap / gap_pred - 1.0) > gap_bound
+            if math.isfinite(beta) and beta != 0.0:
+                blowup_bound = (2.0 * abs(weight / beta) * half + rounding
+                                + bound / abs(numerator))
+                outside = outside or max(abs(row * gap / abs(beta) - 1.0)
+                                 for row in rows[0][2:4]) > blowup_bound
+            if outside:
+                logger.warning(
+                    "the probe at t=%.17g departs from the closed-form limit at "
+                    "t0=%.17g beyond its bound", t, t0)
         reports.append(
             CollisionReport(
                 t0=t0,
@@ -316,10 +362,45 @@ def detect_collisions(mu) -> list:
                 probes=rows,
                 numerator=numerator,
                 numerator_bound=bound,
-                blowup_confirmed=verdict,
+                blowup_confirmed=abs(numerator) > bound,
+                beta=beta,
+                predicted_gap=gap_pred,
+                blowup_bound=blowup_bound,
+                gap_bound=gap_bound,
             )
         )
     return reports
+
+
+def _escape_prediction(line, m, t, escaping, bounded, limits):
+    # the node vector of the expansion at infinity at t, and the relative
+    # bound of the escaping nodes: twice the next two terms h v1 + h^2 v2 of
+    # x = lead (1 + h v1 + h^2 v2 + ...), h = 1/|lead|, plus rounding
+    d = line.d
+    s = line.slopes.tolist() + [0.0, 0.0]
+    b = line.intercepts.tolist() + [0.0, 0.0]
+    predicted = [0.0] * d
+    if m == 1:
+        # x / T = v solves v - 1 + h (b_1 - (s_2/s_1)/v) + h^2 (b_2/v - (s_3/s_1)/v^2) + ...
+        lead = -s[0] * t
+        predicted[escaping[0]] = lead
+        v1 = s[1] / s[0] - b[0]
+        v2 = -s[1] / s[0] * v1 - b[1] + s[2] / s[0]
+    else:
+        # x / R = v solves v^2 - 1 + h (B v - (s_3/s_2)/v) + h^2 (b_2 - (s_4/s_2)/v^2) + ...
+        lead = math.sqrt(-s[1] * t)
+        predicted[escaping[0]], predicted[escaping[1]] = -lead, lead
+        big_b, ratio = b[0] + s[0] * t, s[2] / s[1]
+        v1 = 0.5 * (ratio - big_b)
+        v2 = 0.5 * (v1 * v1 + (big_b + ratio) * v1 + b[1] - s[3] / s[1])
+    qb, ds = b[d - 1::-1] + [1.0], K.poly_derivative(s[d - 1::-1])
+    for i, r in zip(bounded, limits.tolist()):
+        den = t * K.horner(ds, r)
+        predicted[i] = r - K.horner(qb, r) / den if den != 0.0 else r
+    if lead == 0.0:  # the leading term underflows: nothing to compare
+        return tuple(predicted), math.inf
+    h = 1.0 / abs(lead)
+    return tuple(predicted), 2.0 * (abs(v1) * h + abs(v2) * h * h) + 2 * d * poly_engine._EPS
 
 
 def escape_analysis(mu, direction) -> EscapeReport:
@@ -333,13 +414,21 @@ def escape_analysis(mu, direction) -> EscapeReport:
     -s_1*direction > 0, else the first.  m = 2: the first and the last
     escape, which needs -s_2*direction > 0.  Any other case, or S without
     d-m distinct real roots, contradicts the unbounded component and raises
-    InterpolationInconsistency.  The probes at |t| = base * 10^k, k = 1..8
-    (base clears the component's finite end) are evidence: the ladder stops
-    at the first probe that rounding makes non-hyperbolic, and raises
-    InterpolationInconsistency when that is the first.  On the last probe
-    each bounded node must lie nearer to its own limit than to any other,
-    and each escaping node beyond every limit on its side, else
-    InconsistentComputation is raised.
+    InterpolationInconsistency.
+
+    Evidence: probes at |t| = base * 10^k, k = 1, 2, ..., 8 (base clears
+    the component's finite end), stopping at the first whose nodes show
+    the order the expansion predicts: each bounded node nearer to its own
+    limit than to any other, and each escaping node beyond every limit on
+    its side.  A first probe that rounding makes non-hyperbolic raises
+    InterpolationInconsistency; when no probe shows the order before one
+    is non-hyperbolic or the rungs run out, InconsistentComputation is
+    raised.  On the evidence probe the expansion predicts -s_1 t (m = 1)
+    or -+sqrt(-s_2 t) (m = 2) for the escaping nodes, and r_j - Q_b(r_j) /
+    (t S'(r_j)) for the bounded node tending to the root r_j of S.  The
+    escaping nodes' bound is twice the next two terms of their expansion
+    plus rounding (see _escape_prediction); one warning is logged when an
+    escaping node falls outside it.
     """
     direction = float(direction)
     if not math.isinf(direction):
@@ -378,34 +467,43 @@ def escape_analysis(mu, direction) -> EscapeReport:
         )
     bounded = tuple(i for i in range(d) if i not in escaping)
 
-    probes = []
+    lim = limits.tolist()
+    probe = None
+    shown = False
     for k in range(1, 9):
         t = sign * base * 10.0 ** k
         try:
             nodes = vieta_inverse(line.sigma_at(t))
         except NotHyperbolic as exc:
-            if probes:
+            if probe is not None:
                 break  # past what double precision resolves; S decides
             raise InterpolationInconsistency(
                 f"unbounded component claim contradicted at t={t:.17g}"
             ) from exc
-        probes.append((t, tuple(float(x) for x in nodes)))
-
-    # evidence, free of tolerances: the last resolved probe already shows
-    # the order the expansion predicts
-    t, x = probes[-1]
-    lim = limits.tolist()
-    nearest_own = all(abs(x[i] - lim[j]) < abs(x[i] - other)
-                      for j, i in enumerate(bounded)
-                      for other in lim[:j] + lim[j + 1:])
-    beyond = all(x[i] > max(lim, default=-math.inf) if i == d - 1
-                 else x[i] < min(lim, default=math.inf) for i in escaping)
-    if not (nearest_own and beyond):
+        x = tuple(float(v) for v in nodes)
+        probe = (t, x)
+        # evidence, free of tolerances: the probe shows the order the
+        # expansion predicts
+        nearest_own = all(abs(x[i] - lim[j]) < abs(x[i] - other)
+                          for j, i in enumerate(bounded)
+                          for other in lim[:j] + lim[j + 1:])
+        beyond = all(x[i] > max(lim, default=-math.inf) if i == d - 1
+                     else x[i] < min(lim, default=math.inf) for i in escaping)
+        if nearest_own and beyond:
+            shown = True
+            break
+    if not shown:
         raise InconsistentComputation(
-            f"the probe at t={t:.17g} does not show nodes {escaping} escaping "
+            f"the probe at t={probe[0]:.17g} does not show nodes {escaping} escaping "
             f"toward {direction:+g} and the rest nearing the roots of S"
         )
 
+    t, x = probe
+    predicted, escape_bound = _escape_prediction(line, m, t, escaping, bounded, limits)
+    if escape_bound < math.inf and any(abs(x[i] / predicted[i] - 1.0) > escape_bound
+                                       for i in escaping):
+        logger.warning("the probe at t=%.17g departs from the expansion at infinity "
+                       "beyond its bound", t)
     return EscapeReport(
         direction=direction,
         escaping_indices=escaping,
@@ -413,5 +511,7 @@ def escape_analysis(mu, direction) -> EscapeReport:
         bounded_limits=limits,
         ambiguous_indices=(),
         hypothesis_met=m == 1,
-        probes=tuple(probes),
+        probes=(probe,),
+        predicted=predicted,
+        escape_bound=escape_bound,
     )

@@ -93,7 +93,10 @@ def _det(a: list, rows: tuple, cols: tuple, memo: dict) -> float:
     # pivoted LU beyond
     if len(rows) <= 4:
         return _sub_det(a, rows, cols, memo)
-    return float(np.linalg.det(np.array([[a[r][c] for c in cols] for r in rows])))
+    # past the double range, or from subnormal entries, det M comes out
+    # infinite, NaN or zero, which _regular_hankel refuses
+    with np.errstate(all="ignore"):
+        return float(np.linalg.det(np.array([[a[r][c] for c in cols] for r in rows])))
 
 
 @dataclass(frozen=True, eq=False)
@@ -394,12 +397,17 @@ def _build_domain(line: PronyLine) -> HyperbolicDomain:
     """
     d = line.d
     slopes, intercepts = line.slopes.tolist(), line.intercepts.tolist()
-    t0 = -sum(a * b for a, b in zip(slopes, intercepts)) / sum(a * a for a in slopes)
+    norm = sum(a * a for a in slopes)  # 0.0 where the squares underflow
+    t0 = -sum(a * b for a, b in zip(slopes, intercepts)) / norm if norm > 0.0 else 0.0
     q = line.sigma_at(t0).sigma.tolist()[::-1] + [1.0]
     # x in units of a power of two near the size of the roots of Q_t0, so
     # that the coefficients of W stay within the range real_roots resolves
     size = max((abs(c) ** (1.0 / (d - k)) for k, c in enumerate(q[:-1])), default=0.0)
-    unit = 2.0 ** round(math.log2(size)) if size > 0.0 else 1.0
+    exponent = round(math.log2(size)) if size > 0.0 else 0
+    if not -1074 <= exponent * d <= 1023:  # unit**d must be a double
+        raise ValueError(f"moments exceed double range: the roots of the node "
+                         f"polynomial are of size {size:.3g}, whose {d}-th power is not a double")
+    unit = 2.0**exponent
     q = [c / unit ** (d - k) for k, c in enumerate(q)]
     s = [c * unit**k for k, c in enumerate(slopes[_leading_zero_slopes(line):][::-1])]
     w = npoly.polysub(npoly.polymul(K.poly_derivative(q), s),

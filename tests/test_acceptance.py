@@ -49,17 +49,22 @@ def test_acceptance_01_square_root_curve_and_collision():
         got = np.concatenate([sample.amplitudes, sample.nodes])
         worst = max(worst, float(np.max(np.abs(got - ref))))
     reports = ca.detect_collisions(mu)
-    # |a_i| * gap = 1 exactly on this family, and the numerator is mu_1 = 1
+    # |a_i| * gap = 1 exactly on this family, the numerator is mu_1 = 1 and
+    # p'(0) = 1, so beta = 1; the gap at t is 2 sqrt(-t)
     rows = reports[0].probes if reports else ()
     law = max((abs(row[1] * a - 1.0) for row in rows for a in row[2:4]), default=math.inf)
+    gap_law = max((abs(reports[0].predicted_gap / (2.0 * math.sqrt(-row[0])) - 1.0)
+                   for row in rows), default=math.inf)
     elapsed = time.perf_counter() - start
     ok = (len(samples) == len(s_vals) and worst <= 1e-9
           and len(reports) == 1 and reports[0].t0 == 0.0
           and abs(reports[0].numerator - 1.0) <= 1e-12
-          and reports[0].blowup_confirmed and len(rows) >= 4 and law <= 1e-9
-          and elapsed < 1.0)
+          and abs(reports[0].beta - 1.0) <= 1e-12
+          and reports[0].blowup_confirmed and len(rows) == 1 and law <= 1e-9
+          and gap_law <= 1e-9 and elapsed < 1.0)
     detail = (f"max deviation {worst:.2e}, {len(rows)} probe rows, worst "
-              f"|a|*gap - 1 {law:.1e}, runtime {elapsed:.2f}s")
+              f"|a|*gap - 1 {law:.1e}, predicted gap / 2 sqrt(-t) - 1 "
+              f"{gap_law:.1e}, runtime {elapsed:.2f}s")
     assert _report(1, ok, detail), detail
 
 
@@ -175,9 +180,12 @@ def test_acceptance_05_collision_certificates():
         scale = max(1.0, float(np.max(np.abs(m))))
         for rep in ca.detect_collisions(m):
             reports_total += 1
-            for col in (2, 3):
-                vals = [row[col] for row in rep.probes[-4:]]
-                if any(hi <= lo for lo, hi in zip(vals, vals[1:])):
+            # the probe nearest t0 meets the closed-form limit: |a| * gap
+            # near |beta|, the gap near its prediction, each within its bound
+            for row in rep.probes:
+                blowup = max(abs(a * row[1] / abs(rep.beta) - 1.0) for a in row[2:4])
+                if not (blowup <= rep.blowup_bound
+                        and abs(row[1] / rep.predicted_gap - 1.0) <= rep.gap_bound):
                     violations += 1
             if any(row[4] > 1e-6 for row in rep.probes):
                 violations += 1

@@ -6,15 +6,20 @@ digits, which is exactly the precision that round-trips IEEE doubles, so
 re-ingested output must compare equal bit for bit.
 """
 
+import contextlib
+import io
 import json
 import math
 import os
 import pathlib
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from prony import cli, prony_line, prony_solver
 from prony.errors import InconsistentComputation
@@ -412,3 +417,52 @@ def test_bad_input_exits_2_without_traceback(tmp_path, command, doc, cause):
     assert "error:" in proc.stderr
     assert cause in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+# ---------------------------------------------------------------------------
+# fuzz: arbitrary JSON through every command
+
+
+_KEYS = ("moments", "amplitudes", "nodes", "d", "epsilon", "trials", "seed",
+         "h_grid", "h", "t_resolution")
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=4)
+    | st.floats(allow_nan=True, allow_infinity=True),
+    lambda inner: st.lists(inner, max_size=9)
+    | st.dictionaries(st.sampled_from(_KEYS) | st.text(max_size=4), inner, max_size=6),
+    max_leaves=24,
+)
+
+
+def _costly(command, doc):
+    # a valid amplify config runs trials * len(h_grid) noisy solves; the
+    # fuzz is about input handling, not about long experiments
+    if command != "amplify" or not isinstance(doc, dict):
+        return False
+    size = {k: doc.get(k) for k in ("d", "trials", "t_resolution")}
+    grid = doc.get("h_grid")
+    return (any(isinstance(v, (int, float)) and not isinstance(v, bool) and v > 4
+                for v in size.values())
+            or (isinstance(grid, list) and len(grid) > 4))
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+@given(command=st.sampled_from(["moments", "solve", "curve", "classify", "analyze",
+                                "amplify"]),
+       doc=_JSON)
+def test_any_json_exits_with_a_documented_code(command, doc):
+    # every document ends in exit code 0, 2, 3 or 4 with no traceback; an
+    # exception escaping main is the traceback a subprocess would print
+    assume(not _costly(command, doc))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "in.json")
+        with open(path, "w") as handle:
+            json.dump(doc, handle)
+        extra = {"moments": ["-q", "3"], "curve": ["--samples", "20", "--out", tmp],
+                 "amplify": ["--out", tmp]}
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = cli.main([command, path, *extra.get(command, [])])
+    assert code in (0, 2, 3, 4)
+    assert "Traceback" not in err.getvalue()

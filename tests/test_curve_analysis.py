@@ -62,10 +62,10 @@ FAR_NODE_SIGNAL = Signal(
 
 
 # family vectors with the colliding pair at each of their endpoints.  On
-# the d = 3 and d = 4 vectors a probe ladder toward t0 meets the resolution
-# wall near the last bits of t0; on the d = 5 vector (endpoints 19156.9 and
-# 19161.8, a narrow gap far out on the line) the two farthest probes miss
-# the moments and the closer ones resolve
+# the d = 3 and d = 4 vectors probes toward t0 meet the resolution wall
+# near the last bits of t0; on the d = 5 vector (endpoints 19156.9 and
+# 19161.8, a narrow gap far out on the line) probes at 1e-2 and 1e-3 of
+# |t0| miss the moments and the closer ones resolve
 CERTIFIED_ENDPOINTS = [
     ([-0.41140088574752975, 0.009112922001232416, -0.7960052699174545,
       -1.1680416040183426, -1.635346932117728], [1, 1, 0, 0]),
@@ -225,9 +225,18 @@ def test_collision_numerator_validation():
 # ------------------------------------------------------------- collisions
 
 
+def _within_bounds(r):
+    # the probe row of a collision report against its closed-form limit
+    (t, gap, a_i, a_j, mismatch), = r.probes
+    blowup = max(abs(a * gap / abs(r.beta) - 1.0) for a in (a_i, a_j))
+    return (mismatch <= ca._PROBE_QUALITY and blowup <= r.blowup_bound
+            and abs(gap / r.predicted_gap - 1.0) <= r.gap_bound)
+
+
 def test_detect_collisions_worked_family():
-    # nodes +-sqrt(-t), amplitudes -+1/(2 sqrt(-t)): |a_i| * gap = 1 on every
-    # probe, and the limit node 0 gives the numerator mu_1 = 1
+    # nodes +-sqrt(-t), amplitudes -+1/(2 sqrt(-t)): |a_i| * gap = 1 at every
+    # t, the limit node 0 gives the numerator mu_1 = 1 and p'(0) = 1, so
+    # beta = 1; the gap is 2 sqrt(-t) exactly.  The closest rung resolves
     reports = ca.detect_collisions([0.0, 1.0, 0.0])
     assert len(reports) == 1
     r = reports[0]
@@ -235,13 +244,15 @@ def test_detect_collisions_worked_family():
     assert r.pair_index == 0
     assert r.blowup_confirmed
     assert abs(r.numerator - 1.0) <= 1e-12
-    assert len(r.probes) >= 4
-    gaps = [row[1] for row in r.probes]
-    assert all(b < a for a, b in zip(gaps, gaps[1:]))
-    for row in r.probes:
-        assert row[4] <= 1e-6
-        assert abs(row[1] * row[2] - 1.0) <= 1e-9
-        assert abs(row[1] * row[3] - 1.0) <= 1e-9
+    assert abs(r.beta - 1.0) <= 1e-12
+    assert len(r.probes) == 1
+    t, gap, a_i, a_j, mismatch = r.probes[0]
+    assert t == -1e-8
+    assert mismatch <= 1e-6
+    assert abs(gap * a_i - 1.0) <= 1e-9
+    assert abs(gap * a_j - 1.0) <= 1e-9
+    assert abs(r.predicted_gap / (2.0 * np.sqrt(-t)) - 1.0) <= 1e-9
+    assert _within_bounds(r)
 
 
 def test_detect_collisions_empty_cases():
@@ -273,20 +284,19 @@ def test_detect_collisions_certificates_random():
         scale = max(1.0, float(np.max(np.abs(mu.values))))
         for r in ca.detect_collisions(mu):
             seen += 1
-            for col in (2, 3):
-                amps = [row[col] for row in r.probes[-4:]]
-                assert all(b > a for a, b in zip(amps, amps[1:]))
-            assert all(row[4] <= 1e-6 for row in r.probes)
+            # one resolved probe, on the closed-form limit within its bounds
+            assert len(r.probes) == 1
+            assert r.probes[0][4] <= 1e-6
+            assert _within_bounds(r)
             assert abs(r.numerator) >= 1e-8 * scale
-            gaps = [row[1] for row in r.probes]
-            assert all(b < a for a, b in zip(gaps, gaps[1:]))
 
 
 def _exact_numerators(mu):
-    """(t0, numerator) of the exact limit configuration at every critical
-    point x0 of phi = -Q_b/S, on the exact rational line of the float
-    moments: Q_t0 = Q_b + t0*S has the double root x0, and the limit
-    polynomial is Q_t0/(z - x0).  x0 is taken to 40 digits."""
+    """(t0, numerator, beta) of the exact limit configuration at every
+    critical point x0 of phi = -Q_b/S, on the exact rational line of the
+    float moments: Q_t0 = Q_b + t0*S has the double root x0, the limit
+    polynomial p is Q_t0/(z - x0), and beta = numerator / p'(x0).  x0 is
+    taken to 40 digits."""
     base, slope = exact_line(mu)
     z = sympy.Symbol("z")
     qb = sympy.Poly([1] + base, z)
@@ -300,7 +310,8 @@ def _exact_numerators(mu):
         quotient = [sympy.Integer(1)]  # descending, by synthetic division
         for b, sl in zip(base[:-1], slope[:-1]):
             quotient.append(b + t0 * sl + x0 * quotient[-1])
-        out.append((t0, sum(sympy.Rational(m) * c for m, c in zip(mu, quotient[::-1]))))
+        numerator = sum(sympy.Rational(m) * c for m, c in zip(mu, quotient[::-1]))
+        out.append((t0, numerator, numerator / sympy.Poly(quotient, z).diff(z).eval(x0)))
     return out
 
 
@@ -318,9 +329,33 @@ def test_detect_collisions_numerator_matches_exact_limit():
             continue
         exact = _exact_numerators(mu) if reports else []
         for r in reports:
-            t0, numerator = min(exact, key=lambda e: abs(e[0] - r.t0))
+            t0, numerator, _ = min(exact, key=lambda e: abs(e[0] - r.t0))
             assert abs(float(t0) - r.t0) <= 1e-8 * abs(r.t0)
             assert abs(r.numerator - float(numerator)) <= r.numerator_bound, (list(mu), r.t0)
+            checked += 1
+    assert checked >= 100
+
+
+def test_detect_collisions_blowup_constant_matches_exact_limit():
+    # unscreened moments: beta = numerator / p'(x0) lies within the
+    # numerator's allowance carried through the division, doubled for the
+    # rounding of p'(x0), of the beta of the exact limit configuration; the
+    # probe lies within the bounds from the next Puiseux terms
+    rng = np.random.default_rng(307)
+    checked = 0
+    for _ in range(100):
+        d = int(rng.integers(2, 5))
+        mu = rng.uniform(-2.0, 2.0, size=2 * d - 1)
+        try:
+            reports = ca.detect_collisions(mu)
+        except (DegenerateHankel, InterpolationInconsistency):
+            continue
+        exact = _exact_numerators(mu) if reports else []
+        for r in reports:
+            _, _, beta = min(exact, key=lambda e: abs(e[0] - r.t0))
+            allowance = 2.0 * r.numerator_bound * abs(r.beta / r.numerator)
+            assert abs(r.beta - float(beta)) <= allowance, (list(mu), r.t0)
+            assert _within_bounds(r), (list(mu), r.t0)
             checked += 1
     assert checked >= 100
 
@@ -333,16 +368,26 @@ def test_detect_collisions_certifies_every_endpoint(mu, pairs):
     assert all(r.blowup_confirmed for r in reports)
 
 
-def test_detect_collisions_skips_an_unresolvable_probe():
+def test_detect_collisions_skips_an_unresolvable_probe(monkeypatch):
     # on the d = 5 vector the rungs t0 -+ 1e-2*|t0| and 1e-3*|t0| miss the
-    # product invariant; the closer rungs still give a 1/gap table
-    reports = ca.detect_collisions(CERTIFIED_ENDPOINTS[-1][0])
+    # product invariant; the closest rung resolves, and lies on the
+    # closed-form limit within its bounds
+    mu = CERTIFIED_ENDPOINTS[-1][0]
+    reports = ca.detect_collisions(mu)
     assert len(reports) == 2
     for r in reports:
-        gaps = [row[1] for row in r.probes]
-        assert len(gaps) >= 4
-        assert all(a > b for a, b in zip(gaps, gaps[1:]))
-        assert all(row[4] <= ca._PROBE_QUALITY for row in r.probes)
+        (t, *_), = r.probes
+        assert abs(t - r.t0) == pytest.approx(1e-8 * abs(r.t0), rel=1e-6)
+        assert _within_bounds(r)
+    # with the rungs nearer than 1e-6*|t0| unresolved the probe steps out to
+    # 1e-6*|t0|, the first that resolves, and is still within its bounds
+    real = ca._probe_point
+    monkeypatch.setattr(ca, "_probe_point", lambda line, t: real(line, t) if min(
+        abs(t - r.t0) for r in reports) > 5e-7 * abs(t) else None)
+    for r in ca.detect_collisions(mu):
+        (t, *_), = r.probes
+        assert abs(t - r.t0) == pytest.approx(1e-6 * abs(r.t0), rel=1e-6)
+        assert _within_bounds(r)
 
 
 def test_collision_report_validation():
@@ -406,11 +451,23 @@ def test_escape_worked_single_escape_both_directions():
     assert r.escaping_index == 0
     assert r.bounded_indices == (1,)
     assert abs(r.bounded_limits[0]) < 1e-6
-    assert r.probes[-1][1][0] < -1e6  # escapes toward -inf as t -> +inf
+    # sigma(t) = (t, -1): s_1 = 1, so the expansion puts node 0 at -t and
+    # the bounded node at 0 + 1/t; the probe's roots are -t/2 -+
+    # sqrt(t^2/4 + 1), within 2/t^2 (relative) of -t
+    (t, nodes), = r.probes
+    assert t > 0.0
+    assert r.predicted == (-t, 1.0 / t)
+    assert nodes[0] < -t
+    assert abs(nodes[0] / -t - 1.0) <= r.escape_bound
+    assert r.escape_bound <= 3.0 / t**2
 
     r = ca.escape_analysis([1.0, 0.0, 1.0], -INF)
     assert r.escaping_indices == (1,)
-    assert r.probes[-1][1][1] > 1e6
+    (t, nodes), = r.probes
+    assert t < 0.0
+    assert r.predicted == (1.0 / t, -t)
+    assert nodes[1] > -t
+    assert abs(nodes[1] / -t - 1.0) <= r.escape_bound
 
 
 def test_escape_d1_single_node():
@@ -494,10 +551,8 @@ def test_escape_limits_are_the_roots_of_s_where_deepening_raised():
 
 def test_escape_limits_are_the_roots_of_s_past_the_resolved_probes():
     # d = 3, toward -inf: the component's finite end is near -9.3e6, so the
-    # probes reach |t| = 9.3e14.  A Sturm chain trimmed the leading 1 of the
-    # node polynomial from |t| = 9.3e13 on and called those probes
-    # non-hyperbolic; the seed certificate resolves all eight, and their
-    # nodes are the roots of the float polynomial
+    # evidence probe sits at t = -9.3e7.  Its nodes are the roots of the
+    # float polynomial, and the escaping node is within its bound of -s_1 t
     mu = [1.6055852294440953, 1.1315172262118032, 0.7975666470651088,
           0.19886020736845778, 1.2589838994774105]
     r = ca.escape_analysis(mu, -INF)
@@ -505,15 +560,17 @@ def test_escape_limits_are_the_roots_of_s_past_the_resolved_probes():
     assert r.bounded_indices == (1, 2)
     assert np.allclose(r.bounded_limits, [-2536.298416, 0.7047382237], rtol=1e-9)
     assert np.allclose(r.bounded_limits, _exact_slope_roots(mu), rtol=1e-10, atol=0.0)
-    assert len(r.probes) == 8
     line = pl.line_params(mu)
+    (t, nodes), = r.probes
+    assert t == pytest.approx(-9.3276654e7, rel=1e-8)
     z = sympy.Symbol("z")
-    for t, nodes in r.probes[-2:]:
-        sigma = [sympy.Rational(v) for v in line.sigma_at(t).sigma.tolist()]
-        q = sympy.Poly([1] + sigma, z)
-        exact = [float(x.evalf(30)) for x in q.real_roots()]
-        assert len(exact) == 3
-        assert np.allclose(nodes, exact, rtol=1e-14, atol=0.0)
+    sigma = [sympy.Rational(v) for v in line.sigma_at(t).sigma.tolist()]
+    q = sympy.Poly([1] + sigma, z)
+    exact = [float(x.evalf(30)) for x in q.real_roots()]
+    assert len(exact) == 3
+    assert np.allclose(nodes, exact, rtol=1e-14, atol=0.0)
+    assert r.predicted[0] == -float(line.slopes[0]) * t
+    assert abs(nodes[0] / r.predicted[0] - 1.0) <= r.escape_bound < 0.1
 
 
 def test_escape_pair_d3():
@@ -524,9 +581,12 @@ def test_escape_pair_d3():
     assert r.bounded_indices == (1,)
     assert r.bounded_limits.tolist() == pytest.approx([1.0], rel=1e-12)
     assert not r.hypothesis_met
-    assert len(r.probes) == 8
-    nodes = r.probes[-1][1]
+    (t, nodes), = r.probes
     assert nodes[0] < 1.0 < nodes[2]
+    root = np.sqrt(-pl.line_params([1.0, 1.0, 1.0, 0.0, 3.0]).slopes[1] * t)
+    assert r.predicted[0] == -root and r.predicted[2] == root
+    for i in (0, 2):
+        assert abs(nodes[i] / r.predicted[i] - 1.0) <= r.escape_bound < 1.0
 
 
 def test_escape_abstains_when_s_has_a_double_root():
@@ -543,7 +603,7 @@ def test_escape_verdict_does_not_depend_on_amplitude_scale(c):
     # c, with limits +-100 sqrt(2/3).  At c = 1e-9 every last-row minor is
     # below 1e-12 in absolute terms; an absolute floor called the leading
     # slope zero and claimed three escaping nodes.  At c = 1e-11 rounding
-    # makes the last probe non-hyperbolic; the one before is the evidence
+    # makes the far probes non-hyperbolic; the first already shows the order
     mu = [c * sum(x**k for x in (-100.0, 0.0, 100.0)) for k in range(5)]
     limits = 100.0 * np.sqrt(2.0 / 3.0) * np.array([-1.0, 1.0])
     for direction, escaping in ((INF, (0,)), (-INF, (2,))):
@@ -555,8 +615,8 @@ def test_escape_verdict_does_not_depend_on_amplitude_scale(c):
 
 def test_escape_probes_are_checked_against_the_expansion(monkeypatch):
     # mu = (1, 0, 1) toward +inf: node 0 escapes to -inf.  A limit of S
-    # put at -1e9 lies beyond the last probe's escaping node (-1e8); the
-    # probes themselves (sigma of length 2) keep their true roots
+    # put at -1e9 lies beyond the escaping node of every probe (down to
+    # -1e8); the probes themselves (sigma of length 2) keep their true roots
     real = ca.poly_engine.hyperbolic_roots
     monkeypatch.setattr(ca.poly_engine, "hyperbolic_roots",
                         lambda s: real(s) if len(s) == 2 else np.array([-1e9]))
