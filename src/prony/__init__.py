@@ -18,7 +18,7 @@ from .curve_analysis import (
     sample_curve,
 )
 from .errors import InconsistentComputation, MathDegeneracy, PronyError
-from .poly_engine import Poly, budan_fourier_bound, is_hyperbolic, real_roots
+from .poly_engine import budan_fourier_bound, is_hyperbolic, real_roots
 from .prony_line import (
     HyperbolicDomain,
     PronyLine,
@@ -58,7 +58,6 @@ __all__ = [
     "elementary_symmetric",
     "vieta_inverse",
     "amplitudes_from_nodes",
-    "Poly",
     "real_roots",
     "is_hyperbolic",
     "budan_fourier_bound",

@@ -152,9 +152,11 @@ def P8_second_form(mu) -> float:
     return float(-(m[0] ** 4 / 27.0) * d1 * d1 * K_value(m))
 
 
-def quartic_Pmu(mu) -> poly_engine.Poly:
-    """Degree <= 4 polynomial in t whose real roots are the finite endpoints
-    of the hyperbolic parameter set of the one-missing-moment line at d=3.
+def quartic_Pmu(mu) -> list[float]:
+    """Ascending coefficients of the degree <= 4 polynomial in t whose real
+    roots are the finite endpoints of the hyperbolic parameter set of the
+    one-missing-moment line at d=3; leading coefficients below 1e-14 of the
+    largest are dropped (see :func:`poly_engine.real_roots`).
 
     Computed as det(M)^4 times the cubic discriminant along the line,
     recovered from five samples; the denominator clearing makes every
@@ -198,7 +200,7 @@ def quartic_Pmu(mu) -> poly_engine.Poly:
         raise InterpolationInconsistency(
             "quartic interpolation failed its holdout check: "
             f"fresh={fresh:.17g} interpolated={interp:.17g}")
-    return poly_engine.Poly.from_coeffs(c_t)
+    return poly_engine._coeffs(c_t)
 
 
 def classify_d2(mu) -> Classification:
@@ -281,7 +283,7 @@ def classify_d3(mu) -> Classification:
             bounded = "indeterminate"
 
     coeffs = np.zeros(5)
-    coeffs[: len(quartic.coefficients)] = quartic.coefficients
+    coeffs[: len(quartic)] = quartic
     evidence = {
         "detM": line.detM,
         "quartic_coefficients": tuple(float(c) for c in coeffs[::-1]),

@@ -136,22 +136,17 @@ class EscapeReport:
         if len(self.bounded_limits) != len(self.bounded_indices):
             raise ValueError("one limit per bounded node")
 
-    @property
-    def escaping_index(self):
-        """The unique escaping position, or None when there is not exactly one."""
-        if len(self.escaping_indices) == 1:
-            return self.escaping_indices[0]
-        return None
-
 
 def _probe_point(line, t):
     """Family point plus product mismatch, without the conservative gate.
 
     Collision probes sit close to a double root, where vieta_inverse
-    refuses to classify; real_roots still resolves the pair there.  None
+    refuses to classify; the root finder of real_roots, on the monic
+    polynomial with its leading 1 never trimmed, still resolves the pair
+    there.  None
     marks the resolution wall: fewer than d real roots, or repeated nodes.
     """
-    roots = poly_engine.real_roots(poly_engine.monic_from_sigma(line.sigma_at(t)))
+    roots = poly_engine._roots(poly_engine._monic_coeffs(line.sigma_at(t)))
     if len(roots) != line.d:
         return None
     try:
@@ -301,7 +296,7 @@ def detect_collisions(mu) -> list:
     reports = []
     for ep in domain.endpoints:
         t0, x0 = ep.t0, ep.x0
-        q = poly_engine.monic_from_sigma(line.sigma_at(t0)).coefficients
+        q = poly_engine._monic_coeffs(line.sigma_at(t0))
         rest = npoly.polydiv(q, [x0 * x0, -2.0 * x0, 1.0])[0]
         others = poly_engine.real_roots(rest)
         pair = int(np.sum(others < x0))

@@ -1,9 +1,7 @@
 """Real-root machinery for univariate polynomials.
 
-Budan-Fourier sign-variation bounds, root isolation and refinement, and
-resultant-based discriminants.  Everything here works on the standard
-discriminant convention; sign adapters for the d=2/d=3 closed forms live in
-:mod:`prony.closed_forms`.
+A polynomial is a plain sequence of its coefficients in ascending degree
+order.  Budan-Fourier sign-variation bounds, root isolation and refinement.
 
 Root isolation (:func:`real_roots`, degree n >= 3) certifies its roots from
 the real eigenvalues of the companion matrix: each seed gets a bracket on
@@ -22,20 +20,16 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from . import _kernels as K
 
 __all__ = [
-    "Poly",
     "SignVariation",
-    "monic_from_sigma",
     "sign_variation",
     "budan_fourier_bound",
     "is_hyperbolic",
     "hyperbolic_roots",
     "real_roots",
-    "discriminant",
 ]
 
 # Accuracy targets (see module design notes): isolation brackets are bisected
@@ -56,41 +50,6 @@ _ROOT_REL = 1.5e-8
 _EPS = float(np.finfo(float).eps)
 
 
-@dataclass(frozen=True, eq=False)
-class Poly:
-    """Dense univariate polynomial, coefficients in ascending degree order.
-
-    Construct through :meth:`from_coeffs`, which trims leading coefficients
-    smaller than 1e-14 of the largest magnitude so the stored leading
-    coefficient is genuinely nonzero (the zero polynomial is kept as the
-    single coefficient 0.0), or through :func:`monic_from_sigma`, whose
-    leading 1 is exact and never trimmed.
-    """
-
-    coefficients: np.ndarray
-
-    @classmethod
-    def from_coeffs(cls, coeffs) -> "Poly":
-        c = np.asarray(coeffs, dtype=float)
-        if c.ndim != 1 or c.size == 0:
-            raise ValueError("coefficients must be a nonempty 1-d sequence")
-        if not np.all(np.isfinite(c)):
-            raise ValueError("coefficients must be finite")
-        trimmed = np.array(K.trim_coeffs(c.tolist()), dtype=float)
-        trimmed.setflags(write=False)
-        return cls(trimmed)
-
-    @property
-    def degree(self) -> int:
-        return len(self.coefficients) - 1
-
-    def __call__(self, x):
-        return npoly.polyval(x, self.coefficients)
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"Poly(degree={self.degree}, coefficients={self.coefficients.tolist()})"
-
-
 @dataclass(frozen=True)
 class SignVariation:
     """Sign-variation count of the derivative vector (P, P', ..., P^(n)) at a
@@ -104,8 +63,16 @@ class SignVariation:
             raise ValueError("variation count must be nonnegative")
 
 
-def _as_poly(p) -> Poly:
-    return p if isinstance(p, Poly) else Poly.from_coeffs(p)
+def _coeffs(p) -> list[float]:
+    # checked ascending coefficients with the leading ones below 1e-14 of the
+    # largest magnitude trimmed, so the last is genuinely nonzero (the zero
+    # polynomial is kept as the single coefficient 0.0)
+    c = np.asarray(p, dtype=float)
+    if c.ndim != 1 or c.size == 0:
+        raise ValueError("coefficients must be a nonempty 1-d sequence")
+    if not np.all(np.isfinite(c)):
+        raise ValueError("coefficients must be finite")
+    return K.trim_coeffs(c.tolist())
 
 
 def _monic_coeffs(sigma) -> list[float]:
@@ -122,27 +89,19 @@ def _monic_coeffs(sigma) -> list[float]:
     return c
 
 
-def monic_from_sigma(sigma) -> Poly:
-    """Monic polynomial z^d + s1*z^(d-1) + ... + sd from the coefficient
-    vector (s1, ..., sd)."""
-    c = np.array(_monic_coeffs(sigma))
-    c.setflags(write=False)
-    return Poly(c)
-
-
 def sign_variation(p, x) -> SignVariation:
-    """Number of sign changes in (P(x), P'(x), ..., P^(n)(x)).
+    """Number of sign changes in (P(x), P'(x), ..., P^(n)(x)) for the
+    ascending coefficient sequence p.
 
     Components that evaluate to an exact floating zero are skipped (the
     classical convention).  At +inf every derivative carries the sign of the
     leading coefficient, so the count is 0; at -inf the signs alternate, so
     the count equals the degree.
     """
-    p = _as_poly(p)
-    n = p.degree
+    c = _coeffs(p)
     if math.isinf(x):
-        return SignVariation(x, 0 if x > 0 else n)
-    shifted = K.shifted_coeffs(p.coefficients.tolist(), float(x))
+        return SignVariation(x, 0 if x > 0 else len(c) - 1)
+    shifted = K.shifted_coeffs(c, float(x))
     # entry k of the Taylor shift is P^(k)(x)/k!; positive scalings do not
     # affect variation counts
     return SignVariation(float(x), K.sign_changes(shifted, 0.0))
@@ -156,7 +115,6 @@ def budan_fourier_bound(p, a, b) -> int:
     b = float(b)
     if not a < b:
         raise ValueError("need a < b")
-    p = _as_poly(p)
     return sign_variation(p, a).count - sign_variation(p, b).count
 
 
@@ -169,23 +127,19 @@ def hyperbolic_roots(sigma):
     """Sorted roots of z^d + s1*z^(d-1) + ... + sd when it has d real
     distinct roots, else None.
 
-    The roots of :func:`real_roots` of :func:`monic_from_sigma`: d = 1
-    always has its root, and a quadratic has two only when it is surely
-    negative at its vertex -s1/2 (else None, also where rounding leaves the
-    vertex sign unknown).  From d = 3 on, d certified companion seeds prove
-    d roots; else the Rolle pass decides, with d sign changes of P on the
-    monotone pieces between the roots of P' (see :func:`real_roots`).
+    The roots :func:`real_roots` finds, with the leading 1 never trimmed:
+    d = 1 always has its root, and a quadratic has two only when it is
+    surely negative at its vertex -s1/2 (else None, also where rounding
+    leaves the vertex sign unknown).  From d = 3 on, d certified companion
+    seeds prove d roots; else the Rolle pass decides, with d sign changes of
+    P on the monotone pieces between the roots of P' (see
+    :func:`real_roots`).
     """
     c = _monic_coeffs(sigma)
     d = len(c) - 1
     if d == 2 and not _sure_sign(c, [abs(v) for v in c], -0.5 * c[1]) < 0:
         return None
-    if d <= 2:
-        return _low_degree_roots(c)
-    seeds = _companion_seeds(c)
-    roots = _seeded_roots(c, seeds, d)
-    if roots is None:
-        roots = _rolle_roots(c, seeds)
+    roots = _roots(c)
     return roots if len(roots) == d else None
 
 
@@ -203,14 +157,10 @@ def _quadratic_roots(c0, c1, c2):
     return sorted((r1, r2))
 
 
-def _low_degree_roots(c) -> np.ndarray:
-    if len(c) == 2:
-        return np.array([-c[0] / c[1]])
-    return np.array(_quadratic_roots(c[0], c[1], c[2]))
-
-
 def real_roots(p) -> np.ndarray:
-    """All real roots, sorted ascending.
+    """All real roots of the ascending coefficient sequence p, sorted
+    ascending.  Leading coefficients below 1e-14 of the largest magnitude
+    are dropped first; p must be nonempty, 1-d and finite (else ValueError).
 
     Degrees 1-2 use stable closed forms.  From degree n >= 3 on, the real
     eigenvalues of the companion matrix serve as seeds.  Around each seed a
@@ -237,14 +187,21 @@ def real_roots(p) -> np.ndarray:
     back as one.  Returns an empty array for constants, including the zero
     polynomial.
     """
-    p = _as_poly(p)
-    c = p.coefficients.tolist()
-    if p.degree <= 0:
+    return _roots(_coeffs(p))
+
+
+def _roots(c) -> np.ndarray:
+    """The real roots of the ascending coefficient list c, taken as given:
+    its last coefficient is nonzero (see :func:`real_roots`)."""
+    n = len(c) - 1
+    if n <= 0:
         return np.empty(0)
-    if p.degree <= 2:
-        return _low_degree_roots(c)
+    if n == 1:
+        return np.array([-c[0] / c[1]])
+    if n == 2:
+        return np.array(_quadratic_roots(c[0], c[1], c[2]))
     seeds = _companion_seeds(c)
-    roots = _seeded_roots(c, seeds, p.degree)
+    roots = _seeded_roots(c, seeds, n)
     return _rolle_roots(c, seeds) if roots is None else roots
 
 
@@ -333,7 +290,7 @@ def _rolle_roots(c, seeds) -> np.ndarray:
     # P(cauchy) != 0, so no root is lost at the right end
     cauchy = _cauchy_bound(c)
     abs_c, dc = [abs(v) for v in c], K.poly_derivative(c)
-    ends = [-cauchy] + real_roots(Poly.from_coeffs(dc)).tolist() + [cauchy]
+    ends = [-cauchy] + real_roots(dc).tolist() + [cauchy]
     vals = [K.horner(c, x) for x in ends]
     multiple = []
     for k in range(1, len(ends) - 1):
@@ -348,50 +305,3 @@ def _rolle_roots(c, seeds) -> np.ndarray:
             return roots
     roots = multiple + [_refine(c, dc, ends[k], ends[k + 1], vals[k] > 0.0) for k in pieces]
     return np.array(sorted(roots))
-
-
-def _sylvester(pc, qc):
-    m = len(pc) - 1
-    n = len(qc) - 1
-    size = m + n
-    s = np.zeros((size, size))
-    pd = pc[::-1]
-    qd = qc[::-1]
-    for i in range(n):
-        s[i, i : i + m + 1] = pd
-    for i in range(m):
-        s[n + i, i : i + n + 1] = qd
-    return s
-
-
-def _discriminant_input(p) -> list[float]:
-    # ascending coefficients of a monic polynomial of degree >= 2.  A Poly
-    # was checked when it was built; a plain sequence is checked here and
-    # taken as given, never trimmed, so its leading 1 cannot be lost
-    if isinstance(p, Poly):
-        c = p.coefficients.tolist()
-    else:
-        c = np.asarray(p, dtype=float)
-        if c.ndim != 1:
-            raise ValueError("coefficients must be a 1-d sequence")
-        c = c.tolist()
-        if not all(map(math.isfinite, c)):
-            raise ValueError("coefficients must be finite")
-    if len(c) < 3:
-        raise ValueError("discriminant requires degree >= 2")
-    if abs(c[-1] - 1.0) > 1e-12 * max(1.0, max(map(abs, c))):
-        raise ValueError("discriminant requires a monic polynomial")
-    return c
-
-
-def discriminant(p) -> float:
-    """Standard discriminant Disc(P) = (-1)^(d(d-1)/2) Res(P, P') of a monic
-    polynomial of degree d >= 2, via the Sylvester resultant.
-
-    p is a Poly or its ascending coefficient sequence; a sequence is used
-    as given (not trimmed), so inner loops may pass plain float lists."""
-    c = _discriminant_input(p)
-    d = len(c) - 1
-    dp = K.poly_derivative(c)
-    res = float(np.linalg.det(_sylvester(c, dp)))
-    return res if (d * (d - 1) // 2) % 2 == 0 else -res

@@ -414,8 +414,8 @@ def _build_domain(line: PronyLine) -> HyperbolicDomain:
                       npoly.polymul(q, K.poly_derivative(s))).tolist()
 
     inf = math.inf
-    breaks = [(x, None) for x in poly_engine.real_roots(poly_engine.Poly.from_coeffs(s)).tolist()]
-    for c in poly_engine.real_roots(poly_engine.Poly.from_coeffs(w)).tolist():
+    breaks = [(x, None) for x in poly_engine.real_roots(s).tolist()]
+    for c in poly_engine.real_roots(w).tolist():
         if abs(K.horner(s, c)) > K.EVAL_GUARD * K.horner([abs(v) for v in s], abs(c)):
             breaks.append((c, t0 - unit**d * K.horner(q, c) / K.horner(s, c)))
     ends = [(-inf, None)] + sorted(breaks) + [(inf, None)]

@@ -26,6 +26,13 @@ def exact_line(mu):
     return list(base)[::-1], list(slope)[::-1]
 
 
+def exact_discriminant(sigma):
+    """Standard discriminant of z^d + s1*z^(d-1) + ... + sd, exact from the
+    rational values of the float sigma (a vector or SymmetricCoords)."""
+    s = [sympy.Rational(float(v)) for v in np.asarray(getattr(sigma, "sigma", sigma), dtype=float)]
+    return float(sympy.discriminant(sympy.Poly([1] + s, sympy.Symbol("z"))))
+
+
 def random_signal(rng, d, min_gap=0.1, max_gap=2.0, amp_lo=0.1, amp_hi=10.0):
     x0 = rng.uniform(-3.0, 3.0)
     gaps = rng.uniform(min_gap, max_gap, size=d - 1) if d > 1 else np.empty(0)

@@ -390,6 +390,15 @@ def test_detect_collisions_skips_an_unresolvable_probe(monkeypatch):
         assert _within_bounds(r)
 
 
+def test_probe_point_keeps_the_monic_leading_one():
+    # sigma(t) = (t, -1) at t = 1e15: a trim of the leading 1, below 1e-14 of
+    # the largest coefficient, would leave the line 1e15 z - 1 and one node
+    line = pl.line_params([1.0, 0.0, 1.0])
+    nodes, amps, _ = ca._probe_point(line, 1e15)
+    assert nodes.tolist() == pytest.approx([-1e15, 1e-15], rel=1e-12)
+    assert amps.tolist() == pytest.approx([1e-30, 1.0], rel=1e-12)
+
+
 def test_collision_report_validation():
     rows = (
         (-1e-2, 1e-2, 10.0, 10.0, 0.0),
@@ -434,7 +443,6 @@ def test_collision_report_validation():
 def test_escape_worked_double_escape():
     r = ca.escape_analysis([0.0, 1.0, 0.0], -INF)
     assert r.escaping_indices == (0, 1)
-    assert r.escaping_index is None
     assert not r.hypothesis_met
     assert r.bounded_indices == ()
     assert len(r.bounded_limits) == 0
@@ -448,7 +456,6 @@ def test_escape_worked_single_escape_both_directions():
     r = ca.escape_analysis([1.0, 0.0, 1.0], INF)
     assert r.hypothesis_met
     assert r.escaping_indices == (0,)
-    assert r.escaping_index == 0
     assert r.bounded_indices == (1,)
     assert abs(r.bounded_limits[0]) < 1e-6
     # sigma(t) = (t, -1): s_1 = 1, so the expansion puts node 0 at -t and

@@ -1,4 +1,4 @@
-"""Real-root machinery: sign variations, root isolation, discriminants."""
+"""Real-root machinery: sign variations and root isolation."""
 
 import sys
 from types import SimpleNamespace
@@ -18,11 +18,6 @@ INF = float("inf")
 Z = sympy.Symbol("z")
 
 
-def P(*coeffs):
-    """Ascending-order polynomial shorthand."""
-    return pe.Poly.from_coeffs(coeffs)
-
-
 def _exact_poly(c):
     """The polynomial with the exact rational values of the ascending float
     coefficients c."""
@@ -30,37 +25,24 @@ def _exact_poly(c):
 
 
 # ---------------------------------------------------------------------------
-# monic_from_sigma
-
-
-def test_monic_from_sigma_layout():
-    p = pe.monic_from_sigma([2.0, -1.0, 3.0])
-    # z^3 + 2 z^2 - z + 3, stored ascending
-    assert np.array_equal(p.coefficients, [3.0, -1.0, 2.0, 1.0])
-    assert p.degree == 3
-    assert p(1.0) == pytest.approx(5.0)
-
-
-# ---------------------------------------------------------------------------
 # sign_variation / budan_fourier_bound
 
 
 def test_sign_variation_finite():
-    p = P(-6.0, 11.0, -6.0, 1.0)  # (x-1)(x-2)(x-3)
+    p = [-6.0, 11.0, -6.0, 1.0]  # (x-1)(x-2)(x-3)
     assert pe.sign_variation(p, 0.0).count == 3
     assert pe.sign_variation(p, 4.0).count == 0
     assert pe.sign_variation(p, 2.5).count == 1
 
 
 def test_sign_variation_at_infinity():
-    for coeffs in ([-6.0, 11.0, -6.0, 1.0], [1.0, 0.0, 1.0], [2.0, 3.0]):
-        p = P(*coeffs)
+    for p in ([-6.0, 11.0, -6.0, 1.0], [1.0, 0.0, 1.0], [2.0, 3.0]):
         assert pe.sign_variation(p, INF).count == 0
-        assert pe.sign_variation(p, -INF).count == p.degree
+        assert pe.sign_variation(p, -INF).count == len(p) - 1
 
 
 def test_budan_fourier_three_real_roots():
-    p = P(-6.0, 11.0, -6.0, 1.0)
+    p = [-6.0, 11.0, -6.0, 1.0]
     assert pe.budan_fourier_bound(p, 0.0, 4.0) == 3
     assert pe.budan_fourier_bound(p, 1.5, 4.0) == 2
     assert pe.budan_fourier_bound(p, 3.5, 4.0) == 0
@@ -69,14 +51,14 @@ def test_budan_fourier_three_real_roots():
 def test_budan_fourier_even_slack():
     # x^2 + 1 has no real roots; the variation drop across (-10, 10] is 2,
     # overcounting by an even amount as the bound permits.
-    assert pe.budan_fourier_bound(P(1.0, 0.0, 1.0), -10.0, 10.0) == 2
+    assert pe.budan_fourier_bound([1.0, 0.0, 1.0], -10.0, 10.0) == 2
 
 
 def test_budan_fourier_bad_interval():
     with pytest.raises(ValueError):
-        pe.budan_fourier_bound(P(1.0, 1.0), 2.0, 2.0)
+        pe.budan_fourier_bound([1.0, 1.0], 2.0, 2.0)
     with pytest.raises(ValueError):
-        pe.budan_fourier_bound(P(1.0, 1.0), 3.0, 1.0)
+        pe.budan_fourier_bound([1.0, 1.0], 3.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -112,23 +94,23 @@ def test_is_hyperbolic_random_products():
 
 
 def test_real_roots_examples():
-    r = pe.real_roots(P(-6.0, 11.0, -6.0, 1.0))
+    r = pe.real_roots([-6.0, 11.0, -6.0, 1.0])
     assert relerr(r, [1.0, 2.0, 3.0]) < 1e-10
-    assert pe.real_roots(P(1.0, 0.0, 1.0)).size == 0
-    r = pe.real_roots(P(1.0, -2.0, 1.0))  # (z-1)^2
+    assert pe.real_roots([1.0, 0.0, 1.0]).size == 0
+    r = pe.real_roots([1.0, -2.0, 1.0])  # (z-1)^2
     assert relerr(r, [1.0]) < 1e-10
 
 
 def test_real_roots_low_degree():
-    assert pe.real_roots(P(3.0)).size == 0
-    assert relerr(pe.real_roots(P(-6.0, 2.0)), [3.0]) < 1e-14
-    r = pe.real_roots(P(2.0, -3.0, 1.0))
+    assert pe.real_roots([3.0]).size == 0
+    assert relerr(pe.real_roots([-6.0, 2.0]), [3.0]) < 1e-14
+    r = pe.real_roots([2.0, -3.0, 1.0])
     assert relerr(r, [1.0, 2.0]) < 1e-12
 
 
 def test_real_roots_ill_conditioned_quadratic():
     # roots 1e-8 and 1e8; naive formula loses the small root
-    r = pe.real_roots(P(1.0, -(1e8 + 1e-8), 1.0))
+    r = pe.real_roots([1.0, -(1e8 + 1e-8), 1.0])
     assert r.size == 2
     assert abs(r[0] - 1e-8) / 1e-8 < 1e-9
     assert abs(r[1] - 1e8) / 1e8 < 1e-9
@@ -142,7 +124,7 @@ def test_real_roots_from_random_roots():
         if d > 1 and np.min(np.diff(roots)) < 1e-2:
             continue
         scale = float(rng.uniform(0.5, 4.0)) * float(rng.choice([-1.0, 1.0]))
-        p = pe.Poly.from_coeffs(scale * npoly.polyfromroots(roots))
+        p = scale * npoly.polyfromroots(roots)
         got = pe.real_roots(p)
         assert got.size == d
         assert relerr(got, roots) < 1e-8
@@ -151,13 +133,13 @@ def test_real_roots_from_random_roots():
 def test_real_roots_mixed_real_complex():
     # (x^2+1)(x-2)(x+3)
     c = npoly.polymul(npoly.polymul([1.0, 0.0, 1.0], [-2.0, 1.0]), [3.0, 1.0])
-    got = pe.real_roots(pe.Poly.from_coeffs(c))
+    got = pe.real_roots(c)
     assert relerr(got, [-3.0, 2.0]) < 1e-10
 
 
 def test_real_roots_sorted_and_deduplicated():
     c = npoly.polyfromroots([0.5, 0.5, 0.5, -1.25])
-    got = pe.real_roots(pe.Poly.from_coeffs(c))
+    got = pe.real_roots(c)
     assert got.size == 2
     assert np.all(np.diff(got) > 0)
     assert relerr(got, [-1.25, 0.5]) < 1e-8
@@ -175,7 +157,7 @@ def test_real_roots_inexact_repeated_root(c, want):
     # a double root whose float coefficients leave P at the critical point
     # to rounding noise; the noise's sign must neither drop the root nor
     # split it in two
-    got = pe.real_roots(pe.Poly.from_coeffs(c))
+    got = pe.real_roots(c)
     assert len(got) == len(want)
     assert np.max(np.abs(got - want)) <= 1e-12
 
@@ -184,8 +166,8 @@ def test_real_roots_spurious_chain_gcd():
     # x^4 + 2^-9 x^3 + 3x has two simple real roots, 0 and one near -1.44;
     # its small cubic coefficient must not pass a critical point off as a
     # common root of P and P'
-    p = P(0.0, 3.0, 0.0, 0.001953125, 1.0)
-    want = sorted(r.real for r in npoly.polyroots(p.coefficients) if r.imag == 0.0)
+    p = [0.0, 3.0, 0.0, 0.001953125, 1.0]
+    want = sorted(r.real for r in npoly.polyroots(p) if r.imag == 0.0)
     assert len(want) == 2
     assert relerr(pe.real_roots(p), want) < 1e-12
 
@@ -195,16 +177,49 @@ def test_real_roots_bracket_end_on_a_root():
     # P is rounding noise; refinement once took that noise for the sign
     # inside (0.95, 1.9] and returned 1.9 instead of 1.15
     roots = [0.25, 0.45, 0.95, 1.15]
-    got = pe.real_roots(pe.Poly.from_coeffs(npoly.polyfromroots(roots)))
+    got = pe.real_roots(npoly.polyfromroots(roots))
     assert relerr(got, roots) < 1e-10
 
 
 def test_real_roots_subnormal_root():
     # the root near 6.6e-324 has a subnormal magnitude sum, whose 1.5e-8 share
     # underflows to 0; the one-ulp Newton step still places it
-    got = pe.real_roots(P(3e-323, -4.5, 7.5, -3.0))
+    got = pe.real_roots([3e-323, -4.5, 7.5, -3.0])
     assert got[0] == 5e-324
     assert got[1:].tolist() == pytest.approx([1.0, 1.5], rel=1e-14)
+
+
+def test_real_roots_trims_a_negligible_leading_coefficient():
+    # 19 is below 1e-14 of the largest magnitude 2e15 and is dropped, so the
+    # quadratic is read as the line 1e15 z - 2e15; 21 is kept
+    assert pe.real_roots([-2e15, 1e15, 19.0]).tolist() == [2.0]
+    assert pe.real_roots([-2e15, 1e15, 1.0]).tolist() == [2.0]
+    assert len(pe.real_roots([-2e15, 1e15, 21.0])) == 2
+
+
+@pytest.mark.parametrize("sigma, want", [
+    ([1e15, -2e15], None),
+    # (z + 1e15)(z - 2)(z - 3)
+    ([1e15 - 5.0, 6.0 - 5e15, 6e15], [-1e15, 2.0, 3.0]),
+])
+def test_hyperbolic_roots_keeps_the_monic_leading_one(sigma, want):
+    # coefficients 1e15 times the leading 1 would have it trimmed away in
+    # real_roots; the monic root path keeps it and finds all d roots
+    if want is None:
+        want = [float(w) for w in _mp_real_roots(_exact_poly(pe._monic_coeffs(sigma)))]
+    roots = pe.hyperbolic_roots(sigma)
+    assert len(roots) == len(sigma)
+    assert roots.tolist() == pytest.approx(want, rel=1e-12)
+
+
+def test_root_functions_validate_their_coefficients():
+    for bad in ([1.0, np.nan, 1.0], [1.0, np.inf], [[2.0, -3.0, 1.0]], []):
+        with pytest.raises(ValueError):
+            pe.real_roots(bad)
+        with pytest.raises(ValueError):
+            pe.sign_variation(bad, 0.0)
+    with pytest.raises(ValueError):
+        pe.is_hyperbolic([0.0, np.inf])
 
 
 @settings(max_examples=60, deadline=None)
@@ -214,12 +229,10 @@ def test_real_roots_subnormal_root():
 def test_real_roots_residual_property(coeffs):
     if max(abs(c) for c in coeffs) < 1e-6 or abs(coeffs[-1]) < 1e-3:
         return
-    p = pe.Poly.from_coeffs(coeffs)
-    if p.degree < 1:
-        return
+    degree = len(coeffs) - 1  # |leading| >= 1e-3, so real_roots trims nothing
     scale = max(abs(c) for c in coeffs)
-    for r in pe.real_roots(p):
-        assert abs(p(r)) <= 1e-7 * scale * (1.0 + abs(r)) ** p.degree
+    for r in pe.real_roots(coeffs):
+        assert abs(npoly.polyval(r, coeffs)) <= 1e-7 * scale * (1.0 + abs(r)) ** degree
 
 
 @settings(max_examples=60, deadline=None)
@@ -234,16 +247,13 @@ def test_budan_bound_dominates_sturm(coeffs, a, width):
     # check
     if max(abs(c) for c in coeffs) < 1e-6 or abs(coeffs[-1]) < 1e-3:
         return
-    p = pe.Poly.from_coeffs(coeffs)
-    if p.degree < 1:
-        return
-    poly = _exact_poly(p.coefficients)
+    poly = _exact_poly(coeffs)
     if sympy.degree(sympy.gcd(poly, poly.diff(Z))) > 0:
         return  # parity statement needs a squarefree input
     b = a + width
     ra, rb = sympy.Rational(a), sympy.Rational(b)
     exact = int(poly.count_roots(ra, rb)) - int(poly.eval(ra) == 0)
-    bound = pe.budan_fourier_bound(p, a, b)
+    bound = pe.budan_fourier_bound(coeffs, a, b)
     assert bound >= exact
     assert (bound - exact) % 2 == 0
 
@@ -317,7 +327,7 @@ def _mp_real_roots(p):
 
 
 def _clears_rounding(q, x):
-    """|P(x)| above 1e3 times EVAL_GUARD of its Horner magnitude sum, and
+    """|[x]| above 1e3 times EVAL_GUARD of its Horner magnitude sum, and
     above 1e3 times the smallest normal double, under which doubles lose
     their relative precision, for the mpmath coefficients q of P."""
     guard = K.EVAL_GUARD * mpmath.polyval([abs(v) for v in q], abs(x))
@@ -380,16 +390,15 @@ def test_seeded_roots_agree_with_bisection(coeffs):
     # with every seed refused, the Rolle pass bisects its monotone pieces;
     # the seeded route (test_certified_real_roots_equal_the_exact_roots)
     # and this one both hold to the exact roots where they are resolved
-    p = pe.Poly.from_coeffs(coeffs)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(pe, "_seeded_roots", lambda *args: None)
-        bisected = pe.real_roots(p)
-    _check_against_exact(p.coefficients.tolist(), bisected.tolist())
+        bisected = pe.real_roots(coeffs)
+    _check_against_exact(coeffs.tolist(), bisected.tolist())
 
 
 def test_seeded_path_certifies_separated_roots(monkeypatch):
     counts = _count_paths(monkeypatch)
-    got = pe.real_roots(pe.Poly.from_coeffs(npoly.polyfromroots([-2.0, 0.5, 1.0, 3.0])))
+    got = pe.real_roots(npoly.polyfromroots([-2.0, 0.5, 1.0, 3.0]))
     assert relerr(got, [-2.0, 0.5, 1.0, 3.0]) < 1e-14
     assert counts == {"seeded": 1, "rolle": 0}
 
@@ -402,7 +411,7 @@ def test_near_double_pair_falls_back_to_bisection(monkeypatch):
     # the pair within 1e-8 of the exact roots
     counts = _count_paths(monkeypatch)
     c = [-52.2868722567103, 0.2638330689659605, 7.122841458445947, 1.0]
-    got = pe.real_roots(pe.Poly.from_coeffs(c))
+    got = pe.real_roots(c)
     assert counts == {"seeded": 0, "rolle": 1}
     want = [float(w) for w in _mp_real_roots(_exact_poly(c))]
     assert len(got) == 3 and len(want) == 3
@@ -417,7 +426,7 @@ def test_cluster_of_four_roots_within_resolution():
     c = npoly.polyfromroots([1.375 + 1e-3 * k for k in range(4)])
     want = [float(w) for w in _mp_real_roots(_exact_poly(c))]
     assert len(want) == 4
-    for got in (pe.real_roots(pe.Poly.from_coeffs(c)), pe.hyperbolic_roots(c[-2::-1])):
+    for got in (pe.real_roots(c), pe.hyperbolic_roots(c[-2::-1])):
         assert len(got) == 4
         assert np.max(np.abs(got - want)) <= 1e-6
 
@@ -425,12 +434,12 @@ def test_cluster_of_four_roots_within_resolution():
 def test_seed_certificate_reads_the_kernel_guard(monkeypatch):
     assert K.EVAL_GUARD == 1e-14
     counts = _count_paths(monkeypatch)
-    p = pe.Poly.from_coeffs(npoly.polyfromroots([-1.0, 0.25, 2.0]))
-    # |P(x)| never exceeds its Horner magnitude sum, so a guard of 1 leaves
+    p = npoly.polyfromroots([-1.0, 0.25, 2.0])
+    # |[x]| never exceeds its Horner magnitude sum, so a guard of 1 leaves
     # no sure sign anywhere and the certificate must refuse every seed; the
     # Rolle pass reads plain signs and still finds the three roots
     monkeypatch.setattr(pe, "K", SimpleNamespace(**{**vars(K), "EVAL_GUARD": 1.0}))
-    assert pe._sure_sign(p.coefficients.tolist(), np.abs(p.coefficients).tolist(), 5.0) == 0
+    assert pe._sure_sign(p.tolist(), np.abs(p).tolist(), 5.0) == 0
     got = pe.real_roots(p)
     assert counts == {"seeded": 0, "rolle": 1}
     assert relerr(got, [-1.0, 0.25, 2.0]) < 1e-10
@@ -459,91 +468,6 @@ def test_certified_roots_equal_the_exact_roots(sigma):
 @settings(max_examples=100, deadline=None)
 @given(_real_rooted())
 def test_certified_real_roots_equal_the_exact_roots(coeffs):
-    p = pe.Poly.from_coeffs(coeffs)
-    roots = pe.real_roots(p)
+    roots = pe.real_roots(coeffs)
     assert np.all(np.diff(roots) > 0)
-    _check_against_exact(p.coefficients.tolist(), roots.tolist())
-
-
-# ---------------------------------------------------------------------------
-# discriminant
-
-
-def test_discriminant_examples():
-    assert pe.discriminant(P(0.0, 0.0, 1.0)) == pytest.approx(0.0, abs=1e-12)
-    # z^2 - 3z + 2: b^2 - 4c = 1
-    assert pe.discriminant(P(2.0, -3.0, 1.0)) == pytest.approx(1.0, rel=1e-12)
-    # (z-1)(z-2)(z-3): product of squared differences = 4
-    assert pe.discriminant(P(-6.0, 11.0, -6.0, 1.0)) == pytest.approx(4.0, rel=1e-10)
-    # z^3 + 1: -27
-    assert pe.discriminant(P(1.0, 0.0, 0.0, 1.0)) == pytest.approx(-27.0, rel=1e-10)
-
-
-def test_discriminant_requires_monic():
-    with pytest.raises(ValueError):
-        pe.discriminant(P(1.0, 0.0, 2.0))
-    with pytest.raises(ValueError):
-        pe.discriminant(P(1.0, 1.0))
-
-
-def test_discriminant_keeps_the_monic_leading_one():
-    # coefficients 1e15 times the leading 1 once had it trimmed away, and the
-    # polynomial then failed as non-monic
-    p = pe.monic_from_sigma([1e15, -2e15])
-    assert p.degree == 2 and p.coefficients[-1] == 1.0
-    assert pe.discriminant(p) == pytest.approx(1e30 + 8e15, rel=1e-12)
-    assert pe.discriminant([-2e15, 1e15, 1.0]) == pe.discriminant(p)
-
-
-def test_discriminant_plain_sequence_validation():
-    assert pe.discriminant([2.0, -3.0, 1.0]) == pe.discriminant(P(2.0, -3.0, 1.0))
-    with pytest.raises(ValueError):
-        pe.discriminant([1.0, np.nan, 1.0])
-    with pytest.raises(ValueError):
-        pe.discriminant([[2.0, -3.0, 1.0]])
-    with pytest.raises(ValueError):
-        pe.discriminant([1.0, 1.0])
-    with pytest.raises(ValueError):
-        pe.discriminant([1.0, 0.0, 2.0])
-    with pytest.raises(ValueError):
-        pe.is_hyperbolic([0.0, np.inf])
-
-
-def test_discriminant_quadratic_bridge():
-    # For monic quadratics the determinant route must reproduce b^2 - 4c.
-    rng = np.random.default_rng(5150)
-    for _ in range(1000):
-        b, c = rng.uniform(-10.0, 10.0, size=2)
-        got = pe.discriminant(P(c, b, 1.0))
-        assert relerr(got, b * b - 4.0 * c) < 1e-10
-
-
-def test_discriminant_cubic_bridge():
-    # Monic depressed-or-not cubics versus the classical expansion
-    # 18bcd - 4b^3 d + b^2 c^2 - 4c^3 - 27d^2 for z^3 + b z^2 + c z + d.
-    rng = np.random.default_rng(5151)
-    for _ in range(1000):
-        b, c, d = rng.uniform(-5.0, 5.0, size=3)
-        got = pe.discriminant(P(d, c, b, 1.0))
-        want = (
-            18.0 * b * c * d
-            - 4.0 * b**3 * d
-            + b * b * c * c
-            - 4.0 * c**3
-            - 27.0 * d * d
-        )
-        assert relerr(got, want) < 1e-8
-
-
-def test_discriminant_sign_tracks_root_pattern():
-    rng = np.random.default_rng(5152)
-    for _ in range(300):
-        roots = np.sort(rng.uniform(-3.0, 3.0, size=3))
-        if np.min(np.diff(roots)) < 1e-2:
-            continue
-        p = pe.Poly.from_coeffs(npoly.polyfromroots(roots))
-        assert pe.discriminant(p) > 0.0  # three distinct real roots
-        q = pe.Poly.from_coeffs(
-            npoly.polymul([1.0, 0.0, 1.0], [-roots[0], 1.0])
-        )  # one real, complex pair
-        assert pe.discriminant(q) < 0.0
+    _check_against_exact(coeffs.tolist(), roots.tolist())

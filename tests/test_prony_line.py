@@ -10,7 +10,7 @@ import pytest
 import sympy
 from hypothesis import HealthCheck, assume, given, settings
 
-from helpers import exact_line, random_signal, relerr, signal_strategy
+from helpers import exact_discriminant, exact_line, random_signal, relerr, signal_strategy
 from prony import closed_forms as cf
 from prony import curve_analysis as ca
 from prony import poly_engine as pe
@@ -493,10 +493,10 @@ def test_domain_endpoint_correctness_random():
             # the reported endpoint zeroes the restricted discriminant,
             # measured against its magnitude just off the endpoint
             off = 1e-2 * (1.0 + abs(t0))
-            at = pe.discriminant(pe.monic_from_sigma(line.sigma_at(t0)))
+            at = exact_discriminant(line.sigma_at(t0))
             near = max(
-                abs(pe.discriminant(pe.monic_from_sigma(line.sigma_at(t0 + off)))),
-                abs(pe.discriminant(pe.monic_from_sigma(line.sigma_at(t0 - off)))),
+                abs(exact_discriminant(line.sigma_at(t0 + off))),
+                abs(exact_discriminant(line.sigma_at(t0 - off))),
             )
             assert abs(at) < 1e-8 * max(1.0, near)
             # hyperbolicity holds inside and fails just outside
