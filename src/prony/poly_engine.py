@@ -266,8 +266,11 @@ def _seeded_roots(c, seeds, n):
 
 
 def _refine(c, dc, lo, hi, lo_positive) -> float:
+    # (lo, hi) holds exactly one root (a certified seed bracket, or a piece
+    # on which P is monotone), so Newton may run to rounding anywhere in it;
+    # bounded by the bisected bracket it stopped within _BISECT_RELWIDTH
     l, h = K.bisect_refine(c, lo, hi, lo_positive, _BISECT_RELWIDTH)
-    return K.newton_polish(c, dc, 0.5 * (l + h), l, h, _NEWTON_STEPS)
+    return K.newton_polish(c, dc, 0.5 * (l + h), lo, hi, _NEWTON_STEPS)
 
 
 def _on_root(c, abs_c, dc, x) -> bool:

@@ -419,6 +419,19 @@ def test_near_double_pair_falls_back_to_bisection(monkeypatch):
     assert np.array_equal(pe.hyperbolic_roots(c[-2::-1]), got)
 
 
+def test_bisected_root_is_polished_to_rounding(monkeypatch):
+    # -3 prod (z + k/32), k = 1..5, has exact coefficients.  With the seeds
+    # refused the Rolle pass bisects the middle root to 1e-10 relative, and
+    # Newton once stopped at the bisected bracket, 3.2e-11 from -3/32.  The
+    # polish runs in the piece that holds the root; it stops at steps below
+    # 1e-15 * (1 + |x|), where the computed sign of P is rounding noise
+    monkeypatch.setattr(pe, "_seeded_roots", lambda *args: None)
+    c = (-3.0 * npoly.polyfromroots([-k / 32.0 for k in range(1, 6)])).tolist()
+    assert _exact_poly(c) == sympy.Poly(-3 * sympy.prod(Z + sympy.Rational(k, 32) for k in range(1, 6)), Z)
+    x = pe.real_roots(c)[2]
+    assert abs(x + 3.0 / 32.0) <= 1e-15 * (1.0 + 3.0 / 32.0)
+
+
 def test_cluster_of_four_roots_within_resolution():
     # prod (z - (1.375 + 1e-3 k)), k = 0..3: the seeds do not certify the
     # cluster, and the Rolle pass must find all four roots, each within
