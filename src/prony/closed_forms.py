@@ -155,8 +155,8 @@ def P8_second_form(mu) -> float:
 def quartic_Pmu(mu) -> list[float]:
     """Ascending coefficients of the degree <= 4 polynomial in t whose real
     roots are the finite endpoints of the hyperbolic parameter set of the
-    one-missing-moment line at d=3; leading coefficients below 1e-14 of the
-    largest are dropped (see :func:`poly_engine.real_roots`).
+    one-missing-moment line at d=3; leading coefficients of at most 1e-14 of
+    the largest are dropped (see :func:`poly_engine.real_roots`).
 
     Computed as det(M)^4 times the cubic discriminant along the line,
     recovered from five samples; the denominator clearing makes every

@@ -143,8 +143,8 @@ def _probe_point(line, t):
     Collision probes sit close to a double root, where vieta_inverse
     refuses to classify; the root finder of real_roots, on the monic
     polynomial with its leading 1 never trimmed, still resolves the pair
-    there.  None
-    marks the resolution wall: fewer than d real roots, or repeated nodes.
+    there.  None marks the resolution wall: fewer than d real roots, or
+    repeated nodes.
     """
     roots = poly_engine._roots(poly_engine._monic_coeffs(line.sigma_at(t)))
     if len(roots) != line.d:

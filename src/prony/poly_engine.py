@@ -64,9 +64,9 @@ class SignVariation:
 
 
 def _coeffs(p) -> list[float]:
-    # checked ascending coefficients with the leading ones below 1e-14 of the
-    # largest magnitude trimmed, so the last is genuinely nonzero (the zero
-    # polynomial is kept as the single coefficient 0.0)
+    # checked ascending coefficients, the leading ones of at most 1e-14 of
+    # the largest magnitude trimmed so that the last is genuinely nonzero
+    # (the zero polynomial is kept as the single coefficient 0.0)
     c = np.asarray(p, dtype=float)
     if c.ndim != 1 or c.size == 0:
         raise ValueError("coefficients must be a nonempty 1-d sequence")
@@ -159,8 +159,9 @@ def _quadratic_roots(c0, c1, c2):
 
 def real_roots(p) -> np.ndarray:
     """All real roots of the ascending coefficient sequence p, sorted
-    ascending.  Leading coefficients below 1e-14 of the largest magnitude
-    are dropped first; p must be nonempty, 1-d and finite (else ValueError).
+    ascending.  Leading coefficients of at most 1e-14 of the largest
+    magnitude are dropped first; p must be nonempty, 1-d and finite (else
+    ValueError).
 
     Degrees 1-2 use stable closed forms.  From degree n >= 3 on, the real
     eigenvalues of the companion matrix serve as seeds.  Around each seed a
@@ -267,8 +268,7 @@ def _seeded_roots(c, seeds, n):
 
 def _refine(c, dc, lo, hi, lo_positive) -> float:
     # (lo, hi) holds exactly one root (a certified seed bracket, or a piece
-    # on which P is monotone), so Newton may run to rounding anywhere in it;
-    # bounded by the bisected bracket it stopped within _BISECT_RELWIDTH
+    # on which P is monotone), so Newton may run to rounding anywhere in it
     l, h = K.bisect_refine(c, lo, hi, lo_positive, _BISECT_RELWIDTH)
     return K.newton_polish(c, dc, 0.5 * (l + h), lo, hi, _NEWTON_STEPS)
 

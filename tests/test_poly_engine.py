@@ -198,15 +198,14 @@ def test_real_roots_trims_a_negligible_leading_coefficient():
 
 
 @pytest.mark.parametrize("sigma, want", [
-    ([1e15, -2e15], None),
+    # roots -1e15 - 2 - 4e-15 and 2 - 4e-15
+    ([1e15, -2e15], [-1e15 - 2.0, 2.0]),
     # (z + 1e15)(z - 2)(z - 3)
     ([1e15 - 5.0, 6.0 - 5e15, 6e15], [-1e15, 2.0, 3.0]),
-])
+], ids=["quadratic", "cubic"])
 def test_hyperbolic_roots_keeps_the_monic_leading_one(sigma, want):
     # coefficients 1e15 times the leading 1 would have it trimmed away in
     # real_roots; the monic root path keeps it and finds all d roots
-    if want is None:
-        want = [float(w) for w in _mp_real_roots(_exact_poly(pe._monic_coeffs(sigma)))]
     roots = pe.hyperbolic_roots(sigma)
     assert len(roots) == len(sigma)
     assert roots.tolist() == pytest.approx(want, rel=1e-12)
@@ -427,7 +426,8 @@ def test_bisected_root_is_polished_to_rounding(monkeypatch):
     # 1e-15 * (1 + |x|), where the computed sign of P is rounding noise
     monkeypatch.setattr(pe, "_seeded_roots", lambda *args: None)
     c = (-3.0 * npoly.polyfromroots([-k / 32.0 for k in range(1, 6)])).tolist()
-    assert _exact_poly(c) == sympy.Poly(-3 * sympy.prod(Z + sympy.Rational(k, 32) for k in range(1, 6)), Z)
+    exact = -3 * sympy.prod(Z + sympy.Rational(k, 32) for k in range(1, 6))
+    assert _exact_poly(c) == sympy.Poly(exact, Z)  # the float coefficients are exact
     x = pe.real_roots(c)[2]
     assert abs(x + 3.0 / 32.0) <= 1e-15 * (1.0 + 3.0 / 32.0)
 
