@@ -75,12 +75,16 @@ def sign_changes(vals, zero_tol):
 
 
 def bisect_refine(c, lo, hi, lo_positive, rel_width):
-    """Shrink a sign-change bracket (lo, hi) by bisection.
+    """Shrink a sign-change bracket (lo, hi) by bisection until its width
+    is at most rel_width of its larger end in magnitude, or its ends are
+    adjacent doubles.
 
-    lo_positive gives the sign of P on the lo side.  Returns the final
-    bracket; collapses to (r, r) on an exact hit.
+    The width is relative, also near zero: a root of size 1e-100 is placed
+    to rel_width of itself, not to rel_width.  lo_positive gives the sign
+    of P on the lo side.  Returns the final bracket; collapses to (r, r) on
+    an exact hit.
     """
-    while (hi - lo) > rel_width * (1.0 + 0.5 * abs(lo + hi)):
+    while (hi - lo) > rel_width * max(abs(lo), abs(hi)):
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break

@@ -146,7 +146,7 @@ def _probe_point(line, t):
     there.  None marks the resolution wall: fewer than d real roots, or
     repeated nodes.
     """
-    roots = poly_engine._roots(poly_engine._monic_coeffs(line.sigma_at(t)))
+    roots = np.array(poly_engine._roots(poly_engine._monic_coeffs(line.sigma_at(t))))
     if len(roots) != line.d:
         return None
     try:

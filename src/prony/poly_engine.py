@@ -32,8 +32,8 @@ __all__ = [
     "real_roots",
 ]
 
-# Accuracy targets (see module design notes): isolation brackets are bisected
-# to this relative width before Newton polishing.
+# A bracket that Newton does not resolve is bisected until its width is at
+# most this share of its larger end in magnitude, before Newton polishing.
 _BISECT_RELWIDTH = 1e-10
 _NEWTON_STEPS = 5
 # Seeded isolation: the first bracket around a companion eigenvalue reaches
@@ -135,7 +135,13 @@ def hyperbolic_roots(sigma):
     P on the monotone pieces between the roots of P' (see
     :func:`real_roots`).
     """
-    c = _monic_coeffs(sigma)
+    roots = _hyperbolic(_monic_coeffs(sigma))
+    return None if roots is None else np.array(roots)
+
+
+def _hyperbolic(c):
+    """:func:`hyperbolic_roots` of the checked monic coefficient list c
+    (see :func:`_monic_coeffs`), as a list."""
     d = len(c) - 1
     if d == 2 and not _sure_sign(c, [abs(v) for v in c], -0.5 * c[1]) < 0:
         return None
@@ -188,19 +194,19 @@ def real_roots(p) -> np.ndarray:
     back as one.  Returns an empty array for constants, including the zero
     polynomial.
     """
-    return _roots(_coeffs(p))
+    return np.array(_roots(_coeffs(p)), dtype=float)
 
 
-def _roots(c) -> np.ndarray:
-    """The real roots of the ascending coefficient list c, taken as given:
-    its last coefficient is nonzero (see :func:`real_roots`)."""
+def _roots(c) -> list[float]:
+    """The sorted real roots of the ascending coefficient list c, taken as
+    given: its last coefficient is nonzero (see :func:`real_roots`)."""
     n = len(c) - 1
     if n <= 0:
-        return np.empty(0)
+        return []
     if n == 1:
-        return np.array([-c[0] / c[1]])
+        return [-c[0] / c[1]]
     if n == 2:
-        return np.array(_quadratic_roots(c[0], c[1], c[2]))
+        return _quadratic_roots(c[0], c[1], c[2])
     seeds = _companion_seeds(c)
     roots = _seeded_roots(c, seeds, n)
     return _rolle_roots(c, seeds) if roots is None else roots
@@ -247,7 +253,7 @@ def _seeded_roots(c, seeds, n):
     """The n real roots of the squarefree P from its sorted companion
     seeds, or None when the seeds do not certify (see :func:`real_roots`)."""
     if n <= 0:
-        return np.empty(0)
+        return []
     cauchy = _cauchy_bound(c)
     if len(seeds) != n or not -cauchy < seeds[0] <= seeds[-1] < cauchy:
         return None
@@ -263,7 +269,7 @@ def _seeded_roots(c, seeds, n):
         if not _on_root(c, abs_c, dc, x):
             x = _refine(c, dc, lo, hi, lo_positive)
         roots.append(x)
-    return np.array(roots)
+    return roots
 
 
 def _refine(c, dc, lo, hi, lo_positive) -> float:
@@ -283,7 +289,7 @@ def _on_root(c, abs_c, dc, x) -> bool:
     return v <= abs(K.horner(dc, x)) * math.ulp(x)
 
 
-def _rolle_roots(c, seeds) -> np.ndarray:
+def _rolle_roots(c, seeds) -> list[float]:
     # real roots of P (degree >= 3) whose companion seeds did not certify
     # deg P of them: P is monotone between consecutive real roots of P'
     # (Rolle), so each such piece holds one root exactly when P changes sign
@@ -307,4 +313,4 @@ def _rolle_roots(c, seeds) -> np.ndarray:
         if roots is not None:
             return roots
     roots = multiple + [_refine(c, dc, ends[k], ends[k + 1], vals[k] > 0.0) for k in pieces]
-    return np.array(sorted(roots))
+    return sorted(roots)

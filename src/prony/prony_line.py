@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -33,10 +32,11 @@ from .signal_model import (
     MomentVector,
     Signal,
     SymmetricCoords,
+    _amplitudes,
+    _real_nodes,
     amplitudes_from_nodes,
     compute_moments,
     elementary_symmetric,
-    vieta_inverse,
 )
 
 __all__ = [
@@ -53,37 +53,42 @@ __all__ = [
 
 # det M below this fraction of the largest first minor counts as degenerate
 _DEGENERATE_REL = 1e-12
-# agreement required between the cofactor formulas and the two-point solve
+# agreement required between the cofactor formulas and the two-point solve:
+# this share of the line's scale, or _CROSS_CHECK_COND times what
+# cond(M) * eps allows, whichever is larger
 _CROSS_CHECK_REL = 1e-6
+_CROSS_CHECK_COND = 1e3
+_EPS = float(np.finfo(float).eps)
 # two critical values closer than this share of the larger one are below
 # the resolution of the domain build
 _ENDPOINT_REL = 1e-8
-# iterative refinement steps that take the cofactor line to the exact line
-# of the float moments
-_REFINE_STEPS = 2
+# iterative refinement takes the cofactor line to the exact line of the
+# float moments: it stops at the first step that changes no bit, after at
+# most this many steps.  One or two suffice on well-conditioned moments;
+# ill-conditioned ones the cross-check admits take up to about five
+_REFINE_STEPS = 8
 # projected-system residuals below this (times scale) admit lifting
 _LIFT_REL = 1e-8
 
 
 def _sub_det(a: list, rows: tuple, cols: tuple, memo: dict) -> float:
     # determinant of a[rows][cols] by cofactor expansion along its first
-    # row; every sub-determinant is computed once per memo, keyed by its
-    # (rows, cols)
-    key = (rows, cols)
-    if key in memo:
-        return memo[key]
+    # row; every sub-determinant of order 3 and up is computed once per
+    # memo, keyed by its (rows, cols), and those of order 1 and 2 directly
     n = len(rows)
     top = a[rows[0]]
     if n == 1:
-        det = top[cols[0]]
-    elif n == 2:
+        return top[cols[0]]
+    if n == 2:
         low = a[rows[1]]
-        det = top[cols[0]] * low[cols[1]] - top[cols[1]] * low[cols[0]]
-    else:
-        det = 0.0
-        for j in range(n):
-            term = top[cols[j]] * _sub_det(a, rows[1:], cols[:j] + cols[j + 1 :], memo)
-            det = det + term if j % 2 == 0 else det - term
+        return top[cols[0]] * low[cols[1]] - top[cols[1]] * low[cols[0]]
+    key = (rows, cols)
+    if key in memo:
+        return memo[key]
+    det = 0.0
+    for j in range(n):
+        term = top[cols[j]] * _sub_det(a, rows[1:], cols[:j] + cols[j + 1 :], memo)
+        det = det + term if j % 2 == 0 else det - term
     memo[key] = det
     return det
 
@@ -94,9 +99,31 @@ def _det(a: list, rows: tuple, cols: tuple, memo: dict) -> float:
     if len(rows) <= 4:
         return _sub_det(a, rows, cols, memo)
     # past the double range, or from subnormal entries, det M comes out
-    # infinite, NaN or zero, which _regular_hankel refuses
+    # infinite, NaN or zero, which _regular_minors refuses
     with np.errstate(all="ignore"):
         return float(np.linalg.det(np.array([[a[r][c] for c in cols] for r in rows])))
+
+
+def _minor_table(v: list):
+    # (rows, det M, first minors) of the Hankel matrix of the plain floats
+    # v = mu_0..mu_{2d-2}, all as lists; the minors share their
+    # sub-determinants
+    d = (len(v) + 1) // 2
+    rows = [v[i : i + d] for i in range(d)]
+    full = tuple(range(d))
+    memo: dict = {}
+    if d == 1:
+        minors = [[1.0]]
+    else:
+        drop = [full[:i] + full[i + 1 :] for i in full]
+        minors = [[_det(rows, r, c, memo) for c in drop] for r in drop]
+    return rows, _det(rows, full, full, memo), minors
+
+
+def _frozen(rows: list) -> np.ndarray:
+    m = np.array(rows)
+    m.setflags(write=False)
+    return m
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,23 +155,8 @@ def hankel(mu) -> HankelMatrix:
     values = np.asarray(getattr(mu, "values", mu), dtype=float)
     if values.ndim != 1 or values.size == 0 or values.size % 2 == 0:
         raise ValueError("need an odd number of moments mu_0..mu_{2d-2}")
-    d = (len(values) + 1) // 2
-    v = values.tolist()
-    rows = [v[i : i + d] for i in range(d)]
-    full = tuple(range(d))
-    memo: dict = {}  # the minors share their sub-determinants
-    if d == 1:
-        minors = np.ones((1, 1))
-    else:
-        minors = np.array(
-            [[_det(rows, full[:i] + full[i + 1 :], full[:j] + full[j + 1 :], memo)
-              for j in range(d)] for i in range(d)]
-        )
-    det = _det(rows, full, full, memo)
-    m = np.array(rows)
-    m.setflags(write=False)
-    minors.setflags(write=False)
-    return HankelMatrix(entries=m, determinant=det, minors=minors)
+    rows, det, minors = _minor_table(values.tolist())
+    return HankelMatrix(entries=_frozen(rows), determinant=det, minors=_frozen(minors))
 
 
 @dataclass(frozen=True, eq=False)
@@ -183,9 +195,24 @@ class PronyLine:
     def point(self, t: float):
         """The family point (sigma, nodes, amplitudes) at t; NotHyperbolic or
         RepeatedNodes where sigma(t) has no d real distinct roots."""
-        sigma = self.sigma_at(t)
-        nodes = vieta_inverse(sigma)
-        return sigma, nodes, amplitudes_from_nodes(self.mu, nodes)
+        sigma, nodes, amps = self._point(t)
+        return SymmetricCoords(sigma), np.array(nodes), np.array(amps)
+
+    @cached_property
+    def _plain(self):
+        # slopes, intercepts and mu_0..mu_{d-1} as plain floats
+        return self.slopes.tolist(), self.intercepts.tolist(), self.mu.values[: self.d].tolist()
+
+    def _point(self, t: float):
+        # point on plain floats: sigma(t), its nodes and their amplitudes as
+        # lists; ValueError where sigma(t) is not finite
+        slopes, intercepts, head = self._plain
+        t = float(t)
+        sigma = [s * t + b for s, b in zip(slopes, intercepts)]
+        if not all(map(math.isfinite, sigma)):
+            raise ValueError("sigma must be finite")
+        nodes = _real_nodes(sigma[::-1] + [1.0])
+        return sigma, nodes, _amplitudes(head, nodes)
 
     def parameter_of(self, sigma) -> float:
         """The t value whose line point has these coordinates: the last
@@ -212,23 +239,24 @@ class PronyLine:
         return out
 
 
-def _regular_hankel(mu) -> HankelMatrix:
-    """Hankel matrix of mu, refused when det M is not finite (ValueError) or
-    below _DEGENERATE_REL of the largest first minor (DegenerateHankel): the
-    one det M policy, shared by line_params and prony_solver.solve_complete."""
-    H = hankel(mu)
-    minors = [abs(m) for row in H.minors.tolist() for m in row]
+def _regular_minors(v: list):
+    """_minor_table of the plain floats v, refused when det M is not finite
+    (ValueError) or below _DEGENERATE_REL of the largest first minor
+    (DegenerateHankel): the one det M policy, shared by line_params and
+    prony_solver.solve_complete."""
+    rows, det, minors = _minor_table(v)
+    flat = [abs(m) for row in minors for m in row]
     # NaN from inf - inf in the cofactors of huge moments passes every test
-    if not (math.isfinite(H.determinant) and all(map(math.isfinite, minors))):
+    if not (math.isfinite(det) and all(map(math.isfinite, flat))):
         raise ValueError("moments exceed double range: det M or a minor is not finite")
-    max_minor = max(minors)
-    if abs(H.determinant) <= _DEGENERATE_REL * max_minor:
+    max_minor = max(flat)
+    if abs(det) <= _DEGENERATE_REL * max_minor:
         raise DegenerateHankel(
-            f"det M = {H.determinant:.3e} is degenerate, below "
+            f"det M = {det:.3e} is degenerate, below "
             f"{_DEGENERATE_REL} of the largest first minor {max_minor:.3e}: "
             "nodes collide identically or an amplitude vanishes identically"
         )
-    return H
+    return rows, det, minors
 
 
 def line_params(mu) -> PronyLine:
@@ -239,9 +267,9 @@ def line_params(mu) -> PronyLine:
     sigma_{d-k+1} slope = (-1)^(d+k) M_{d,k} / det M; the result is then
     cross-checked against a direct linear solve of the full system at two
     parameter values.  The two routes are kept deliberately independent.
-    Two steps of iterative refinement, with residuals exact in rationals,
-    then take both to the exact line of the float moments to within about
-    one rounding.
+    Iterative refinement, with residuals exact in rationals, then takes
+    both to the exact line of the float moments to within about one
+    rounding; it stops at the first step that changes no bit.
 
     The most recent line is remembered under the exact bytes of its
     moments, so analyses of one moment vector run back to back share one
@@ -254,16 +282,37 @@ def line_params(mu) -> PronyLine:
     return _line_of(mu.values.tobytes())
 
 
-def _refined(m: list, entries: np.ndarray, rhs: list, sigma: np.ndarray) -> np.ndarray:
+def _dyadic(values: list):
+    # the plain floats values as integers over one common power of two:
+    # (ints, e) with values[i] == ints[i] / 2**e exactly
+    ratios = [v.as_integer_ratio() for v in values]
+    e = max(den.bit_length() for _, den in ratios) - 1
+    return [num << (e - den.bit_length() + 1) for num, den in ratios], e
+
+
+def _exact_residuals(m, rhs: list, y: list) -> list:
+    # rhs_k - sum_j mu_{k+j} y_j for each k, exact in integers over one
+    # power of two and rounded once (m: the moments as _dyadic gives them);
+    # int / int true division rounds correctly, as float(Fraction) does
+    (mi, me), (ri, re), (yi, ye) = m, _dyadic(rhs), _dyadic(y)
+    e = max(me + ye, re)
+    out = []
+    for k, r in enumerate(ri):
+        dot = sum(mi[k + j] * v for j, v in enumerate(yi))
+        out.append(((r << (e - re)) - (dot << (e - me - ye))) / (1 << e))
+    return out
+
+
+def _refined(m, entries: np.ndarray, rhs: list, sigma: np.ndarray) -> np.ndarray:
     # (sigma_1..sigma_d) solving M (sigma_d..sigma_1)^T = rhs, refined from
-    # the estimate sigma with residuals taken exactly in rationals (m: the
-    # moments as Fractions); the float moments and rhs are exact data
+    # the estimate sigma with exact residuals (m: the moments as _dyadic
+    # gives them); the float moments and rhs are exact data
     y = sigma[::-1]
     for _ in range(_REFINE_STEPS):
-        exact = [Fraction(v) for v in y.tolist()]
-        res = [float(Fraction(r) - sum(m[k + j] * v for j, v in enumerate(exact)))
-               for k, r in enumerate(rhs)]
-        y = y + np.linalg.solve(entries, res)
+        step = y + np.linalg.solve(entries, _exact_residuals(m, rhs, y.tolist()))
+        if step.tobytes() == y.tobytes():
+            break
+        y = step
     return y[::-1].copy()
 
 
@@ -272,13 +321,16 @@ def _line_of(raw: bytes) -> PronyLine:
     # one entry: the callers that repeat a vector (analyze, curve, the
     # analyses of one family) finish with it before they turn to the next
     mu = MomentVector(np.frombuffer(raw))
-    H = _regular_hankel(mu)
-    d = H.d
-
+    if len(mu) % 2 == 0:
+        raise ValueError("need an odd number of moments mu_0..mu_{2d-2}")
     # plain floats: a product past the double range is inf, without the
     # RuntimeWarning of a numpy scalar, and is refused below
     v = mu.values
-    vals, minors, det = v.tolist(), H.minors.tolist(), float(H.determinant)
+    vals = v.tolist()
+    rows, det, minors = _regular_minors(vals)
+    H = HankelMatrix(entries=_frozen(rows), determinant=det, minors=_frozen(minors))
+    d = H.d
+
     slopes = [0.0] * d
     intercepts = [0.0] * d
     for k in range(1, d + 1):
@@ -293,12 +345,16 @@ def _line_of(raw: bytes) -> PronyLine:
     slopes, intercepts = np.array(slopes), np.array(intercepts)
 
     # independent route: solve M * (sigma_d..sigma_1)^T = rhs(t) at t = 0, 1
-    # and recover the affine data from the two solutions
+    # and recover the affine data from the two solutions.  Each route loses
+    # up to about cond(M) * eps; kappa_inf(M) comes from the minor table,
+    # since M^-1 = adj M / det M
     rhs0 = np.concatenate([-v[d : 2 * d - 1], [0.0]])
     rhs1 = np.concatenate([-v[d : 2 * d - 1], [1.0]])
     sig0 = np.linalg.solve(H.entries, rhs0)[::-1]
     sig1 = np.linalg.solve(H.entries, rhs1)[::-1]
-    tol = _CROSS_CHECK_REL * max(
+    kappa = max(sum(map(abs, row)) for row in rows) * max(
+        sum(abs(row[i]) for row in minors) for i in range(d)) / abs(det)
+    tol = max(_CROSS_CHECK_REL, _CROSS_CHECK_COND * kappa * _EPS) * max(
         1.0, float(np.max(np.abs(slopes))), float(np.max(np.abs(intercepts)))
     )
     if (
@@ -311,7 +367,7 @@ def _line_of(raw: bytes) -> PronyLine:
 
     # the cofactor formulas lose up to cond(M) * eps, which sigma(t) far out
     # on the line (slopes*t and intercepts cancel) and the domain cannot bear
-    m = [Fraction(x) for x in v.tolist()]
+    m = _dyadic(vals)
     slopes = _refined(m, H.entries, [0.0] * (d - 1) + [1.0], slopes)
     intercepts = _refined(m, H.entries, rhs0.tolist(), intercepts)
     slopes.setflags(write=False)

@@ -29,10 +29,11 @@ from .errors import (
 )
 from .signal_model import (
     Signal,
-    amplitudes_from_nodes,
+    _amplitudes,
+    _moments,
+    _monic_product,
+    _real_nodes,
     compute_moments,
-    elementary_symmetric,
-    vieta_inverse,
 )
 
 __all__ = [
@@ -158,35 +159,46 @@ def solve_complete(mu) -> Signal:
     values = np.asarray(getattr(mu, "values", mu), dtype=float)
     if values.ndim != 1 or values.size < 2 or values.size % 2 != 0:
         raise ValueError("need an even number of moments mu_0..mu_{2d-1}")
-    v = values.tolist()
+    return Signal(*_solve(values.tolist()))
+
+
+def _solve(v: list):
+    """(amplitudes, nodes) of solve_complete for the plain floats v =
+    mu_0..mu_{2d-1}, as lists, with every check solve_complete makes: finite
+    moments, the det M policy, d certified distinct real roots, nonzero
+    amplitudes on strictly increasing nodes, and the residual."""
     if not all(map(math.isfinite, v)):
         raise ValueError("moments must be finite")
-    d = values.size // 2
-
-    H = prony_line._regular_hankel(values[: 2 * d - 1])
+    d = len(v) // 2
+    rows, _, _ = prony_line._regular_minors(v[: 2 * d - 1])
 
     # M (sigma_d, ..., sigma_1)^T = -(mu_d, ..., mu_{2d-1})^T
-    sigma = np.linalg.solve(H.entries, -values[d : 2 * d])[::-1]
+    c = np.linalg.solve(rows, [-m for m in v[d:]]).tolist()  # [sigma_d, ..., sigma_1]
+    if not all(map(math.isfinite, c)):
+        raise ValueError("sigma must be finite")
     try:
-        nodes = vieta_inverse(sigma)
+        nodes = _real_nodes(c + [1.0])
     except NotHyperbolic as exc:
         raise NoRealSolution(
             "no real node configuration matches these moments") from exc
     try:
-        amps = amplitudes_from_nodes(values, nodes)
-        signal = Signal(amps, nodes)
-    except (RepeatedNodes, ValueError) as exc:
+        amps = _amplitudes(v[:d], nodes)
+    except RepeatedNodes as exc:
         raise NoRealSolution(
             "recovered nodes or amplitudes are degenerate") from exc
+    # the invariants of Signal
+    if not (all(map(math.isfinite, amps + nodes)) and 0.0 not in amps
+            and all(lo < hi for lo, hi in zip(nodes, nodes[1:]))):
+        raise NoRealSolution("recovered nodes or amplitudes are degenerate")
 
-    back = compute_moments(signal, 2 * d - 1).values.tolist()
+    back = _moments(amps, nodes, 2 * d - 1)
     defect = max(abs(b - a) for b, a in zip(back, v))
     scale = max(1.0, max(map(abs, v)))
     if defect > _RESIDUAL_RTOL * scale:
         raise ResidualTooLarge(
             f"reconstruction misses the moments by {defect:.3e} "
             f"(allowed {_RESIDUAL_RTOL * scale:.3e})")
-    return signal
+    return amps, nodes
 
 
 def make_cluster_signal(d: int, h: float) -> Signal:
@@ -201,13 +213,15 @@ def make_cluster_signal(d: int, h: float) -> Signal:
 
 
 def _distance_at(line, target, t):
+    # Euclidean distance from the (amplitudes + nodes) sequence target to
+    # the family point at t; inf outside the hyperbolic set
     if not line.domain.contains(t):
         return np.inf
     try:
-        _, nodes, amps = line.point(t)
+        _, nodes, amps = line._point(t)
     except (NotHyperbolic, RepeatedNodes):
         return np.inf
-    return float(np.linalg.norm(np.concatenate([amps, nodes]) - target))
+    return float(np.linalg.norm(np.subtract(amps + nodes, target)))
 
 
 def _golden(f, a, b, c):
@@ -274,7 +288,7 @@ def curve_distance(signal: Signal, mu, t_grid) -> float:
             f"signal has {signal.d} nodes but the family has {line.d}")
     if line.domain.empty:
         raise EmptyDomain("the hyperbolic parameter set is empty")
-    target = np.concatenate([signal.amplitudes, signal.nodes])
+    target = signal.amplitudes.tolist() + signal.nodes.tolist()
     return _min_distance(line, target, t_grid)
 
 
@@ -312,7 +326,16 @@ def amplification_experiment(cfg: NoiseConfig) -> AmplificationResult:
     they exceed half at any h.
 
     The per-(h, trial) noise streams are split from the master seed, so
-    results are reproducible regardless of evaluation order.
+    results are reproducible regardless of evaluation order.  They cost
+    about as much as the solve itself, yet stay: a stream per
+    (seed, h index, trial) is what the published rows and any independent
+    recomputation of them read, so replacing it moves every row.
+
+    Each trial runs the checks of solve_complete, on plain floats and
+    without building a Signal: finite moments, the det M policy, d
+    certified distinct real roots, no repeated node, nonzero amplitudes on
+    strictly increasing nodes, and the residual within 1e-8 of the moment
+    scale.
     """
     if not isinstance(cfg, NoiseConfig):
         cfg = NoiseConfig.from_mapping(cfg)
@@ -341,20 +364,19 @@ def amplification_experiment(cfg: NoiseConfig) -> AmplificationResult:
             rng = np.random.default_rng([cfg.seed, h_idx, trial])
             delta = rng.uniform(-cfg.epsilon, cfg.epsilon, 2 * cfg.d)
             try:
-                rec = solve_complete(mu_true.values + delta)
+                amps, nodes = _solve((mu_true.values + delta).tolist())
             except (NoRealSolution, ResidualTooLarge,
                     prony_line.DegenerateHankel):
                 failed += 1
                 continue
-            point_err = max(
-                abs(r - t) for r, t in zip(
-                    rec.amplitudes.tolist() + rec.nodes.tolist(), true_point))
-            guess = np.concatenate([rec.amplitudes, rec.nodes])
+            guess = amps + nodes
+            point_err = max(abs(r - t) for r, t in zip(guess, true_point))
             # distance to the family point at the reconstruction's own
-            # parameter, not to the nearest family point
-            t_hat = line.parameter_of(elementary_symmetric(rec.nodes))
-            curve_dist = _distance_at(line, guess, float(t_hat))
-            if not np.isfinite(curve_dist):
+            # parameter, not to the nearest family point; sigma of the
+            # nodes is finite, since their moments passed the residual
+            t_hat = line.parameter_of(_monic_product(nodes)[cfg.d - 1 :: -1])
+            curve_dist = _distance_at(line, guess, t_hat)
+            if not math.isfinite(curve_dist):
                 logger.warning(
                     "h=%g trial %d: parameter %.6g left the hyperbolic "
                     "set, falling back to the nearest family point",

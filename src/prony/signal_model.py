@@ -127,7 +127,12 @@ def compute_moments(signal: Signal, q: int) -> MomentVector:
     """
     if q < 0:
         raise ValueError("q must be nonnegative")
-    terms = list(zip(signal.amplitudes.tolist(), signal.nodes.tolist()))
+    return MomentVector(_moments(signal.amplitudes.tolist(), signal.nodes.tolist(), q))
+
+
+def _moments(amps: list, nodes: list, q: int) -> list:
+    # compute_moments on plain floats; ValueError past the double range
+    terms = list(zip(amps, nodes))
     out = []
     try:
         for k in range(q + 1):
@@ -137,7 +142,9 @@ def compute_moments(signal: Signal, q: int) -> MomentVector:
             out.append(acc)
     except OverflowError:  # a float power past the double range raises
         raise ValueError("moments must be finite") from None
-    return MomentVector(out)
+    if not all(map(math.isfinite, out)):
+        raise ValueError("moments must be finite")
+    return out
 
 
 def _monic_product(x) -> list:
@@ -170,13 +177,17 @@ def vieta_inverse(sigma) -> np.ndarray:
 
     Raises NotHyperbolic unless the polynomial has d real distinct roots.
     """
-    s = np.asarray(getattr(sigma, "sigma", sigma), dtype=float)
-    roots = poly_engine.hyperbolic_roots(s)
+    return np.array(_real_nodes(poly_engine._monic_coeffs(sigma)))
+
+
+def _real_nodes(c: list) -> list:
+    # vieta_inverse of the checked monic coefficient list c = [sd, ..., s1, 1.0]
+    roots = poly_engine._hyperbolic(c)
     if roots is None:
         raise NotHyperbolic("polynomial does not have d real distinct roots")
-    if len(roots) != len(s):
+    if len(roots) != len(c) - 1:
         raise InconsistentComputation(
-            f"root isolation proved {len(s)} distinct roots, but returned {len(roots)}"
+            f"root isolation proved {len(c) - 1} distinct roots, but returned {len(roots)}"
         )
     return roots
 
@@ -198,9 +209,13 @@ def amplitudes_from_nodes(mu, nodes) -> np.ndarray:
     if len(values) < d:
         raise ValueError(f"need at least {d} moments, got {len(values)}")
 
-    xs = x.tolist()
-    head = values[:d].tolist()
-    out = np.empty(d)
+    return np.array(_amplitudes(values[:d].tolist(), x.tolist()))
+
+
+def _amplitudes(head: list, xs: list) -> list:
+    # amplitudes_from_nodes on plain floats: mu_0..mu_{d-1} and the d nodes
+    d = len(xs)
+    out = []
     for k in range(d):
         lagrange = 1.0
         for i in range(d):
@@ -213,5 +228,5 @@ def amplitudes_from_nodes(mu, nodes) -> np.ndarray:
         acc = 0.0
         for j in range(d):
             acc += rest[j] * head[j]
-        out[k] = acc / lagrange
+        out.append(acc / lagrange)
     return out

@@ -341,8 +341,8 @@ def _resolved(poly):
     :func:`_clears_rounding`), so no real root of any derivative, down to
     the linear one, can appear, vanish or turn double under rounding.  And
     the real roots of each P^(k) lie further apart than 1e3 times the
-    absolute width _BISECT_RELWIDTH * (1 + |x|) to which the root layer
-    places them."""
+    distance _BISECT_RELWIDTH * (1 + |x|) to which the root layer places
+    them (see :func:`_check_against_exact`)."""
     q, p = None, poly
     while p.degree() >= 1:
         roots = _mp_real_roots(p)
@@ -363,10 +363,13 @@ def _check_against_exact(c, got):
     magnitude sum, guard(w), can flip the sign of P only where |P| is below
     that.  Where double precision resolves the roots (see
     :func:`_resolved`), got holds each exact real root w, to the distance
-    guard(w) / |P'(w)| over which rounding moves it, plus the bisection
-    width of the fallback.  Below resolution a cluster may lose or gain
-    real roots (five roots 1e-5 apart have come back as two, of a float
-    polynomial with one real root), and only the residual is checked."""
+    guard(w) / |P'(w)| over which rounding moves it, plus
+    _BISECT_RELWIDTH * (1 + |w|).  That term is absolute: a seeded root
+    near zero is accepted at a residual that can leave it 1e-8 of itself
+    off, and the fallback bisects a root at zero to a few subnormals.
+    Below resolution a cluster may lose or gain real roots (five roots
+    1e-5 apart have come back as two, of a float polynomial with one real
+    root), and only the residual is checked."""
     poly = _exact_poly(c)
     with mpmath.workdps(40):
         if not _resolved(poly):
@@ -430,6 +433,19 @@ def test_bisected_root_is_polished_to_rounding(monkeypatch):
     assert _exact_poly(c) == sympy.Poly(exact, Z)  # the float coefficients are exact
     x = pe.real_roots(c)[2]
     assert abs(x + 3.0 / 32.0) <= 1e-15 * (1.0 + 3.0 / 32.0)
+
+
+def test_real_roots_places_a_pair_near_zero_to_its_own_scale():
+    # 2z^3 - 0.75z^2 + 7.5e-201z + 2.5e-201 has roots 0.375 and a pair at
+    # +-5.77e-101, which the seeds do not certify.  Bisection to an
+    # absolute width of 1e-10 once left Newton, slow at the near-double
+    # pair, at +-1.5625e-12
+    c = [2.5e-201, 7.5e-201, -0.75, 2.0]
+    want = [float(r.evalf(30)) for r in _exact_poly(c).real_roots()]
+    got = pe.real_roots(c)
+    assert len(got) == 3
+    for x, w in zip(got, want):
+        assert abs(x - w) <= 1e-12 * abs(w)
 
 
 def test_cluster_of_four_roots_within_resolution():

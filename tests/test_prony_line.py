@@ -4,11 +4,13 @@ import dataclasses
 import math
 import struct
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 import sympy
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
+from hypothesis import strategies as st
 
 from helpers import exact_discriminant, exact_line, random_signal, relerr, signal_strategy
 from prony import closed_forms as cf
@@ -347,6 +349,80 @@ def test_line_slopes_match_minor_formula_exactly():
             assert abs(line.slopes[j - 1] - want) <= math.ulp(want)
 
 
+_EDGE_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+                -1.7976931348623157e308)
+_RESIDUAL_FLOATS = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                             st.floats(-4.0, 4.0), st.sampled_from(_EDGE_FLOATS))
+
+
+@st.composite
+def _residual_case(draw):
+    d = draw(st.integers(1, 4))
+    mu = draw(st.lists(_RESIDUAL_FLOATS, min_size=2 * d - 1, max_size=2 * d - 1))
+    rhs = draw(st.lists(_RESIDUAL_FLOATS, min_size=d, max_size=d))
+    y = draw(st.lists(_RESIDUAL_FLOATS, min_size=d, max_size=d))
+    return mu, rhs, y
+
+
+@settings(max_examples=300, deadline=None)
+@given(_residual_case())
+@example(([5e-324, -0.0, 1e-310], [-0.0, 0.0], [1e-320, -5e-324]))  # subnormal, signed zeros
+@example(([1.0, 3.0, 1.0], [0.0, -0.0], [0.0, -0.0]))  # an exact zero residual
+@example(([1.7976931348623157e308] * 3, [1.0, -1.7976931348623157e308], [1.0, 1.0]))  # overflow
+@example(([1.7976931348623157e308, 1.0, -1.0], [1.7976931348623157e308, 0.0], [-1.0, 0.5]))
+def test_exact_residuals_equal_the_rational_residuals(case):
+    # integers over one power of two give the residual the Fraction
+    # arithmetic gives, rounded once: bit for bit, signed zeros included,
+    # and OverflowError where the exact residual is past the double range
+    mu, rhs, y = case
+    m = [Fraction(v) for v in mu]
+
+    def rational():
+        exact = [Fraction(v) for v in y]
+        return [float(Fraction(r) - sum(m[k + j] * v for j, v in enumerate(exact)))
+                for k, r in enumerate(rhs)]
+
+    try:
+        want = rational()
+    except OverflowError:
+        with pytest.raises(OverflowError):
+            pl._exact_residuals(pl._dyadic(mu), rhs, y)
+        return
+    got = pl._exact_residuals(pl._dyadic(mu), rhs, y)
+    assert [v.hex() for v in got] == [v.hex() for v in want]
+    assert [math.copysign(1.0, v) for v in got] == [math.copysign(1.0, v) for v in want]
+
+
+def test_ill_conditioned_line_refines_to_the_exact_line():
+    # nodes 1.1656062, 1.1655938 and 0.2774: cond(M) is 3.8e11, the two
+    # routes of line_params differ by 5.2e-6 of the line's scale, and a
+    # fixed 1e-6 cross-check refused the line as an inconsistent
+    # computation.  The refined line is the exact line of the float
+    # moments, rounded once
+    mu = [0.9303531462841692, -0.6754644035109824, -1.2754877121027866,
+          -1.6221178328224701, -1.9282997715611514]
+    line = pl.line_params(mu)
+    base, slope = exact_line(mu)
+    assert line.slopes.tolist() == [float(Fraction(int(s.p), int(s.q))) for s in slope]
+    assert line.intercepts.tolist() == [float(Fraction(int(b.p), int(b.q))) for b in base]
+
+
+def test_cofactor_route_that_disagrees_is_refused(monkeypatch):
+    # a first minor off by 1e-3 of itself is no rounding: the cross-check
+    # against the direct solve still refuses it on a well-conditioned M
+    regular = pl._regular_minors
+
+    def skewed(v):
+        rows, det, minors = regular(v)
+        minors = [row[:] for row in minors]
+        minors[-1][0] *= 1.001
+        return rows, det, minors
+
+    monkeypatch.setattr(pl, "_regular_minors", skewed)
+    with pytest.raises(InconsistentComputation, match="cofactor line formulas"):
+        pl.line_params([2.0, 1.0, 3.0])
+
+
 def test_line_membership_residuals():
     # every sigma(t) on the line satisfies all d moment equations
     rng = np.random.default_rng(1003)
@@ -583,6 +659,23 @@ def test_domain_abstains_below_resolution():
           11.102756020083142, 19.673917022068302, 33.74250941625727]
     with pytest.raises(InterpolationInconsistency, match="critical values"):
         pl.hyperbolic_domain(mu)
+
+
+def test_domain_of_a_node_pair_near_zero():
+    # the node polynomial at t = -4.5 has a double root near 1.15e-100.
+    # Bisected to an absolute width, the root layer placed it at
+    # 1.5625e-12 and the build raised InterpolationInconsistency; at a
+    # relative width the puncture is placed and the domain matches the
+    # exact root counts on either side of it and far out
+    mu = [1e200, 1.0, 1e-200, 2.0, 3.0]
+    dom = pl.hyperbolic_domain(mu)
+    assert dom.intervals == ((-INF, -4.5), (-4.5, -3.375))
+    assert [e.kind for e in dom.endpoints] == ["puncture", "collision-boundary"]
+    base, slope = exact_line(mu)
+    for t in (-1e10, -4.6, -4.4):
+        assert dom.contains(t) and _exactly_hyperbolic(base, slope, t)
+    for t in (-3.0, 0.0, 10.0):
+        assert not dom.contains(t) and not _exactly_hyperbolic(base, slope, t)
 
 
 def _exactly_hyperbolic(base, slope, t):

@@ -19,6 +19,9 @@ Worked values used below:
     no parameter is hyperbolic at all, so the d=3 family is empty.
 """
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -29,6 +32,7 @@ from prony.errors import (
     InconsistentComputation,
     MathDegeneracy,
     NoRealSolution,
+    ResidualTooLarge,
     TooFewValidTrials,
 )
 from prony.signal_model import (
@@ -37,6 +41,8 @@ from prony.signal_model import (
     compute_moments,
     elementary_symmetric,
 )
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 EMPTY_DOMAIN_MU = (1.1290059010262046, 0.6859468387960028,
                    -1.0504763861156126, -1.2821546935359023,
@@ -109,6 +115,25 @@ def test_solve_validation():
         ps.solve_complete((1.0,))
     with pytest.raises(ValueError):
         ps.solve_complete((1.0, np.nan, 0.0, 0.0))
+
+
+@pytest.mark.parametrize("mu, error", [
+    ((1.0, 1.0, 1.0, 1.0), pl.DegenerateHankel),
+    ((2.0, 0.0, -2.0, 0.0), NoRealSolution),  # z^2 + 1: a complex pair
+    ((1.0, 0.0, -1.0, -2.0), NoRealSolution),  # (z - 1)^2: a repeated node
+    # d = 4: the recovered signal misses the moments by 1.8e-5
+    ((-2.1504493286670225, 1.6062909004815775, -0.06272692164880188,
+      0.33562153149262397, 0.014517004835593247, 0.08699414621141842,
+      0.007772055378703171, 0.023591387133174584), ResidualTooLarge),
+    ((1.0, np.nan, 0.0, 0.0), ValueError),
+    # nodes 0 and 1e150: the cube of 1e150 overflows when the moments are
+    # recomputed
+    ((1.0, 1e-50, 1e100, 1e250), ValueError),
+], ids=["degenerate", "complex-pair", "repeated-node", "residual", "non-finite",
+        "overflow"])
+def test_solve_abstains_with_its_class(mu, error):
+    with pytest.raises(error):
+        ps.solve_complete(mu)
 
 
 def test_solve_accepts_moment_vector():
@@ -315,6 +340,21 @@ def test_experiment_slopes_and_determinism():
     assert res.rows == again.rows
     assert res.point_slope == again.point_slope
     assert res.curve_slope == again.curve_slope
+
+
+def test_experiment_reproduces_the_recorded_rows():
+    # the benchmark's five amplify configs, recorded as hex floats before
+    # the trial loop ran on plain floats: the noise stream, the LAPACK
+    # solve and np.dot fix the bits, and the rest repeats their arithmetic
+    data = json.loads((FIXTURES / "amplify_rows.json").read_text())
+    fits = ("point_slope", "point_intercept", "point_r2",
+            "curve_slope", "curve_intercept", "curve_r2")
+    for rec in data["configs"]:
+        res = ps.amplification_experiment(ps.NoiseConfig(
+            d=rec["d"], epsilon=data["epsilon"], trials=rec["trials"],
+            seed=rec["seed"], h_grid=tuple(data["h_grid"])))
+        assert [[h.hex(), p.hex(), c.hex(), f] for h, p, c, f in res.rows] == rec["rows"]
+        assert [getattr(res, key).hex() for key in fits] == [rec[key] for key in fits]
 
 
 def test_experiment_errors_scale_with_epsilon():
