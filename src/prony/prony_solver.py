@@ -326,10 +326,11 @@ def amplification_experiment(cfg: NoiseConfig) -> AmplificationResult:
     they exceed half at any h.
 
     The per-(h, trial) noise streams are split from the master seed, so
-    results are reproducible regardless of evaluation order.  They cost
-    about as much as the solve itself, yet stay: a stream per
-    (seed, h index, trial) is what the published rows and any independent
-    recomputation of them read, so replacing it moves every row.
+    results are reproducible regardless of evaluation order.  A stream
+    costs about as much as the trial's solve, yet stays: the benchmark's
+    amplify check recomputes the rows from these same streams, and any
+    other stream moves every row, which belongs in a change that moves the
+    rows anyway.
 
     Each trial runs the checks of solve_complete, on plain floats and
     without building a Signal: finite moments, the det M policy, d
