@@ -356,7 +356,6 @@ def amplification_experiment(cfg: NoiseConfig) -> AmplificationResult:
         # the family parameter of the true signal: the last complete-system
         # equation reads dot(mu[d-1:2d-1], reversed(sigma)) = -mu_{2d-1}
         t_star = -float(mu_true.values[q])
-        grid = _experiment_grid(t_star, cfg.t_resolution)
 
         worst_point = 0.0
         worst_curve = 0.0
@@ -382,7 +381,8 @@ def amplification_experiment(cfg: NoiseConfig) -> AmplificationResult:
                     "h=%g trial %d: parameter %.6g left the hyperbolic "
                     "set, falling back to the nearest family point",
                     h, trial, t_hat)
-                curve_dist = _min_distance(line, guess, grid)
+                curve_dist = _min_distance(
+                    line, guess, _experiment_grid(t_star, cfg.t_resolution))
             worst_point = max(worst_point, point_err)
             worst_curve = max(worst_curve, curve_dist)
         if failed > cfg.trials // 2:
