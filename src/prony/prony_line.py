@@ -64,8 +64,9 @@ _EPS = float(np.finfo(float).eps)
 _ENDPOINT_REL = 1e-8
 # iterative refinement takes the cofactor line to the exact line of the
 # float moments: it stops at the first step that changes no bit, after at
-# most this many steps.  One or two suffice on well-conditioned moments;
-# ill-conditioned ones the cross-check admits take up to about five
+# most this many steps.  One or two suffice on well-conditioned moments,
+# d = 3 moments of nodes 1e-8 apart take up to five, and a line that has
+# not settled after the last step is kept as it stands
 _REFINE_STEPS = 8
 # projected-system residuals below this (times scale) admit lifting
 _LIFT_REL = 1e-8
