@@ -393,14 +393,20 @@ def test_exact_residuals_equal_the_rational_residuals(case):
     assert [math.copysign(1.0, v) for v in got] == [math.copysign(1.0, v) for v in want]
 
 
-def test_ill_conditioned_line_refines_to_the_exact_line():
-    # nodes 1.1656062, 1.1655938 and 0.2774: cond(M) is 3.8e11, the two
-    # routes of line_params differ by 5.2e-6 of the line's scale, and a
-    # fixed 1e-6 cross-check refused the line as an inconsistent
+@pytest.mark.parametrize("mu", [
+    # nodes 1.1656062, 1.1655938 and 0.2774: cond(M) is 3.8e11, and the two
+    # routes of line_params differ by 5.2e-6 of the line's scale
+    [0.9303531462841692, -0.6754644035109824, -1.2754877121027866,
+     -1.6221178328224701, -1.9282997715611514],
+    # a node pair closer than 1e-3: two refinement steps leave the line
+    # 6e5 ulps off, and more steps reach it
+    [-1.4783005357980006, -1.4061762844163121, -1.356409961002595,
+     -1.291829172167612, -1.2447049601853784],
+], ids=["two-steps", "more-steps"])
+def test_ill_conditioned_line_refines_to_the_exact_line(mu):
+    # a fixed 1e-6 cross-check refused these lines as an inconsistent
     # computation.  The refined line is the exact line of the float
     # moments, rounded once
-    mu = [0.9303531462841692, -0.6754644035109824, -1.2754877121027866,
-          -1.6221178328224701, -1.9282997715611514]
     line = pl.line_params(mu)
     base, slope = exact_line(mu)
     assert line.slopes.tolist() == [float(Fraction(int(s.p), int(s.q))) for s in slope]
