@@ -27,6 +27,13 @@ class DegenerateHankel(MathDegeneracy):
     amplitude and the line construction is unavailable."""
 
 
+class IllConditionedHankel(MathDegeneracy):
+    """The Hankel matrix is regular but too ill-conditioned for double
+    precision: the two routes to the line disagree by what cond(M) eps
+    explains, or the exact refinement of the line does not settle, so no
+    verdict drawn from the line could be trusted."""
+
+
 class NotHyperbolic(MathDegeneracy):
     """Coefficient vector does not define a polynomial with all roots real
     and distinct."""

@@ -24,6 +24,7 @@ from . import _kernels as K
 from . import poly_engine
 from .errors import (
     DegenerateHankel,
+    IllConditionedHankel,
     InconsistentComputation,
     InterpolationInconsistency,
     ResidualTooLarge,
@@ -33,6 +34,7 @@ from .signal_model import (
     Signal,
     SymmetricCoords,
     _amplitudes,
+    _check_finite,
     _real_nodes,
     amplitudes_from_nodes,
     compute_moments,
@@ -53,20 +55,22 @@ __all__ = [
 
 # det M below this fraction of the largest first minor counts as degenerate
 _DEGENERATE_REL = 1e-12
-# agreement required between the cofactor formulas and the two-point solve:
-# this share of the line's scale, or _CROSS_CHECK_COND times what
-# cond(M) * eps allows, whichever is larger
+# agreement required between the cofactor formulas and the two-point
+# solve, as a share of the line's scale
 _CROSS_CHECK_REL = 1e-6
+# each route loses up to about kappa_inf(M) * eps of the line's scale: a
+# larger disagreement that _CROSS_CHECK_COND times that still explains is
+# double precision running out, not an inconsistency, and the line abstains
 _CROSS_CHECK_COND = 1e3
 _EPS = float(np.finfo(float).eps)
 # two critical values closer than this share of the larger one are below
 # the resolution of the domain build
 _ENDPOINT_REL = 1e-8
 # iterative refinement takes the cofactor line to the exact line of the
-# float moments: it stops at the first step that changes no bit, after at
-# most this many steps.  One or two suffice on well-conditioned moments,
-# d = 3 moments of nodes 1e-8 apart take up to five, and a line that has
-# not settled after the last step is kept as it stands
+# float moments: it stops at the first step that changes no bit.  One or
+# two steps suffice on well-conditioned moments, d = 3 moments of nodes
+# 1e-8 apart take up to five, and a line that has not settled after this
+# many abstains
 _REFINE_STEPS = 8
 # projected-system residuals below this (times scale) admit lifting
 _LIFT_REL = 1e-8
@@ -127,6 +131,16 @@ def _frozen(rows: list) -> np.ndarray:
     return m
 
 
+def _hankel_of(values: np.ndarray, table) -> "HankelMatrix":
+    # the HankelMatrix of the moments mu_0..mu_{2d-2} from table, the minor
+    # table of plain floats: _minor_table, or _regular_minors to apply the
+    # det M policy
+    if values.ndim != 1 or values.size == 0 or values.size % 2 == 0:
+        raise ValueError("need an odd number of moments mu_0..mu_{2d-2}")
+    rows, det, minors = table(values.tolist())
+    return HankelMatrix(entries=_frozen(rows), determinant=det, minors=_frozen(minors))
+
+
 @dataclass(frozen=True, eq=False)
 class HankelMatrix:
     """d x d matrix with entry (i, j) = mu_{i+j}, plus determinant and the
@@ -153,11 +167,7 @@ class HankelMatrix:
 
 def hankel(mu) -> HankelMatrix:
     """Hankel matrix of a moment vector of odd length 2d-1."""
-    values = np.asarray(getattr(mu, "values", mu), dtype=float)
-    if values.ndim != 1 or values.size == 0 or values.size % 2 == 0:
-        raise ValueError("need an odd number of moments mu_0..mu_{2d-2}")
-    rows, det, minors = _minor_table(values.tolist())
-    return HankelMatrix(entries=_frozen(rows), determinant=det, minors=_frozen(minors))
+    return _hankel_of(np.asarray(getattr(mu, "values", mu), dtype=float), _minor_table)
 
 
 @dataclass(frozen=True, eq=False)
@@ -210,8 +220,7 @@ class PronyLine:
         slopes, intercepts, head = self._plain
         t = float(t)
         sigma = [s * t + b for s, b in zip(slopes, intercepts)]
-        if not all(map(math.isfinite, sigma)):
-            raise ValueError("sigma must be finite")
+        _check_finite(sigma, "sigma")
         nodes = _real_nodes(sigma[::-1] + [1.0])
         return sigma, nodes, _amplitudes(head, nodes)
 
@@ -272,6 +281,12 @@ def line_params(mu) -> PronyLine:
     both to the exact line of the float moments to within about one
     rounding; it stops at the first step that changes no bit.
 
+    Where double precision runs out the line abstains with
+    IllConditionedHankel: the routes disagree beyond _CROSS_CHECK_REL by
+    what the conditioning of M explains, or the refinement does not
+    settle.  A disagreement the conditioning does not explain raises
+    InconsistentComputation.
+
     The most recent line is remembered under the exact bytes of its
     moments, so analyses of one moment vector run back to back share one
     line and one domain build; 0.0 and -0.0 are different moments here.
@@ -312,26 +327,17 @@ def _refined(m, entries: np.ndarray, rhs: list, sigma: np.ndarray) -> np.ndarray
     for _ in range(_REFINE_STEPS):
         step = y + np.linalg.solve(entries, _exact_residuals(m, rhs, y.tolist()))
         if step.tobytes() == y.tobytes():
-            break
+            return y[::-1].copy()
         y = step
-    return y[::-1].copy()
+    raise IllConditionedHankel(
+        f"the exact refinement of the line did not settle in {_REFINE_STEPS} steps")
 
 
-@lru_cache(maxsize=1)
-def _line_of(raw: bytes) -> PronyLine:
-    # one entry: the callers that repeat a vector (analyze, curve, the
-    # analyses of one family) finish with it before they turn to the next
-    mu = MomentVector(np.frombuffer(raw))
-    if len(mu) % 2 == 0:
-        raise ValueError("need an odd number of moments mu_0..mu_{2d-2}")
-    # plain floats: a product past the double range is inf, without the
-    # RuntimeWarning of a numpy scalar, and is refused below
-    v = mu.values
-    vals = v.tolist()
-    rows, det, minors = _regular_minors(vals)
-    H = HankelMatrix(entries=_frozen(rows), determinant=det, minors=_frozen(minors))
-    d = H.d
-
+def _cofactor_line(H: HankelMatrix, vals: list):
+    # slopes and intercepts from the cofactor (Cramer) formulas, as lists,
+    # for the moments vals as plain floats: a product past the double range
+    # is inf, without the RuntimeWarning of a numpy scalar, and is refused
+    d, det, minors = H.d, H.determinant, H.minors.tolist()
     slopes = [0.0] * d
     intercepts = [0.0] * d
     for k in range(1, d + 1):
@@ -343,34 +349,46 @@ def _line_of(raw: bytes) -> PronyLine:
         intercepts[j - 1] = (-1.0) ** k * acc / det
     if not all(map(math.isfinite, slopes + intercepts)):
         raise ValueError("moments exceed double range: the line is not finite")
-    slopes, intercepts = np.array(slopes), np.array(intercepts)
+    return slopes, intercepts
+
+
+@lru_cache(maxsize=1)
+def _line_of(raw: bytes) -> PronyLine:
+    # one entry: the callers that repeat a vector (analyze, curve, the
+    # analyses of one family) finish with it before they turn to the next
+    mu = MomentVector(np.frombuffer(raw))
+    v = mu.values
+    vals = v.tolist()
+    H = _hankel_of(v, _regular_minors)
+    d = H.d
+    slopes, intercepts = _cofactor_line(H, vals)
 
     # independent route: solve M * (sigma_d..sigma_1)^T = rhs(t) at t = 0, 1
-    # and recover the affine data from the two solutions.  Each route loses
-    # up to about cond(M) * eps; kappa_inf(M) comes from the minor table,
-    # since M^-1 = adj M / det M
+    # and recover the affine data from the two solutions.  kappa_inf(M)
+    # comes from the minor table, since M^-1 = adj M / det M
     rhs0 = np.concatenate([-v[d : 2 * d - 1], [0.0]])
     rhs1 = np.concatenate([-v[d : 2 * d - 1], [1.0]])
     sig0 = np.linalg.solve(H.entries, rhs0)[::-1]
     sig1 = np.linalg.solve(H.entries, rhs1)[::-1]
-    kappa = max(sum(map(abs, row)) for row in rows) * max(
-        sum(abs(row[i]) for row in minors) for i in range(d)) / abs(det)
-    tol = max(_CROSS_CHECK_REL, _CROSS_CHECK_COND * kappa * _EPS) * max(
-        1.0, float(np.max(np.abs(slopes))), float(np.max(np.abs(intercepts)))
-    )
-    if (
-        float(np.max(np.abs(sig1 - sig0 - slopes))) > tol
-        or float(np.max(np.abs(sig0 - intercepts))) > tol
-    ):
-        raise InconsistentComputation(
-            "cofactor line formulas disagree with the direct two-point solve"
-        )
+    scale = max(1.0, max(map(abs, slopes + intercepts)))
+    miss = float(np.max(np.abs(np.concatenate(
+        [sig1 - sig0 - slopes, sig0 - intercepts]))))
+    if not miss <= _CROSS_CHECK_REL * scale:
+        minors = H.minors.tolist()
+        kappa = max(sum(map(abs, row)) for row in H.entries.tolist()) * max(
+            sum(abs(row[i]) for row in minors) for i in range(d)) / abs(H.determinant)
+        if miss > max(_CROSS_CHECK_REL, _CROSS_CHECK_COND * kappa * _EPS) * scale:
+            raise InconsistentComputation(
+                "cofactor line formulas disagree with the direct two-point solve")
+        raise IllConditionedHankel(
+            f"kappa_inf(M) = {kappa:.3e}: the two routes to the line differ by "
+            f"{miss / scale:.3e} of its scale, and double precision cannot settle it")
 
     # the cofactor formulas lose up to cond(M) * eps, which sigma(t) far out
     # on the line (slopes*t and intercepts cancel) and the domain cannot bear
     m = _dyadic(vals)
-    slopes = _refined(m, H.entries, [0.0] * (d - 1) + [1.0], slopes)
-    intercepts = _refined(m, H.entries, rhs0.tolist(), intercepts)
+    slopes = _refined(m, H.entries, [0.0] * (d - 1) + [1.0], np.array(slopes))
+    intercepts = _refined(m, H.entries, rhs0.tolist(), np.array(intercepts))
     slopes.setflags(write=False)
     intercepts.setflags(write=False)
     return PronyLine(d=d, slopes=slopes, intercepts=intercepts, hankel=H, mu=mu)

@@ -30,6 +30,8 @@ from .errors import (
 from .signal_model import (
     Signal,
     _amplitudes,
+    _check_finite,
+    _check_signal,
     _moments,
     _monic_product,
     _real_nodes,
@@ -167,15 +169,13 @@ def _solve(v: list):
     mu_0..mu_{2d-1}, as lists, with every check solve_complete makes: finite
     moments, the det M policy, d certified distinct real roots, nonzero
     amplitudes on strictly increasing nodes, and the residual."""
-    if not all(map(math.isfinite, v)):
-        raise ValueError("moments must be finite")
+    _check_finite(v, "moments")
     d = len(v) // 2
     rows, _, _ = prony_line._regular_minors(v[: 2 * d - 1])
 
     # M (sigma_d, ..., sigma_1)^T = -(mu_d, ..., mu_{2d-1})^T
     c = np.linalg.solve(rows, [-m for m in v[d:]]).tolist()  # [sigma_d, ..., sigma_1]
-    if not all(map(math.isfinite, c)):
-        raise ValueError("sigma must be finite")
+    _check_finite(c, "sigma")
     try:
         nodes = _real_nodes(c + [1.0])
     except NotHyperbolic as exc:
@@ -183,15 +183,13 @@ def _solve(v: list):
             "no real node configuration matches these moments") from exc
     try:
         amps = _amplitudes(v[:d], nodes)
-    except RepeatedNodes as exc:
+        _check_signal(amps, nodes)
+    except (RepeatedNodes, ValueError) as exc:
         raise NoRealSolution(
             "recovered nodes or amplitudes are degenerate") from exc
-    # the invariants of Signal
-    if not (all(map(math.isfinite, amps + nodes)) and 0.0 not in amps
-            and all(lo < hi for lo, hi in zip(nodes, nodes[1:]))):
-        raise NoRealSolution("recovered nodes or amplitudes are degenerate")
 
     back = _moments(amps, nodes, 2 * d - 1)
+    _check_finite(back, "moments")
     defect = max(abs(b - a) for b, a in zip(back, v))
     scale = max(1.0, max(map(abs, v)))
     if defect > _RESIDUAL_RTOL * scale:

@@ -34,19 +34,43 @@ __all__ = [
 ROUND_TRIP_RTOL = 1e-9
 
 
-def _as_float_vector(values, name):
-    # a read-only float copy of values, checked on plain floats: numpy's
-    # reductions cost more than the loop on vectors of a few entries
+def _float_vector(values, name):
+    # a read-only nonempty 1-d float copy of values
     try:
         v = np.array(values, dtype=float)
     except TypeError as exc:  # an object where numbers belong
         raise ValueError(f"{name} must be numbers: {exc}") from exc
     if v.ndim != 1 or v.size == 0:
         raise ValueError(f"{name} must be a nonempty 1-d sequence")
-    if not all(map(math.isfinite, v.tolist())):
-        raise ValueError(f"{name} must be finite")
     v.setflags(write=False)
     return v
+
+
+def _check_finite(values: list, name):
+    # checked on plain floats: numpy's reductions cost more than the loop
+    # on vectors of a few entries
+    if not all(map(math.isfinite, values)):
+        raise ValueError(f"{name} must be finite")
+
+
+def _as_float_vector(values, name):
+    # a read-only float copy of values, checked finite
+    v = _float_vector(values, name)
+    _check_finite(v.tolist(), name)
+    return v
+
+
+def _check_signal(amps: list, nodes: list) -> None:
+    # the invariants of Signal on plain floats, ValueError on the first
+    # that fails
+    _check_finite(amps, "amplitudes")
+    _check_finite(nodes, "nodes")
+    if len(amps) != len(nodes):
+        raise ValueError("amplitudes and nodes must have equal length")
+    if 0.0 in amps:  # -0.0 == 0.0
+        raise ValueError("amplitudes must be nonzero")
+    if any(hi <= lo for lo, hi in zip(nodes, nodes[1:])):
+        raise ValueError("nodes must be strictly increasing")
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,15 +81,9 @@ class Signal:
     nodes: np.ndarray
 
     def __post_init__(self):
-        a = _as_float_vector(self.amplitudes, "amplitudes")
-        x = _as_float_vector(self.nodes, "nodes")
-        if len(a) != len(x):
-            raise ValueError("amplitudes and nodes must have equal length")
-        if 0.0 in a.tolist():  # -0.0 == 0.0
-            raise ValueError("amplitudes must be nonzero")
-        xs = x.tolist()
-        if any(hi <= lo for lo, hi in zip(xs, xs[1:])):
-            raise ValueError("nodes must be strictly increasing")
+        a = _float_vector(self.amplitudes, "amplitudes")
+        x = _float_vector(self.nodes, "nodes")
+        _check_signal(a.tolist(), x.tolist())
         object.__setattr__(self, "amplitudes", a)
         object.__setattr__(self, "nodes", x)
 
@@ -131,7 +149,8 @@ def compute_moments(signal: Signal, q: int) -> MomentVector:
 
 
 def _moments(amps: list, nodes: list, q: int) -> list:
-    # compute_moments on plain floats; ValueError past the double range
+    # compute_moments on plain floats, unchecked: a power past the double
+    # range raises ValueError, a product past it comes out inf
     terms = list(zip(amps, nodes))
     out = []
     try:
@@ -142,8 +161,6 @@ def _moments(amps: list, nodes: list, q: int) -> list:
             out.append(acc)
     except OverflowError:  # a float power past the double range raises
         raise ValueError("moments must be finite") from None
-    if not all(map(math.isfinite, out)):
-        raise ValueError("moments must be finite")
     return out
 
 

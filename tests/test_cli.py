@@ -264,6 +264,17 @@ def test_classify_d3_fixture_bounded(tmp_path, capsys):
     assert "P8" in doc and "quartic_coefficients" in doc
 
 
+def test_classify_ill_conditioned_exit_3(tmp_path, capsys):
+    # nodes 1.1656062, 1.1655938 and 0.2774: the line's two routes differ by
+    # what kappa_inf(M) = 6.2e11 explains, so the verdict abstains
+    mu = _write(tmp_path, "mu.json", [0.9303531462841692, -0.6754644035109824,
+                                      -1.2754877121027866, -1.6221178328224701,
+                                      -1.9282997715611514])
+    code, _, err = _run(capsys, ["classify", mu])
+    assert code == 3
+    assert "kappa_inf(M)" in err
+
+
 def test_classify_wrong_length(tmp_path, capsys):
     mu = _write(tmp_path, "mu.json", [1, 2, 3, 4])
     code, _, err = _run(capsys, ["classify", mu])

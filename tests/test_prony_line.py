@@ -19,6 +19,7 @@ from prony import poly_engine as pe
 from prony import prony_line as pl
 from prony.errors import (
     DegenerateHankel,
+    IllConditionedHankel,
     InconsistentComputation,
     InterpolationInconsistency,
     ResidualTooLarge,
@@ -393,40 +394,77 @@ def test_exact_residuals_equal_the_rational_residuals(case):
     assert [math.copysign(1.0, v) for v in got] == [math.copysign(1.0, v) for v in want]
 
 
-@pytest.mark.parametrize("mu", [
-    # nodes 1.1656062, 1.1655938 and 0.2774: cond(M) is 3.8e11, and the two
-    # routes of line_params differ by 5.2e-6 of the line's scale
+_ILL_CONDITIONED = [
+    # nodes 1.1656062, 1.1655938 and 0.2774: kappa_inf(M) is 6.2e11, and
+    # the two routes of line_params differ by 5.2e-6 of the line's scale
     [0.9303531462841692, -0.6754644035109824, -1.2754877121027866,
      -1.6221178328224701, -1.9282997715611514],
     # a node pair closer than 1e-3: two refinement steps leave the line
     # 6e5 ulps off, and more steps reach it
     [-1.4783005357980006, -1.4061762844163121, -1.356409961002595,
      -1.291829172167612, -1.2447049601853784],
-], ids=["two-steps", "more-steps"])
+]
+
+
+@pytest.mark.parametrize("mu", _ILL_CONDITIONED, ids=["two-steps", "more-steps"])
 def test_ill_conditioned_line_refines_to_the_exact_line(mu):
-    # a fixed 1e-6 cross-check refused these lines as an inconsistent
-    # computation.  The refined line is the exact line of the float
-    # moments, rounded once
-    line = pl.line_params(mu)
+    # refinement from the cofactor line reaches the exact line of the float
+    # moments, rounded once, even where the two routes differ by more than
+    # _CROSS_CHECK_REL
+    H = pl._hankel_of(np.array(mu), pl._regular_minors)
+    slopes, intercepts = pl._cofactor_line(H, mu)
+    m = pl._dyadic(mu)
+    got_slopes = pl._refined(m, H.entries, [0.0, 0.0, 1.0], np.array(slopes))
+    got_intercepts = pl._refined(m, H.entries, [-mu[3], -mu[4], 0.0], np.array(intercepts))
     base, slope = exact_line(mu)
-    assert line.slopes.tolist() == [float(Fraction(int(s.p), int(s.q))) for s in slope]
-    assert line.intercepts.tolist() == [float(Fraction(int(b.p), int(b.q))) for b in base]
+    assert got_slopes.tolist() == [float(Fraction(int(s.p), int(s.q))) for s in slope]
+    assert got_intercepts.tolist() == [float(Fraction(int(b.p), int(b.q))) for b in base]
+
+
+@pytest.mark.parametrize("mu", _ILL_CONDITIONED + [
+    # nodes -0.2415151, -0.2415109 and 0.726, kappa_inf(M) 1.2e11: with its
+    # line accepted, classify_d3 gave collision "no", where the exact
+    # restricted discriminant has real roots
+    [-0.8928712294278014, -0.9673372767939867, -0.6251876246952384,
+     -0.47248870543019805, -0.3385201997811968],
+], ids=["two-steps", "more-steps", "wrong-verdict"])
+def test_ill_conditioned_line_abstains(mu):
+    # the routes differ by more than _CROSS_CHECK_REL, by what the
+    # conditioning of M explains: double precision ran out, and the line
+    # and every analysis built on it abstain instead of answering
+    with pytest.raises(IllConditionedHankel, match="kappa_inf"):
+        pl.line_params(mu)
+    with pytest.raises(IllConditionedHankel):
+        cf.classify_d3(mu)
+
+
+def test_line_abstains_where_refinement_does_not_settle():
+    # d = 5 with kappa_inf(M) = 4.3e29: the two routes agree to 2e-12 of
+    # the line's scale, but refinement from there changes bits at every
+    # step, and the line abstains instead of keeping the last step
+    mu = [-0.3986880547338352, 914.589988457949, 38331.94063084363, 46741631.99959682,
+          2134044026.1658845, 2382630245995.531, 118859383713094.38,
+          1.2171876684797714e+17, 6.622809419216595e+18]
+    with pytest.raises(IllConditionedHankel, match="did not settle"):
+        pl.line_params(mu)
 
 
 def test_cofactor_route_that_disagrees_is_refused(monkeypatch):
-    # a first minor off by 1e-3 of itself is no rounding: the cross-check
-    # against the direct solve still refuses it on a well-conditioned M
+    # first minors off by 1e-3 of themselves are no rounding: the cross-check
+    # against the direct solve still refuses them on a well-conditioned M
     regular = pl._regular_minors
 
     def skewed(v):
         rows, det, minors = regular(v)
-        minors = [row[:] for row in minors]
-        minors[-1][0] *= 1.001
-        return rows, det, minors
+        return rows, det, minors[:-1] + [[m * 1.001 for m in minors[-1]]]
 
     monkeypatch.setattr(pl, "_regular_minors", skewed)
     with pytest.raises(InconsistentComputation, match="cofactor line formulas"):
         pl.line_params([2.0, 1.0, 3.0])
+    # where kappa_inf(M) overflows, no disagreement can be told from
+    # rounding: the line abstains instead of passing or reporting one
+    with pytest.raises(IllConditionedHankel, match="kappa_inf"):
+        pl.line_params([1e200, 1.0, 1e-200, 2.0, 3.0])
 
 
 def test_line_membership_residuals():
@@ -533,7 +571,7 @@ def test_domain_source_point_recovery_random():
 def _drawn_line(signal):
     try:
         return pl.line_params(compute_moments(signal, 2 * signal.d - 2))
-    except (DegenerateHankel, InconsistentComputation):
+    except (DegenerateHankel, IllConditionedHankel, InconsistentComputation):
         assume(False)
 
 
