@@ -18,8 +18,8 @@ _TRIM_TOL = 1e-14
 
 def horner(c, x):
     acc = 0.0
-    for k in range(len(c) - 1, -1, -1):
-        acc = acc * x + c[k]
+    for a in reversed(c):
+        acc = acc * x + a
     return acc
 
 

@@ -88,7 +88,11 @@ def discriminant_cubic_paper(sigma) -> float:
         raise ValueError("expected exactly three symmetric coordinates")
     if not np.all(np.isfinite(s)):
         raise ValueError("symmetric coordinates must be finite")
-    s1, s2, s3 = (float(v) for v in s)
+    return _cubic_disc(*s.tolist())
+
+
+def _cubic_disc(s1: float, s2: float, s3: float) -> float:
+    # discriminant_cubic_paper on plain floats
     return (27.0 * s3 * s3 + 4.0 * s2 ** 3 - s1 * s1 * s2 * s2
             + 4.0 * s1 ** 3 * s3 - 18.0 * s1 * s2 * s3)
 
@@ -178,15 +182,17 @@ def quartic_Pmu(mu) -> list[float]:
 
     # Interpolate in u = t/S so the Vandermonde solve stays conditioned even
     # on lines whose interesting range sits far from the origin.
+    slopes, intercepts, _ = line._plain
     S = 1.0
-    big = float(np.max(np.abs(line.slopes)))
+    big = max(map(abs, slopes))
     if big > 0.0:
-        S = max(1.0, float(np.max(np.abs(line.intercepts))) / big)
+        S = max(1.0, max(map(abs, intercepts)) / big)
 
     u_grid = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
 
     def cleared_disc(u):
-        return scale4 * discriminant_cubic_paper(line.sigma_at(S * u))
+        s3, s2, s1, _ = line._node_poly(S * u)
+        return scale4 * _cubic_disc(s1, s2, s3)
 
     values = np.array([cleared_disc(u) for u in u_grid])
     c_u = np.linalg.solve(npoly.polyvander(u_grid, 4), values)
@@ -241,8 +247,10 @@ def classify_d3(mu) -> Classification:
     mu0, the top-left 2x2 Hankel determinant, and P8 are all safely nonzero.
 
     Whenever a pivot quantity falls inside its indeterminate band the verdict
-    abstains.  The numeric hyperbolic-set intervals are always attached as
-    evidence so callers can cross-examine the closed-form answer.
+    abstains; so does the collision verdict where the domain build abstains
+    on resolution (evidence domain_error).  The numeric hyperbolic-set
+    intervals are always attached as evidence so callers can cross-examine
+    the closed-form answer.
     """
     m = _check_length(mu, 5)
     line = prony_line.line_params(mu)
@@ -265,6 +273,11 @@ def classify_d3(mu) -> Classification:
         # With the leading coefficient this close to zero the quartic's
         # behaviour at infinity, and with it the root count, is unreliable.
         n_real = None
+        collision = "indeterminate"
+    domain = _domain_evidence(line)
+    if "domain_error" in domain:
+        # critical values closer than the domain build resolves are a
+        # near-double root of the quartic, whose count rounding decides
         collision = "indeterminate"
 
     K = None
@@ -294,6 +307,6 @@ def classify_d3(mu) -> Classification:
         "d1_ok": d1_ok,
         "p8_ok": p8_ok,
     }
-    evidence.update(_domain_evidence(line))
+    evidence.update(domain)
     return Classification(d=3, collision=collision, bounded=bounded,
                           evidence=evidence)

@@ -6,6 +6,16 @@ actual signals (A(t), X(t)).  This module samples that family in full
 amplitude/node coordinates and produces numerical certificates for the two
 limit behaviors: amplitude blow-up where two nodes collide at a finite
 boundary parameter, and single-node escape along unbounded components.
+
+The analyses run on plain-float lists, with the same float operations as
+the array code they replace: PronyLine._node_poly gives the node
+polynomial at t, poly_engine._roots its roots, signal_model._amplitudes
+and _moments the amplitudes and moments, and _deflate2 divides Q_t0 by
+(z - x0)^2 as npoly.polydiv does.  numpy stays where it sets output bits:
+the companion eigenvalues (np.linalg.eigvals), the line's linear solves,
+and the limit polynomial of a collision (np.convolve in _from_roots) with
+its dot product against the moments, both rounded by BLAS.  The public
+results keep their array fields.
 """
 
 from __future__ import annotations
@@ -15,7 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from . import _kernels as K
 from . import poly_engine, prony_line
@@ -27,11 +36,12 @@ from .errors import (
     RepeatedNodes,
 )
 from .signal_model import (
-    Signal,
     SymmetricCoords,
-    amplitudes_from_nodes,
-    compute_moments,
-    vieta_inverse,
+    _amplitudes,
+    _check_finite,
+    _check_signal,
+    _moments,
+    _real_nodes,
 )
 
 logger = logging.getLogger(__name__)
@@ -61,7 +71,8 @@ class CurveSample:
     def __post_init__(self):
         if len(self.nodes) != len(self.amplitudes):
             raise ValueError("one amplitude per node")
-        if len(self.nodes) > 1 and not np.all(np.diff(self.nodes) > 0.0):
+        x = np.asarray(self.nodes, dtype=float).tolist()
+        if not all(b > a for a, b in zip(x, x[1:])):  # False on NaN
             raise ValueError("nodes must be strictly increasing")
 
 
@@ -144,13 +155,13 @@ def _probe_point(line, t):
     refuses to classify; the root finder of real_roots, on the monic
     polynomial with its leading 1 never trimmed, still resolves the pair
     there.  None marks the resolution wall: fewer than d real roots, or
-    repeated nodes.
+    repeated nodes.  Nodes and amplitudes are lists.
     """
-    roots = np.array(poly_engine._roots(poly_engine._monic_coeffs(line.sigma_at(t))))
+    roots = poly_engine._roots(line._node_poly(t))
     if len(roots) != line.d:
         return None
     try:
-        amps = amplitudes_from_nodes(line.mu, roots)
+        amps = _amplitudes(line._plain[2], roots)
     except RepeatedNodes:
         return None
     return roots, amps, _product_mismatch(amps, roots, line.detM)
@@ -164,11 +175,11 @@ def _vandermonde_det(nodes):
     return det
 
 
-def _product_mismatch(amps, nodes, detM):
+def _product_mismatch(amps: list, nodes: list, detM):
     # plain floats: a product past the double range is inf, without a
     # RuntimeWarning, and the mismatch NaN (** raises OverflowError there)
-    vdet = _vandermonde_det(nodes.tolist())
-    lhs = abs(math.prod(amps.tolist())) * (vdet**2 if abs(vdet) < 1e154 else math.inf)
+    vdet = _vandermonde_det(nodes)
+    lhs = abs(math.prod(amps)) * (vdet**2 if abs(vdet) < 1e154 else math.inf)
     rhs = abs(detM)
     return abs(lhs - rhs) / max(lhs, rhs, 1e-300)
 
@@ -184,6 +195,7 @@ def sample_curve(mu, grid) -> list:
     CurveSample.
     """
     line = prony_line.line_params(mu)
+    values = line.mu.values.tolist()
     out = []
     for t_raw in np.asarray(grid, dtype=float):
         t = float(t_raw)
@@ -191,18 +203,20 @@ def sample_curve(mu, grid) -> list:
             logger.info("grid point t=%.17g outside the hyperbolic set; skipped", t)
             continue
         try:
-            sigma, nodes, amps = line.point(t)
+            sigma, nodes, amps = line._point(t)
         except (NotHyperbolic, RepeatedNodes) as exc:
             # containment comes from the critical values of the build; very
             # close to a boundary the direct check can still refuse the point
             logger.warning("grid point t=%.17g rejected on direct evaluation: %s", t, exc)
             continue
-        if not np.all(amps):  # det M != 0: a zero is rounding, not the family
+        if 0.0 in amps:  # det M != 0: a zero is rounding, not the family
             logger.warning("grid point t=%.17g skipped: an amplitude rounds to zero", t)
             continue
-        defect = compute_moments(Signal(amplitudes=amps, nodes=nodes), 2 * line.d - 2)
-        residual = float(np.max(np.abs(defect.values - line.mu.values)))
-        budget = prony_line._lift_budget(line.mu.values, sigma.sigma)
+        _check_signal(amps, nodes)
+        defect = _moments(amps, nodes, 2 * line.d - 2)
+        _check_finite(defect, "moments")
+        residual = max(abs(a - b) for a, b in zip(defect, values))
+        budget = prony_line._lift_budget(values, sigma)
         if residual > budget:
             logger.warning(
                 "grid point t=%.17g skipped: its signal misses the moments by "
@@ -211,9 +225,9 @@ def sample_curve(mu, grid) -> list:
         out.append(
             CurveSample(
                 t=t,
-                sigma=sigma,
-                nodes=nodes,
-                amplitudes=amps,
+                sigma=SymmetricCoords(sigma),
+                nodes=np.array(nodes),
+                amplitudes=np.array(amps),
                 residual=residual,
                 product_residual=_product_mismatch(amps, nodes, line.detM),
             )
@@ -237,8 +251,39 @@ def collision_numerator(mu, Xstar) -> float:
     x = np.asarray(Xstar, dtype=float)
     if x.ndim != 1 or len(x) != d - 1:
         raise ValueError(f"need {d - 1} limit nodes, got {len(x)}")
-    coeffs = npoly.polyfromroots(x)  # coeffs[k] = r_{d-1-k}, coeffs[d-1] = 1
-    return float(np.dot(values[:d], coeffs))
+    return _numerator(values[:d], x)[0]
+
+
+def _numerator(head: np.ndarray, limit):
+    # collision_numerator from mu_0..mu_{d-1} and the d-1 limit nodes, with
+    # the ascending coefficients of the limit polynomial it is read from
+    coeffs = _from_roots(limit)  # coeffs[k] = r_{d-1-k}, coeffs[d-1] = 1
+    return float(np.dot(head, coeffs)), coeffs
+
+
+def _from_roots(roots) -> np.ndarray:
+    # npoly.polyfromroots without its input conversions: the same product
+    # tree of the linear factors of the sorted roots, by np.convolve, whose
+    # dot products (BLAS) set the bits
+    factors = [np.array([-x, 1.0]) for x in sorted(roots)] or [np.ones(1)]
+    while len(factors) > 1:
+        m, odd = divmod(len(factors), 2)
+        tree = [np.convolve(factors[i], factors[i + m]) for i in range(m)]
+        if odd:
+            tree[0] = np.convolve(tree[0], factors[-1])
+        factors = tree
+    return factors[0]
+
+
+def _deflate2(c: list, x0: float) -> list:
+    # the quotient of the ascending coefficients c (monic, degree >= 2) by
+    # (z - x0)^2, step for step as npoly.polydiv computes it
+    c = list(c)
+    a, b = x0 * x0, -2.0 * x0
+    for j in range(len(c) - 1, 1, -1):
+        c[j - 2] -= a * c[j]
+        c[j - 1] -= b * c[j]
+    return c[2:]
 
 
 def _taylor3(c, x):
@@ -293,24 +338,23 @@ def detect_collisions(mu) -> list:
     line = prony_line.line_params(mu)
     domain = line.domain
     d = line.d
+    slopes, _, values = line._plain
+    head = line.mu.values[:d]
     reports = []
     for ep in domain.endpoints:
         t0, x0 = ep.t0, ep.x0
-        q = poly_engine._monic_coeffs(line.sigma_at(t0))
-        rest = npoly.polydiv(q, [x0 * x0, -2.0 * x0, 1.0])[0]
-        others = poly_engine.real_roots(rest)
-        pair = int(np.sum(others < x0))
+        rest = _deflate2(line._node_poly(t0), x0)
+        others = poly_engine._roots(poly_engine._coeffs(rest))
+        pair = sum(1 for x in others if x < x0)
         r0, r1, r2 = _taylor3(rest, x0)
         numerator = bound = beta = weight = math.nan
         if len(others) == d - 2:
-            limit = np.insert(others, pair, x0)
-            numerator = collision_numerator(line.mu, limit)
-            bound = prony_line._ENDPOINT_REL * float(
-                np.dot(np.abs(line.mu.values[:d]), np.abs(npoly.polyfromroots(limit))))
+            numerator, coeffs = _numerator(head, others[:pair] + [x0] + others[pair:])
+            bound = prony_line._ENDPOINT_REL * float(np.dot(np.abs(head), np.abs(coeffs)))
             if r0 != 0.0:
                 # p = (z - x0) R: p'(x0) = R(x0), and a = (L(R) - beta R'(x0)) / R(x0)
                 beta = numerator / r0
-                moment_of_rest = sum(m * c for m, c in zip(line.mu.values.tolist(), rest.tolist()))
+                moment_of_rest = sum(m * c for m, c in zip(values, rest))
                 weight = (moment_of_rest - beta * r1) / r0
         else:
             logger.warning("no real limit configuration at endpoint t0=%.17g", t0)
@@ -327,12 +371,12 @@ def detect_collisions(mu) -> list:
         drive = 0.0
         if probe is not None:
             t, nodes, amps, mismatch = probe
-            gap = float(nodes[pair + 1] - nodes[pair])
-            rows = ((t, gap, abs(float(amps[pair])), abs(float(amps[pair + 1])), mismatch),)
-            qt = line.sigma_at(t).sigma.tolist()[::-1] + [1.0]
+            gap = nodes[pair + 1] - nodes[pair]
+            rows = ((t, gap, abs(amps[pair]), abs(amps[pair + 1]), mismatch),)
+            qt = line._node_poly(t)
             drive = K.horner(qt, x0)  # (t - t0) S(x0)
         half = math.sqrt(abs(drive / r0)) if r0 != 0.0 else 0.0
-        s0, s1, s2 = _taylor3(line.slopes[::-1], x0)
+        s0, s1, s2 = _taylor3(slopes[::-1], x0)
         if 0.0 < half < math.inf and s0 != 0.0:
             gap_pred = 2.0 * half
             magnitude = K.horner([abs(c) for c in qt], abs(x0))
@@ -372,8 +416,8 @@ def _escape_prediction(line, m, t, escaping, bounded, limits):
     # bound of the escaping nodes: twice the next two terms h v1 + h^2 v2 of
     # x = lead (1 + h v1 + h^2 v2 + ...), h = 1/|lead|, plus rounding
     d = line.d
-    s = line.slopes.tolist() + [0.0, 0.0]
-    b = line.intercepts.tolist() + [0.0, 0.0]
+    s = line._plain[0] + [0.0, 0.0]
+    b = line._plain[1] + [0.0, 0.0]
     predicted = [0.0] * d
     if m == 1:
         # x / T = v solves v - 1 + h (b_1 - (s_2/s_1)/v) + h^2 (b_2/v - (s_3/s_1)/v^2) + ...
@@ -389,7 +433,7 @@ def _escape_prediction(line, m, t, escaping, bounded, limits):
         v1 = 0.5 * (ratio - big_b)
         v2 = 0.5 * (v1 * v1 + (big_b + ratio) * v1 + b[1] - s[3] / s[1])
     qb, ds = b[d - 1::-1] + [1.0], K.poly_derivative(s[d - 1::-1])
-    for i, r in zip(bounded, limits.tolist()):
+    for i, r in zip(bounded, limits):
         den = t * K.horner(ds, r)
         predicted[i] = r - K.horner(qb, r) / den if den != 0.0 else r
     if lead == 0.0:  # the leading term underflows: nothing to compare
@@ -442,8 +486,9 @@ def escape_analysis(mu, direction) -> EscapeReport:
     sign = 1.0 if direction > 0 else -1.0
 
     d = line.d
-    m = prony_line._leading_zero_slopes(line) + 1
-    lead = float(line.slopes[m - 1])
+    slopes = line._plain[0]
+    m = prony_line._leading_zero_slopes(slopes) + 1
+    lead = slopes[m - 1]
     if m == 1:
         escaping = (d - 1,) if -lead * sign > 0.0 else (0,)
     elif m == 2 and -lead * sign > 0.0:
@@ -454,7 +499,7 @@ def escape_analysis(mu, direction) -> EscapeReport:
             f"{m} nodes would escape, not all along real branches"
         )
     limits = (np.empty(0) if m == d
-              else poly_engine.hyperbolic_roots(line.slopes[m:] / lead))
+              else poly_engine.hyperbolic_roots([c / lead for c in slopes[m:]]))
     if limits is None:
         raise InterpolationInconsistency(
             f"unbounded component claim contradicted toward {direction:+g}: "
@@ -468,14 +513,13 @@ def escape_analysis(mu, direction) -> EscapeReport:
     for k in range(1, 9):
         t = sign * base * 10.0 ** k
         try:
-            nodes = vieta_inverse(line.sigma_at(t))
+            x = tuple(_real_nodes(line._node_poly(t)))
         except NotHyperbolic as exc:
             if probe is not None:
                 break  # past what double precision resolves; S decides
             raise InterpolationInconsistency(
                 f"unbounded component claim contradicted at t={t:.17g}"
             ) from exc
-        x = tuple(float(v) for v in nodes)
         probe = (t, x)
         # evidence, free of tolerances: the probe shows the order the
         # expansion predicts
@@ -494,7 +538,7 @@ def escape_analysis(mu, direction) -> EscapeReport:
         )
 
     t, x = probe
-    predicted, escape_bound = _escape_prediction(line, m, t, escaping, bounded, limits)
+    predicted, escape_bound = _escape_prediction(line, m, t, escaping, bounded, lim)
     if escape_bound < math.inf and any(abs(x[i] / predicted[i] - 1.0) > escape_bound
                                        for i in escaping):
         logger.warning("the probe at t=%.17g departs from the expansion at infinity "

@@ -70,9 +70,10 @@ def _coeffs(p) -> list[float]:
     c = np.asarray(p, dtype=float)
     if c.ndim != 1 or c.size == 0:
         raise ValueError("coefficients must be a nonempty 1-d sequence")
-    if not np.all(np.isfinite(c)):
+    c = c.tolist()
+    if not all(map(math.isfinite, c)):
         raise ValueError("coefficients must be finite")
-    return K.trim_coeffs(c.tolist())
+    return K.trim_coeffs(c)
 
 
 def _monic_coeffs(sigma) -> list[float]:
@@ -213,12 +214,12 @@ def _roots(c) -> list[float]:
 
 
 def _companion_seeds(c) -> list[float]:
-    # sorted real eigenvalues of the companion matrix of P (degree >= 3)
-    companion = np.eye(len(c) - 1, k=-1)
-    companion[:, -1] = c[:-1]
-    companion[:, -1] /= -c[-1]
-    eig = np.linalg.eigvals(companion)
-    return np.sort(eig.real[eig.imag == 0.0]).tolist()
+    # sorted real eigenvalues of the companion matrix of P (degree >= 3):
+    # ones below the diagonal, the last column -c[:-1] / c[-1]
+    n, lead = len(c) - 1, -c[-1]
+    companion = [[float(j == i - 1) for j in range(n - 1)] + [c[i] / lead] for i in range(n)]
+    eig = np.linalg.eigvals(np.array(companion)).tolist()
+    return sorted(z.real for z in eig if z.imag == 0.0)
 
 
 def _cauchy_bound(c) -> float:
@@ -227,9 +228,14 @@ def _cauchy_bound(c) -> float:
 
 def _sure_sign(c, abs_c, x) -> int:
     # sign of P(x) when |P(x)| clears the kernels' rounding guard, else 0;
-    # a NaN left by an overflow clears nothing
-    v = K.horner(c, x)
-    if not abs(v) > K.EVAL_GUARD * K.horner(abs_c, abs(x)):
+    # a NaN left by an overflow clears nothing.  P(x) and the Horner
+    # magnitude sum at |x| in one loop, each as K.horner computes it
+    v = size = 0.0
+    ax = abs(x)
+    for a, b in zip(reversed(c), reversed(abs_c)):
+        v = v * x + a
+        size = size * ax + b
+    if not abs(v) > K.EVAL_GUARD * size:
         return 0
     return 1 if v > 0.0 else -1
 

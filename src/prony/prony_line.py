@@ -199,9 +199,7 @@ class PronyLine:
         return _build_domain(self)
 
     def sigma_at(self, t: float) -> SymmetricCoords:
-        t = float(t)
-        return SymmetricCoords([s * t + b for s, b in
-                                zip(self.slopes.tolist(), self.intercepts.tolist())])
+        return SymmetricCoords(self._node_poly(t)[-2::-1])
 
     def point(self, t: float):
         """The family point (sigma, nodes, amplitudes) at t; NotHyperbolic or
@@ -214,15 +212,22 @@ class PronyLine:
         # slopes, intercepts and mu_0..mu_{d-1} as plain floats
         return self.slopes.tolist(), self.intercepts.tolist(), self.mu.values[: self.d].tolist()
 
-    def _point(self, t: float):
-        # point on plain floats: sigma(t), its nodes and their amplitudes as
-        # lists; ValueError where sigma(t) is not finite
-        slopes, intercepts, head = self._plain
+    def _node_poly(self, t: float) -> list:
+        # ascending coefficients [sigma_d, ..., sigma_1, 1.0] of the node
+        # polynomial at t on plain floats; ValueError where sigma(t) is not
+        # finite
+        slopes, intercepts, _ = self._plain
         t = float(t)
         sigma = [s * t + b for s, b in zip(slopes, intercepts)]
         _check_finite(sigma, "sigma")
-        nodes = _real_nodes(sigma[::-1] + [1.0])
-        return sigma, nodes, _amplitudes(head, nodes)
+        return sigma[::-1] + [1.0]
+
+    def _point(self, t: float):
+        # point on plain floats: sigma(t), its nodes and their amplitudes as
+        # lists
+        c = self._node_poly(t)
+        nodes = _real_nodes(c)
+        return c[-2::-1], nodes, _amplitudes(self._plain[2], nodes)
 
     def parameter_of(self, sigma) -> float:
         """The t value whose line point has these coordinates: the last
@@ -366,13 +371,13 @@ def _line_of(raw: bytes) -> PronyLine:
     # independent route: solve M * (sigma_d..sigma_1)^T = rhs(t) at t = 0, 1
     # and recover the affine data from the two solutions.  kappa_inf(M)
     # comes from the minor table, since M^-1 = adj M / det M
-    rhs0 = np.concatenate([-v[d : 2 * d - 1], [0.0]])
-    rhs1 = np.concatenate([-v[d : 2 * d - 1], [1.0]])
-    sig0 = np.linalg.solve(H.entries, rhs0)[::-1]
-    sig1 = np.linalg.solve(H.entries, rhs1)[::-1]
+    rhs0 = [-x for x in vals[d:]] + [0.0]
+    sig0 = np.linalg.solve(H.entries, rhs0)[::-1].tolist()
+    sig1 = np.linalg.solve(H.entries, rhs0[:-1] + [1.0])[::-1].tolist()
     scale = max(1.0, max(map(abs, slopes + intercepts)))
-    miss = float(np.max(np.abs(np.concatenate(
-        [sig1 - sig0 - slopes, sig0 - intercepts]))))
+    gaps = ([abs(b - a - s) for a, b, s in zip(sig0, sig1, slopes)]
+            + [abs(a - b) for a, b in zip(sig0, intercepts)])
+    miss = math.nan if any(map(math.isnan, gaps)) else max(gaps)
     if not miss <= _CROSS_CHECK_REL * scale:
         minors = H.minors.tolist()
         kappa = max(sum(map(abs, row)) for row in H.entries.tolist()) * max(
@@ -388,7 +393,7 @@ def _line_of(raw: bytes) -> PronyLine:
     # on the line (slopes*t and intercepts cancel) and the domain cannot bear
     m = _dyadic(vals)
     slopes = _refined(m, H.entries, [0.0] * (d - 1) + [1.0], np.array(slopes))
-    intercepts = _refined(m, H.entries, rhs0.tolist(), np.array(intercepts))
+    intercepts = _refined(m, H.entries, rhs0, np.array(intercepts))
     slopes.setflags(write=False)
     intercepts.setflags(write=False)
     return PronyLine(d=d, slopes=slopes, intercepts=intercepts, hankel=H, mu=mu)
@@ -426,14 +431,14 @@ class HyperbolicDomain:
         return any(lo < t < hi for lo, hi in self.intervals)
 
 
-def _leading_zero_slopes(line: PronyLine) -> int:
-    # how many leading slopes are zero on the line.  A slope below
-    # _DEGENERATE_REL of the largest is the rounding residue of a vanishing
-    # last-row minor (the det M policy of line_params); the slopes are those
-    # minors over det M, so the test does not depend on the scale of the
-    # moments.  The largest slope is never zero: M is regular.
-    floor = _DEGENERATE_REL * float(np.max(np.abs(line.slopes)))
-    return next(k for k, s in enumerate(line.slopes.tolist()) if abs(s) > floor)
+def _leading_zero_slopes(slopes: list) -> int:
+    # how many leading slopes (plain floats) are zero on the line.  A slope
+    # below _DEGENERATE_REL of the largest is the rounding residue of a
+    # vanishing last-row minor (the det M policy of line_params); the slopes
+    # are those minors over det M, so the test does not depend on the scale
+    # of the moments.  The largest slope is never zero: M is regular.
+    floor = _DEGENERATE_REL * max(map(abs, slopes))
+    return next(k for k, s in enumerate(slopes) if abs(s) > floor)
 
 
 def hyperbolic_domain(mu) -> HyperbolicDomain:
@@ -471,10 +476,10 @@ def _build_domain(line: PronyLine) -> HyperbolicDomain:
     build raises InterpolationInconsistency.  An empty result is returned.
     """
     d = line.d
-    slopes, intercepts = line.slopes.tolist(), line.intercepts.tolist()
+    slopes, intercepts, _ = line._plain
     norm = sum(a * a for a in slopes)  # 0.0 where the squares underflow
     t0 = -sum(a * b for a, b in zip(slopes, intercepts)) / norm if norm > 0.0 else 0.0
-    q = line.sigma_at(t0).sigma.tolist()[::-1] + [1.0]
+    q = line._node_poly(t0)
     # x in units of a power of two near the size of the roots of Q_t0, so
     # that the coefficients of W stay within the range real_roots resolves
     size = max((abs(c) ** (1.0 / (d - k)) for k, c in enumerate(q[:-1])), default=0.0)
@@ -484,13 +489,13 @@ def _build_domain(line: PronyLine) -> HyperbolicDomain:
                          f"polynomial are of size {size:.3g}, whose {d}-th power is not a double")
     unit = 2.0**exponent
     q = [c / unit ** (d - k) for k, c in enumerate(q)]
-    s = [c * unit**k for k, c in enumerate(slopes[_leading_zero_slopes(line):][::-1])]
+    s = [c * unit**k for k, c in enumerate(slopes[_leading_zero_slopes(slopes):][::-1])]
     w = npoly.polysub(npoly.polymul(K.poly_derivative(q), s),
                       npoly.polymul(q, K.poly_derivative(s))).tolist()
 
     inf = math.inf
-    breaks = [(x, None) for x in poly_engine.real_roots(s).tolist()]
-    for c in poly_engine.real_roots(w).tolist():
+    breaks = [(x, None) for x in poly_engine._roots(poly_engine._coeffs(s))]
+    for c in poly_engine._roots(poly_engine._coeffs(w)):
         if abs(K.horner(s, c)) > K.EVAL_GUARD * K.horner([abs(v) for v in s], abs(c)):
             breaks.append((c, t0 - unit**d * K.horner(q, c) / K.horner(s, c)))
     ends = [(-inf, None)] + sorted(breaks) + [(inf, None)]
@@ -556,12 +561,12 @@ def projection_residuals(mu, X, q: int) -> np.ndarray:
     return out
 
 
-def _lift_budget(moments, sigma) -> float:
+def _lift_budget(moments: list, sigma: list) -> float:
     """Largest moment defect a lifted family point may carry: _LIFT_REL
     times the scale of the moments and of the node polynomial's
-    coefficients sigma."""
-    mu_scale = max(1.0, float(np.max(np.abs(moments))))
-    return _LIFT_REL * mu_scale * max(1.0, float(np.max(np.abs(sigma))))
+    coefficients sigma, both plain floats."""
+    mu_scale = max(1.0, max(map(abs, moments)))
+    return _LIFT_REL * mu_scale * max(1.0, max(map(abs, sigma)))
 
 
 def lift_to_solution(mu, X, q: int) -> Signal:
@@ -574,7 +579,7 @@ def lift_to_solution(mu, X, q: int) -> Signal:
     mu = mu if isinstance(mu, MomentVector) else MomentVector(mu)
     x = np.asarray(X, dtype=float)
     res = projection_residuals(mu, x, q)
-    budget = _lift_budget(mu.values, elementary_symmetric(x).sigma)
+    budget = _lift_budget(mu.values.tolist(), elementary_symmetric(x).sigma.tolist())
     if float(np.max(np.abs(res), initial=0.0)) > budget:
         raise ResidualTooLarge(
             f"projected residual {float(np.max(np.abs(res))):.3e} exceeds "

@@ -23,8 +23,9 @@ import pathlib
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 import pytest
+import sympy
 
-from helpers import exact_discriminant
+from helpers import exact_discriminant, exact_line
 from prony import closed_forms as cf
 from prony import curve_analysis as ca
 from prony import poly_engine as pe
@@ -281,6 +282,24 @@ def test_classify_d3_abstains_on_zero_leading_moment():
     assert not c.evidence["mu0_ok"]
     assert c.evidence["K"] is None
     assert c.collision in ("yes", "no")  # P8 = -8 still decides collision
+
+
+def test_classify_d3_abstains_where_the_domain_does():
+    # critical values 0.3228735890 and 0.3228735913, within _ENDPOINT_REL of
+    # each other: the domain build abstains, and the float quartic, near a
+    # double root there, counted no real root.  The exact restricted
+    # discriminant of the float moments has real roots, so the verdict
+    # "no" was wrong; it abstains now
+    mu = [-0.4461703704981166, -0.7115262368540809, 0.2162391280819644,
+          -0.3978698551150798, 0.3035255520760064]
+    c = cf.classify_d3(mu)
+    assert "domain_error" in c.evidence
+    assert c.collision == "indeterminate"
+    assert c.bounded == "no"
+    base, slope = exact_line(mu)
+    z, t = sympy.symbols("z t")
+    cubic = sympy.Poly([1] + [b + t * s for b, s in zip(base, slope)], z)
+    assert sympy.Poly(sympy.discriminant(cubic), t).count_roots() > 0
 
 
 def test_classify_d3_fixture_instances():

@@ -8,16 +8,22 @@ one root near -t and one near 1/t for large |t|.
 """
 
 import logging
+import math
 
 import numpy as np
 import pytest
 import sympy
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+from numpy.polynomial import polynomial as npoly
 
-from helpers import exact_line, relerr
+from helpers import exact_line, relerr, signal_strategy
 from prony import curve_analysis as ca
+from prony import poly_engine as pe
 from prony import prony_line as pl
 from prony.errors import (
     DegenerateHankel,
+    IllConditionedHankel,
     InconsistentComputation,
     InterpolationInconsistency,
     NoUnboundedComponent,
@@ -395,8 +401,8 @@ def test_probe_point_keeps_the_monic_leading_one():
     # the largest coefficient, would leave the line 1e15 z - 1 and one node
     line = pl.line_params([1.0, 0.0, 1.0])
     nodes, amps, _ = ca._probe_point(line, 1e15)
-    assert nodes.tolist() == pytest.approx([-1e15, 1e-15], rel=1e-12)
-    assert amps.tolist() == pytest.approx([1e-30, 1.0], rel=1e-12)
+    assert list(nodes) == pytest.approx([-1e15, 1e-15], rel=1e-12)
+    assert list(amps) == pytest.approx([1e-30, 1.0], rel=1e-12)
 
 
 def test_collision_report_validation():
@@ -629,3 +635,75 @@ def test_escape_probes_are_checked_against_the_expansion(monkeypatch):
                         lambda s: real(s) if len(s) == 2 else np.array([-1e9]))
     with pytest.raises(InconsistentComputation, match="does not show nodes"):
         ca.escape_analysis([1.0, 0.0, 1.0], INF)
+
+
+def _drawn_family(signal):
+    # the line of a drawn signal and its domain; draws whose line or domain
+    # abstains are discarded
+    try:
+        line = pl.line_params(compute_moments(signal, 2 * signal.d - 2))
+        line.domain
+    except (DegenerateHankel, IllConditionedHankel, InconsistentComputation,
+            InterpolationInconsistency):
+        assume(False)
+    return line
+
+
+def _grid_in(intervals, fractions):
+    # one parameter per interval and fraction f in (0, 1)
+    out = []
+    for lo, hi in intervals:
+        for f in fractions:
+            if math.isinf(lo) and math.isinf(hi):
+                out.append(20.0 * (f - 0.5))
+            elif math.isinf(lo):
+                out.append(hi - f / (1.0 - f) * max(1.0, abs(hi)))
+            elif math.isinf(hi):
+                out.append(lo + f / (1.0 - f) * max(1.0, abs(lo)))
+            else:
+                out.append(lo + f * (hi - lo))
+    return out
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(signal_strategy(min_d=2, max_d=5),
+       st.lists(st.floats(0.01, 0.99), min_size=1, max_size=4))
+def test_samples_are_family_points_within_budget(signal, fractions):
+    line = _drawn_family(signal)
+    t_star = line.parameter_of(elementary_symmetric(signal.nodes))
+    values = line.mu.values.tolist()
+    for s in ca.sample_curve(line, [t_star] + _grid_in(line.domain.intervals, fractions)):
+        assert s.residual <= pl._lift_budget(values, s.sigma.sigma.tolist())
+        assert 0.0 not in s.amplitudes.tolist()
+        assert all(b > a for a, b in zip(s.nodes.tolist(), s.nodes.tolist()[1:]))
+        sigma, nodes, amps = line.point(s.t)
+        assert s.sigma.sigma.tobytes() == sigma.sigma.tobytes()
+        assert s.nodes.tobytes() == nodes.tobytes()
+        assert s.amplitudes.tobytes() == amps.tobytes()
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(signal_strategy(min_d=2, max_d=5))
+def test_collision_numerator_is_that_of_the_limit_configuration(signal):
+    # the limit configuration rebuilt on arrays, as npoly.polydiv,
+    # real_roots and np.insert give it; detect_collisions reads numerator
+    # and bound from one polynomial of it, and must agree bit for bit
+    line = _drawn_family(signal)
+    d = line.d
+    reports = ca.detect_collisions(line)
+    assert [r.t0 for r in reports] == [ep.t0 for ep in line.domain.endpoints]
+    for r, ep in zip(reports, line.domain.endpoints):
+        q = np.append(line.sigma_at(ep.t0).sigma[::-1], 1.0)
+        rest = npoly.polydiv(q, [ep.x0 * ep.x0, -2.0 * ep.x0, 1.0])[0]
+        others = pe.real_roots(rest)
+        assert r.pair_index == int(np.sum(others < ep.x0))
+        if len(others) != d - 2:
+            assert math.isnan(r.numerator) and math.isnan(r.numerator_bound)
+            continue
+        limit = np.insert(others, r.pair_index, ep.x0)
+        assert r.numerator.hex() == ca.collision_numerator(line.mu, limit).hex()
+        bound = pl._ENDPOINT_REL * float(
+            np.dot(np.abs(line.mu.values[:d]), np.abs(npoly.polyfromroots(limit))))
+        assert r.numerator_bound.hex() == bound.hex()
