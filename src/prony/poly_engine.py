@@ -228,14 +228,9 @@ def _cauchy_bound(c) -> float:
 
 def _sure_sign(c, abs_c, x) -> int:
     # sign of P(x) when |P(x)| clears the kernels' rounding guard, else 0;
-    # a NaN left by an overflow clears nothing.  P(x) and the Horner
-    # magnitude sum at |x| in one loop, each as K.horner computes it
-    v = size = 0.0
-    ax = abs(x)
-    for a, b in zip(reversed(c), reversed(abs_c)):
-        v = v * x + a
-        size = size * ax + b
-    if not abs(v) > K.EVAL_GUARD * size:
+    # a NaN left by an overflow clears nothing
+    v = K.horner(c, x)
+    if not abs(v) > K.EVAL_GUARD * K.horner(abs_c, abs(x)):
         return 0
     return 1 if v > 0.0 else -1
 
