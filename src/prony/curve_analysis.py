@@ -251,14 +251,8 @@ def collision_numerator(mu, Xstar) -> float:
     x = np.asarray(Xstar, dtype=float)
     if x.ndim != 1 or len(x) != d - 1:
         raise ValueError(f"need {d - 1} limit nodes, got {len(x)}")
-    return _numerator(values[:d], x)[0]
-
-
-def _numerator(head: np.ndarray, limit):
-    # collision_numerator from mu_0..mu_{d-1} and the d-1 limit nodes, with
-    # the ascending coefficients of the limit polynomial it is read from
-    coeffs = _from_roots(limit)  # coeffs[k] = r_{d-1-k}, coeffs[d-1] = 1
-    return float(np.dot(head, coeffs)), coeffs
+    coeffs = _from_roots(x)  # coeffs[k] = r_{d-1-k}, coeffs[d-1] = 1
+    return float(np.dot(values[:d], coeffs))
 
 
 def _from_roots(roots) -> np.ndarray:
@@ -349,7 +343,9 @@ def detect_collisions(mu) -> list:
         r0, r1, r2 = _taylor3(rest, x0)
         numerator = bound = beta = weight = math.nan
         if len(others) == d - 2:
-            numerator, coeffs = _numerator(head, others[:pair] + [x0] + others[pair:])
+            # collision_numerator, and its bound from the same coefficients
+            coeffs = _from_roots(others[:pair] + [x0] + others[pair:])
+            numerator = float(np.dot(head, coeffs))
             bound = prony_line._ENDPOINT_REL * float(np.dot(np.abs(head), np.abs(coeffs)))
             if r0 != 0.0:
                 # p = (z - x0) R: p'(x0) = R(x0), and a = (L(R) - beta R'(x0)) / R(x0)
