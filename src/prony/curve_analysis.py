@@ -42,6 +42,7 @@ from .signal_model import (
     _check_signal,
     _moments,
     _real_nodes,
+    _unwrap,
 )
 
 logger = logging.getLogger(__name__)
@@ -192,23 +193,27 @@ def sample_curve(mu, grid) -> list:
     misses mu_0..mu_{2d-2} by more than lift_to_solution allows, or has an
     amplitude rounded to zero (a far node whose amplitude only rounding
     sets).  Each returned sample carries its own residual diagnostics, see
-    CurveSample.
+    CurveSample.  The node polynomials of the in-domain grid points are
+    rooted in one batch (PronyLine._points); the log records, and an error
+    at a point, still come in grid order.
     """
     line = prony_line.line_params(mu)
     values = line.mu.values.tolist()
+    ts = [float(t) for t in np.asarray(grid, dtype=float)]
+    inside = [line.domain.contains(t) for t in ts]
+    points = iter(line._points([t for t, ok in zip(ts, inside) if ok]))
     out = []
-    for t_raw in np.asarray(grid, dtype=float):
-        t = float(t_raw)
-        if not line.domain.contains(t):
+    for t, ok in zip(ts, inside):
+        if not ok:
             logger.info("grid point t=%.17g outside the hyperbolic set; skipped", t)
             continue
-        try:
-            sigma, nodes, amps = line._point(t)
-        except (NotHyperbolic, RepeatedNodes) as exc:
+        point = next(points)
+        if isinstance(point, (NotHyperbolic, RepeatedNodes)):
             # containment comes from the critical values of the build; very
             # close to a boundary the direct check can still refuse the point
-            logger.warning("grid point t=%.17g rejected on direct evaluation: %s", t, exc)
+            logger.warning("grid point t=%.17g rejected on direct evaluation: %s", t, point)
             continue
+        sigma, nodes, amps = _unwrap(point)
         if 0.0 in amps:  # det M != 0: a zero is rounding, not the family
             logger.warning("grid point t=%.17g skipped: an amplitude rounds to zero", t)
             continue

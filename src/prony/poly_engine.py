@@ -136,18 +136,18 @@ def hyperbolic_roots(sigma):
     P on the monotone pieces between the roots of P' (see
     :func:`real_roots`).
     """
-    roots = _hyperbolic(_monic_coeffs(sigma))
+    roots = _hyperbolic_many([_monic_coeffs(sigma)])[0]
     return None if roots is None else np.array(roots)
 
 
-def _hyperbolic(c):
-    """:func:`hyperbolic_roots` of the checked monic coefficient list c
-    (see :func:`_monic_coeffs`), as a list."""
-    d = len(c) - 1
-    if d == 2 and not _sure_sign(c, [abs(v) for v in c], -0.5 * c[1]) < 0:
-        return None
-    roots = _roots(c)
-    return roots if len(roots) == d else None
+def _hyperbolic_many(cs) -> list:
+    """:func:`hyperbolic_roots` of each checked monic coefficient list of cs
+    (see :func:`_monic_coeffs`), all of one degree, as lists, with the
+    roots from one :func:`_roots_many` call."""
+    d = len(cs[0]) - 1 if cs else 0
+    ok = [d != 2 or _sure_sign(c, [abs(v) for v in c], -0.5 * c[1]) < 0 for c in cs]
+    found = iter(_roots_many([c for c, k in zip(cs, ok) if k]))
+    return [r if len(r) == d else None for r in (next(found) if k else [] for k in ok)]
 
 
 def _quadratic_roots(c0, c1, c2):
@@ -201,25 +201,32 @@ def real_roots(p) -> np.ndarray:
 def _roots(c) -> list[float]:
     """The sorted real roots of the ascending coefficient list c, taken as
     given: its last coefficient is nonzero (see :func:`real_roots`)."""
-    n = len(c) - 1
+    return _roots_many([c])[0]
+
+
+def _roots_many(cs) -> list[list[float]]:
+    """:func:`_roots` of each coefficient list of cs, all of one degree n.
+
+    From n >= 3 on, the companion matrices (ones below the diagonal, the
+    last column -c[:-1] / c[-1]) are stacked into one np.linalg.eigvals
+    call.  It runs LAPACK's geev on each matrix with the workspace a call
+    on that matrix alone gets, so each list's sorted real eigenvalues, its
+    seeds, carry the bits of its own call."""
+    n = len(cs[0]) - 1 if cs else 0
     if n <= 0:
-        return []
+        return [[] for _ in cs]
     if n == 1:
-        return [-c[0] / c[1]]
+        return [[-c[0] / c[1]] for c in cs]
     if n == 2:
-        return _quadratic_roots(c[0], c[1], c[2])
-    seeds = _companion_seeds(c)
-    roots = _seeded_roots(c, seeds, n)
-    return _rolle_roots(c, seeds) if roots is None else roots
-
-
-def _companion_seeds(c) -> list[float]:
-    # sorted real eigenvalues of the companion matrix of P (degree >= 3):
-    # ones below the diagonal, the last column -c[:-1] / c[-1]
-    n, lead = len(c) - 1, -c[-1]
-    companion = [[float(j == i - 1) for j in range(n - 1)] + [c[i] / lead] for i in range(n)]
-    eig = np.linalg.eigvals(np.array(companion)).tolist()
-    return sorted(z.real for z in eig if z.imag == 0.0)
+        return [_quadratic_roots(c[0], c[1], c[2]) for c in cs]
+    below = [[float(j == i - 1) for j in range(n - 1)] for i in range(n)]
+    stack = [[row + [c[i] / -c[-1]] for i, row in enumerate(below)] for c in cs]
+    out = []
+    for c, eig in zip(cs, np.linalg.eigvals(np.array(stack)).tolist()):
+        seeds = sorted(z.real for z in eig if z.imag == 0.0)
+        roots = _seeded_roots(c, seeds, n)
+        out.append(_rolle_roots(c, seeds) if roots is None else roots)
+    return out
 
 
 def _cauchy_bound(c) -> float:

@@ -27,6 +27,8 @@ from .errors import (
     IllConditionedHankel,
     InconsistentComputation,
     InterpolationInconsistency,
+    NotHyperbolic,
+    RepeatedNodes,
     ResidualTooLarge,
 )
 from .signal_model import (
@@ -35,7 +37,8 @@ from .signal_model import (
     SymmetricCoords,
     _amplitudes,
     _check_finite,
-    _real_nodes,
+    _real_nodes_many,
+    _unwrap,
     amplitudes_from_nodes,
     compute_moments,
     elementary_symmetric,
@@ -204,7 +207,7 @@ class PronyLine:
     def point(self, t: float):
         """The family point (sigma, nodes, amplitudes) at t; NotHyperbolic or
         RepeatedNodes where sigma(t) has no d real distinct roots."""
-        sigma, nodes, amps = self._point(t)
+        sigma, nodes, amps = _unwrap(self._points([t])[0])
         return SymmetricCoords(sigma), np.array(nodes), np.array(amps)
 
     @cached_property
@@ -222,12 +225,24 @@ class PronyLine:
         _check_finite(sigma, "sigma")
         return sigma[::-1] + [1.0]
 
-    def _point(self, t: float):
-        # point on plain floats: sigma(t), its nodes and their amplitudes as
-        # lists
-        c = self._node_poly(t)
-        nodes = _real_nodes(c)
-        return c[-2::-1], nodes, _amplitudes(self._plain[2], nodes)
+    def _points(self, ts) -> list:
+        # point at each t of ts on plain floats, the node polynomials rooted
+        # by one _real_nodes_many call: per t sigma(t), its nodes and their
+        # amplitudes as lists, or the ValueError, NotHyperbolic or
+        # RepeatedNodes that point raises there
+        out = []
+        for t in ts:
+            try:
+                out.append(self._node_poly(t))
+            except ValueError as exc:
+                out.append(exc)
+        live = [k for k, c in enumerate(out) if isinstance(c, list)]
+        for k, nodes in zip(live, _real_nodes_many([out[k] for k in live])):
+            try:
+                out[k] = (out[k][-2::-1], _unwrap(nodes), _amplitudes(self._plain[2], nodes))
+            except (NotHyperbolic, RepeatedNodes) as exc:
+                out[k] = exc
+        return out
 
     def parameter_of(self, sigma) -> float:
         """The t value whose line point has these coordinates: the last
@@ -473,7 +488,8 @@ def _build_domain(line: PronyLine) -> HyperbolicDomain:
     crossing one gains or loses two real nodes, or none, so two such values
     between a piece in and a piece out of the domain are one boundary; any
     other cut of several may hide a window, a gap or a puncture, and the
-    build raises InterpolationInconsistency.  An empty result is returned.
+    build raises InterpolationInconsistency, as it does where a critical
+    point and a pole are the same double.  An empty result is returned.
     """
     d = line.d
     slopes, intercepts, _ = line._plain
@@ -494,9 +510,14 @@ def _build_domain(line: PronyLine) -> HyperbolicDomain:
                       npoly.polymul(q, K.poly_derivative(s))).tolist()
 
     inf = math.inf
-    breaks = [(x, None) for x in poly_engine._roots(poly_engine._coeffs(s))]
+    poles = poly_engine._roots(poly_engine._coeffs(s))
+    breaks = [(x, None) for x in poles]
     for c in poly_engine._roots(poly_engine._coeffs(w)):
         if abs(K.horner(s, c)) > K.EVAL_GUARD * K.horner([abs(v) for v in s], abs(c)):
+            if c in poles:
+                raise InterpolationInconsistency(
+                    f"critical point {c * unit:.17g} of phi is also a pole: which side "
+                    "of the pole it lies on is below the resolution of the build")
             breaks.append((c, t0 - unit**d * K.horner(q, c) / K.horner(s, c)))
     ends = [(-inf, None)] + sorted(breaks) + [(inf, None)]
     images = []

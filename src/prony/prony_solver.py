@@ -20,6 +20,7 @@ import numpy as np
 
 from . import prony_line
 from .errors import (
+    DegenerateHankel,
     EmptyDomain,
     NoRealSolution,
     NotHyperbolic,
@@ -34,7 +35,8 @@ from .signal_model import (
     _check_signal,
     _moments,
     _monic_product,
-    _real_nodes,
+    _real_nodes_many,
+    _unwrap,
     compute_moments,
 )
 
@@ -161,23 +163,78 @@ def solve_complete(mu) -> Signal:
     values = np.asarray(getattr(mu, "values", mu), dtype=float)
     if values.ndim != 1 or values.size < 2 or values.size % 2 != 0:
         raise ValueError("need an even number of moments mu_0..mu_{2d-1}")
-    return Signal(*_solve(values.tolist()))
+    return Signal(*_unwrap(_solve_many([values.tolist()])[0]))
 
 
-def _solve(v: list):
-    """(amplitudes, nodes) of solve_complete for the plain floats v =
-    mu_0..mu_{2d-1}, as lists, with every check solve_complete makes: finite
-    moments, the det M policy, d certified distinct real roots, nonzero
-    amplitudes on strictly increasing nodes, and the residual."""
-    _check_finite(v, "moments")
-    d = len(v) // 2
-    rows, _, _ = prony_line._regular_minors(v[: 2 * d - 1])
+def _solve_many(vs: list) -> list:
+    """solve_complete on each list of plain floats mu_0..mu_{2d-1} in vs,
+    all of one length, without building a Signal: per list its
+    (amplitudes, nodes) as lists, or the exception solve_complete raises
+    there.
+
+    Every list gets each check solve_complete makes: finite moments, the
+    det M policy, d certified distinct real roots, nonzero amplitudes on
+    strictly increasing nodes, and the residual.  The checks run list by
+    list, in stages: the Hankel systems that pass the det M policy are
+    solved by one stacked np.linalg.solve, and the node polynomials of the
+    finite solutions rooted by one signal_model._real_nodes_many call.
+    """
+    d = len(vs[0]) // 2 if vs else 0
+    out = []
+    for v in vs:
+        try:
+            _check_finite(v, "moments")
+            out.append(prony_line._regular_minors(v[: 2 * d - 1])[0])
+        except (ValueError, DegenerateHankel) as exc:
+            out.append(exc)
 
     # M (sigma_d, ..., sigma_1)^T = -(mu_d, ..., mu_{2d-1})^T
-    c = np.linalg.solve(rows, [-m for m in v[d:]]).tolist()  # [sigma_d, ..., sigma_1]
-    _check_finite(c, "sigma")
+    live = [k for k, rows in enumerate(out) if isinstance(rows, list)]
+    solved = _stacked_solve([out[k] for k in live], [[[-m] for m in vs[k][d:]] for k in live])
+    for k, c in zip(live, solved):  # c = [sigma_d, ..., sigma_1]
+        try:
+            _check_finite(_unwrap(c), "sigma")
+            out[k] = c + [1.0]
+        except ValueError as exc:
+            out[k] = exc
+
+    live = [k for k, c in enumerate(out) if isinstance(c, list)]
+    for k, nodes in zip(live, _real_nodes_many([out[k] for k in live])):
+        try:
+            out[k] = _signal_of(vs[k], nodes)
+        except (ValueError, NoRealSolution, ResidualTooLarge) as exc:
+            out[k] = exc
+    return out
+
+
+def _stacked_solve(rows: list, rhs: list) -> list:
+    # the solutions of the systems rows[k] y = rhs[k], right-hand sides
+    # shaped (T, d, 1), which numpy 1.x and 2.x both read as stacked
+    # columns, from one np.linalg.solve call: it runs LAPACK's gesv on each
+    # system as a call on that system alone does.  Where the stacked call
+    # raises (a matrix singular to LU that passed the det M policy), each
+    # system is solved alone and keeps its own LinAlgError
+    if not rows:
+        return []
     try:
-        nodes = _real_nodes(c + [1.0])
+        return np.linalg.solve(rows, rhs)[..., 0].tolist()
+    except np.linalg.LinAlgError:
+        out = []
+        for a, b in zip(rows, rhs):
+            try:
+                out.append(np.linalg.solve([a], [b])[0, :, 0].tolist())
+            except np.linalg.LinAlgError as exc:
+                out.append(exc)
+        return out
+
+
+def _signal_of(v: list, nodes) -> tuple:
+    # the last stage of solve_complete on the moments v, given the roots
+    # of its node polynomial (or the NotHyperbolic raised there): the
+    # amplitudes, the signal checks and the residual
+    d = len(v) // 2
+    try:
+        nodes = _unwrap(nodes)
     except NotHyperbolic as exc:
         raise NoRealSolution(
             "no real node configuration matches these moments") from exc
@@ -210,16 +267,24 @@ def make_cluster_signal(d: int, h: float) -> Signal:
     return Signal(amps, nodes)
 
 
-def _distance_at(line, target, t):
-    # Euclidean distance from the (amplitudes + nodes) sequence target to
-    # the family point at t; inf outside the hyperbolic set
-    if not line.domain.contains(t):
-        return np.inf
-    try:
-        _, nodes, amps = line._point(t)
-    except (NotHyperbolic, RepeatedNodes):
-        return np.inf
-    return float(np.linalg.norm(np.subtract(amps + nodes, target)))
+def _distances(line, targets: list, ts) -> list:
+    # Euclidean distance from each (amplitudes + nodes) sequence of targets
+    # to the family point at the t beside it in ts, inf outside the
+    # hyperbolic set; the family points come from one PronyLine._points
+    # call, and a t whose sigma(t) is not finite leaves its ValueError
+    inside = [line.domain.contains(t) for t in ts]
+    points = iter(line._points([t for t, ok in zip(ts, inside) if ok]))
+    out = []
+    for target, ok in zip(targets, inside):
+        point = next(points) if ok else None
+        if point is None or isinstance(point, (NotHyperbolic, RepeatedNodes)):
+            out.append(np.inf)
+        elif isinstance(point, ValueError):
+            out.append(point)
+        else:
+            _, nodes, amps = point
+            out.append(float(np.linalg.norm(np.subtract(amps + nodes, target))))
+    return out
 
 
 def _golden(f, a, b, c):
@@ -254,7 +319,7 @@ def _min_distance(line, target, t_grid):
     grid = np.unique(np.asarray(t_grid, dtype=float))
     if grid.ndim != 1 or grid.size == 0:
         raise ValueError("t_grid must be a nonempty 1-d sequence")
-    values = np.array([_distance_at(line, target, t) for t in grid])
+    values = np.array([_unwrap(v) for v in _distances(line, [target] * grid.size, grid)])
     best = int(np.argmin(values))
     if not np.isfinite(values[best]):
         raise EmptyDomain(
@@ -265,11 +330,12 @@ def _min_distance(line, target, t_grid):
     step = np.diff(grid).min() if grid.size > 1 else max(1.0, abs(grid[best]))
     lo = grid[best - 1] if best > 0 else grid[best] - step
     hi = grid[best + 1] if best + 1 < grid.size else grid[best] + step
-    t_ref = _golden(lambda t: _distance_at(line, target, t),
-                    lo, grid[best], hi)
+    def distance(t):
+        return _unwrap(_distances(line, [target], [t])[0])
+
+    t_ref = _golden(distance, lo, grid[best], hi)
     # no bracket: the grid minimum is already as good as it gets
-    refined = np.inf if t_ref is None else _distance_at(
-        line, target, float(t_ref))
+    refined = np.inf if t_ref is None else distance(float(t_ref))
     return float(min(values[best], refined))
 
 
@@ -325,16 +391,26 @@ def amplification_experiment(cfg: NoiseConfig) -> AmplificationResult:
 
     The per-(h, trial) noise streams are split from the master seed, so
     results are reproducible regardless of evaluation order.  A stream
-    costs about as much as the trial's solve, yet stays: the benchmark's
-    amplify check recomputes the rows from these same streams, and any
-    other stream moves every row, which belongs in a change that moves the
-    rows anyway.
+    costs about as much as a d = 2 trial's whole solve stage, yet stays:
+    the benchmark's amplify check recomputes the rows from these same
+    streams, and any other stream moves every row, which belongs in a
+    change that moves the rows anyway.
 
-    Each trial runs the checks of solve_complete, on plain floats and
-    without building a Signal: finite moments, the det M policy, d
-    certified distinct real roots, no repeated node, nonzero amplitudes on
-    strictly increasing nodes, and the residual within 1e-8 of the moment
-    scale.
+    Per h the trials run in stages, each stage over all of them:
+    - the noise streams are drawn, trial by trial;
+    - each trial runs the checks of solve_complete, on plain floats and
+      without building a Signal (_solve_many): finite moments and the
+      det M policy per trial, then the Hankel systems of all survivors in
+      one stacked np.linalg.solve, then the node polynomials of all of
+      them rooted in one batch, then per trial d certified distinct real
+      roots, no repeated node, nonzero amplitudes on strictly increasing
+      nodes, and the residual within 1e-8 of the moment scale;
+    - the parameters t of the reconstructions (np.dot, per trial) and the
+      family points at them, rooted in one batch (_distances).
+    Stacked LAPACK calls set the bits of one call per matrix (see
+    poly_engine._roots_many), and a trial's exception waits for its turn:
+    the rows, the order of the fallback warnings and any exception that
+    propagates are those of running the trials one after the other.
     """
     if not isinstance(cfg, NoiseConfig):
         cfg = NoiseConfig.from_mapping(cfg)
@@ -355,25 +431,32 @@ def amplification_experiment(cfg: NoiseConfig) -> AmplificationResult:
         # equation reads dot(mu[d-1:2d-1], reversed(sigma)) = -mu_{2d-1}
         t_star = -float(mu_true.values[q])
 
-        worst_point = 0.0
-        worst_curve = 0.0
-        failed = 0
+        vs = []
         for trial in range(cfg.trials):
             rng = np.random.default_rng([cfg.seed, h_idx, trial])
             delta = rng.uniform(-cfg.epsilon, cfg.epsilon, 2 * cfg.d)
-            try:
-                amps, nodes = _solve((mu_true.values + delta).tolist())
-            except (NoRealSolution, ResidualTooLarge,
-                    prony_line.DegenerateHankel):
+            vs.append((mu_true.values + delta).tolist())
+        solved = _solve_many(vs)
+        # the family point at each reconstruction's own parameter, not the
+        # nearest family point; sigma of the nodes is finite, since their
+        # moments passed the residual
+        good = [s for s in solved if isinstance(s, tuple)]
+        t_hats = [line.parameter_of(_monic_product(nodes)[cfg.d - 1 :: -1])
+                  for _, nodes in good]
+        curve = zip(t_hats, _distances(line, [amps + nodes for amps, nodes in good], t_hats))
+
+        worst_point = 0.0
+        worst_curve = 0.0
+        failed = 0
+        for trial, outcome in enumerate(solved):
+            if isinstance(outcome, (NoRealSolution, ResidualTooLarge, DegenerateHankel)):
                 failed += 1
                 continue
+            amps, nodes = _unwrap(outcome)
             guess = amps + nodes
             point_err = max(abs(r - t) for r, t in zip(guess, true_point))
-            # distance to the family point at the reconstruction's own
-            # parameter, not to the nearest family point; sigma of the
-            # nodes is finite, since their moments passed the residual
-            t_hat = line.parameter_of(_monic_product(nodes)[cfg.d - 1 :: -1])
-            curve_dist = _distance_at(line, guess, t_hat)
+            t_hat, curve_dist = next(curve)
+            curve_dist = _unwrap(curve_dist)
             if not math.isfinite(curve_dist):
                 logger.warning(
                     "h=%g trial %d: parameter %.6g left the hyperbolic "

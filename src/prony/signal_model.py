@@ -199,14 +199,32 @@ def vieta_inverse(sigma) -> np.ndarray:
 
 def _real_nodes(c: list) -> list:
     # vieta_inverse of the checked monic coefficient list c = [sd, ..., s1, 1.0]
-    roots = poly_engine._hyperbolic(c)
-    if roots is None:
-        raise NotHyperbolic("polynomial does not have d real distinct roots")
-    if len(roots) != len(c) - 1:
-        raise InconsistentComputation(
-            f"root isolation proved {len(c) - 1} distinct roots, but returned {len(roots)}"
-        )
-    return roots
+    return _unwrap(_real_nodes_many([c])[0])
+
+
+def _real_nodes_many(cs: list) -> list:
+    # _real_nodes of each list of cs, all of one degree, rooted by one
+    # poly_engine._hyperbolic_many call: per list its nodes, or the
+    # NotHyperbolic that _real_nodes raises there
+    out = []
+    for c, roots in zip(cs, poly_engine._hyperbolic_many(cs)):
+        if roots is None:
+            out.append(NotHyperbolic("polynomial does not have d real distinct roots"))
+        elif len(roots) != len(c) - 1:
+            raise InconsistentComputation(
+                f"root isolation proved {len(c) - 1} distinct roots, but returned {len(roots)}"
+            )
+        else:
+            out.append(roots)
+    return out
+
+
+def _unwrap(outcome):
+    # an entry of a batch's results: the value, or the exception that its
+    # item raised, raised now
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
 
 def amplitudes_from_nodes(mu, nodes) -> np.ndarray:

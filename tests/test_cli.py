@@ -321,6 +321,17 @@ def test_analyze_degenerate_exit_3(tmp_path, capsys):
     assert err.strip()
 
 
+def test_analyze_pole_at_a_critical_point_exit_4(tmp_path, capsys):
+    # a critical point of phi and a pole come out as the same double: the
+    # domain build abstains on resolution instead of failing to sort them
+    mu = _write(tmp_path, "mu.json", [-1.830210993303282, -1.355682011867008e+90,
+                                      1.9443637797854613e-54, -5.482937750392935e-274,
+                                      1.5321874468354042])
+    code, _, err = _run(capsys, ["analyze", mu])
+    assert code == 4
+    assert "is also a pole" in err and "Traceback" not in err
+
+
 def test_analyze_and_curve_build_one_domain(tmp_path, capsys, monkeypatch):
     built = []
     real = prony_line._build_domain

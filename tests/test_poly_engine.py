@@ -500,3 +500,46 @@ def test_certified_real_roots_equal_the_exact_roots(coeffs):
     roots = pe.real_roots(coeffs)
     assert np.all(np.diff(roots) > 0)
     _check_against_exact(coeffs.tolist(), roots.tolist())
+
+
+@st.composite
+def _root_stacks(draw):
+    # a stack of one to six polynomials of one degree n = 3..6: real roots,
+    # a complex pair (fewer real seeds than n, so the Rolle pass runs) or a
+    # pair 0 to 1e-4 apart (a double root, or a pair below resolution)
+    n = draw(st.integers(3, 6))
+    stack = []
+    for _ in range(draw(st.integers(1, 6))):
+        roots = draw(st.lists(st.floats(-20.0, 20.0), min_size=n - 2, max_size=n - 2))
+        kind = draw(st.sampled_from(["real", "pair", "double"]))
+        a = draw(st.floats(-20.0, 20.0))
+        if kind == "real":
+            last = npoly.polyfromroots([a, draw(st.floats(-20.0, 20.0))])
+        elif kind == "pair":
+            b = draw(st.floats(1e-6, 20.0))
+            last = np.array([a * a + b * b, -2.0 * a, 1.0])
+        else:
+            last = npoly.polyfromroots([a, a + draw(st.sampled_from([0.0, 1e-12, 1e-8, 1e-4]))])
+        scale = draw(st.sampled_from([-3.0, 0.5, 1.0, 2.0]))
+        stack.append((scale * npoly.polymul(npoly.polyfromroots(roots), last)).tolist())
+    return stack
+
+
+@settings(max_examples=80, deadline=None)
+@given(_root_stacks())
+def test_stacked_roots_carry_the_bits_of_single_calls(stack):
+    # _roots_many roots the whole stack from one stacked eigvals call; each
+    # polynomial gets the bits of its own call, and of the seeds of an
+    # eigvals call on its companion matrix alone
+    got = pe._roots_many(stack)
+    assert len(got) == len(stack)
+    for c, roots in zip(stack, got):
+        n = len(c) - 1
+        companion = np.zeros((n, n))
+        companion[np.arange(1, n), np.arange(n - 1)] = 1.0
+        companion[:, -1] = [v / -c[-1] for v in c[:-1]]
+        seeds = sorted(z.real for z in np.linalg.eigvals(companion).tolist() if z.imag == 0.0)
+        single = pe._seeded_roots(c, seeds, n)
+        single = pe._rolle_roots(c, seeds) if single is None else single
+        assert [x.hex() for x in roots] == [x.hex() for x in single]
+        assert [x.hex() for x in roots] == [x.hex() for x in pe._roots(c)]

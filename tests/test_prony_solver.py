@@ -20,10 +20,13 @@ Worked values used below:
 """
 
 import json
+import logging
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from prony import prony_line as pl
 from prony import prony_solver as ps
@@ -140,6 +143,56 @@ def test_solve_accepts_moment_vector():
     mu = MomentVector((2.0, 0.0, 2.0, 0.0), 3)
     s = ps.solve_complete(mu)
     assert np.allclose(s.nodes, [-1.0, 1.0])
+
+
+# d = 4 moments whose Hankel matrix passes the det M policy yet is singular
+# to LU: np.linalg.solve raises LinAlgError on it, stacked or alone
+SINGULAR_LU_MU = [-108.45808513305067, 75.77757654947045, -60.293245125276364,
+                  52.07683329618369, -47.00701295444623, 43.35910892198191,
+                  -40.403751790627624, 0.5]
+REGULAR_D4_MU = [sum(x**k for x in (-1.0, 0.0, 1.0, 2.0)) for k in range(8)]
+
+
+@st.composite
+def _moment_batches(draw):
+    # one to eight vectors mu_0..mu_{2d-1} of one d = 2..4: noisy moments of
+    # a signal (most solve, some miss the residual or leave the real
+    # regime) or uniform moments (most have no real solution)
+    d = draw(st.integers(2, 4))
+    batch = []
+    for _ in range(draw(st.integers(1, 8))):
+        noise = draw(st.lists(st.floats(-1.0, 1.0), min_size=2 * d, max_size=2 * d))
+        if draw(st.booleans()):
+            nodes = draw(st.lists(st.floats(-2.0, 2.0), min_size=d, max_size=d, unique=True))
+            amps = draw(st.lists(st.floats(0.2, 2.0), min_size=d, max_size=d))
+            eps = draw(st.sampled_from([0.0, 1e-10, 1e-6, 1e-2]))
+            batch.append([sum(a * x**k for a, x in zip(amps, nodes)) + eps * e
+                          for k, e in enumerate(noise)])
+        else:
+            batch.append([3.0 * e for e in noise])
+    return batch
+
+
+@settings(max_examples=80, deadline=None)
+@given(_moment_batches())
+@example([[1.0, 1.0, 1.0, 1.0], [2.0, 0.0, -2.0, 0.0], [1.0, 0.0, -1.0, -2.0],
+          [1.0, np.nan, 0.0, 0.0], [1.0, 1e-50, 1e100, 1e250], [2.0, 0.0, 2.0, 0.0]])
+@example([REGULAR_D4_MU, SINGULAR_LU_MU, REGULAR_D4_MU])
+def test_solve_many_entries_equal_solve_complete(batch):
+    # the trial core solves a batch in stages, with one stacked solve and
+    # one batch of roots; each entry is solve_complete on its own vector:
+    # the same bits, or the same exception class and message
+    got = ps._solve_many(batch)
+    assert len(got) == len(batch)
+    for mu, entry in zip(batch, got):
+        try:
+            want = ps.solve_complete(mu)
+        except Exception as exc:  # every class solve_complete raises
+            assert type(entry) is type(exc) and str(entry) == str(exc)
+        else:
+            amps, nodes = entry
+            assert [x.hex() for x in amps + nodes] == [
+                x.hex() for x in want.amplitudes.tolist() + want.nodes.tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -342,19 +395,30 @@ def test_experiment_slopes_and_determinism():
     assert res.curve_slope == again.curve_slope
 
 
-def test_experiment_reproduces_the_recorded_rows():
+def test_experiment_reproduces_the_recorded_rows(caplog):
     # the benchmark's five amplify configs, recorded as hex floats before
     # the trial loop ran on plain floats: the noise stream, the LAPACK
-    # solve and np.dot fix the bits, and the rest repeats their arithmetic
+    # solve and np.dot fix the bits, and the rest repeats their arithmetic.
+    # Three more configs, at their own epsilon, reach what the benchmark's
+    # never do: failed trials, fallbacks to the nearest family point (their
+    # warnings, in order) and TooFewValidTrials (its class and message)
     data = json.loads((FIXTURES / "amplify_rows.json").read_text())
     fits = ("point_slope", "point_intercept", "point_r2",
             "curve_slope", "curve_intercept", "curve_r2")
     for rec in data["configs"]:
-        res = ps.amplification_experiment(ps.NoiseConfig(
-            d=rec["d"], epsilon=data["epsilon"], trials=rec["trials"],
-            seed=rec["seed"], h_grid=tuple(data["h_grid"])))
-        assert [[h.hex(), p.hex(), c.hex(), f] for h, p, c, f in res.rows] == rec["rows"]
-        assert [getattr(res, key).hex() for key in fits] == [rec[key] for key in fits]
+        cfg = ps.NoiseConfig(
+            d=rec["d"], epsilon=rec.get("epsilon", data["epsilon"]),
+            trials=rec["trials"], seed=rec["seed"], h_grid=tuple(data["h_grid"]))
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="prony.prony_solver"):
+            try:
+                res = ps.amplification_experiment(cfg)
+            except TooFewValidTrials as exc:
+                assert f"{type(exc).__name__}: {exc}" == rec["error"]
+            else:
+                assert [[h.hex(), p.hex(), c.hex(), f] for h, p, c, f in res.rows] == rec["rows"]
+                assert [getattr(res, key).hex() for key in fits] == [rec[key] for key in fits]
+        assert [r.getMessage() for r in caplog.records] == rec.get("warnings", [])
 
 
 def test_experiment_errors_scale_with_epsilon():
