@@ -12,8 +12,7 @@ IEEE doubles exactly; nonfinite values appear as the strings "inf",
 "-inf", "nan" to stay inside strict JSON.
 
 Exit codes: 0 success, 2 invalid input, 3 mathematical degeneracy,
-4 internal inconsistency.  The PRONY_SEED environment variable overrides
-the seed of any amplify config.
+4 internal inconsistency.
 """
 
 import argparse
@@ -312,15 +311,12 @@ def cmd_amplify(args) -> int:
     config = _load_json(args.config_file)
     if not isinstance(config, dict):
         raise ValueError("amplify config must be a JSON object")
-    if "PRONY_SEED" in os.environ:
-        config = {**config, "seed": int(os.environ["PRONY_SEED"])}
     cfg = prony_solver.NoiseConfig.from_mapping(config)
     result = prony_solver.amplification_experiment(cfg)
 
     doc = {
         "config": {"d": cfg.d, "epsilon": cfg.epsilon, "trials": cfg.trials,
-                   "seed": cfg.seed, "h_grid": list(cfg.h_grid),
-                   "t_resolution": cfg.t_resolution},
+                   "seed": cfg.seed, "h_grid": list(cfg.h_grid)},
         "rows": [{"h": h, "max_point_err": p, "max_curve_dist": c,
                   "n_failed_trials": f} for h, p, c, f in result.rows],
         "point_slope": result.point_slope,

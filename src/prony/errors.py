@@ -29,9 +29,9 @@ class DegenerateHankel(MathDegeneracy):
 
 class IllConditionedHankel(MathDegeneracy):
     """The Hankel matrix is regular but too ill-conditioned for double
-    precision: the two routes to the line disagree by what cond(M) eps
-    explains, or the exact refinement of the line does not settle, so no
-    verdict drawn from the line could be trusted."""
+    precision: LU finds it singular, the two routes to the line disagree by
+    what cond(M) eps explains, or the exact refinement of the line does not
+    settle, so no verdict drawn from the line could be trusted."""
 
 
 class NotHyperbolic(MathDegeneracy):

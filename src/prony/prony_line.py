@@ -75,6 +75,9 @@ _ENDPOINT_REL = 1e-8
 # 1e-8 apart take up to five, and a line that has not settled after this
 # many abstains
 _REFINE_STEPS = 8
+# the abstention where LAPACK's LU finds a Hankel matrix singular that the
+# det M policy let through
+_SINGULAR_LU = "the Hankel matrix passes the det M policy but is singular to LU"
 # projected-system residuals below this (times scale) admit lifting
 _LIFT_REL = 1e-8
 
@@ -302,10 +305,10 @@ def line_params(mu) -> PronyLine:
     rounding; it stops at the first step that changes no bit.
 
     Where double precision runs out the line abstains with
-    IllConditionedHankel: the routes disagree beyond _CROSS_CHECK_REL by
-    what the conditioning of M explains, or the refinement does not
-    settle.  A disagreement the conditioning does not explain raises
-    InconsistentComputation.
+    IllConditionedHankel: LU finds M singular, the routes disagree beyond
+    _CROSS_CHECK_REL by what the conditioning of M explains, or the
+    refinement does not settle.  A disagreement the conditioning does not
+    explain raises InconsistentComputation.
 
     The most recent line is remembered under the exact bytes of its
     moments, so analyses of one moment vector run back to back share one
@@ -387,8 +390,11 @@ def _line_of(raw: bytes) -> PronyLine:
     # and recover the affine data from the two solutions.  kappa_inf(M)
     # comes from the minor table, since M^-1 = adj M / det M
     rhs0 = [-x for x in vals[d:]] + [0.0]
-    sig0 = np.linalg.solve(H.entries, rhs0)[::-1].tolist()
-    sig1 = np.linalg.solve(H.entries, rhs0[:-1] + [1.0])[::-1].tolist()
+    try:
+        sig0 = np.linalg.solve(H.entries, rhs0)[::-1].tolist()
+        sig1 = np.linalg.solve(H.entries, rhs0[:-1] + [1.0])[::-1].tolist()
+    except np.linalg.LinAlgError as exc:
+        raise IllConditionedHankel(_SINGULAR_LU) from exc
     scale = max(1.0, max(map(abs, slopes + intercepts)))
     gaps = ([abs(b - a - s) for a, b, s in zip(sig0, sig1, slopes)]
             + [abs(a - b) for a, b in zip(sig0, intercepts)])

@@ -7,6 +7,15 @@ from hypothesis import strategies as st
 from prony.signal_model import Signal
 
 
+# d = 4 moments mu_0..mu_7 of a signal with a close pair, whose Hankel
+# matrix passes the det M policy yet is singular to LU: np.linalg.solve
+# raises LinAlgError on it, stacked or alone, and the first seven alone
+# give the same matrix to line_params
+SINGULAR_LU_MU = [-108.45808513305067, 75.77757654947045, -60.293245125276364,
+                  52.07683329618369, -47.00701295444623, 43.35910892198191,
+                  -40.403751790627624, 0.5]
+
+
 def relerr(a, b):
     """Relative difference scaled against max(1, |a|, |b|)."""
     a = np.asarray(a, dtype=float)

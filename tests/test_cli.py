@@ -21,6 +21,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+from helpers import SINGULAR_LU_MU
 from prony import cli, prony_line, prony_solver
 from prony.errors import InconsistentComputation
 
@@ -332,6 +333,14 @@ def test_analyze_pole_at_a_critical_point_exit_4(tmp_path, capsys):
     assert "is also a pole" in err and "Traceback" not in err
 
 
+def test_analyze_singular_to_lu_exit_3(tmp_path, capsys):
+    # M passes the det M policy but is singular to LU: the line abstains
+    mu = _write(tmp_path, "mu.json", SINGULAR_LU_MU[:7])
+    code, _, err = _run(capsys, ["analyze", mu])
+    assert code == 3
+    assert "singular to LU" in err
+
+
 def test_analyze_and_curve_build_one_domain(tmp_path, capsys, monkeypatch):
     built = []
     real = prony_line._build_domain
@@ -376,17 +385,6 @@ def test_amplify_artifacts_and_reingest(tmp_path, capsys):
     first = (out_dir / "amplify.csv").read_text().splitlines()
     assert digest in first[0]
     assert first[1] == "h,max_point_err,max_curve_dist,n_failed_trials"
-
-
-def test_amplify_env_seed_override(tmp_path, capsys, monkeypatch):
-    cfg = {"d": 2, "epsilon": 1e-8, "trials": 4, "seed": 5,
-           "h_grid": [0.4, 0.2]}
-    path = _write(tmp_path, "cfg.json", cfg)
-    monkeypatch.setenv("PRONY_SEED", "9")
-    code, out, _ = _run(capsys, ["amplify", path,
-                                 "--out", str(tmp_path / "r")])
-    assert code == 0
-    assert json.loads(out)["config"]["seed"] == 9
 
 
 def test_amplify_d4_cluster_exit_code(tmp_path, capsys):
@@ -461,7 +459,7 @@ def _costly(command, doc):
     # fuzz is about input handling, not about long experiments
     if command != "amplify" or not isinstance(doc, dict):
         return False
-    size = {k: doc.get(k) for k in ("d", "trials", "t_resolution")}
+    size = {k: doc.get(k) for k in ("d", "trials")}
     grid = doc.get("h_grid")
     return (any(isinstance(v, (int, float)) and not isinstance(v, bool) and v > 4
                 for v in size.values())

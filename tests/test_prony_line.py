@@ -12,7 +12,14 @@ import sympy
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from helpers import exact_discriminant, exact_line, random_signal, relerr, signal_strategy
+from helpers import (
+    SINGULAR_LU_MU,
+    exact_discriminant,
+    exact_line,
+    random_signal,
+    relerr,
+    signal_strategy,
+)
 from prony import closed_forms as cf
 from prony import curve_analysis as ca
 from prony import poly_engine as pe
@@ -447,6 +454,16 @@ def test_line_abstains_where_refinement_does_not_settle():
           1.2171876684797714e+17, 6.622809419216595e+18]
     with pytest.raises(IllConditionedHankel, match="did not settle"):
         pl.line_params(mu)
+
+
+def test_line_abstains_where_lu_finds_m_singular():
+    # M passes the det M policy, but LAPACK's LU finds it singular: the line
+    # and the complete system abstain instead of raising numpy's
+    # LinAlgError, a ValueError that reads as malformed input
+    with pytest.raises(IllConditionedHankel, match="singular to LU"):
+        pl.line_params(SINGULAR_LU_MU[:7])
+    with pytest.raises(IllConditionedHankel, match="singular to LU"):
+        solve_complete(SINGULAR_LU_MU)
 
 
 def test_cofactor_route_that_disagrees_is_refused(monkeypatch):
