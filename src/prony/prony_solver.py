@@ -66,6 +66,19 @@ _GOLDEN_XTOL = 1.4901161193847656e-08  # sqrt of the double epsilon
 # experiment seeks the nearest family point when t-hat leaves the domain
 _T_RESOLUTION = 21
 
+# numpy's SeedSequence (pool of 4 uint32 words) and PCG64 (XSL-RR 128/64)
+# constants, under numpy's names; _uniform_streams draws with them
+_MASK32 = 0xFFFFFFFF
+_MASK64 = (1 << 64) - 1
+_MASK128 = (1 << 128) - 1
+_INIT_A = 0x43B0D7E5
+_MULT_A = 0x931E8875
+_INIT_B = 0x8B51F9DD
+_MULT_B = 0x58F38DED
+_MIX_MULT_L = 0xCA01F9DD
+_MIX_MULT_R = 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
 
 @dataclass(frozen=True)
 class NoiseConfig:
@@ -99,6 +112,10 @@ class NoiseConfig:
         if any(b >= a for a, b in zip(grid, grid[1:])):
             raise ValueError("h_grid must be strictly decreasing")
         object.__setattr__(self, "h_grid", grid)
+        # an integral float such as 3.0, which passed the checks, is stored
+        # as the integer it equals
+        for name in ("d", "trials", "seed"):
+            object.__setattr__(self, name, int(getattr(self, name)))
 
     @classmethod
     def from_mapping(cls, data) -> "NoiseConfig":
@@ -367,6 +384,80 @@ def _fit_loglog(h_grid, maxima):
     return float(slope), float(intercept), float(r2)
 
 
+def _uniform_streams(seed: int, n_h: int, trials, epsilon: float, size: int):
+    """Per h index below n_h, the noise of the trial indices in trials: for
+    each, np.random.default_rng([seed, h, trial]).uniform(-epsilon,
+    epsilon, size).tolist(), bit for bit, without building a generator.
+
+    The SeedSequence hash runs once, at the first h, for every (h, trial)
+    stream at once, in uint32 arrays whose products and differences wrap
+    as numpy's C code does.  Its state seeds PCG64 (XSL-RR 128/64), which
+    runs per h in Python integers.  The seed and trial indices below 2**64
+    are split into uint32 words as numpy splits them; h takes one word.
+    """
+    low = -float(epsilon)
+    span = float(epsilon) - low
+    trial = np.tile(np.array(trials, dtype=np.uint64), n_h)
+    words = [seed >> k & _MASK32 for k in range(0, max(seed.bit_length(), 1), 32)]
+    # row i holds entropy word i of every stream: the seed's words, h, then
+    # the trial's low and high word.  A high word of 0 inside the pool
+    # hashes as an absent word does; past the pool, lengths masks it out
+    entropy = np.empty((len(words) + 3, trial.size), dtype=np.uint32)
+    entropy[: len(words)] = np.array(words)[:, None]
+    entropy[-3] = np.repeat(np.arange(n_h), len(trials))
+    entropy[-2] = trial & _MASK32
+    entropy[-1] = trial >> 32
+    lengths = len(words) + 2 + (trial >> 32 > 0)
+    width = len(entropy)
+
+    def consts(c, mult, n):
+        out = [c]
+        for _ in range(n):
+            out.append(out[-1] * mult & _MASK32)
+        return np.array(out, dtype=np.uint32)[:, None]
+
+    # hashmix k xors the hash constant c_k and multiplies by c_{k+1}: 4
+    # pool words, 12 cross mixes, then 4 per entropy word past the pool
+    a = consts(_INIT_A, _MULT_A, 4 * width)
+
+    def hashmix(v, k, m):
+        v = (v ^ a[k : k + m]) * a[k + 1 : k + m + 1]
+        return v ^ (v >> 16)
+
+    def mix(x, y):
+        r = x * _MIX_MULT_L - y * _MIX_MULT_R
+        return r ^ (r >> 16)
+
+    pool = hashmix(entropy[:4], 0, 4)
+    for src in range(4):
+        dst = [j for j in range(4) if j != src]
+        pool[dst] = mix(pool[dst], hashmix(pool[src], 4 + 3 * src, 3))
+    for src in range(4, width):
+        pool = np.where(src < lengths, mix(pool, hashmix(entropy[src], 4 * src, 4)), pool)
+    # generate_state(4, np.uint64): 8 words from the pool, joined in
+    # little-endian pairs
+    b = consts(_INIT_B, _MULT_B, 8)
+    state = (np.tile(pool, (2, 1)) ^ b[:8]) * b[1:]
+    state = (state ^ (state >> 16)).astype(np.uint64)
+    state = (state[0::2] | state[1::2] << 32).T
+
+    for h in range(n_h):
+        noise = []
+        for w0, w1, w2, w3 in state[h * len(trials) : (h + 1) * len(trials)].tolist():
+            # pcg64_set_seed: state 0, step, add the seed, step
+            inc = (((w2 << 64) | w3) << 1 | 1) & _MASK128
+            s = ((inc + ((w0 << 64) | w1)) * _PCG_MULT + inc) & _MASK128
+            draws = []
+            for _ in range(size):
+                s = (s * _PCG_MULT + inc) & _MASK128
+                x = (s >> 64) ^ (s & _MASK64)
+                r = s >> 122
+                x = ((x >> r) | (x << (64 - r))) & _MASK64
+                draws.append(low + span * ((x >> 11) * 2.0**-53))
+            noise.append(draws)
+        yield noise
+
+
 def amplification_experiment(cfg: NoiseConfig) -> AmplificationResult:
     """Worst-case reconstruction errors of a noisy size-h cluster, per h.
 
@@ -382,15 +473,17 @@ def amplification_experiment(cfg: NoiseConfig) -> AmplificationResult:
     has no d-spike solution are counted and skipped; TooFewValidTrials if
     they exceed half at any h.
 
-    The per-(h, trial) noise streams are split from the master seed, so
-    results are reproducible regardless of evaluation order.  A stream
-    costs about as much as a d = 2 trial's whole solve stage, yet stays:
-    the benchmark's amplify check recomputes the rows from these same
-    streams, and any other stream moves every row, which belongs in a
-    change that moves the rows anyway.
+    Each (h, trial) has its own noise stream,
+    np.random.default_rng([seed, h index, trial]).uniform(-epsilon,
+    epsilon, 2d), so results are reproducible regardless of evaluation
+    order.  _uniform_streams draws these streams bit for bit without
+    building a generator: the seed hash of every stream in one batch, the
+    draws per h.  The streams stay, one per trial: the benchmark's amplify
+    check recomputes the rows from them, and any other stream moves every
+    row, which belongs in a change that moves the rows anyway.
 
     Per h the trials run in stages, each stage over all of them:
-    - the noise streams are drawn, trial by trial;
+    - the noise of every trial is drawn and added to the true moments;
     - each trial runs the checks of solve_complete, on plain floats and
       without building a Signal (_solve_many): finite moments and the
       det M policy per trial, then the Hankel systems of all survivors in
@@ -408,8 +501,9 @@ def amplification_experiment(cfg: NoiseConfig) -> AmplificationResult:
     if not isinstance(cfg, NoiseConfig):
         cfg = NoiseConfig.from_mapping(cfg)
     q = 2 * cfg.d - 1
+    streams = _uniform_streams(cfg.seed, len(cfg.h_grid), range(cfg.trials), cfg.epsilon, 2 * cfg.d)
     rows = []
-    for h_idx, h in enumerate(cfg.h_grid):
+    for h in cfg.h_grid:
         true = make_cluster_signal(cfg.d, h)
         true_point = true.amplitudes.tolist() + true.nodes.tolist()
         mu_true = compute_moments(true, q)
@@ -424,11 +518,8 @@ def amplification_experiment(cfg: NoiseConfig) -> AmplificationResult:
         # equation reads dot(mu[d-1:2d-1], reversed(sigma)) = -mu_{2d-1}
         t_star = -float(mu_true.values[q])
 
-        vs = []
-        for trial in range(cfg.trials):
-            rng = np.random.default_rng([cfg.seed, h_idx, trial])
-            delta = rng.uniform(-cfg.epsilon, cfg.epsilon, 2 * cfg.d)
-            vs.append((mu_true.values + delta).tolist())
+        mu = mu_true.values.tolist()
+        vs = [[m + e for m, e in zip(mu, noise)] for noise in next(streams)]
         solved = _solve_many(vs)
         # the family point at each reconstruction's own parameter, not the
         # nearest family point; sigma of the nodes is finite, since their

@@ -396,6 +396,22 @@ def test_amplify_d4_cluster_exit_code(tmp_path, capsys):
     assert code in (0, 3, 4)
 
 
+@pytest.mark.parametrize("key", ["d", "trials", "seed"])
+def test_amplify_reads_integral_floats_as_integers(tmp_path, capsys, key):
+    # "seed": 3.0 once passed NoiseConfig's checks and then crashed in the
+    # noise streams or in range() with a TypeError traceback, exit 1
+    twin = {"d": 2, "epsilon": 3e-4, "trials": 4, "seed": 3,
+            "h_grid": [0.4, 0.2, 0.1, 0.05]}
+    docs = []
+    for cfg in (twin, dict(twin, **{key: float(twin[key])})):
+        path = _write(tmp_path, "cfg.json", cfg)
+        code, out, _ = _run(capsys, ["amplify", path, "--out", str(tmp_path / "r")])
+        assert code == 0
+        docs.append({k: v for k, v in json.loads(out).items() if k != "manifest_digest"})
+    assert docs[1] == docs[0]
+    assert type(getattr(prony_solver.NoiseConfig.from_mapping(dict(twin, **{key: 3.0})), key)) is int
+
+
 def test_amplify_invalid_config(tmp_path, capsys):
     path = _write(tmp_path, "cfg.json", {"d": 2})
     code, _, err = _run(capsys, ["amplify", path,

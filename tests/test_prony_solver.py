@@ -393,9 +393,10 @@ def test_experiment_reproduces_the_recorded_rows(caplog):
     # Five more configs, at their own epsilon, reach what the benchmark's
     # never do: failed trials, fallbacks to the nearest family point (their
     # warnings, in order), TooFewValidTrials (its class and message), and,
-    # in the last two, a curve distance above the point error (2.817
-    # against 1.619 at h = 0.1 of the last): the Euclidean distance at
-    # t-hat against a max norm
+    # in two of them, a curve distance above the point error (2.817
+    # against 1.619 at h = 0.1 of the fifth): the Euclidean distance at
+    # t-hat against a max norm.  The last config's seed, 2**40 + 5, spans
+    # two words of the noise streams' entropy
     data = json.loads((FIXTURES / "amplify_rows.json").read_text())
     fits = ("point_slope", "point_intercept", "point_r2",
             "curve_slope", "curve_intercept", "curve_r2")
@@ -413,6 +414,25 @@ def test_experiment_reproduces_the_recorded_rows(caplog):
                 assert [[h.hex(), p.hex(), c.hex(), f] for h, p, c, f in res.rows] == rec["rows"]
                 assert [getattr(res, key).hex() for key in fits] == [rec[key] for key in fits]
         assert [r.getMessage() for r in caplog.records] == rec.get("warnings", [])
+
+
+def test_noise_streams_match_numpy_bit_for_bit():
+    # the experiment's noise is np.random.default_rng([seed, h, trial])
+    # .uniform(-eps, eps, 2d), drawn without building a generator; numpy
+    # is the reference.  Seeds of one to four words (so 6 entropy words,
+    # past the pool of 4), trial indices of one and two words, and an
+    # epsilon whose range 2e300 leaves no room for reordered arithmetic
+    trial_sets = [range(50), range(2**32 - 2, 2**32 + 2), range(5 * 2**33, 5 * 2**33 + 2)]
+    for seed in (0, 1, 2**32 - 1, 2**32, 2**64 + 3, 10**30):
+        for d in (2, 3, 4, 5):
+            for eps in (1e-10, 3e-4, 1e300):
+                for trials in trial_sets if d == 2 else trial_sets[:1]:
+                    noise = list(ps._uniform_streams(seed, 6, trials, eps, 2 * d))
+                    assert len(noise) == 6
+                    for h, per_h in enumerate(noise):
+                        assert per_h == [
+                            np.random.default_rng([seed, h, t]).uniform(-eps, eps, 2 * d).tolist()
+                            for t in trials]
 
 
 def test_experiment_errors_scale_with_epsilon():
