@@ -150,6 +150,27 @@ def _hyperbolic_many(cs) -> list:
     return [r if len(r) == d else None for r in (next(found) if k else [] for k in ok)]
 
 
+def _hyperbolic_quadratics(c0, c1):
+    """:func:`_hyperbolic_many` of the monic quadratics c0 + c1 z + z^2 at
+    once, over the (T,) columns c0 and c1: (hyperbolic, lo, hi), where lo
+    and hi are the roots of the rows that have two, and junk elsewhere.
+
+    Each row goes through the operations of :func:`_sure_sign` at the
+    vertex and of :func:`_quadratic_roots`, elementwise, so it gets the
+    bits of its own call; the leading 1 drops out of them exactly."""
+    with np.errstate(all="ignore"):  # rows without two real roots
+        x = -0.5 * c1
+        v = K.horner([c0, c1, 1.0], x)
+        sure = abs(v) > K.EVAL_GUARD * K.horner([abs(c0), abs(c1), 1.0], abs(x))
+        disc = c1 * c1 - 4.0 * c0
+        q = -0.5 * (c1 + np.copysign(np.sqrt(disc), c1))
+        r2 = np.where(q != 0.0, c0 / q, -c1 - q)
+    hyperbolic = sure & ~(v > 0.0) & ~(disc < 0.0) & ~(disc == 0.0)
+    # sorted((r1, r2)) swaps exactly when r2 < r1
+    swap = r2 < q
+    return hyperbolic, np.where(swap, r2, q), np.where(swap, q, r2)
+
+
 def _quadratic_roots(c0, c1, c2):
     disc = c1 * c1 - 4.0 * c0 * c2
     if disc < 0.0:

@@ -106,19 +106,25 @@ def _sub_det(a: list, rows: tuple, cols: tuple, memo: dict) -> float:
 
 def _det(a: list, rows: tuple, cols: tuple, memo: dict) -> float:
     # determinant of a[rows][cols]: exact cofactor recursion while cheap,
-    # pivoted LU beyond
+    # pivoted LU beyond.  Entries may be plain floats or (T,) columns, one
+    # matrix per column index; LU then runs on the T matrices stacked along
+    # the leading axis, each with the bits of a call on it alone
     if len(rows) <= 4:
         return _sub_det(a, rows, cols, memo)
     # past the double range, or from subnormal entries, det M comes out
-    # infinite, NaN or zero, which _regular_minors refuses
+    # infinite, NaN or zero, which the det M policy refuses
+    m = np.array([[a[r][c] for c in cols] for r in rows])
     with np.errstate(all="ignore"):
-        return float(np.linalg.det(np.array([[a[r][c] for c in cols] for r in rows])))
+        if m.ndim == 2:
+            return float(np.linalg.det(m))
+        return np.linalg.det(m.transpose(2, 0, 1))
 
 
 def _minor_table(v: list):
     # (rows, det M, first minors) of the Hankel matrix of the plain floats
     # v = mu_0..mu_{2d-2}, all as lists; the minors share their
-    # sub-determinants
+    # sub-determinants.  On (T,) columns in place of the floats, the same
+    # arithmetic gives each column index its own table, bit for bit
     d = (len(v) + 1) // 2
     rows = [v[i : i + d] for i in range(d)]
     full = tuple(range(d))
@@ -281,15 +287,21 @@ def _regular_minors(v: list):
     flat = [abs(m) for row in minors for m in row]
     # NaN from inf - inf in the cofactors of huge moments passes every test
     if not (math.isfinite(det) and all(map(math.isfinite, flat))):
-        raise ValueError("moments exceed double range: det M or a minor is not finite")
+        raise ValueError(_UNBOUNDED_MINORS)
     max_minor = max(flat)
     if abs(det) <= _DEGENERATE_REL * max_minor:
-        raise DegenerateHankel(
-            f"det M = {det:.3e} is degenerate, below "
-            f"{_DEGENERATE_REL} of the largest first minor {max_minor:.3e}: "
-            "nodes collide identically or an amplitude vanishes identically"
-        )
+        raise _degenerate_hankel(det, max_minor)
     return rows, det, minors
+
+
+_UNBOUNDED_MINORS = "moments exceed double range: det M or a minor is not finite"
+
+
+def _degenerate_hankel(det: float, max_minor: float) -> DegenerateHankel:
+    return DegenerateHankel(
+        f"det M = {det:.3e} is degenerate, below "
+        f"{_DEGENERATE_REL} of the largest first minor {max_minor:.3e}: "
+        "nodes collide identically or an amplitude vanishes identically")
 
 
 def line_params(mu) -> PronyLine:

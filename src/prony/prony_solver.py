@@ -18,7 +18,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from . import prony_line
+from . import poly_engine, prony_line
 from .errors import (
     DegenerateHankel,
     EmptyDomain,
@@ -30,11 +30,10 @@ from .errors import (
     TooFewValidTrials,
 )
 from .signal_model import (
+    _NOT_HYPERBOLIC,
     Signal,
     _amplitudes,
-    _check_finite,
     _check_signal,
-    _moments,
     _monic_product,
     _real_nodes_many,
     _unwrap,
@@ -98,8 +97,8 @@ class NoiseConfig:
     def __post_init__(self):
         if int(self.d) != self.d or self.d < 2:
             raise ValueError("d must be an integer >= 2")
-        if not (self.epsilon > 0.0):
-            raise ValueError("epsilon must be positive")
+        if not (0.0 < self.epsilon < math.inf):
+            raise ValueError("epsilon must be positive and finite")
         if int(self.trials) != self.trials or self.trials < 1:
             raise ValueError("trials must be a positive integer")
         if int(self.seed) != self.seed or self.seed < 0:
@@ -107,8 +106,8 @@ class NoiseConfig:
         grid = tuple(float(h) for h in self.h_grid)
         if len(grid) < 2:
             raise ValueError("h_grid needs at least two values to fit slopes")
-        if any(h <= 0.0 for h in grid):
-            raise ValueError("h_grid values must be positive")
+        if not all(0.0 < h < math.inf for h in grid):
+            raise ValueError("h_grid values must be positive and finite")
         if any(b >= a for a, b in zip(grid, grid[1:])):
             raise ValueError("h_grid must be strictly decreasing")
         object.__setattr__(self, "h_grid", grid)
@@ -175,95 +174,200 @@ def solve_complete(mu) -> Signal:
     return Signal(*_unwrap(_solve_many([values.tolist()])[0]))
 
 
-def _solve_many(vs: list) -> list:
-    """solve_complete on each list of plain floats mu_0..mu_{2d-1} in vs,
-    all of one length, without building a Signal: per list its
-    (amplitudes, nodes) as lists, or the exception solve_complete raises
-    there.
+def _solve_many(vs) -> list:
+    """solve_complete on each row mu_0..mu_{2d-1} of vs, a (T, 2d) array or
+    T lists of plain floats of one length, without building a Signal: per
+    row its (amplitudes, nodes) as lists, or the exception solve_complete
+    raises there.
 
-    Every list gets each check solve_complete makes: finite moments, the
-    det M policy, d certified distinct real roots, nonzero amplitudes on
-    strictly increasing nodes, and the residual.  The checks run list by
-    list, in stages: the Hankel systems that pass the det M policy are
-    solved by one stacked np.linalg.solve, and the node polynomials of the
-    finite solutions rooted by one signal_model._real_nodes_many call.
+    Every row gets each check solve_complete makes, in its order: finite
+    moments, the det M policy, a finite solution of its Hankel system, d
+    certified distinct real roots, nonzero amplitudes on strictly
+    increasing nodes, and the residual.  Each stage is one pass over all
+    rows, on (T,) numpy columns; a row that fails a stage keeps the
+    exception it fails with and is masked out of the stages after it.  The
+    columns repeat the arithmetic of one row on plain floats, operation for
+    operation, so each row gets the bits of solve_complete on it alone:
+    numpy's elementwise +, -, *, /, abs and sqrt round as Python's floats
+    do, the determinants of order 5 and up run in one stacked
+    np.linalg.det and the Hankel systems in one stacked np.linalg.solve,
+    and the powers of the residual come from Python's float power (see
+    _moment_columns).  Quadratic node polynomials are rooted on the columns
+    (poly_engine._hyperbolic_quadratics), the others in one
+    signal_model._real_nodes_many call.
     """
-    d = len(vs[0]) // 2 if vs else 0
-    out = []
-    for v in vs:
-        try:
-            _check_finite(v, "moments")
-            out.append(prony_line._regular_minors(v[: 2 * d - 1])[0])
-        except (ValueError, DegenerateHankel) as exc:
-            out.append(exc)
+    if len(vs) == 0:
+        return []
+    mu = np.array(vs, dtype=float)
+    T, d = mu.shape[0], mu.shape[1] // 2
+    out = [None] * T
+    live = np.ones(T, dtype=bool)
 
-    # M (sigma_d, ..., sigma_1)^T = -(mu_d, ..., mu_{2d-1})^T
-    live = [k for k, rows in enumerate(out) if isinstance(rows, list)]
-    solved = _stacked_solve([out[k] for k in live], [[[-m] for m in vs[k][d:]] for k in live])
-    for k, c in zip(live, solved):  # c = [sigma_d, ..., sigma_1]
-        try:
-            _check_finite(_unwrap(c), "sigma")
-            out[k] = c + [1.0]
-        except (ValueError, IllConditionedHankel) as exc:
-            out[k] = exc
+    # masked rows run on whatever their columns hold: overflows, zero
+    # divisors, NaN
+    with np.errstate(all="ignore"):
+        for k in _leave(live, ~np.isfinite(mu).all(axis=1)):
+            out[k] = ValueError("moments must be finite")
+        v = list(mu.T)
+        _, det, minors = prony_line._minor_table(v[: 2 * d - 1])
+        # the first minors as (d*d, T); the one minor of d = 1 is the float 1.0
+        flat = np.abs(np.broadcast_arrays(det, *[m for row in minors for m in row])[1:])
+        for k in _leave(live, ~(np.isfinite(det) & np.isfinite(flat).all(axis=0))):
+            out[k] = ValueError(prony_line._UNBOUNDED_MINORS)
+        max_minor = flat.max(axis=0)
+        for k in _leave(live, abs(det) <= prony_line._DEGENERATE_REL * max_minor):
+            out[k] = prony_line._degenerate_hankel(float(det[k]), float(max_minor[k]))
 
-    live = [k for k, c in enumerate(out) if isinstance(c, list)]
-    for k, nodes in zip(live, _real_nodes_many([out[k] for k in live])):
-        try:
-            out[k] = _signal_of(vs[k], nodes)
-        except (ValueError, NoRealSolution, ResidualTooLarge) as exc:
-            out[k] = exc
+        # M (sigma_d, ..., sigma_1)^T = -(mu_d, ..., mu_{2d-1})^T
+        ks = live.nonzero()[0]
+        i = np.arange(d)
+        y = np.full((T, d), np.nan)
+        singular = np.zeros(T, dtype=bool)
+        y[ks], singular[ks] = _stacked_solve(mu[ks][:, i[:, None] + i], -mu[ks, d:, None])
+        for k in _leave(live, singular):
+            out[k] = IllConditionedHankel(prony_line._SINGULAR_LU)
+        for k in _leave(live, ~np.isfinite(y).all(axis=1)):
+            out[k] = ValueError("sigma must be finite")
+
+        if d == 2:
+            hyperbolic, lo, hi = poly_engine._hyperbolic_quadratics(y[:, 0], y[:, 1])
+            x = np.stack([lo, hi], axis=1)
+        else:
+            ks = live.nonzero()[0]
+            hyperbolic = np.zeros(T, dtype=bool)
+            x = np.full((T, d), np.nan)
+            for k, nodes in zip(ks.tolist(), _real_nodes_many([c + [1.0] for c in y[ks].tolist()])):
+                if isinstance(nodes, list):
+                    hyperbolic[k] = True
+                    x[k] = nodes
+        for k in _leave(live, ~hyperbolic):
+            out[k] = _caused(NoRealSolution("no real node configuration matches these moments"),
+                             NotHyperbolic(_NOT_HYPERBOLIC))
+
+        # a vanishing Lagrange denominator (RepeatedNodes in the scalar
+        # code) leaves the row's amplitudes not finite
+        amps = _amplitude_columns(v[:d], list(x.T))
+        degenerate = (~np.isfinite(amps).all(axis=1) | ~np.isfinite(x).all(axis=1)
+                      | (amps == 0.0).any(axis=1) | ~(x[:, 1:] > x[:, :-1]).all(axis=1))
+        for k in _leave(live, degenerate):
+            out[k] = _caused(NoRealSolution("recovered nodes or amplitudes are degenerate"),
+                             _signal_fault(mu[k, :d].tolist(), x[k].tolist()))
+
+        ks = live.nonzero()[0]
+        back = np.full((T, 2 * d), np.nan)
+        back[ks] = _moment_columns(amps[ks], x[ks], 2 * d - 1)
+        for k in _leave(live, ~np.isfinite(back).all(axis=1)):
+            out[k] = ValueError("moments must be finite")
+        defect = abs(back - mu).max(axis=1)
+        allowed = _RESIDUAL_RTOL * np.maximum(1.0, abs(mu).max(axis=1))
+        for k in _leave(live, defect > allowed):
+            out[k] = ResidualTooLarge(
+                f"reconstruction misses the moments by {float(defect[k]):.3e} "
+                f"(allowed {float(allowed[k]):.3e})")
+
+    ks = live.nonzero()[0]
+    for k, a, nodes in zip(ks.tolist(), amps[ks].tolist(), x[ks].tolist()):
+        out[k] = (a, nodes)
     return out
 
 
-def _stacked_solve(rows: list, rhs: list) -> list:
-    # the solutions of the systems rows[k] y = rhs[k], right-hand sides
-    # shaped (T, d, 1), which numpy 1.x and 2.x both read as stacked
-    # columns, from one np.linalg.solve call: it runs LAPACK's gesv on each
-    # system as a call on that system alone does.  Where the stacked call
-    # raises (a matrix singular to LU that passed the det M policy), each
-    # system is solved alone, and one singular to LU gets the abstention
-    # IllConditionedHankel
-    if not rows:
+def _leave(live: np.ndarray, mask: np.ndarray) -> list:
+    # the indices of the rows both live and in mask, in order; they leave
+    # live, which is updated in place
+    mask = mask & live
+    if not mask.any():
         return []
-    try:
-        return np.linalg.solve(rows, rhs)[..., 0].tolist()
-    except np.linalg.LinAlgError:
-        out = []
-        for a, b in zip(rows, rhs):
-            try:
-                out.append(np.linalg.solve([a], [b])[0, :, 0].tolist())
-            except np.linalg.LinAlgError:
-                out.append(IllConditionedHankel(prony_line._SINGULAR_LU))
-        return out
+    live &= ~mask
+    return mask.nonzero()[0].tolist()
 
 
-def _signal_of(v: list, nodes) -> tuple:
-    # the last stage of solve_complete on the moments v, given the roots
-    # of its node polynomial (or the NotHyperbolic raised there): the
-    # amplitudes, the signal checks and the residual
-    d = len(v) // 2
+def _caused(exc: Exception, cause: Exception) -> Exception:
+    # exc as `raise exc from cause` leaves it
+    exc.__cause__ = cause
+    return exc
+
+
+def _signal_fault(head: list, nodes: list):
+    # the RepeatedNodes or ValueError that the amplitudes of the plain
+    # floats head = mu_0..mu_{d-1} at nodes, or the signal checks, raise
     try:
-        nodes = _unwrap(nodes)
-    except NotHyperbolic as exc:
-        raise NoRealSolution(
-            "no real node configuration matches these moments") from exc
-    try:
-        amps = _amplitudes(v[:d], nodes)
-        _check_signal(amps, nodes)
+        _check_signal(_amplitudes(head, nodes), nodes)
     except (RepeatedNodes, ValueError) as exc:
-        raise NoRealSolution(
-            "recovered nodes or amplitudes are degenerate") from exc
+        return exc
 
-    back = _moments(amps, nodes, 2 * d - 1)
-    _check_finite(back, "moments")
-    defect = max(abs(b - a) for b, a in zip(back, v))
-    scale = max(1.0, max(map(abs, v)))
-    if defect > _RESIDUAL_RTOL * scale:
-        raise ResidualTooLarge(
-            f"reconstruction misses the moments by {defect:.3e} "
-            f"(allowed {_RESIDUAL_RTOL * scale:.3e})")
-    return amps, nodes
+
+def _stacked_solve(a: np.ndarray, b: np.ndarray):
+    # the solutions (T, d) of the systems a[k] y = b[k], a (T, d, d) and b
+    # (T, d, 1), which numpy 1.x and 2.x both read as stacked columns, from
+    # one np.linalg.solve call: it runs LAPACK's gesv on each system as a
+    # call on that system alone does.  Where the stacked call raises (a
+    # matrix singular to LU that passed the det M policy), each system is
+    # solved alone; the second value marks the systems singular to LU,
+    # whose rows are NaN
+    singular = np.zeros(len(a), dtype=bool)
+    try:
+        return np.linalg.solve(a, b)[..., 0], singular
+    except np.linalg.LinAlgError:
+        y = np.full(a.shape[:2], np.nan)
+        for k in range(len(a)):
+            try:
+                y[k] = np.linalg.solve(a[k : k + 1], b[k : k + 1])[0, :, 0]
+            except np.linalg.LinAlgError:
+                singular[k] = True
+        return y, singular
+
+
+def _amplitude_columns(head: list, x: list) -> np.ndarray:
+    # signal_model._amplitudes over the (T,) columns head = mu_0..mu_{d-1}
+    # and x = the d nodes, elementwise, as a (T, d) array
+    d = len(x)
+    amps = []
+    for k in range(d):
+        lagrange = 1.0
+        for i in range(d):
+            if i != k:
+                lagrange = lagrange * (x[k] - x[i])
+        # rest[j] = r_{d-1-j}(X \ x_k), with rest[d-1] = r_0 = 1
+        rest = _monic_product(x[:k] + x[k + 1 :])
+        acc = 0.0
+        for j in range(d):
+            acc = acc + rest[j] * head[j]
+        amps.append(acc / lagrange)
+    return np.stack(amps, axis=1)
+
+
+def _moment_columns(amps: np.ndarray, nodes: np.ndarray, q: int) -> np.ndarray:
+    # signal_model._moments of each row of the (T, d) arrays amps and nodes,
+    # as a (T, q+1) array with the same bits.  x**0 is 1.0 and x**1 is x;
+    # the powers past them come from Python's float power, libm's pow,
+    # entry by entry, since numpy's power differs from it in the last bit
+    # on some doubles.  A power past the double range is inf here, where
+    # _moments raises: either way the row's moments are not finite
+    flat = nodes.ravel().tolist()
+    out = np.empty((len(nodes), q + 1))
+    for k in range(q + 1):
+        if k == 0:
+            powers = np.ones_like(nodes)
+        elif k == 1:
+            powers = nodes
+        else:
+            powers = np.array(_powers(flat, k)).reshape(nodes.shape)
+        acc = 0.0
+        for i in range(nodes.shape[1]):
+            acc = acc + amps[:, i] * powers[:, i]
+        out[:, k] = acc
+    return out
+
+
+def _powers(xs: list, k: int) -> list:
+    # x**k of each plain float of xs, inf where that raises OverflowError
+    out = []
+    for x in xs:
+        try:
+            out.append(x**k)
+        except OverflowError:
+            out.append(math.inf)
+    return out
 
 
 def make_cluster_signal(d: int, h: float) -> Signal:
@@ -281,10 +385,13 @@ def _distances(line, targets: list, ts) -> list:
     # Euclidean distance from each (amplitudes + nodes) sequence of targets
     # to the family point at the t beside it in ts, inf outside the
     # hyperbolic set; the family points come from one PronyLine._points
-    # call, and a t whose sigma(t) is not finite leaves its ValueError
+    # call, and a t whose sigma(t) is not finite leaves its ValueError.
+    # The sums of squares come from one stacked np.matmul, which runs
+    # BLAS's ddot on each row as np.linalg.norm does
     inside = [line.domain.contains(t) for t in ts]
     points = iter(line._points([t for t, ok in zip(ts, inside) if ok]))
     out = []
+    found, near = [], []
     for target, ok in zip(targets, inside):
         point = next(points) if ok else None
         if point is None or isinstance(point, (NotHyperbolic, RepeatedNodes)):
@@ -293,8 +400,23 @@ def _distances(line, targets: list, ts) -> list:
             out.append(point)
         else:
             _, nodes, amps = point
-            out.append(float(np.linalg.norm(np.subtract(amps + nodes, target))))
+            found.append(len(out))
+            near.append(amps + nodes)
+            out.append(target)
+    if found:
+        diff = np.subtract(near, [out[k] for k in found])
+        for k, sq in zip(found, _row_dots(diff, diff)):
+            out[k] = math.sqrt(sq)
     return out
+
+
+def _row_dots(a: np.ndarray, b: np.ndarray) -> list:
+    # np.dot(a[k], b[k]) for each row k of the (T, n) arrays a and b, from one
+    # stacked np.matmul of (T, 1, n) by (T, n, 1): it hands each row pair to
+    # BLAS's ddot as np.dot does, where np.einsum and a (T, n) @ (n,) product
+    # round differently.  np.dot reports no overflow, nor does this
+    with np.errstate(all="ignore"):
+        return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0].tolist()
 
 
 def _golden(f, a, b, c):
@@ -482,21 +604,32 @@ def amplification_experiment(cfg: NoiseConfig) -> AmplificationResult:
     check recomputes the rows from them, and any other stream moves every
     row, which belongs in a change that moves the rows anyway.
 
-    Per h the trials run in stages, each stage over all of them:
+    Per h the trials run in stages, each one pass over all of them:
     - the noise of every trial is drawn and added to the true moments;
-    - each trial runs the checks of solve_complete, on plain floats and
-      without building a Signal (_solve_many): finite moments and the
-      det M policy per trial, then the Hankel systems of all survivors in
-      one stacked np.linalg.solve, then the node polynomials of all of
-      them rooted in one batch, then per trial d certified distinct real
-      roots, no repeated node, nonzero amplitudes on strictly increasing
-      nodes, and the residual within 1e-8 of the moment scale;
-    - the parameters t of the reconstructions (np.dot, per trial) and the
-      family points at them, rooted in one batch (_distances).
-    Stacked LAPACK calls set the bits of one call per matrix (see
-    poly_engine._roots_many), and a trial's exception waits for its turn:
-    the rows, the order of the fallback warnings and any exception that
-    propagates are those of running the trials one after the other.
+    - each trial runs the checks of solve_complete without building a
+      Signal (_solve_many), on (T,) numpy columns: finite moments and the
+      det M policy, the Hankel systems in one stacked np.linalg.solve, the
+      node polynomials (for d = 2 on the columns, by the vertex test and
+      the closed form; for d >= 3 in one batch of certified roots, trial
+      by trial), nonzero amplitudes on strictly increasing nodes, and the
+      residual within 1e-8 of the moment scale;
+    - the parameters t-hat of the reconstructions and, under the square
+      root of each distance, the sum of squares to the family point at
+      t-hat, each from one stacked np.matmul; the family points come from
+      one PronyLine._points call (_distances).
+    The columns keep the bits of running the trials one at a time on plain
+    floats: numpy's elementwise +, -, *, / and sqrt round as Python's
+    floats do; np.matmul of (T, 1, n) by (T, n, 1) hands each row to BLAS's
+    ddot, as np.dot and np.linalg.norm do (np.einsum and a (T, n) @ (n,)
+    product round differently, OpenBLAS's ddot fusing multiply-adds); the
+    residual's powers come from libm's pow through Python's float power,
+    since numpy's power differs from it in the last bit on some doubles.
+    That matmul reaches ddot is verified on numpy 2.4; numpy 1.x (the
+    floor, 1.24) is unverified.  Stacked LAPACK calls set the bits of one
+    call per matrix (see poly_engine._roots_many), and a trial's exception
+    waits for its turn: the rows, the order of the fallback warnings and
+    any exception that propagates are those of running the trials one
+    after the other.
     """
     if not isinstance(cfg, NoiseConfig):
         cfg = NoiseConfig.from_mapping(cfg)
@@ -518,16 +651,18 @@ def amplification_experiment(cfg: NoiseConfig) -> AmplificationResult:
         # equation reads dot(mu[d-1:2d-1], reversed(sigma)) = -mu_{2d-1}
         t_star = -float(mu_true.values[q])
 
-        mu = mu_true.values.tolist()
-        vs = [[m + e for m, e in zip(mu, noise)] for noise in next(streams)]
-        solved = _solve_many(vs)
+        solved = _solve_many(mu_true.values + np.array(next(streams)))
         # the family point at each reconstruction's own parameter, not the
         # nearest family point; sigma of the nodes is finite, since their
-        # moments passed the residual
-        good = [s for s in solved if isinstance(s, tuple)]
-        t_hats = [line.parameter_of(_monic_product(nodes)[cfg.d - 1 :: -1])
-                  for _, nodes in good]
-        curve = zip(t_hats, _distances(line, [amps + nodes for amps, nodes in good], t_hats))
+        # moments passed the residual.  t-hat is line.parameter_of at the
+        # coefficients (sigma_d, ..., sigma_1) of the node polynomial
+        guesses = [amps + x for amps, x in (s for s in solved if isinstance(s, tuple))]
+        points = np.array(guesses).reshape(len(guesses), 2 * cfg.d)
+        sigma = np.stack(_monic_product(list(points[:, cfg.d :].T))[: cfg.d], axis=1)
+        row = np.broadcast_to(mu_true.values[cfg.d - 1 : q], sigma.shape)
+        t_hats = _row_dots(row, sigma)
+        point_errs = abs(points - true_point).max(axis=1).tolist()
+        found = zip(guesses, point_errs, t_hats, _distances(line, guesses, t_hats))
 
         worst_point = 0.0
         worst_curve = 0.0
@@ -536,10 +671,8 @@ def amplification_experiment(cfg: NoiseConfig) -> AmplificationResult:
             if isinstance(outcome, (NoRealSolution, ResidualTooLarge, DegenerateHankel)):
                 failed += 1
                 continue
-            amps, nodes = _unwrap(outcome)
-            guess = amps + nodes
-            point_err = max(abs(r - t) for r, t in zip(guess, true_point))
-            t_hat, curve_dist = next(curve)
+            _unwrap(outcome)  # any other exception propagates at its turn
+            guess, point_err, t_hat, curve_dist = next(found)
             curve_dist = _unwrap(curve_dist)
             if not math.isfinite(curve_dist):
                 logger.warning(

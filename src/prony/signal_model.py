@@ -33,6 +33,8 @@ __all__ = [
 # Default relative tolerance for the round-trip identities of this module.
 ROUND_TRIP_RTOL = 1e-9
 
+_NOT_HYPERBOLIC = "polynomial does not have d real distinct roots"
+
 
 def _float_vector(values, name):
     # a read-only nonempty 1-d float copy of values
@@ -209,7 +211,7 @@ def _real_nodes_many(cs: list) -> list:
     out = []
     for c, roots in zip(cs, poly_engine._hyperbolic_many(cs)):
         if roots is None:
-            out.append(NotHyperbolic("polynomial does not have d real distinct roots"))
+            out.append(NotHyperbolic(_NOT_HYPERBOLIC))
         elif len(roots) != len(c) - 1:
             raise InconsistentComputation(
                 f"root isolation proved {len(c) - 1} distinct roots, but returned {len(roots)}"

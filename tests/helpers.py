@@ -4,7 +4,25 @@ import numpy as np
 import sympy
 from hypothesis import strategies as st
 
-from prony.signal_model import Signal
+from prony import prony_line
+from prony.errors import (
+    DegenerateHankel,
+    IllConditionedHankel,
+    NotHyperbolic,
+    NoRealSolution,
+    RepeatedNodes,
+    ResidualTooLarge,
+)
+from prony.prony_solver import _RESIDUAL_RTOL
+from prony.signal_model import (
+    Signal,
+    _amplitudes,
+    _check_finite,
+    _check_signal,
+    _moments,
+    _real_nodes_many,
+    _unwrap,
+)
 
 
 # d = 4 moments mu_0..mu_7 of a signal with a close pair, whose Hankel
@@ -61,3 +79,84 @@ def signal_strategy(draw, min_d=1, max_d=5, min_gap=0.1):
     mags = draw(st.lists(st.floats(0.1, 10.0, allow_nan=False), min_size=d, max_size=d))
     signs = draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=d, max_size=d))
     return Signal(amplitudes=np.array(mags) * np.array(signs), nodes=nodes)
+
+
+def list_solve_many(vs):
+    """The reference for prony_solver._solve_many: solve_complete on each
+    list of plain floats mu_0..mu_{2d-1} in vs, all of one length, list by
+    list on plain floats, without building a Signal.  Per list its
+    (amplitudes, nodes) as lists, or the exception solve_complete raises
+    there.  Only the Hankel systems go to one stacked np.linalg.solve, and
+    the node polynomials to one signal_model._real_nodes_many call."""
+    d = len(vs[0]) // 2 if vs else 0
+    out = []
+    for v in vs:
+        try:
+            _check_finite(v, "moments")
+            out.append(prony_line._regular_minors(v[: 2 * d - 1])[0])
+        except (ValueError, DegenerateHankel) as exc:
+            out.append(exc)
+
+    # M (sigma_d, ..., sigma_1)^T = -(mu_d, ..., mu_{2d-1})^T
+    live = [k for k, rows in enumerate(out) if isinstance(rows, list)]
+    solved = _list_stacked_solve([out[k] for k in live], [[[-m] for m in vs[k][d:]] for k in live])
+    for k, c in zip(live, solved):  # c = [sigma_d, ..., sigma_1]
+        try:
+            _check_finite(_unwrap(c), "sigma")
+            out[k] = c + [1.0]
+        except (ValueError, IllConditionedHankel) as exc:
+            out[k] = exc
+
+    live = [k for k, c in enumerate(out) if isinstance(c, list)]
+    for k, nodes in zip(live, _real_nodes_many([out[k] for k in live])):
+        try:
+            out[k] = _signal_of(vs[k], nodes)
+        except (ValueError, NoRealSolution, ResidualTooLarge) as exc:
+            out[k] = exc
+    return out
+
+
+def _list_stacked_solve(rows, rhs):
+    # the solutions of the systems rows[k] y = rhs[k] as lists, from one
+    # np.linalg.solve call; where it raises, each system alone, and
+    # IllConditionedHankel for one singular to LU
+    if not rows:
+        return []
+    try:
+        return np.linalg.solve(rows, rhs)[..., 0].tolist()
+    except np.linalg.LinAlgError:
+        out = []
+        for a, b in zip(rows, rhs):
+            try:
+                out.append(np.linalg.solve([a], [b])[0, :, 0].tolist())
+            except np.linalg.LinAlgError:
+                out.append(IllConditionedHankel(prony_line._SINGULAR_LU))
+        return out
+
+
+def _signal_of(v, nodes):
+    # the last stage of solve_complete on the moments v, given the roots
+    # of its node polynomial (or the NotHyperbolic raised there): the
+    # amplitudes, the signal checks and the residual
+    d = len(v) // 2
+    try:
+        nodes = _unwrap(nodes)
+    except NotHyperbolic as exc:
+        raise NoRealSolution(
+            "no real node configuration matches these moments") from exc
+    try:
+        amps = _amplitudes(v[:d], nodes)
+        _check_signal(amps, nodes)
+    except (RepeatedNodes, ValueError) as exc:
+        raise NoRealSolution(
+            "recovered nodes or amplitudes are degenerate") from exc
+
+    back = _moments(amps, nodes, 2 * d - 1)
+    _check_finite(back, "moments")
+    defect = max(abs(b - a) for b, a in zip(back, v))
+    scale = max(1.0, max(map(abs, v)))
+    if defect > _RESIDUAL_RTOL * scale:
+        raise ResidualTooLarge(
+            f"reconstruction misses the moments by {defect:.3e} "
+            f"(allowed {_RESIDUAL_RTOL * scale:.3e})")
+    return amps, nodes

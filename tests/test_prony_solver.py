@@ -28,7 +28,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import SINGULAR_LU_MU
+from helpers import SINGULAR_LU_MU, list_solve_many
 from prony import prony_line as pl
 from prony import prony_solver as ps
 from prony.errors import (
@@ -42,6 +42,7 @@ from prony.errors import (
 from prony.signal_model import (
     MomentVector,
     Signal,
+    _moments,
     compute_moments,
     elementary_symmetric,
 )
@@ -51,6 +52,18 @@ FIXTURES = Path(__file__).parent / "fixtures"
 EMPTY_DOMAIN_MU = (1.1290059010262046, 0.6859468387960028,
                    -1.0504763861156126, -1.2821546935359023,
                    -0.6135053375267643)
+
+# d = 4 moments whose Hankel solve gives (z - 1)^2 (z + 1) (z - 2) exactly:
+# mu_{k+4} = 2 mu_k - 3 mu_{k+1} - mu_{k+2} + 3 mu_{k+3}, a repeated node
+REPEATED_NODE_D4_MU = [4.0, 3.0, 5.0, 2.0, 0.0, -11.0, -29.0, -72.0]
+# d = 4: the recovered signal misses the moments by 1.8e-5
+RESIDUAL_MISS_D4_MU = [-2.1504493286670225, 1.6062909004815775, -0.06272692164880188,
+                       0.33562153149262397, 0.014517004835593247, 0.08699414621141842,
+                       0.007772055378703171, 0.023591387133174584]
+# d = 4: an amplitude of the recovered signal comes out exactly 0.0
+ZERO_AMPLITUDE_D4_MU = [-1.0939177090438694, -1.9499768314938015, -3.0220216768702928,
+                        -4.383597148201458, -6.130876018938802, -8.389868535687734,
+                        -11.3259078346468, -15.156133375470073]
 
 
 def _random_signal(rng, d):
@@ -126,9 +139,7 @@ def test_solve_validation():
     ((2.0, 0.0, -2.0, 0.0), NoRealSolution),  # z^2 + 1: a complex pair
     ((1.0, 0.0, -1.0, -2.0), NoRealSolution),  # (z - 1)^2: a repeated node
     # d = 4: the recovered signal misses the moments by 1.8e-5
-    ((-2.1504493286670225, 1.6062909004815775, -0.06272692164880188,
-      0.33562153149262397, 0.014517004835593247, 0.08699414621141842,
-      0.007772055378703171, 0.023591387133174584), ResidualTooLarge),
+    (RESIDUAL_MISS_D4_MU, ResidualTooLarge),
     ((1.0, np.nan, 0.0, 0.0), ValueError),
     # nodes 0 and 1e150: the cube of 1e150 overflows when the moments are
     # recomputed
@@ -151,12 +162,12 @@ REGULAR_D4_MU = [sum(x**k for x in (-1.0, 0.0, 1.0, 2.0)) for k in range(8)]
 
 @st.composite
 def _moment_batches(draw):
-    # one to eight vectors mu_0..mu_{2d-1} of one d = 2..4: noisy moments of
+    # one to forty vectors mu_0..mu_{2d-1} of one d = 2..5: noisy moments of
     # a signal (most solve, some miss the residual or leave the real
     # regime) or uniform moments (most have no real solution)
-    d = draw(st.integers(2, 4))
+    d = draw(st.integers(2, 5))
     batch = []
-    for _ in range(draw(st.integers(1, 8))):
+    for _ in range(draw(st.integers(1, 40))):
         noise = draw(st.lists(st.floats(-1.0, 1.0), min_size=2 * d, max_size=2 * d))
         if draw(st.booleans()):
             nodes = draw(st.lists(st.floats(-2.0, 2.0), min_size=d, max_size=d, unique=True))
@@ -174,21 +185,55 @@ def _moment_batches(draw):
 @example([[1.0, 1.0, 1.0, 1.0], [2.0, 0.0, -2.0, 0.0], [1.0, 0.0, -1.0, -2.0],
           [1.0, np.nan, 0.0, 0.0], [1.0, 1e-50, 1e100, 1e250], [2.0, 0.0, 2.0, 0.0]])
 @example([REGULAR_D4_MU, SINGULAR_LU_MU, REGULAR_D4_MU])
+@example([REGULAR_D4_MU, [1.0, 2.0, np.inf] + REGULAR_D4_MU[3:], [1.0] * 8,
+          REPEATED_NODE_D4_MU, RESIDUAL_MISS_D4_MU, ZERO_AMPLITUDE_D4_MU,
+          REGULAR_D4_MU[:7] + [1e308], REGULAR_D4_MU])  # the last but one: sigma overflows
 def test_solve_many_entries_equal_solve_complete(batch):
-    # the trial core solves a batch in stages, with one stacked solve and
-    # one batch of roots; each entry is solve_complete on its own vector:
-    # the same bits, or the same exception class and message
+    # the trial core solves a batch stage by stage on numpy columns; each
+    # entry is that of the list-by-list reference and solve_complete on
+    # its own vector: the same bits, or the same exception class and
+    # message (and cause, against the reference)
     got = ps._solve_many(batch)
     assert len(got) == len(batch)
-    for mu, entry in zip(batch, got):
+    for mu, entry, ref in zip(batch, got, list_solve_many(batch)):
         try:
             want = ps.solve_complete(mu)
         except Exception as exc:  # every class solve_complete raises
-            assert type(entry) is type(exc) and str(entry) == str(exc)
+            for other in (exc, ref):
+                assert type(entry) is type(other) and str(entry) == str(other)
+            cause = entry.__cause__
+            assert type(cause) is type(ref.__cause__) and str(cause) == str(ref.__cause__)
         else:
             amps, nodes = entry
             assert [x.hex() for x in amps + nodes] == [
-                x.hex() for x in want.amplitudes.tolist() + want.nodes.tolist()]
+                x.hex() for x in want.amplitudes.tolist() + want.nodes.tolist()] == [
+                x.hex() for x in ref[0] + ref[1]]
+
+
+# np.power(x, 3.0), and x ** 3 on an array, differ from Python's x ** 3
+# (libm's pow) in the last bit at this x on an AVX-512 host with numpy
+# 2.4.6, as on 2.7% of random doubles for powers 3 to 9
+NUMPY_POWER_DIFFERS_X = 1.740289695151073
+
+
+def test_moment_columns_equal_the_list_moments():
+    # the residual's moments on columns take their powers as _moments
+    # does, entry by entry; a power past the double range leaves its row
+    # not finite, where _moments raises
+    rng = np.random.default_rng(11)
+    nodes = np.sort(rng.uniform(-2.0, 2.0, (300, 3)), axis=1)
+    nodes[0, 1] = NUMPY_POWER_DIFFERS_X
+    amps = rng.uniform(0.5, 2.0, (300, 3)) * rng.choice([-1.0, 1.0], (300, 3))
+    got = ps._moment_columns(amps, nodes, 7)
+    want = [_moments(a, x, 7) for a, x in zip(amps.tolist(), nodes.tolist())]
+    assert [[v.hex() for v in row] for row in got.tolist()] == [
+        [v.hex() for v in row] for row in want]
+
+    huge = np.array([[0.0, 1e50], [0.0, 1e150]])
+    with pytest.raises(ValueError, match="moments must be finite"):
+        _moments([1.0, 1.0], huge[1].tolist(), 3)
+    got = ps._moment_columns(np.ones((2, 2)), huge, 3)
+    assert np.isfinite(got[0]).all() and not np.isfinite(got[1]).all()
 
 
 # ---------------------------------------------------------------------------
@@ -353,6 +398,11 @@ def test_config_validation():
                 dict(ok, seed=-1)):
         with pytest.raises(ValueError):
             ps.NoiseConfig(**bad)
+    # JSON reads NaN and Infinity: refused here, by the field's name
+    for field, value in (("h_grid", (0.4, np.nan)), ("h_grid", (np.nan, 0.4)),
+                         ("h_grid", (np.inf, 0.4)), ("epsilon", np.inf)):
+        with pytest.raises(ValueError, match=f"^{field} .*finite"):
+            ps.NoiseConfig(**dict(ok, **{field: value}))
 
 
 def test_result_validation():
