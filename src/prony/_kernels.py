@@ -52,13 +52,24 @@ def trim_coeffs(c, rel_tol=_TRIM_TOL):
 
 
 def shifted_coeffs(c, x0):
-    """Coefficients of P(x0 + h) in h; entry k equals P^(k)(x0) / k!."""
-    a = [float(v) for v in c]
+    """Coefficients of P(x0 + h) in h; entry k equals P^(k)(x0) / k!.
+
+    The arithmetic is that of the entries: floats, or integers for an
+    exact shift."""
+    a = list(c)
     n = len(a)
     for i in range(n - 1):
         for j in range(n - 2, i - 1, -1):
             a[j] += x0 * a[j + 1]
     return a
+
+
+def _dyadic(values):
+    # the plain floats values as integers over one common power of two:
+    # (ints, e) with values[i] == ints[i] / 2**e exactly
+    ratios = [v.as_integer_ratio() for v in values]
+    e = max(den.bit_length() for _, den in ratios) - 1
+    return [num << (e - den.bit_length() + 1) for num, den in ratios], e
 
 
 def sign_changes(vals, zero_tol):

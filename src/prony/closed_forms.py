@@ -2,10 +2,10 @@
 
 At d=2 one Hankel determinant decides both questions.  At d=3 the decision
 reduces to a degree-4 polynomial in the line parameter whose leading
-coefficient has an explicit 2x2-determinant expression; this module builds
-that quartic by interpolation along the line and cross-checks it against the
-closed form, so the verdicts can be certified against the numeric domain
-machinery instead of trusted on faith.
+coefficient has an explicit 2x2-determinant expression; this module expands
+that quartic from the line's slopes and intercepts and attaches the numeric
+domain as evidence, so the verdicts can be certified against the numeric
+domain machinery instead of trusted on faith.
 
 Sign convention: `discriminant_cubic_paper` is the negative of the standard
 cubic discriminant, so negative values mean three distinct real roots.
@@ -14,10 +14,10 @@ cubic discriminant, so negative values mean three distinct real roots.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from . import poly_engine, prony_line
 from .errors import InterpolationInconsistency
@@ -41,9 +41,6 @@ logger = logging.getLogger(__name__)
 # strict inequalities, so near-zero pivots are genuinely undecidable in
 # floating point.
 _INDET_REL = 1e-6
-
-# Agreement required between the interpolated quartic and a fresh evaluation.
-_INTERP_RTOL = 1e-8
 
 _VERDICTS = ("yes", "no", "indeterminate")
 
@@ -81,20 +78,21 @@ def discriminant_cubic_paper(sigma) -> float:
     cubic z^3 + s1*z^2 + s2*z + s3.
 
     Negative iff the cubic has three distinct real roots; equals the negative
-    of the standard discriminant.
+    of the standard discriminant.  Raises ValueError where a cube exceeds
+    the double range.
     """
     s = np.asarray(getattr(sigma, "sigma", sigma), dtype=float)
     if s.shape != (3,):
         raise ValueError("expected exactly three symmetric coordinates")
     if not np.all(np.isfinite(s)):
         raise ValueError("symmetric coordinates must be finite")
-    return _cubic_disc(*s.tolist())
-
-
-def _cubic_disc(s1: float, s2: float, s3: float) -> float:
-    # discriminant_cubic_paper on plain floats
-    return (27.0 * s3 * s3 + 4.0 * s2 ** 3 - s1 * s1 * s2 * s2
-            + 4.0 * s1 ** 3 * s3 - 18.0 * s1 * s2 * s3)
+    s1, s2, s3 = s.tolist()
+    try:
+        return (27.0 * s3 * s3 + 4.0 * s2 ** 3 - s1 * s1 * s2 * s2
+                + 4.0 * s1 ** 3 * s3 - 18.0 * s1 * s2 * s3)
+    except OverflowError:  # from a float power past the double range
+        raise ValueError("moments exceed double range: the cubic "
+                         f"discriminant of {s.tolist()} overflows") from None
 
 
 def _delta_term_scale(s1: float, s2: float, s3: float) -> float:
@@ -163,13 +161,13 @@ def quartic_Pmu(mu) -> list[float]:
     the largest are dropped (see :func:`poly_engine.real_roots`).
 
     Computed as det(M)^4 times the cubic discriminant along the line,
-    recovered from five samples; the denominator clearing makes every
-    coefficient polynomial in the moments, with P8_closed_form leading.
+    expanded from sigma_j(t) = intercept_j + slope_j * t; the denominator
+    clearing makes every coefficient polynomial in the moments, with
+    P8_closed_form leading.
 
     mu may be the d=3 line itself.  Raises DegenerateHankel through
-    line_params, ValueError when det(M)^4 exceeds the double range, and
-    InterpolationInconsistency if a sixth fresh evaluation disagrees with
-    the interpolant beyond relative 1e-8.
+    line_params, and ValueError when det(M)^4 or a coefficient exceeds the
+    double range.
     """
     _check_length(mu, 5)
     line = prony_line.line_params(mu)
@@ -179,34 +177,30 @@ def quartic_Pmu(mu) -> list[float]:
         raise ValueError(
             "moments exceed double range: det M^4 overflows "
             f"(det M = {line.detM:.3e})") from None
-
-    # Interpolate in u = t/S so the Vandermonde solve stays conditioned even
-    # on lines whose interesting range sits far from the origin.
     slopes, intercepts, _ = line._plain
-    S = 1.0
-    big = max(map(abs, slopes))
-    if big > 0.0:
-        S = max(1.0, max(map(abs, intercepts)) / big)
+    s1, s2, s3 = ([b, s] for s, b in zip(slopes, intercepts))
+    s11, s22 = _mul(s1, s1), _mul(s2, s2)
+    # the five monomials of discriminant_cubic_paper, in its order
+    terms = ((27.0, _mul(s3, s3)), (4.0, _mul(s22, s2)), (-1.0, _mul(s11, s22)),
+             (4.0, _mul(_mul(s11, s1), s3)), (-18.0, _mul(_mul(s1, s2), s3)))
+    disc = [0.0] * 5
+    for w, p in terms:
+        for k, c in enumerate(p):
+            disc[k] += w * c
+    cleared = [scale4 * c for c in disc]
+    if not all(map(math.isfinite, cleared)):
+        raise ValueError("moments exceed double range: the quartic is not finite")
+    return poly_engine._coeffs(cleared)
 
-    u_grid = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
 
-    def cleared_disc(u):
-        s3, s2, s1, _ = line._node_poly(S * u)
-        return scale4 * _cubic_disc(s1, s2, s3)
-
-    values = np.array([cleared_disc(u) for u in u_grid])
-    c_u = np.linalg.solve(npoly.polyvander(u_grid, 4), values)
-    c_t = c_u / S ** np.arange(5)
-
-    u6 = 0.5
-    fresh = cleared_disc(u6)
-    interp = float(npoly.polyval(u6, c_u))
-    ref = max(abs(fresh), abs(interp), float(np.max(np.abs(values))))
-    if abs(fresh - interp) > _INTERP_RTOL * max(ref, 1e-300):
-        raise InterpolationInconsistency(
-            "quartic interpolation failed its holdout check: "
-            f"fresh={fresh:.17g} interpolated={interp:.17g}")
-    return poly_engine._coeffs(c_t)
+def _mul(p: list, q: list) -> list:
+    # product of two ascending coefficient lists on plain floats, where a
+    # product past the double range is inf without a warning
+    out = [0.0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
 
 
 def classify_d2(mu) -> Classification:
@@ -266,12 +260,13 @@ def classify_d3(mu) -> Classification:
     mu0_ok = abs(m[0]) > _INDET_REL * s
     d1_ok = abs(d1) > _INDET_REL * max(1.0, abs(m[0] * m[2]) + m[1] * m[1])
 
-    if p8_ok:
+    if p8_ok and len(quartic) == 5:
         n_real = len(poly_engine.real_roots(quartic))
         collision = "yes" if n_real >= 1 else "no"
     else:
-        # With the leading coefficient this close to zero the quartic's
-        # behaviour at infinity, and with it the root count, is unreliable.
+        # With the leading coefficient this close to zero, or trimmed as
+        # below 1e-14 of the largest one, the quartic's behaviour at
+        # infinity, and with it the root count, is unreliable.
         n_real = None
         collision = "indeterminate"
     domain = _domain_evidence(line)

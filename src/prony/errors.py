@@ -71,7 +71,7 @@ class InconsistentComputation(PronyError):
 
 class InterpolationInconsistency(InconsistentComputation):
     """A polynomial reconstruction cannot be trusted at the resolution the
-    answer needs: a held-out evaluation deviates from the fitted
-    interpolant, critical values of the hyperbolic domain lie closer than
-    its endpoint tolerance to decide what lies between them, or the
-    expansion at infinity contradicts the domain."""
+    answer needs: critical values of the hyperbolic domain lie closer than
+    its endpoint tolerance to decide what lies between them, a critical
+    point and a pole are the same double, or the expansion at infinity
+    contradicts the domain."""

@@ -94,18 +94,24 @@ def sign_variation(p, x) -> SignVariation:
     """Number of sign changes in (P(x), P'(x), ..., P^(n)(x)) for the
     ascending coefficient sequence p.
 
-    Components that evaluate to an exact floating zero are skipped (the
-    classical convention).  At +inf every derivative carries the sign of the
-    leading coefficient, so the count is 0; at -inf the signs alternate, so
-    the count equals the degree.
+    The signs are exact for the float coefficients and x: the Taylor shift
+    runs in integers, where a float shift could underflow a component to
+    zero or round its sign away.  Components that are exactly zero are
+    skipped (the classical convention).  At +inf every derivative carries
+    the sign of the leading coefficient, so the count is 0; at -inf the
+    signs alternate, so the count equals the degree.
     """
     c = _coeffs(p)
     if math.isinf(x):
         return SignVariation(x, 0 if x > 0 else len(c) - 1)
-    shifted = K.shifted_coeffs(c, float(x))
-    # entry k of the Taylor shift is P^(k)(x)/k!; positive scalings do not
-    # affect variation counts
-    return SignVariation(float(x), K.sign_changes(shifted, 0.0))
+    # with c_k = C_k / 2^e and x = X / 2^e, P(x + g / 2^e) is
+    # 2^(-e(n+1)) sum_k C_k 2^(e(n-k)) (X + g)^k: the coefficient of g^k of
+    # that integer shift is P^(k)(x)/k! scaled by a power of two, and
+    # positive scalings do not affect variation counts
+    (*ints, big_x), e = K._dyadic(c + [float(x)])
+    n = len(ints) - 1
+    shifted = K.shifted_coeffs([v << e * (n - k) for k, v in enumerate(ints)], big_x)
+    return SignVariation(float(x), K.sign_changes(shifted, 0))
 
 
 def budan_fourier_bound(p, a, b) -> int:

@@ -18,10 +18,10 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from . import _kernels as K
 from . import poly_engine
+from ._kernels import _dyadic
 from .errors import (
     DegenerateHankel,
     IllConditionedHankel,
@@ -333,14 +333,6 @@ def line_params(mu) -> PronyLine:
     return _line_of(mu.values.tobytes())
 
 
-def _dyadic(values: list):
-    # the plain floats values as integers over one common power of two:
-    # (ints, e) with values[i] == ints[i] / 2**e exactly
-    ratios = [v.as_integer_ratio() for v in values]
-    e = max(den.bit_length() for _, den in ratios) - 1
-    return [num << (e - den.bit_length() + 1) for num, den in ratios], e
-
-
 def _exact_residuals(m, rhs: list, y: list) -> list:
     # rhs_k - sum_j mu_{k+j} y_j for each k, exact in integers over one
     # power of two and rounded once (m: the moments as _dyadic gives them);
@@ -524,8 +516,10 @@ def _build_domain(line: PronyLine) -> HyperbolicDomain:
     unit = 2.0**exponent
     q = [c / unit ** (d - k) for k, c in enumerate(q)]
     s = [c * unit**k for k, c in enumerate(slopes[_leading_zero_slopes(slopes):][::-1])]
-    w = npoly.polysub(npoly.polymul(K.poly_derivative(q), s),
-                      npoly.polymul(q, K.poly_derivative(s))).tolist()
+    w = np.convolve(K.poly_derivative(q), s)
+    if len(s) > 1:  # S' = 0 on a constant S
+        w = w - np.convolve(q, K.poly_derivative(s))
+    w = w.tolist()
 
     inf = math.inf
     poles = poly_engine._roots(poly_engine._coeffs(s))

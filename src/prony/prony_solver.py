@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import logging
 import math
+import numbers
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -95,6 +96,14 @@ class NoiseConfig:
     h_grid: tuple
 
     def __post_init__(self):
+        # JSON's true, false, null and strings are no numbers here, though
+        # Python takes a bool for an int and float() reads a numeric string
+        grid = [self.h_grid] if isinstance(self.h_grid, str) else list(self.h_grid)
+        for name, values in (("d", [self.d]), ("epsilon", [self.epsilon]),
+                             ("trials", [self.trials]), ("seed", [self.seed]),
+                             ("h_grid", grid)):
+            if not all(isinstance(v, numbers.Real) and not isinstance(v, bool) for v in values):
+                raise ValueError(f"{name} must be numeric, not {getattr(self, name)!r}")
         if int(self.d) != self.d or self.d < 2:
             raise ValueError("d must be an integer >= 2")
         if not (0.0 < self.epsilon < math.inf):
@@ -103,7 +112,7 @@ class NoiseConfig:
             raise ValueError("trials must be a positive integer")
         if int(self.seed) != self.seed or self.seed < 0:
             raise ValueError("seed must be a nonnegative integer")
-        grid = tuple(float(h) for h in self.h_grid)
+        grid = tuple(float(h) for h in grid)
         if len(grid) < 2:
             raise ValueError("h_grid needs at least two values to fit slopes")
         if not all(0.0 < h < math.inf for h in grid):

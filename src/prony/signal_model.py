@@ -17,7 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from . import poly_engine
-from .errors import InconsistentComputation, NotHyperbolic, RepeatedNodes
+from .errors import NotHyperbolic, RepeatedNodes
 
 __all__ = [
     "Signal",
@@ -208,17 +208,8 @@ def _real_nodes_many(cs: list) -> list:
     # _real_nodes of each list of cs, all of one degree, rooted by one
     # poly_engine._hyperbolic_many call: per list its nodes, or the
     # NotHyperbolic that _real_nodes raises there
-    out = []
-    for c, roots in zip(cs, poly_engine._hyperbolic_many(cs)):
-        if roots is None:
-            out.append(NotHyperbolic(_NOT_HYPERBOLIC))
-        elif len(roots) != len(c) - 1:
-            raise InconsistentComputation(
-                f"root isolation proved {len(c) - 1} distinct roots, but returned {len(roots)}"
-            )
-        else:
-            out.append(roots)
-    return out
+    return [NotHyperbolic(_NOT_HYPERBOLIC) if roots is None else roots
+            for roots in poly_engine._hyperbolic_many(cs)]
 
 
 def _unwrap(outcome):

@@ -436,6 +436,11 @@ BAD_INPUTS = [  # command, input document, a phrase naming the cause
      "moments exceed double range: det M or a minor is not finite"),
     ("classify", [math.nan, 1, 2], "moments must be finite"),
     ("classify", [[1, 2], [3]], "sequence"),
+    ("classify", [9.410610622527965e-136, 0.9269749573460788, 0.447240161215134,
+                  1.3261816923284035, 1.575189086247684],  # K's cubes overflow
+     "moments exceed double range: the cubic discriminant"),
+    ("amplify", {"d": 2, "epsilon": 1e-10, "trials": True, "seed": 0,
+                 "h_grid": [0.4, 0.2]}, "trials must be numeric"),
 ]
 
 

@@ -30,10 +30,30 @@ from prony import closed_forms as cf
 from prony import curve_analysis as ca
 from prony import poly_engine as pe
 from prony import prony_line as pl
-from prony.errors import DegenerateHankel
+from prony.errors import DegenerateHankel, IllConditionedHankel
 from prony.signal_model import Signal, compute_moments, elementary_symmetric
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
+
+
+# d = 3 vectors whose quartic has real roots only just apart: a quartic
+# sampled at five points and interpolated counted none of them and called
+# collision "no"; the exact restricted discriminant has two and four
+CLOSE_ROOT_COLLISIONS = [
+    [-0.11014021843811117, -1.091213032733728, 0.8721106421400395,
+     -0.6768492551348763, 0.5246931414231624],
+    [1.9375836810453528, 0.5678182030100614, 0.40911645337263,
+     0.15621496378680497, 0.09181905109505233],
+]
+
+
+def _exact_restricted_discriminant(mu):
+    # the discriminant of the node cubic along the exact line of the float
+    # moments, a polynomial in t
+    base, slope = exact_line(mu)
+    z, t = sympy.symbols("z t")
+    cubic = sympy.Poly([1] + [b + t * s for b, s in zip(base, slope)], z)
+    return sympy.Poly(sympy.discriminant(cubic), t)
 
 
 def _domain_summary(mu):
@@ -78,6 +98,18 @@ def test_discriminant_validation():
         cf.discriminant_cubic_paper((1.0, 2.0))
     with pytest.raises(ValueError):
         cf.discriminant_cubic_paper((np.nan, 0.0, 0.0))
+
+
+def test_cubes_past_the_double_range_are_refused():
+    # 3 mu1 / mu0 = 3e135, whose cube Python's float power raises
+    # OverflowError on: the functions that reach it refuse the input
+    mu = [9.410610622527965e-136, 0.9269749573460788, 0.447240161215134,
+          1.3261816923284035, 1.575189086247684]
+    for call in (lambda: cf.discriminant_cubic_paper((1.0, 1e103, 0.0)),
+                 lambda: cf.K_value(mu), lambda: cf.P8_second_form(mu),
+                 lambda: cf.classify_d3(mu)):
+        with pytest.raises(ValueError, match="^moments exceed double range"):
+            call()
 
 
 # ---------------------------------------------------------------------------
@@ -194,6 +226,46 @@ def test_quartic_roots_are_domain_endpoints():
             assert min(abs(t - r) for t in ends) <= 1e-8 * max(1.0, abs(r))
 
 
+def test_quartic_is_the_expansion_along_the_float_line():
+    # each coefficient is the exact expansion of det(M)^4 disc(sigma(t))
+    # from the float det M, slopes and intercepts of the line, to within a
+    # few roundings of what its terms add up to in magnitude; a coefficient
+    # the trim dropped is at most 1e-14 of the largest
+    rng = np.random.default_rng(19)
+    t = sympy.Symbol("t")
+    eps = np.finfo(float).eps
+    vectors = [rng.uniform(-2, 2, 5) for _ in range(30)]
+    vectors += [rng.uniform(-2, 2, 5) * 10.0 ** rng.uniform(-30, 30, 5) for _ in range(30)]
+    checked = 0
+    for mu in vectors + CLOSE_ROOT_COLLISIONS:
+        try:
+            line = pl.line_params(mu)
+            q = cf.quartic_Pmu(line)
+        except (DegenerateHankel, IllConditionedHankel, ValueError):
+            continue
+        checked += 1
+        slopes, intercepts, _ = line._plain
+        scale4 = sympy.Rational(line.detM ** 4)
+
+        def cleared(sign):
+            # sign = -1 gives the magnitudes: every term taken positive
+            s1, s2, s3 = (sympy.Rational(b) * (sign if b < 0 else 1)
+                          + sympy.Rational(s) * (sign if s < 0 else 1) * t
+                          for s, b in zip(slopes, intercepts))
+            disc = (27 * s3 ** 2 + 4 * s2 ** 3 - sign * s1 ** 2 * s2 ** 2
+                    + 4 * s1 ** 3 * s3 - 18 * sign * s1 * s2 * s3)
+            return sympy.Poly(abs(scale4) * disc, t).all_coeffs()[::-1]
+
+        exact, size = cleared(1), cleared(-1)
+        exact += [0] * (5 - len(exact))
+        size += [0] * (5 - len(size))
+        for k in range(5):
+            have = q[k] if k < len(q) else 0.0
+            slack = 16 * eps * size[k] + (0 if k < len(q) else 1e-14 * max(map(abs, q)))
+            assert abs(sympy.Rational(have) - exact[k]) <= slack, (mu, k)
+    assert checked >= 50
+
+
 def test_quartic_validation():
     with pytest.raises(ValueError):
         cf.quartic_Pmu((1.0, 0.0, 1.0))
@@ -276,6 +348,21 @@ def test_classify_d3_abstains_on_vanishing_p8():
     assert c.evidence["domain_intervals"] is not None
 
 
+def test_classify_d3_abstains_where_the_trim_drops_p8():
+    # the cleared quartic's coefficients span more than 14 orders here, so
+    # the trim drops its t^4 term although P8 is safely nonzero: the count
+    # of what is left misses the exact restricted discriminant's roots far
+    # out on the line
+    mu = [-1.7577390749778945, 0.9309519252183325, -6.449894114541485e-118,
+          4.494699568639492e+24, -1.991478508431113]
+    c = cf.classify_d3(mu)
+    assert c.evidence["p8_ok"]
+    assert len(cf.quartic_Pmu(mu)) < 5
+    assert c.collision == "indeterminate"
+    assert c.evidence["real_root_count"] is None
+    assert _exact_restricted_discriminant(mu).count_roots() > 0
+
+
 def test_classify_d3_abstains_on_zero_leading_moment():
     c = cf.classify_d3((0.0, 1.0, 2.0, 5.0, 4.0))
     assert c.bounded == "indeterminate"
@@ -296,10 +383,15 @@ def test_classify_d3_abstains_where_the_domain_does():
     assert "domain_error" in c.evidence
     assert c.collision == "indeterminate"
     assert c.bounded == "no"
-    base, slope = exact_line(mu)
-    z, t = sympy.symbols("z t")
-    cubic = sympy.Poly([1] + [b + t * s for b, s in zip(base, slope)], z)
-    assert sympy.Poly(sympy.discriminant(cubic), t).count_roots() > 0
+    assert _exact_restricted_discriminant(mu).count_roots() > 0
+
+
+@pytest.mark.parametrize("mu", CLOSE_ROOT_COLLISIONS, ids=["two-roots", "four-roots"])
+def test_classify_d3_sees_a_collision_between_close_roots(mu):
+    assert _exact_restricted_discriminant(mu).count_roots() > 0
+    c = cf.classify_d3(mu)
+    assert c.collision == "yes"
+    assert c.evidence["real_root_count"] >= 1
 
 
 def test_classify_d3_fixture_instances():
@@ -325,7 +417,7 @@ def test_classify_d3_evidence_shape():
                 "domain_all_bounded"):
         assert key in c.evidence
     assert len(c.evidence["quartic_coefficients"]) == 5
-    # descending order: first entry is the interpolated t^4 coefficient
+    # descending order: first entry is the expanded t^4 coefficient
     lead = c.evidence["quartic_coefficients"][0]
     assert abs(lead - c.evidence["P8"]) <= 1e-8 * abs(c.evidence["P8"])
 

@@ -54,6 +54,16 @@ def test_budan_fourier_even_slack():
     assert pe.budan_fourier_bound([1.0, 0.0, 1.0], -10.0, 10.0) == 2
 
 
+def test_budan_fourier_counts_roots_a_float_shift_underflows():
+    # z (z - 7.3e-285) on (a, a + 1] with a = -7.3e-285 holds both roots;
+    # the float Taylor shift at a underflows P(a) = 2 a^2 to zero and lost
+    # one of them
+    a = -7.285810657341256e-285
+    p = [0.0, a, 1.0]
+    assert pe.sign_variation(p, a).count == 2
+    assert pe.budan_fourier_bound(p, a, a + 1.0) == 2
+
+
 def test_budan_fourier_bad_interval():
     with pytest.raises(ValueError):
         pe.budan_fourier_bound([1.0, 1.0], 2.0, 2.0)

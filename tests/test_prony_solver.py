@@ -403,6 +403,15 @@ def test_config_validation():
                          ("h_grid", (np.inf, 0.4)), ("epsilon", np.inf)):
         with pytest.raises(ValueError, match=f"^{field} .*finite"):
             ps.NoiseConfig(**dict(ok, **{field: value}))
+    # nor are JSON's booleans, null and strings numbers, though Python
+    # reads a bool as an int and float() a numeric string
+    for field, value in (("trials", True), ("seed", False), ("d", True),
+                         ("epsilon", True), ("epsilon", "1e-8"), ("d", "2"),
+                         ("epsilon", None), ("h_grid", ["0.4", "0.2"]),
+                         ("h_grid", [True, 0.5]), ("h_grid", [0.4, None]),
+                         ("h_grid", "21")):
+        with pytest.raises(ValueError, match=f"^{field} must be numeric"):
+            ps.NoiseConfig.from_mapping(dict(ok, **{field: value}))
 
 
 def test_result_validation():
