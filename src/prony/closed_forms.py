@@ -3,9 +3,9 @@
 At d=2 one Hankel determinant decides both questions.  At d=3 the decision
 reduces to a degree-4 polynomial in the line parameter whose leading
 coefficient has an explicit 2x2-determinant expression; this module expands
-that quartic from the line's slopes and intercepts and attaches the numeric
-domain as evidence, so the verdicts can be certified against the numeric
-domain machinery instead of trusted on faith.
+that quartic from the line's slopes and intercepts.  The numeric domain is
+attached as evidence, and the d=3 collision verdict is given only where the
+domain's finite endpoints agree with it.
 
 Sign convention: `discriminant_cubic_paper` is the negative of the standard
 cubic discriminant, so negative values mean three distinct real roots.
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import poly_engine, prony_line
-from .errors import InterpolationInconsistency
+from .errors import UnresolvedDomain
 
 __all__ = [
     "Classification",
@@ -78,8 +78,8 @@ def discriminant_cubic_paper(sigma) -> float:
     cubic z^3 + s1*z^2 + s2*z + s3.
 
     Negative iff the cubic has three distinct real roots; equals the negative
-    of the standard discriminant.  Raises ValueError where a cube exceeds
-    the double range.
+    of the standard discriminant.  Raises ValueError where a power, a
+    product or the sum exceeds the double range.
     """
     s = np.asarray(getattr(sigma, "sigma", sigma), dtype=float)
     if s.shape != (3,):
@@ -88,11 +88,15 @@ def discriminant_cubic_paper(sigma) -> float:
         raise ValueError("symmetric coordinates must be finite")
     s1, s2, s3 = s.tolist()
     try:
-        return (27.0 * s3 * s3 + 4.0 * s2 ** 3 - s1 * s1 * s2 * s2
+        disc = (27.0 * s3 * s3 + 4.0 * s2 ** 3 - s1 * s1 * s2 * s2
                 + 4.0 * s1 ** 3 * s3 - 18.0 * s1 * s2 * s3)
     except OverflowError:  # from a float power past the double range
+        disc = math.inf
+    # a product past the double range is inf, and inf - inf is NaN
+    if not math.isfinite(disc):
         raise ValueError("moments exceed double range: the cubic "
-                         f"discriminant of {s.tolist()} overflows") from None
+                         f"discriminant of {s.tolist()} overflows")
+    return disc
 
 
 def _delta_term_scale(s1: float, s2: float, s3: float) -> float:
@@ -224,7 +228,7 @@ def classify_d2(mu) -> Classification:
 def _domain_evidence(line) -> dict:
     try:
         dom = line.domain
-    except InterpolationInconsistency as exc:
+    except UnresolvedDomain as exc:
         logger.warning("domain evidence unavailable: %s", exc)
         return {"domain_intervals": None, "domain_all_bounded": None,
                 "domain_error": str(exc)}
@@ -241,10 +245,12 @@ def classify_d3(mu) -> Classification:
     mu0, the top-left 2x2 Hankel determinant, and P8 are all safely nonzero.
 
     Whenever a pivot quantity falls inside its indeterminate band the verdict
-    abstains; so does the collision verdict where the domain build abstains
-    on resolution (evidence domain_error).  The numeric hyperbolic-set
-    intervals are always attached as evidence so callers can cross-examine
-    the closed-form answer.
+    abstains.  The collision verdict is given only where the numeric domain
+    agrees with it, a finite endpoint for "yes" and none for "no", and
+    abstains where the domain build abstains on resolution (evidence
+    domain_error).  The numeric hyperbolic-set intervals are always
+    attached as evidence so callers can cross-examine the closed-form
+    answer.
     """
     m = _check_length(mu, 5)
     line = prony_line.line_params(mu)
@@ -273,6 +279,10 @@ def classify_d3(mu) -> Classification:
     if "domain_error" in domain:
         # critical values closer than the domain build resolves are a
         # near-double root of the quartic, whose count rounding decides
+        collision = "indeterminate"
+    elif collision != ("yes" if line.domain.endpoints else "no"):
+        # the domain's finite ends are the real roots of the quartic: where
+        # the two routes part, rounding decided one of them
         collision = "indeterminate"
 
     K = None

@@ -28,10 +28,8 @@ class DegenerateHankel(MathDegeneracy):
 
 
 class IllConditionedHankel(MathDegeneracy):
-    """The Hankel matrix is regular but too ill-conditioned for double
-    precision: LU finds it singular, the two routes to the line disagree by
-    what cond(M) eps explains, or the exact refinement of the line does not
-    settle, so no verdict drawn from the line could be trusted."""
+    """The Hankel matrix of a complete system passes the det M policy, but
+    LAPACK's LU finds it singular, so the solver cannot solve it."""
 
 
 class NotHyperbolic(MathDegeneracy):
@@ -52,6 +50,12 @@ class NoRealSolution(MathDegeneracy):
     honest failure mode under measurement noise."""
 
 
+class UnresolvedDomain(MathDegeneracy):
+    """The hyperbolic domain is below the resolution of its build: critical
+    values lie too close together to decide what lies between them, or a
+    critical point and a pole are the same double."""
+
+
 class EmptyDomain(MathDegeneracy):
     """The hyperbolic domain contains no interval but the caller needs one."""
 
@@ -70,8 +74,7 @@ class InconsistentComputation(PronyError):
 
 
 class InterpolationInconsistency(InconsistentComputation):
-    """A polynomial reconstruction cannot be trusted at the resolution the
-    answer needs: critical values of the hyperbolic domain lie closer than
-    its endpoint tolerance to decide what lies between them, a critical
-    point and a pole are the same double, or the expansion at infinity
-    contradicts the domain."""
+    """The expansion at infinity contradicts the hyperbolic domain: along an
+    unbounded component, escape_analysis finds no real branches for the
+    escaping nodes or no distinct real limits for the bounded ones, or its
+    first probe there is not hyperbolic."""

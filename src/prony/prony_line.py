@@ -5,10 +5,11 @@ of the monic node polynomial solve a single d x d linear system whose matrix
 is the Hankel matrix of (mu_0, ..., mu_{2d-2}).  Drop the top moment and the
 solution set becomes a line: substituting a free parameter t for the last
 right-hand side entry and applying Cramer's rule makes every coordinate
-sigma_j(t) an affine function of t.  This module constructs that line, the
-open parameter set where the node polynomial keeps d real distinct roots,
-and the residuals of the projected moment equations used to test membership
-of a candidate node vector.
+sigma_j(t) an affine function of t.  This module constructs that line,
+solved exactly from the float moments and rounded once, the open parameter
+set where the node polynomial keeps d real distinct roots, and the residuals
+of the projected moment equations used to test membership of a candidate
+node vector.
 """
 
 from __future__ import annotations
@@ -24,12 +25,10 @@ from . import poly_engine
 from ._kernels import _dyadic
 from .errors import (
     DegenerateHankel,
-    IllConditionedHankel,
-    InconsistentComputation,
-    InterpolationInconsistency,
     NotHyperbolic,
     RepeatedNodes,
     ResidualTooLarge,
+    UnresolvedDomain,
 )
 from .signal_model import (
     MomentVector,
@@ -58,23 +57,9 @@ __all__ = [
 
 # det M below this fraction of the largest first minor counts as degenerate
 _DEGENERATE_REL = 1e-12
-# agreement required between the cofactor formulas and the two-point
-# solve, as a share of the line's scale
-_CROSS_CHECK_REL = 1e-6
-# each route loses up to about kappa_inf(M) * eps of the line's scale: a
-# larger disagreement that _CROSS_CHECK_COND times that still explains is
-# double precision running out, not an inconsistency, and the line abstains
-_CROSS_CHECK_COND = 1e3
-_EPS = float(np.finfo(float).eps)
 # two critical values closer than this share of the larger one are below
 # the resolution of the domain build
 _ENDPOINT_REL = 1e-8
-# iterative refinement takes the cofactor line to the exact line of the
-# float moments: it stops at the first step that changes no bit.  One or
-# two steps suffice on well-conditioned moments, d = 3 moments of nodes
-# 1e-8 apart take up to five, and a line that has not settled after this
-# many abstains
-_REFINE_STEPS = 8
 # the abstention where LAPACK's LU finds a Hankel matrix singular that the
 # det M policy let through
 _SINGULAR_LU = "the Hankel matrix passes the det M policy but is singular to LU"
@@ -308,19 +293,13 @@ def line_params(mu) -> PronyLine:
     """Build the solution line from a moment vector of length 2d-1; a
     PronyLine is returned as it is.
 
-    Slopes and intercepts come from the cofactor (Cramer) formulas
-    sigma_{d-k+1} slope = (-1)^(d+k) M_{d,k} / det M; the result is then
-    cross-checked against a direct linear solve of the full system at two
-    parameter values.  The two routes are kept deliberately independent.
-    Iterative refinement, with residuals exact in rationals, then takes
-    both to the exact line of the float moments to within about one
-    rounding; it stops at the first step that changes no bit.
-
-    Where double precision runs out the line abstains with
-    IllConditionedHankel: LU finds M singular, the routes disagree beyond
-    _CROSS_CHECK_REL by what the conditioning of M explains, or the
-    refinement does not settle.  A disagreement the conditioning does not
-    explain raises InconsistentComputation.
+    Slopes and intercepts are the exact solutions of the Hankel system
+    M (sigma_d..sigma_1)^T = rhs for the float moments, each correctly
+    rounded to a double: the moments are dyadic rationals, and one
+    fraction-free elimination in integers solves both right-hand sides.
+    Raises ValueError where a moment is not finite or a component of the
+    line is past the double range, and DegenerateHankel where det M fails
+    the det M policy (see _regular_minors) or is exactly zero.
 
     The most recent line is remembered under the exact bytes of its
     moments, so analyses of one moment vector run back to back share one
@@ -333,50 +312,46 @@ def line_params(mu) -> PronyLine:
     return _line_of(mu.values.tobytes())
 
 
-def _exact_residuals(m, rhs: list, y: list) -> list:
-    # rhs_k - sum_j mu_{k+j} y_j for each k, exact in integers over one
-    # power of two and rounded once (m: the moments as _dyadic gives them);
-    # int / int true division rounds correctly, as float(Fraction) does
-    (mi, me), (ri, re), (yi, ye) = m, _dyadic(rhs), _dyadic(y)
-    e = max(me + ye, re)
+def _exact_line(vals: list):
+    # (slopes, intercepts) as lists: the exact solutions of
+    # M (sigma_d..sigma_1)^T = rhs for rhs_s = (0, ..., 0, 1) and
+    # rhs_b = (-mu_d, ..., -mu_{2d-2}, 0), each component rounded once, for
+    # the moments vals as plain floats.  The moments are integers over one
+    # power of two 2**e, so 2**e [M | rhs_b | rhs_s] is an integer matrix.
+    # Bareiss's fraction-free elimination (Math. Comp. 1968) leaves det M
+    # as its last pivot, and det M times the solution is integral (adj M
+    # rhs), so every division below is exact
+    ints, e = _dyadic(vals)
+    d = (len(ints) + 1) // 2
+    a = [ints[i : i + d] + [-ints[i + d] if i < d - 1 else 0, 1 << e if i == d - 1 else 0]
+         for i in range(d)]
+    prev = 1
+    for k in range(d):
+        swap = next((i for i in range(k, d) if a[i][k]), None)
+        if swap is None:
+            raise DegenerateHankel("det M is exactly zero: nodes collide identically "
+                                   "or an amplitude vanishes identically")
+        a[k], a[swap] = a[swap], a[k]
+        p, pivot = a[k][k], a[k]
+        for i in range(k + 1, d):
+            f, row = a[i][k], a[i]
+            a[i] = row[: k + 1] + [(p * x - f * y) // prev
+                                   for x, y in zip(row[k + 1 :], pivot[k + 1 :])]
+        prev = p
+    # prev is det M up to the sign of the row swaps; the numerators carry
+    # that sign, so that an exact zero rounds to +0.0
+    sign, det = (1, prev) if prev > 0 else (-1, -prev)
     out = []
-    for k, r in enumerate(ri):
-        dot = sum(mi[k + j] * v for j, v in enumerate(yi))
-        out.append(((r << (e - re)) - (dot << (e - me - ye))) / (1 << e))
+    for c in (d + 1, d):
+        y = [0] * d
+        for i in reversed(range(d)):
+            acc = prev * a[i][c] - sum(a[i][j] * y[j] for j in range(i + 1, d))
+            y[i] = acc // a[i][i]
+        try:
+            out.append([sign * v / det for v in reversed(y)])
+        except OverflowError:
+            raise ValueError("moments exceed double range: the line is not finite") from None
     return out
-
-
-def _refined(m, entries: np.ndarray, rhs: list, sigma: np.ndarray) -> np.ndarray:
-    # (sigma_1..sigma_d) solving M (sigma_d..sigma_1)^T = rhs, refined from
-    # the estimate sigma with exact residuals (m: the moments as _dyadic
-    # gives them); the float moments and rhs are exact data
-    y = sigma[::-1]
-    for _ in range(_REFINE_STEPS):
-        step = y + np.linalg.solve(entries, _exact_residuals(m, rhs, y.tolist()))
-        if step.tobytes() == y.tobytes():
-            return y[::-1].copy()
-        y = step
-    raise IllConditionedHankel(
-        f"the exact refinement of the line did not settle in {_REFINE_STEPS} steps")
-
-
-def _cofactor_line(H: HankelMatrix, vals: list):
-    # slopes and intercepts from the cofactor (Cramer) formulas, as lists,
-    # for the moments vals as plain floats: a product past the double range
-    # is inf, without the RuntimeWarning of a numpy scalar, and is refused
-    d, det, minors = H.d, H.determinant, H.minors.tolist()
-    slopes = [0.0] * d
-    intercepts = [0.0] * d
-    for k in range(1, d + 1):
-        j = d - k + 1
-        slopes[j - 1] = (-1.0) ** (d + k) * minors[d - 1][k - 1] / det
-        acc = 0.0
-        for i in range(1, d):
-            acc += (-1.0) ** (i + 1) * vals[d + i - 1] * minors[i - 1][k - 1]
-        intercepts[j - 1] = (-1.0) ** k * acc / det
-    if not all(map(math.isfinite, slopes + intercepts)):
-        raise ValueError("moments exceed double range: the line is not finite")
-    return slopes, intercepts
 
 
 @lru_cache(maxsize=1)
@@ -384,44 +359,9 @@ def _line_of(raw: bytes) -> PronyLine:
     # one entry: the callers that repeat a vector (analyze, curve, the
     # analyses of one family) finish with it before they turn to the next
     mu = MomentVector(np.frombuffer(raw))
-    v = mu.values
-    vals = v.tolist()
-    H = _hankel_of(v, _regular_minors)
-    d = H.d
-    slopes, intercepts = _cofactor_line(H, vals)
-
-    # independent route: solve M * (sigma_d..sigma_1)^T = rhs(t) at t = 0, 1
-    # and recover the affine data from the two solutions.  kappa_inf(M)
-    # comes from the minor table, since M^-1 = adj M / det M
-    rhs0 = [-x for x in vals[d:]] + [0.0]
-    try:
-        sig0 = np.linalg.solve(H.entries, rhs0)[::-1].tolist()
-        sig1 = np.linalg.solve(H.entries, rhs0[:-1] + [1.0])[::-1].tolist()
-    except np.linalg.LinAlgError as exc:
-        raise IllConditionedHankel(_SINGULAR_LU) from exc
-    scale = max(1.0, max(map(abs, slopes + intercepts)))
-    gaps = ([abs(b - a - s) for a, b, s in zip(sig0, sig1, slopes)]
-            + [abs(a - b) for a, b in zip(sig0, intercepts)])
-    miss = math.nan if any(map(math.isnan, gaps)) else max(gaps)
-    if not miss <= _CROSS_CHECK_REL * scale:
-        minors = H.minors.tolist()
-        kappa = max(sum(map(abs, row)) for row in H.entries.tolist()) * max(
-            sum(abs(row[i]) for row in minors) for i in range(d)) / abs(H.determinant)
-        if miss > max(_CROSS_CHECK_REL, _CROSS_CHECK_COND * kappa * _EPS) * scale:
-            raise InconsistentComputation(
-                "cofactor line formulas disagree with the direct two-point solve")
-        raise IllConditionedHankel(
-            f"kappa_inf(M) = {kappa:.3e}: the two routes to the line differ by "
-            f"{miss / scale:.3e} of its scale, and double precision cannot settle it")
-
-    # the cofactor formulas lose up to cond(M) * eps, which sigma(t) far out
-    # on the line (slopes*t and intercepts cancel) and the domain cannot bear
-    m = _dyadic(vals)
-    slopes = _refined(m, H.entries, [0.0] * (d - 1) + [1.0], np.array(slopes))
-    intercepts = _refined(m, H.entries, rhs0, np.array(intercepts))
-    slopes.setflags(write=False)
-    intercepts.setflags(write=False)
-    return PronyLine(d=d, slopes=slopes, intercepts=intercepts, hankel=H, mu=mu)
+    H = _hankel_of(mu.values, _regular_minors)
+    slopes, intercepts = (_frozen(x) for x in _exact_line(mu.values.tolist()))
+    return PronyLine(d=H.d, slopes=slopes, intercepts=intercepts, hankel=H, mu=mu)
 
 
 @dataclass(frozen=True)
@@ -474,8 +414,9 @@ def hyperbolic_domain(mu) -> HyperbolicDomain:
     The node polynomial on the line is Q_t = Q_b + t*S, so x is a real node
     of Q_t exactly when t = phi(x) = -Q_b(x)/S(x); the finite ends of the
     set are critical values of phi (see _build_domain).  Raises what
-    line_params raises, and InterpolationInconsistency when critical values
-    closer than _ENDPOINT_REL of the larger leave the set undecided.
+    line_params raises, and UnresolvedDomain when critical values closer
+    than _ENDPOINT_REL of the larger leave the set undecided, or a critical
+    point is also a pole.
     """
     return line_params(mu).domain
 
@@ -498,8 +439,8 @@ def _build_domain(line: PronyLine) -> HyperbolicDomain:
     crossing one gains or loses two real nodes, or none, so two such values
     between a piece in and a piece out of the domain are one boundary; any
     other cut of several may hide a window, a gap or a puncture, and the
-    build raises InterpolationInconsistency, as it does where a critical
-    point and a pole are the same double.  An empty result is returned.
+    build abstains with UnresolvedDomain, as it does where a critical point
+    and a pole are the same double.  An empty result is returned.
     """
     d = line.d
     slopes, intercepts, _ = line._plain
@@ -527,7 +468,7 @@ def _build_domain(line: PronyLine) -> HyperbolicDomain:
     for c in poly_engine._roots(poly_engine._coeffs(w)):
         if abs(K.horner(s, c)) > K.EVAL_GUARD * K.horner([abs(v) for v in s], abs(c)):
             if c in poles:
-                raise InterpolationInconsistency(
+                raise UnresolvedDomain(
                     f"critical point {c * unit:.17g} of phi is also a pole: which side "
                     "of the pole it lies on is below the resolution of the build")
             breaks.append((c, t0 - unit**d * K.horner(q, c) / K.horner(s, c)))
@@ -552,7 +493,7 @@ def _build_domain(line: PronyLine) -> HyperbolicDomain:
     inside = [sum(lo <= a and b <= hi for lo, hi in images) == d for a, b in pieces]
     for k, cut in enumerate(cuts[1:-1]):
         if len(cut) > 2 or (len(cut) == 2 and inside[k] == inside[k + 1]):
-            raise InterpolationInconsistency(
+            raise UnresolvedDomain(
                 f"critical values {cut[0]:.17g} to {cut[-1]:.17g} lie within "
                 f"{_ENDPOINT_REL} of each other: whether a window, a gap or a "
                 "puncture lies among them is below the resolution of the build"

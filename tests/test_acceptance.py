@@ -24,7 +24,7 @@ from prony import prony_line as pl
 from prony import prony_solver as ps
 from prony.errors import (
     DegenerateHankel,
-    InterpolationInconsistency,
+    UnresolvedDomain,
 )
 from prony.signal_model import Signal, compute_moments
 
@@ -172,7 +172,7 @@ def test_acceptance_05_collision_certificates():
         m = rng.uniform(-2.0, 2.0, 2 * d - 1)
         try:
             domain = pl.hyperbolic_domain(pl.line_params(m))
-        except (DegenerateHankel, InterpolationInconsistency):
+        except (DegenerateHankel, UnresolvedDomain):
             continue
         if not domain.endpoints:
             continue
@@ -218,7 +218,7 @@ def test_acceptance_06_escape_certificates():
             continue
         try:
             domain = pl.hyperbolic_domain(line)
-        except InterpolationInconsistency:
+        except UnresolvedDomain:
             continue
         n += 1
         for direction in (math.inf, -math.inf):

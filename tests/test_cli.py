@@ -265,15 +265,16 @@ def test_classify_d3_fixture_bounded(tmp_path, capsys):
     assert "P8" in doc and "quartic_coefficients" in doc
 
 
-def test_classify_ill_conditioned_exit_3(tmp_path, capsys):
-    # nodes 1.1656062, 1.1655938 and 0.2774: the line's two routes differ by
-    # what kappa_inf(M) = 6.2e11 explains, so the verdict abstains
+def test_classify_ill_conditioned_collision_indeterminate(tmp_path, capsys):
+    # nodes 1.1656062, 1.1655938 and 0.2774, kappa_inf(M) = 6.2e11: the line
+    # builds, but its domain abstains on resolution, so the collision
+    # verdict does
     mu = _write(tmp_path, "mu.json", [0.9303531462841692, -0.6754644035109824,
                                       -1.2754877121027866, -1.6221178328224701,
                                       -1.9282997715611514])
-    code, _, err = _run(capsys, ["classify", mu])
-    assert code == 3
-    assert "kappa_inf(M)" in err
+    code, out, _ = _run(capsys, ["classify", mu])
+    assert code == 0
+    assert json.loads(out)["collision"] == "indeterminate"
 
 
 def test_classify_wrong_length(tmp_path, capsys):
@@ -322,23 +323,24 @@ def test_analyze_degenerate_exit_3(tmp_path, capsys):
     assert err.strip()
 
 
-def test_analyze_pole_at_a_critical_point_exit_4(tmp_path, capsys):
+def test_analyze_pole_at_a_critical_point_exit_3(tmp_path, capsys):
     # a critical point of phi and a pole come out as the same double: the
     # domain build abstains on resolution instead of failing to sort them
     mu = _write(tmp_path, "mu.json", [-1.830210993303282, -1.355682011867008e+90,
                                       1.9443637797854613e-54, -5.482937750392935e-274,
                                       1.5321874468354042])
     code, _, err = _run(capsys, ["analyze", mu])
-    assert code == 4
+    assert code == 3
     assert "is also a pole" in err and "Traceback" not in err
 
 
 def test_analyze_singular_to_lu_exit_3(tmp_path, capsys):
-    # M passes the det M policy but is singular to LU: the line abstains
+    # M passes the det M policy but is singular to LU: the line, which
+    # needs no LU, builds, and its domain abstains on resolution
     mu = _write(tmp_path, "mu.json", SINGULAR_LU_MU[:7])
     code, _, err = _run(capsys, ["analyze", mu])
     assert code == 3
-    assert "singular to LU" in err
+    assert "critical values" in err and "below the resolution" in err
 
 
 def test_analyze_and_curve_build_one_domain(tmp_path, capsys, monkeypatch):

@@ -23,10 +23,10 @@ from prony import poly_engine as pe
 from prony import prony_line as pl
 from prony.errors import (
     DegenerateHankel,
-    IllConditionedHankel,
     InconsistentComputation,
     InterpolationInconsistency,
     NoUnboundedComponent,
+    UnresolvedDomain,
 )
 from prony.signal_model import Signal, compute_moments, elementary_symmetric
 
@@ -331,7 +331,7 @@ def test_detect_collisions_numerator_matches_exact_limit():
         mu = rng.uniform(-2.0, 2.0, size=2 * d - 1)
         try:
             reports = ca.detect_collisions(mu)
-        except (DegenerateHankel, InterpolationInconsistency):
+        except (DegenerateHankel, UnresolvedDomain):
             continue
         exact = _exact_numerators(mu) if reports else []
         for r in reports:
@@ -354,7 +354,7 @@ def test_detect_collisions_blowup_constant_matches_exact_limit():
         mu = rng.uniform(-2.0, 2.0, size=2 * d - 1)
         try:
             reports = ca.detect_collisions(mu)
-        except (DegenerateHankel, InterpolationInconsistency):
+        except (DegenerateHankel, UnresolvedDomain):
             continue
         exact = _exact_numerators(mu) if reports else []
         for r in reports:
@@ -539,7 +539,7 @@ def test_escape_exactly_one_random():
         for direction in (INF, -INF):
             try:
                 r = ca.escape_analysis(mu, direction)
-            except (NoUnboundedComponent, InterpolationInconsistency):
+            except (NoUnboundedComponent, UnresolvedDomain, InterpolationInconsistency):
                 continue
             assert len(r.escaping_indices) == 1
             assert not r.ambiguous_indices
@@ -643,8 +643,7 @@ def _drawn_family(signal):
     try:
         line = pl.line_params(compute_moments(signal, 2 * signal.d - 2))
         line.domain
-    except (DegenerateHankel, IllConditionedHankel, InconsistentComputation,
-            InterpolationInconsistency):
+    except (DegenerateHankel, UnresolvedDomain):
         assume(False)
     return line
 

@@ -24,8 +24,8 @@ from prony import prony_line as pl
 from prony.errors import (
     DegenerateHankel,
     InconsistentComputation,
-    InterpolationInconsistency,
     NoUnboundedComponent,
+    UnresolvedDomain,
 )
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -194,7 +194,7 @@ _FAILURES = [
      "toward +inf and the rest nearing the roots of S"),
     # a critical point of phi that is also a pole, as doubles: once a
     # TypeError from sorting the domain's breaks
-    (_POLE_AT_CRITICAL_POINT, "detect_collisions", InterpolationInconsistency,
+    (_POLE_AT_CRITICAL_POINT, "detect_collisions", UnresolvedDomain,
      "critical point -7.1711646343515956e-145 of phi is also a pole: which side "
      "of the pole it lies on is below the resolution of the build"),
 ]

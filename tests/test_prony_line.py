@@ -9,7 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import sympy
-from hypothesis import HealthCheck, assume, example, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
@@ -27,8 +27,7 @@ from prony import prony_line as pl
 from prony.errors import (
     DegenerateHankel,
     IllConditionedHankel,
-    InconsistentComputation,
-    InterpolationInconsistency,
+    UnresolvedDomain,
     ResidualTooLarge,
 )
 from prony.prony_solver import curve_distance, make_cluster_signal, solve_complete
@@ -170,6 +169,9 @@ def test_line_params_examples():
     assert np.array_equal(line.intercepts, [0.0, -1.0])
     with pytest.raises(DegenerateHankel):
         pl.line_params([1.0, 1.0, 1.0, 1.0, 1.0])
+    # the exact solve finds no pivot on a singular M of its own
+    with pytest.raises(DegenerateHankel, match="exactly zero"):
+        pl._exact_line([1.0, 1.0, 1.0])
 
 
 def test_line_params_d1():
@@ -183,8 +185,8 @@ def test_line_params_d1():
 
 def test_line_params_refuses_moments_past_double_range():
     # inf - inf in det M gave NaN, every check passed, and classify_d2
-    # returned collision "no"; the others overflow det M and an intercept
-    for mu in ([1e308, 1e308, 1e308], [1e200, 0.0, 1e200], [1.0, 0.0, 1e200]):
+    # returned collision "no"; the other overflows det M
+    for mu in ([1e308, 1e308, 1e308], [1e200, 0.0, 1e200]):
         with pytest.raises(ValueError, match="exceed double range"):
             pl.line_params(mu)
         # and without an overflow warning on the way
@@ -196,6 +198,11 @@ def test_line_params_refuses_moments_past_double_range():
         cf.classify_d2([1e308, 1e308, 1e308])
     with pytest.raises(ValueError, match="exceed double range"):
         solve_complete([1e308, 1e308, 1e308, 1e308])
+    # det M = 1e200 and the exact line (1e-200, 0) are doubles; a line
+    # with a component past the double range, here -1e311, is refused
+    assert pl.line_params([1.0, 0.0, 1e200]).slopes.tolist() == [1e-200, 0.0]
+    with pytest.raises(ValueError, match="exceed double range"):
+        pl.line_params([1e-11, 0.0, 1e300])
 
 
 def test_line_params_returns_a_line_unchanged():
@@ -357,131 +364,94 @@ def test_line_slopes_match_minor_formula_exactly():
             assert abs(line.slopes[j - 1] - want) <= math.ulp(want)
 
 
-_EDGE_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
-                -1.7976931348623157e308)
-_RESIDUAL_FLOATS = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
-                             st.floats(-4.0, 4.0), st.sampled_from(_EDGE_FLOATS))
-
-
 @st.composite
-def _residual_case(draw):
-    d = draw(st.integers(1, 4))
-    mu = draw(st.lists(_RESIDUAL_FLOATS, min_size=2 * d - 1, max_size=2 * d - 1))
-    rhs = draw(st.lists(_RESIDUAL_FLOATS, min_size=d, max_size=d))
-    y = draw(st.lists(_RESIDUAL_FLOATS, min_size=d, max_size=d))
-    return mu, rhs, y
+def _moment_case(draw):
+    # moments in (-2, 2), each scaled by 10^k, |k| <= 300, in half the cases
+    d = draw(st.integers(1, 5))
+    mu = draw(st.lists(st.floats(-2.0, 2.0), min_size=2 * d - 1, max_size=2 * d - 1))
+    if draw(st.booleans()):
+        powers = draw(st.lists(st.integers(-300, 300), min_size=2 * d - 1, max_size=2 * d - 1))
+        mu = [m * 10.0**k for m, k in zip(mu, powers)]
+    return mu
 
 
-@settings(max_examples=300, deadline=None)
-@given(_residual_case())
-@example(([5e-324, -0.0, 1e-310], [-0.0, 0.0], [1e-320, -5e-324]))  # subnormal, signed zeros
-@example(([1.0, 3.0, 1.0], [0.0, -0.0], [0.0, -0.0]))  # an exact zero residual
-@example(([1.7976931348623157e308] * 3, [1.0, -1.7976931348623157e308], [1.0, 1.0]))  # overflow
-@example(([1.7976931348623157e308, 1.0, -1.0], [1.7976931348623157e308, 0.0], [-1.0, 0.5]))
-def test_exact_residuals_equal_the_rational_residuals(case):
-    # integers over one power of two give the residual the Fraction
-    # arithmetic gives, rounded once: bit for bit, signed zeros included,
-    # and OverflowError where the exact residual is past the double range
-    mu, rhs, y = case
-    m = [Fraction(v) for v in mu]
-
-    def rational():
-        exact = [Fraction(v) for v in y]
-        return [float(Fraction(r) - sum(m[k + j] * v for j, v in enumerate(exact)))
-                for k, r in enumerate(rhs)]
-
-    try:
-        want = rational()
-    except OverflowError:
-        with pytest.raises(OverflowError):
-            pl._exact_residuals(pl._dyadic(mu), rhs, y)
-        return
-    got = pl._exact_residuals(pl._dyadic(mu), rhs, y)
-    assert [v.hex() for v in got] == [v.hex() for v in want]
-    assert [math.copysign(1.0, v) for v in got] == [math.copysign(1.0, v) for v in want]
-
-
-_ILL_CONDITIONED = [
-    # nodes 1.1656062, 1.1655938 and 0.2774: kappa_inf(M) is 6.2e11, and
-    # the two routes of line_params differ by 5.2e-6 of the line's scale
-    [0.9303531462841692, -0.6754644035109824, -1.2754877121027866,
-     -1.6221178328224701, -1.9282997715611514],
-    # a node pair closer than 1e-3: two refinement steps leave the line
-    # 6e5 ulps off, and more steps reach it
-    [-1.4783005357980006, -1.4061762844163121, -1.356409961002595,
-     -1.291829172167612, -1.2447049601853784],
-]
-
-
-@pytest.mark.parametrize("mu", _ILL_CONDITIONED, ids=["two-steps", "more-steps"])
-def test_ill_conditioned_line_refines_to_the_exact_line(mu):
-    # refinement from the cofactor line reaches the exact line of the float
-    # moments, rounded once, even where the two routes differ by more than
-    # _CROSS_CHECK_REL
-    H = pl._hankel_of(np.array(mu), pl._regular_minors)
-    slopes, intercepts = pl._cofactor_line(H, mu)
-    m = pl._dyadic(mu)
-    got_slopes = pl._refined(m, H.entries, [0.0, 0.0, 1.0], np.array(slopes))
-    got_intercepts = pl._refined(m, H.entries, [-mu[3], -mu[4], 0.0], np.array(intercepts))
+def _assert_exact_line_rounded_once(mu):
+    # every component of the line is its exact rational value on the float
+    # moments (sympy, apart from the package), correctly rounded
+    line = pl.line_params(mu)
     base, slope = exact_line(mu)
-    assert got_slopes.tolist() == [float(Fraction(int(s.p), int(s.q))) for s in slope]
-    assert got_intercepts.tolist() == [float(Fraction(int(b.p), int(b.q))) for b in base]
+    for got, want in ((line.slopes, slope), (line.intercepts, base)):
+        want = np.array([float(Fraction(int(v.p), int(v.q))) for v in want])
+        assert got.tobytes() == want.tobytes(), (mu, got.tolist(), want.tolist())
+
+
+@settings(max_examples=200, deadline=None)
+@given(_moment_case())
+def test_line_is_the_exact_line_rounded_once(mu):
+    try:
+        pl.line_params(mu)
+    except (DegenerateHankel, ValueError):
+        return  # the det M policy, or a line past the double range
+    _assert_exact_line_rounded_once(mu)
+
+
+# nodes 1.1656062, 1.1655938 and 0.2774: kappa_inf(M) is 6.2e11
+_KAPPA_6E11 = [0.9303531462841692, -0.6754644035109824, -1.2754877121027866,
+               -1.6221178328224701, -1.9282997715611514]
+# a node pair closer than 1e-3
+_CLOSE_PAIR = [-1.4783005357980006, -1.4061762844163121, -1.356409961002595,
+               -1.291829172167612, -1.2447049601853784]
+# nodes -0.2415151, -0.2415109 and 0.726, kappa_inf(M) 1.2e11: the exact
+# restricted discriminant has real roots
+_WRONG_VERDICT = [-0.8928712294278014, -0.9673372767939867, -0.6251876246952384,
+                  -0.47248870543019805, -0.3385201997811968]
+_ILL_CONDITIONED = [_KAPPA_6E11, _CLOSE_PAIR, _WRONG_VERDICT]
+# d = 5 with kappa_inf(M) = 4.3e29
+_D5_KAPPA_4E29 = [-0.3986880547338352, 914.589988457949, 38331.94063084363, 46741631.99959682,
+                  2134044026.1658845, 2382630245995.531, 118859383713094.38,
+                  1.2171876684797714e+17, 6.622809419216595e+18]
 
 
 @pytest.mark.parametrize("mu", _ILL_CONDITIONED + [
-    # nodes -0.2415151, -0.2415109 and 0.726, kappa_inf(M) 1.2e11: with its
-    # line accepted, classify_d3 gave collision "no", where the exact
-    # restricted discriminant has real roots
-    [-0.8928712294278014, -0.9673372767939867, -0.6251876246952384,
-     -0.47248870543019805, -0.3385201997811968],
-], ids=["two-steps", "more-steps", "wrong-verdict"])
+    _D5_KAPPA_4E29,
+    SINGULAR_LU_MU[:7],
+    [1.0, 0.0, 1e200],
+    # three components lie 1 ulp from where an iterative refinement
+    # settles, e.g. the slope 4.467188779002189e-18, not 4.46718877900219e-18
+    [7.633620863112979e-276, 1.046022444184819, 1.1315022959033496,
+     -3.0200095615221267e-131, -2.4214757862218112e+17],
+], ids=["kappa-6e11", "close-pair", "wrong-verdict", "d5-kappa-4e29", "singular-to-lu",
+        "det-1e200", "one-ulp"])
+def test_ill_conditioned_line_is_the_exact_line_rounded_once(mu):
+    _assert_exact_line_rounded_once(mu)
+
+
+@pytest.mark.parametrize("mu", _ILL_CONDITIONED, ids=["two-steps", "more-steps", "wrong-verdict"])
 def test_ill_conditioned_line_abstains(mu):
-    # the routes differ by more than _CROSS_CHECK_REL, by what the
-    # conditioning of M explains: double precision ran out, and the line
-    # and every analysis built on it abstain instead of answering
-    with pytest.raises(IllConditionedHankel, match="kappa_inf"):
-        pl.line_params(mu)
-    with pytest.raises(IllConditionedHankel):
-        cf.classify_d3(mu)
+    # the exact line builds, but the critical values of its domain are
+    # closer than the build resolves: classify_d3 gives no yes/no collision
+    # verdict that the exact restricted discriminant could contradict
+    c = cf.classify_d3(mu)
+    assert c.collision == "indeterminate"
+    assert "domain_error" in c.evidence
 
 
 def test_line_abstains_where_refinement_does_not_settle():
-    # d = 5 with kappa_inf(M) = 4.3e29: the two routes agree to 2e-12 of
-    # the line's scale, but refinement from there changes bits at every
-    # step, and the line abstains instead of keeping the last step
-    mu = [-0.3986880547338352, 914.589988457949, 38331.94063084363, 46741631.99959682,
-          2134044026.1658845, 2382630245995.531, 118859383713094.38,
-          1.2171876684797714e+17, 6.622809419216595e+18]
-    with pytest.raises(IllConditionedHankel, match="did not settle"):
-        pl.line_params(mu)
+    # d = 5 with kappa_inf(M) = 4.3e29: the line builds, and its domain,
+    # whose critical values are closer than the build resolves, abstains
+    with pytest.raises(UnresolvedDomain, match="critical values"):
+        pl.hyperbolic_domain(_D5_KAPPA_4E29)
 
 
 def test_line_abstains_where_lu_finds_m_singular():
-    # M passes the det M policy, but LAPACK's LU finds it singular: the line
-    # and the complete system abstain instead of raising numpy's
-    # LinAlgError, a ValueError that reads as malformed input
-    with pytest.raises(IllConditionedHankel, match="singular to LU"):
-        pl.line_params(SINGULAR_LU_MU[:7])
+    # M passes the det M policy, but LAPACK's LU finds it singular: the
+    # complete system abstains instead of raising numpy's LinAlgError, a
+    # ValueError that reads as malformed input.  The line needs no LU; its
+    # domain abstains on resolution
+    with pytest.raises(UnresolvedDomain, match="critical values"):
+        pl.hyperbolic_domain(SINGULAR_LU_MU[:7])
     with pytest.raises(IllConditionedHankel, match="singular to LU"):
         solve_complete(SINGULAR_LU_MU)
-
-
-def test_cofactor_route_that_disagrees_is_refused(monkeypatch):
-    # first minors off by 1e-3 of themselves are no rounding: the cross-check
-    # against the direct solve still refuses them on a well-conditioned M
-    regular = pl._regular_minors
-
-    def skewed(v):
-        rows, det, minors = regular(v)
-        return rows, det, minors[:-1] + [[m * 1.001 for m in minors[-1]]]
-
-    monkeypatch.setattr(pl, "_regular_minors", skewed)
-    with pytest.raises(InconsistentComputation, match="cofactor line formulas"):
-        pl.line_params([2.0, 1.0, 3.0])
-    # where kappa_inf(M) overflows, no disagreement can be told from
-    # rounding: the line abstains instead of passing or reporting one
-    with pytest.raises(IllConditionedHankel, match="kappa_inf"):
-        pl.line_params([1e200, 1.0, 1e-200, 2.0, 3.0])
 
 
 def test_line_membership_residuals():
@@ -494,7 +464,7 @@ def test_line_membership_residuals():
         ts = list(rng.uniform(-5.0, 5.0, size=10))
         try:
             dom = pl.hyperbolic_domain(line)
-        except InterpolationInconsistency:
+        except UnresolvedDomain:
             dom = None  # flagged conditioning case; the line itself is fine
         for lo, hi in dom.intervals[:2] if dom is not None else ():
             a = lo if np.isfinite(lo) else min(hi - 1.0, -8.0) if np.isfinite(hi) else -8.0
@@ -588,7 +558,7 @@ def test_domain_source_point_recovery_random():
 def _drawn_line(signal):
     try:
         return pl.line_params(compute_moments(signal, 2 * signal.d - 2))
-    except (DegenerateHankel, IllConditionedHankel, InconsistentComputation):
+    except DegenerateHankel:
         assume(False)
 
 
@@ -623,7 +593,7 @@ def test_domain_endpoint_correctness_random():
         line = _random_line(rng, d)
         try:
             dom = pl.hyperbolic_domain(line)
-        except InterpolationInconsistency:
+        except UnresolvedDomain:
             continue  # flagged conditioning case
         for ep in dom.endpoints:
             t0 = ep.t0
@@ -680,7 +650,7 @@ def test_domain_contains_the_generating_parameter(signal):
     t_star = line.parameter_of(elementary_symmetric(signal.nodes))
     try:
         dom = pl._build_domain(line)
-    except InterpolationInconsistency:
+    except UnresolvedDomain:
         return
     assert dom.contains(t_star)
 
@@ -718,16 +688,16 @@ def test_domain_abstains_below_resolution():
     mu = [-3.1856427840103416, 0.6970891764584644, 0.04757607412482234,
           1.945144214409267, 3.0698829825254927, 6.343083338634432,
           11.102756020083142, 19.673917022068302, 33.74250941625727]
-    with pytest.raises(InterpolationInconsistency, match="critical values"):
+    with pytest.raises(UnresolvedDomain, match="critical values"):
         pl.hyperbolic_domain(mu)
 
 
 def test_domain_of_a_node_pair_near_zero():
     # the node polynomial at t = -4.5 has a double root near 1.15e-100.
     # Bisected to an absolute width, the root layer placed it at
-    # 1.5625e-12 and the build raised InterpolationInconsistency; at a
-    # relative width the puncture is placed and the domain matches the
-    # exact root counts on either side of it and far out
+    # 1.5625e-12 and the build abstained; at a relative width the puncture
+    # is placed and the domain matches the exact root counts on either side
+    # of it and far out
     mu = [1e200, 1.0, 1e-200, 2.0, 3.0]
     dom = pl.hyperbolic_domain(mu)
     assert dom.intervals == ((-INF, -4.5), (-4.5, -3.375))
@@ -771,7 +741,7 @@ def test_domain_matches_exact_root_counts():
             dom = pl.hyperbolic_domain(mu)
         except DegenerateHankel:
             continue
-        except InterpolationInconsistency:
+        except UnresolvedDomain:
             abstained += 1
             continue
         base, slope = exact_line(mu)
