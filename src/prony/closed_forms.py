@@ -210,18 +210,13 @@ def _mul(p: list, q: list) -> list:
 def classify_d2(mu) -> Classification:
     """Collision iff det M < 0; no moment vector gives a bounded family.
 
-    Degenerate Hankel matrices are rejected (DegenerateHankel); within
-    _INDET_REL of det M = 0 the collision verdict abstains.
+    Degenerate Hankel matrices are rejected (DegenerateHankel).  det M is
+    the line's, correctly rounded, so its sign is exact; the det M policy
+    refuses zero, and every det M that rounds to zero, first.
     """
-    m = _check_length(mu, 3)
-    line = prony_line.line_params(mu)
-    detM = line.detM
-    tol = _INDET_REL * max(1.0, abs(m[0] * m[2]) + m[1] * m[1])
-    if abs(detM) <= tol:
-        collision = "indeterminate"
-    else:
-        collision = "yes" if detM < 0.0 else "no"
-    return Classification(d=2, collision=collision, bounded="no",
+    _check_length(mu, 3)
+    detM = prony_line.line_params(mu).detM
+    return Classification(d=2, collision="yes" if detM < 0.0 else "no", bounded="no",
                           evidence={"detM": detM})
 
 
@@ -245,12 +240,13 @@ def classify_d3(mu) -> Classification:
     mu0, the top-left 2x2 Hankel determinant, and P8 are all safely nonzero.
 
     Whenever a pivot quantity falls inside its indeterminate band the verdict
-    abstains.  The collision verdict is given only where the numeric domain
-    agrees with it, a finite endpoint for "yes" and none for "no", and
-    abstains where the domain build abstains on resolution (evidence
-    domain_error).  The numeric hyperbolic-set intervals are always
-    attached as evidence so callers can cross-examine the closed-form
-    answer.
+    abstains, and the bounded verdict also where K is past the double range
+    (evidence K None).  The collision verdict is given only where the
+    numeric domain agrees with it, a finite endpoint for "yes" and none for
+    "no", and abstains where the domain build abstains on resolution
+    (evidence domain_error).  The numeric hyperbolic-set intervals are
+    always attached as evidence so callers can cross-examine the
+    closed-form answer.
     """
     m = _check_length(mu, 5)
     line = prony_line.line_params(mu)
@@ -287,8 +283,11 @@ def classify_d3(mu) -> Classification:
 
     K = None
     if m[0] != 0.0:
-        K = K_value(m)
-    if not (mu0_ok and d1_ok and p8_ok):
+        try:
+            K = K_value(m)
+        except ValueError:  # K past the double range: the bounded verdict abstains
+            pass
+    if K is None or not (mu0_ok and d1_ok and p8_ok):
         bounded = "indeterminate"
     else:
         r1, r2, r3 = 3.0 * m[1] / m[0], 3.0 * m[2] / m[0], m[3] / m[0]

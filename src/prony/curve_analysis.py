@@ -12,10 +12,11 @@ the array code they replace: PronyLine._node_poly gives the node
 polynomial at t, poly_engine._roots its roots, signal_model._amplitudes
 and _moments the amplitudes and moments, and _deflate2 divides Q_t0 by
 (z - x0)^2 as npoly.polydiv does.  numpy stays where it sets output bits:
-the companion eigenvalues (np.linalg.eigvals), the line's linear solves,
-and the limit polynomial of a collision (np.convolve in _from_roots) with
-its dot product against the moments, both rounded by BLAS.  The public
-results keep their array fields.
+the companion eigenvalues (np.linalg.eigvals), and the limit polynomial of
+a collision (np.convolve in _from_roots) with its dot product against the
+moments, both rounded by BLAS.  The line and det M are exact values,
+rounded once (prony_line.line_params).  The public results keep their
+array fields.
 """
 
 from __future__ import annotations

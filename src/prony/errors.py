@@ -22,14 +22,11 @@ class MathDegeneracy(PronyError):
 
 
 class DegenerateHankel(MathDegeneracy):
-    """Hankel determinant vanishes relative to its minors; the moment vector
-    corresponds to an identical node collision or an identically vanishing
-    amplitude and the line construction is unavailable."""
-
-
-class IllConditionedHankel(MathDegeneracy):
-    """The Hankel matrix of a complete system passes the det M policy, but
-    LAPACK's LU finds it singular, so the solver cannot solve it."""
+    """Hankel determinant vanishes relative to its first minors (the det M
+    policy: decided exactly on the line, on M^-1 by the complete-system
+    solver); the moment vector corresponds to an identical node collision
+    or an identically vanishing amplitude and the line construction is
+    unavailable."""
 
 
 class NotHyperbolic(MathDegeneracy):

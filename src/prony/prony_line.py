@@ -60,82 +60,14 @@ _DEGENERATE_REL = 1e-12
 # two critical values closer than this share of the larger one are below
 # the resolution of the domain build
 _ENDPOINT_REL = 1e-8
-# the abstention where LAPACK's LU finds a Hankel matrix singular that the
-# det M policy let through
-_SINGULAR_LU = "the Hankel matrix passes the det M policy but is singular to LU"
 # projected-system residuals below this (times scale) admit lifting
 _LIFT_REL = 1e-8
-
-
-def _sub_det(a: list, rows: tuple, cols: tuple, memo: dict) -> float:
-    # determinant of a[rows][cols] by cofactor expansion along its first
-    # row; every sub-determinant of order 3 and up is computed once per
-    # memo, keyed by its (rows, cols), and those of order 1 and 2 directly
-    n = len(rows)
-    top = a[rows[0]]
-    if n == 1:
-        return top[cols[0]]
-    if n == 2:
-        low = a[rows[1]]
-        return top[cols[0]] * low[cols[1]] - top[cols[1]] * low[cols[0]]
-    key = (rows, cols)
-    if key in memo:
-        return memo[key]
-    det = 0.0
-    for j in range(n):
-        term = top[cols[j]] * _sub_det(a, rows[1:], cols[:j] + cols[j + 1 :], memo)
-        det = det + term if j % 2 == 0 else det - term
-    memo[key] = det
-    return det
-
-
-def _det(a: list, rows: tuple, cols: tuple, memo: dict) -> float:
-    # determinant of a[rows][cols]: exact cofactor recursion while cheap,
-    # pivoted LU beyond.  Entries may be plain floats or (T,) columns, one
-    # matrix per column index; LU then runs on the T matrices stacked along
-    # the leading axis, each with the bits of a call on it alone
-    if len(rows) <= 4:
-        return _sub_det(a, rows, cols, memo)
-    # past the double range, or from subnormal entries, det M comes out
-    # infinite, NaN or zero, which the det M policy refuses
-    m = np.array([[a[r][c] for c in cols] for r in rows])
-    with np.errstate(all="ignore"):
-        if m.ndim == 2:
-            return float(np.linalg.det(m))
-        return np.linalg.det(m.transpose(2, 0, 1))
-
-
-def _minor_table(v: list):
-    # (rows, det M, first minors) of the Hankel matrix of the plain floats
-    # v = mu_0..mu_{2d-2}, all as lists; the minors share their
-    # sub-determinants.  On (T,) columns in place of the floats, the same
-    # arithmetic gives each column index its own table, bit for bit
-    d = (len(v) + 1) // 2
-    rows = [v[i : i + d] for i in range(d)]
-    full = tuple(range(d))
-    memo: dict = {}
-    if d == 1:
-        minors = [[1.0]]
-    else:
-        drop = [full[:i] + full[i + 1 :] for i in full]
-        minors = [[_det(rows, r, c, memo) for c in drop] for r in drop]
-    return rows, _det(rows, full, full, memo), minors
 
 
 def _frozen(rows: list) -> np.ndarray:
     m = np.array(rows)
     m.setflags(write=False)
     return m
-
-
-def _hankel_of(values: np.ndarray, table) -> "HankelMatrix":
-    # the HankelMatrix of the moments mu_0..mu_{2d-2} from table, the minor
-    # table of plain floats: _minor_table, or _regular_minors to apply the
-    # det M policy
-    if values.ndim != 1 or values.size == 0 or values.size % 2 == 0:
-        raise ValueError("need an odd number of moments mu_0..mu_{2d-2}")
-    rows, det, minors = table(values.tolist())
-    return HankelMatrix(entries=_frozen(rows), determinant=det, minors=_frozen(minors))
 
 
 @dataclass(frozen=True, eq=False)
@@ -163,8 +95,23 @@ class HankelMatrix:
 
 
 def hankel(mu) -> HankelMatrix:
-    """Hankel matrix of a moment vector of odd length 2d-1."""
-    return _hankel_of(np.asarray(getattr(mu, "values", mu), dtype=float), _minor_table)
+    """Hankel matrix of a moment vector of odd length 2d-1, with its
+    determinant and first minors: each the exact value for the float
+    moments, by one fraction-free elimination, rounded once (+-inf past
+    the double range).  Raises ValueError where a moment is not finite."""
+    vals = np.asarray(getattr(mu, "values", mu), dtype=float)
+    if vals.ndim != 1 or vals.size % 2 == 0:
+        raise ValueError("need an odd number of moments mu_0..mu_{2d-2}")
+    vals = vals.tolist()
+    _check_finite(vals, "moments")
+    ints, e = _dyadic(vals)
+    d = (len(ints) + 1) // 2
+    rest = [[j for j in range(d) if j != i] for i in range(d)]
+    minors = [[_rounded(_bareiss([[ints[i + j] for j in cs] for i in rs], d - 1), e * (d - 1))
+               for cs in rest] for rs in rest]
+    det = _bareiss([ints[i : i + d] for i in range(d)], d)
+    return HankelMatrix(entries=_frozen([vals[i : i + d] for i in range(d)]),
+                        determinant=_rounded(det, e * d), minors=_frozen(minors))
 
 
 @dataclass(frozen=True, eq=False)
@@ -173,8 +120,9 @@ class PronyLine:
     equations with the top right-hand side entry replaced by t.
 
     ``slopes[j-1]`` and ``intercepts[j-1]`` belong to sigma_j.  The source
-    moments (length 2d-1) and their Hankel matrix are kept for residual
-    evaluation and downstream certificates.  The analyses of the family
+    moments (length 2d-1) and det M, the determinant of their Hankel
+    matrix (correctly rounded), are kept for residual evaluation and
+    downstream certificates.  The analyses of the family
     (hyperbolic_domain, sample_curve, detect_collisions, escape_analysis,
     curve_distance, classify_d2/d3, quartic_Pmu) accept the line in place
     of the moments.
@@ -183,12 +131,8 @@ class PronyLine:
     d: int
     slopes: np.ndarray
     intercepts: np.ndarray
-    hankel: HankelMatrix
+    detM: float
     mu: MomentVector
-
-    @property
-    def detM(self) -> float:
-        return self.hankel.determinant
 
     @cached_property
     def domain(self) -> "HyperbolicDomain":
@@ -263,43 +207,19 @@ class PronyLine:
         return out
 
 
-def _regular_minors(v: list):
-    """_minor_table of the plain floats v, refused when det M is not finite
-    (ValueError) or below _DEGENERATE_REL of the largest first minor
-    (DegenerateHankel): the one det M policy, shared by line_params and
-    prony_solver.solve_complete."""
-    rows, det, minors = _minor_table(v)
-    flat = [abs(m) for row in minors for m in row]
-    # NaN from inf - inf in the cofactors of huge moments passes every test
-    if not (math.isfinite(det) and all(map(math.isfinite, flat))):
-        raise ValueError(_UNBOUNDED_MINORS)
-    max_minor = max(flat)
-    if abs(det) <= _DEGENERATE_REL * max_minor:
-        raise _degenerate_hankel(det, max_minor)
-    return rows, det, minors
-
-
-_UNBOUNDED_MINORS = "moments exceed double range: det M or a minor is not finite"
-
-
-def _degenerate_hankel(det: float, max_minor: float) -> DegenerateHankel:
-    return DegenerateHankel(
-        f"det M = {det:.3e} is degenerate, below "
-        f"{_DEGENERATE_REL} of the largest first minor {max_minor:.3e}: "
-        "nodes collide identically or an amplitude vanishes identically")
-
-
 def line_params(mu) -> PronyLine:
     """Build the solution line from a moment vector of length 2d-1; a
     PronyLine is returned as it is.
 
-    Slopes and intercepts are the exact solutions of the Hankel system
-    M (sigma_d..sigma_1)^T = rhs for the float moments, each correctly
-    rounded to a double: the moments are dyadic rationals, and one
-    fraction-free elimination in integers solves both right-hand sides.
-    Raises ValueError where a moment is not finite or a component of the
-    line is past the double range, and DegenerateHankel where det M fails
-    the det M policy (see _regular_minors) or is exactly zero.
+    det M, the slopes and the intercepts are the exact values of the
+    Hankel system M (sigma_d..sigma_1)^T = rhs for the float moments, each
+    correctly rounded to a double: the moments are dyadic rationals, and
+    one fraction-free elimination in integers gives all three, and the
+    first minors.  Raises ValueError where a moment is not finite, or det
+    M or a component of the line is past the double range, and
+    DegenerateHankel where det M is exactly zero or fails the det M
+    policy: |det M| at most _DEGENERATE_REL of the largest first minor,
+    decided exactly.
 
     The most recent line is remembered under the exact bytes of its
     moments, so analyses of one moment vector run back to back share one
@@ -312,46 +232,81 @@ def line_params(mu) -> PronyLine:
     return _line_of(mu.values.tobytes())
 
 
+def _bareiss(rows: list, n: int) -> int:
+    # the determinant of the first n columns of the n integer rows, 0 where
+    # they are singular.  Bareiss's fraction-free elimination with row
+    # pivoting (Math. Comp. 1968) runs in place, carrying the columns past
+    # n along; every division is exact.  rows ends upper triangular in its
+    # first n columns, its last pivot the determinant up to the sign of the
+    # row swaps
+    sign, prev = 1, 1
+    for k in range(n):
+        swap = next((i for i in range(k, n) if rows[i][k]), None)
+        if swap is None:
+            return 0
+        if swap != k:
+            rows[k], rows[swap] = rows[swap], rows[k]
+            sign = -sign
+        p, pivot = rows[k][k], rows[k]
+        for i in range(k + 1, n):
+            f, row = rows[i][k], rows[i]
+            rows[i] = row[: k + 1] + [(p * x - f * y) // prev
+                                      for x, y in zip(row[k + 1 :], pivot[k + 1 :])]
+        prev = p
+    return sign * prev
+
+
+def _rounded(num: int, shift: int) -> float:
+    # num / 2**shift rounded once, +-inf past the double range
+    try:
+        return num / (1 << shift)
+    except OverflowError:
+        return math.inf if num > 0 else -math.inf
+
+
 def _exact_line(vals: list):
-    # (slopes, intercepts) as lists: the exact solutions of
+    # (det M, slopes, intercepts), the line as lists: the exact solutions of
     # M (sigma_d..sigma_1)^T = rhs for rhs_s = (0, ..., 0, 1) and
-    # rhs_b = (-mu_d, ..., -mu_{2d-2}, 0), each component rounded once, for
-    # the moments vals as plain floats.  The moments are integers over one
-    # power of two 2**e, so 2**e [M | rhs_b | rhs_s] is an integer matrix.
-    # Bareiss's fraction-free elimination (Math. Comp. 1968) leaves det M
-    # as its last pivot, and det M times the solution is integral (adj M
-    # rhs), so every division below is exact
+    # rhs_b = (-mu_d, ..., -mu_{2d-2}, 0), each value rounded once, for the
+    # moments vals as plain floats.  The moments are integers over one
+    # power of two 2**e, so 2**e [M | rhs_b | I] is an integer matrix, and
+    # after _bareiss the back substitution of each right-hand side gives
+    # det times its solution, which is integral: +-2**(e*d) adj M rhs.  The
+    # identity columns so give +-2**(e*d) adj M, whose entries are the first
+    # minors up to sign and whose last column is the slopes
     ints, e = _dyadic(vals)
     d = (len(ints) + 1) // 2
-    a = [ints[i : i + d] + [-ints[i + d] if i < d - 1 else 0, 1 << e if i == d - 1 else 0]
-         for i in range(d)]
-    prev = 1
-    for k in range(d):
-        swap = next((i for i in range(k, d) if a[i][k]), None)
-        if swap is None:
-            raise DegenerateHankel("det M is exactly zero: nodes collide identically "
-                                   "or an amplitude vanishes identically")
-        a[k], a[swap] = a[swap], a[k]
-        p, pivot = a[k][k], a[k]
-        for i in range(k + 1, d):
-            f, row = a[i][k], a[i]
-            a[i] = row[: k + 1] + [(p * x - f * y) // prev
-                                   for x, y in zip(row[k + 1 :], pivot[k + 1 :])]
-        prev = p
-    # prev is det M up to the sign of the row swaps; the numerators carry
-    # that sign, so that an exact zero rounds to +0.0
-    sign, det = (1, prev) if prev > 0 else (-1, -prev)
-    out = []
-    for c in (d + 1, d):
+    a = [ints[i : i + d] + [-ints[i + d] if i < d - 1 else 0]
+         + [1 << e if j == i else 0 for j in range(d)] for i in range(d)]
+    det = _bareiss(a, d)
+    if det == 0:
+        raise DegenerateHankel("det M is exactly zero: nodes collide identically "
+                               "or an amplitude vanishes identically")
+    # the last pivot is det up to the sign of the row swaps; the numerators
+    # carry that sign, so that an exact zero rounds to +0.0
+    prev = a[d - 1][d - 1]
+    sign = 1 if prev > 0 else -1
+    cols = []
+    for c in range(d, 2 * d + 1):
         y = [0] * d
         for i in reversed(range(d)):
             acc = prev * a[i][c] - sum(a[i][j] * y[j] for j in range(i + 1, d))
             y[i] = acc // a[i][i]
-        try:
-            out.append([sign * v / det for v in reversed(y)])
-        except OverflowError:
-            raise ValueError("moments exceed double range: the line is not finite") from None
-    return out
+        cols.append(y[::-1])
+    detM = _rounded(det, e * d)
+    top = max(abs(v) for y in cols[1:] for v in y)
+    num, den = _DEGENERATE_REL.as_integer_ratio()
+    if abs(det) * den <= num * top:
+        raise DegenerateHankel(
+            f"det M = {detM:.3e} is degenerate, below "
+            f"{_DEGENERATE_REL} of the largest first minor {_rounded(top, e * d):.3e}: "
+            "nodes collide identically or an amplitude vanishes identically")
+    if not math.isfinite(detM):
+        raise ValueError("moments exceed double range: det M is not finite")
+    try:
+        return detM, *([sign * v / abs(prev) for v in y] for y in (cols[-1], cols[0]))
+    except OverflowError:
+        raise ValueError("moments exceed double range: the line is not finite") from None
 
 
 @lru_cache(maxsize=1)
@@ -359,9 +314,11 @@ def _line_of(raw: bytes) -> PronyLine:
     # one entry: the callers that repeat a vector (analyze, curve, the
     # analyses of one family) finish with it before they turn to the next
     mu = MomentVector(np.frombuffer(raw))
-    H = _hankel_of(mu.values, _regular_minors)
-    slopes, intercepts = (_frozen(x) for x in _exact_line(mu.values.tolist()))
-    return PronyLine(d=H.d, slopes=slopes, intercepts=intercepts, hankel=H, mu=mu)
+    if len(mu) % 2 == 0:
+        raise ValueError("need an odd number of moments mu_0..mu_{2d-2}")
+    detM, slopes, intercepts = _exact_line(mu.values.tolist())
+    return PronyLine(d=len(slopes), slopes=_frozen(slopes), intercepts=_frozen(intercepts),
+                     detM=detM, mu=mu)
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,6 @@ from . import poly_engine, prony_line
 from .errors import (
     DegenerateHankel,
     EmptyDomain,
-    IllConditionedHankel,
     NoRealSolution,
     NotHyperbolic,
     RepeatedNodes,
@@ -175,7 +174,9 @@ def solve_complete(mu) -> Signal:
     polynomial must have d distinct real roots; NoRealSolution otherwise
     (under noise this is the honest, frequent failure mode).  The returned
     signal is verified to reproduce the input moments to relative 1e-8
-    (ResidualTooLarge on violation).
+    (ResidualTooLarge on violation).  DegenerateHankel where the Hankel
+    matrix fails the det M policy of line_params, read as an entry of
+    M^-1 = adj M / det M not below 1/_DEGENERATE_REL, or is singular to LU.
     """
     values = np.asarray(getattr(mu, "values", mu), dtype=float)
     if values.ndim != 1 or values.size < 2 or values.size % 2 != 0:
@@ -198,8 +199,8 @@ def _solve_many(vs) -> list:
     columns repeat the arithmetic of one row on plain floats, operation for
     operation, so each row gets the bits of solve_complete on it alone:
     numpy's elementwise +, -, *, /, abs and sqrt round as Python's floats
-    do, the determinants of order 5 and up run in one stacked
-    np.linalg.det and the Hankel systems in one stacked np.linalg.solve,
+    do, the Hankel matrices are inverted in one stacked np.linalg.inv (the
+    det M policy reads M^-1) and solved in one stacked np.linalg.solve,
     and the powers of the residual come from Python's float power (see
     _moment_columns).  Quadratic node polynomials are rooted on the columns
     (poly_engine._hyperbolic_quadratics), the others in one
@@ -218,23 +219,23 @@ def _solve_many(vs) -> list:
         for k in _leave(live, ~np.isfinite(mu).all(axis=1)):
             out[k] = ValueError("moments must be finite")
         v = list(mu.T)
-        _, det, minors = prony_line._minor_table(v[: 2 * d - 1])
-        # the first minors as (d*d, T); the one minor of d = 1 is the float 1.0
-        flat = np.abs(np.broadcast_arrays(det, *[m for row in minors for m in row])[1:])
-        for k in _leave(live, ~(np.isfinite(det) & np.isfinite(flat).all(axis=0))):
-            out[k] = ValueError(prony_line._UNBOUNDED_MINORS)
-        max_minor = flat.max(axis=0)
-        for k in _leave(live, abs(det) <= prony_line._DEGENERATE_REL * max_minor):
-            out[k] = prony_line._degenerate_hankel(float(det[k]), float(max_minor[k]))
-
-        # M (sigma_d, ..., sigma_1)^T = -(mu_d, ..., mu_{2d-1})^T
+        # the det M policy, |det M| <= _DEGENERATE_REL * the largest first
+        # minor, read on M^-1 = adj M / det M, whose entries are the first
+        # minors over det M up to sign
         ks = live.nonzero()[0]
         i = np.arange(d)
+        hankels = mu[ks][:, i[:, None] + i]
+        top = np.full(T, np.nan)
+        top[ks] = abs(_stacked_inverse(hankels)).max(axis=(1, 2))
+        for k in _leave(live, ~(top < 1.0 / prony_line._DEGENERATE_REL)):
+            out[k] = _degenerate_inverse(float(top[k]))
+
+        # M (sigma_d, ..., sigma_1)^T = -(mu_d, ..., mu_{2d-1})^T, the
+        # right-hand sides shaped (T, d, 1), stacked columns to numpy 1.x and
+        # 2.x alike; no M left is singular to LU, which the inverses share
+        # with the solves
         y = np.full((T, d), np.nan)
-        singular = np.zeros(T, dtype=bool)
-        y[ks], singular[ks] = _stacked_solve(mu[ks][:, i[:, None] + i], -mu[ks, d:, None])
-        for k in _leave(live, singular):
-            out[k] = IllConditionedHankel(prony_line._SINGULAR_LU)
+        y[live] = np.linalg.solve(hankels[live[ks]], -mu[live, d:, None])[..., 0]
         for k in _leave(live, ~np.isfinite(y).all(axis=1)):
             out[k] = ValueError("sigma must be finite")
 
@@ -305,25 +306,28 @@ def _signal_fault(head: list, nodes: list):
         return exc
 
 
-def _stacked_solve(a: np.ndarray, b: np.ndarray):
-    # the solutions (T, d) of the systems a[k] y = b[k], a (T, d, d) and b
-    # (T, d, 1), which numpy 1.x and 2.x both read as stacked columns, from
-    # one np.linalg.solve call: it runs LAPACK's gesv on each system as a
-    # call on that system alone does.  Where the stacked call raises (a
-    # matrix singular to LU that passed the det M policy), each system is
-    # solved alone; the second value marks the systems singular to LU,
-    # whose rows are NaN
-    singular = np.zeros(len(a), dtype=bool)
+def _stacked_inverse(a: np.ndarray) -> np.ndarray:
+    # the inverses of the matrices a (T, d, d) from one np.linalg.inv call,
+    # which runs LAPACK on each matrix as a call on it alone does.  Where
+    # the stacked call raises, each matrix is inverted alone, and one
+    # singular to LU gets an inverse of inf
     try:
-        return np.linalg.solve(a, b)[..., 0], singular
+        return np.linalg.inv(a)
     except np.linalg.LinAlgError:
-        y = np.full(a.shape[:2], np.nan)
+        out = np.full(a.shape, np.inf)
         for k in range(len(a)):
             try:
-                y[k] = np.linalg.solve(a[k : k + 1], b[k : k + 1])[0, :, 0]
+                out[k] = np.linalg.inv(a[k : k + 1])[0]
             except np.linalg.LinAlgError:
-                singular[k] = True
-        return y, singular
+                pass
+        return out
+
+
+def _degenerate_inverse(top: float) -> DegenerateHankel:
+    return DegenerateHankel(
+        f"M^-1 has an entry of {top:.3e}, not below 1/{prony_line._DEGENERATE_REL}: "
+        f"det M is degenerate, at most {prony_line._DEGENERATE_REL} of the largest "
+        "first minor: nodes collide identically or an amplitude vanishes identically")
 
 
 def _amplitude_columns(head: list, x: list) -> np.ndarray:
@@ -616,8 +620,9 @@ def amplification_experiment(cfg: NoiseConfig) -> AmplificationResult:
     Per h the trials run in stages, each one pass over all of them:
     - the noise of every trial is drawn and added to the true moments;
     - each trial runs the checks of solve_complete without building a
-      Signal (_solve_many), on (T,) numpy columns: finite moments and the
-      det M policy, the Hankel systems in one stacked np.linalg.solve, the
+      Signal (_solve_many), on (T,) numpy columns: finite moments, the
+      det M policy on the Hankel inverses of one stacked np.linalg.inv,
+      the Hankel systems in one stacked np.linalg.solve, the
       node polynomials (for d = 2 on the columns, by the vertex test and
       the closed form; for d >= 3 in one batch of certified roots, trial
       by trial), nonzero amplitudes on strictly increasing nodes, and the

@@ -1,19 +1,19 @@
 """Shared test utilities: tolerances, random-instance builders, strategies."""
 
+from fractions import Fraction
+
 import numpy as np
 import sympy
 from hypothesis import strategies as st
 
 from prony import prony_line
 from prony.errors import (
-    DegenerateHankel,
-    IllConditionedHankel,
     NotHyperbolic,
     NoRealSolution,
     RepeatedNodes,
     ResidualTooLarge,
 )
-from prony.prony_solver import _RESIDUAL_RTOL
+from prony.prony_solver import _RESIDUAL_RTOL, _degenerate_inverse
 from prony.signal_model import (
     Signal,
     _amplitudes,
@@ -26,9 +26,11 @@ from prony.signal_model import (
 
 
 # d = 4 moments mu_0..mu_7 of a signal with a close pair, whose Hankel
-# matrix passes the det M policy yet is singular to LU: np.linalg.solve
-# raises LinAlgError on it, stacked or alone, and the first seven alone
-# give the same matrix to line_params
+# matrix is singular to LU: np.linalg.solve raises LinAlgError on it,
+# stacked or alone.  Its exact |det M| is 1.8e-15 of the largest first
+# minor, so the det M policy refuses it, on the first seven alone too; a
+# float cofactor table once let it pass, with det M = 7.48e-11 against the
+# exact -6.48e-14
 SINGULAR_LU_MU = [-108.45808513305067, 75.77757654947045, -60.293245125276364,
                   52.07683329618369, -47.00701295444623, 43.35910892198191,
                   -40.403751790627624, 0.5]
@@ -51,6 +53,45 @@ def exact_line(mu):
     base = M.LUsolve(rhs)
     slope = M.LUsolve(sympy.Matrix([0] * (d - 1) + [1]))
     return list(base)[::-1], list(slope)[::-1]
+
+
+def exact_det(rows):
+    """Determinant of a square matrix of floats or Fractions, exact, by
+    Gaussian elimination in Fractions."""
+    a = [[Fraction(v) for v in row] for row in rows]
+    n = len(a)
+    det = Fraction(1)
+    for k in range(n):
+        p = next((i for i in range(k, n) if a[i][k]), None)
+        if p is None:
+            return Fraction(0)
+        if p != k:
+            a[k], a[p] = a[p], a[k]
+            det = -det
+        det *= a[k][k]
+        for i in range(k + 1, n):
+            f = a[i][k] / a[k][k]
+            a[i] = [x - f * y for x, y in zip(a[i], a[k])]
+    return det
+
+
+def exact_hankel(mu):
+    """(det M, first minors) of the Hankel matrix of the float moments
+    mu_0..mu_{2d-2}, exact Fractions; minors[i][j] deletes row i and
+    column j, and the one minor of d = 1 is 1."""
+    d = (len(mu) + 1) // 2
+    rows = [[Fraction(mu[i + j]) for j in range(d)] for i in range(d)]
+    minors = [[exact_det([r[:j] + r[j + 1 :] for r in rows[:i] + rows[i + 1 :]])
+               for j in range(d)] for i in range(d)]
+    return exact_det(rows), minors
+
+
+def exact_policy_ratio(mu):
+    """|det M| over the largest first minor of the Hankel matrix of the
+    float moments mu_0..mu_{2d-2}, exact: the det M policy refuses M where
+    this is at most 1e-12 (the double), and 0 where M is singular."""
+    det, minors = exact_hankel(mu)
+    return abs(det) / max(abs(m) for row in minors for m in row) if det else Fraction(0)
 
 
 def exact_discriminant(sigma):
@@ -86,26 +127,35 @@ def list_solve_many(vs):
     list of plain floats mu_0..mu_{2d-1} in vs, all of one length, list by
     list on plain floats, without building a Signal.  Per list its
     (amplitudes, nodes) as lists, or the exception solve_complete raises
-    there.  Only the Hankel systems go to one stacked np.linalg.solve, and
-    the node polynomials to one signal_model._real_nodes_many call."""
+    there.  Each Hankel matrix is inverted alone for the det M policy, the
+    Hankel systems go to one stacked np.linalg.solve, and the node
+    polynomials to one signal_model._real_nodes_many call."""
     d = len(vs[0]) // 2 if vs else 0
     out = []
     for v in vs:
         try:
             _check_finite(v, "moments")
-            out.append(prony_line._regular_minors(v[: 2 * d - 1])[0])
-        except (ValueError, DegenerateHankel) as exc:
+        except ValueError as exc:
             out.append(exc)
+            continue
+        rows = [v[i : i + d] for i in range(d)]
+        try:
+            top = float(np.max(np.abs(np.linalg.inv([rows])[0])))
+        except np.linalg.LinAlgError:  # singular to LU
+            top = np.inf
+        # NaN from inf - inf in the inverse fails the policy too
+        out.append(rows if top < 1.0 / prony_line._DEGENERATE_REL else _degenerate_inverse(top))
 
     # M (sigma_d, ..., sigma_1)^T = -(mu_d, ..., mu_{2d-1})^T
     live = [k for k, rows in enumerate(out) if isinstance(rows, list)]
-    solved = _list_stacked_solve([out[k] for k in live], [[[-m] for m in vs[k][d:]] for k in live])
-    for k, c in zip(live, solved):  # c = [sigma_d, ..., sigma_1]
-        try:
-            _check_finite(_unwrap(c), "sigma")
-            out[k] = c + [1.0]
-        except (ValueError, IllConditionedHankel) as exc:
-            out[k] = exc
+    if live:
+        solved = np.linalg.solve([out[k] for k in live], [[[-m] for m in vs[k][d:]] for k in live])
+        for k, c in zip(live, solved[..., 0].tolist()):  # c = [sigma_d, ..., sigma_1]
+            try:
+                _check_finite(c, "sigma")
+                out[k] = c + [1.0]
+            except ValueError as exc:
+                out[k] = exc
 
     live = [k for k, c in enumerate(out) if isinstance(c, list)]
     for k, nodes in zip(live, _real_nodes_many([out[k] for k in live])):
@@ -114,24 +164,6 @@ def list_solve_many(vs):
         except (ValueError, NoRealSolution, ResidualTooLarge) as exc:
             out[k] = exc
     return out
-
-
-def _list_stacked_solve(rows, rhs):
-    # the solutions of the systems rows[k] y = rhs[k] as lists, from one
-    # np.linalg.solve call; where it raises, each system alone, and
-    # IllConditionedHankel for one singular to LU
-    if not rows:
-        return []
-    try:
-        return np.linalg.solve(rows, rhs)[..., 0].tolist()
-    except np.linalg.LinAlgError:
-        out = []
-        for a, b in zip(rows, rhs):
-            try:
-                out.append(np.linalg.solve([a], [b])[0, :, 0].tolist())
-            except np.linalg.LinAlgError:
-                out.append(IllConditionedHankel(prony_line._SINGULAR_LU))
-        return out
 
 
 def _signal_of(v, nodes):

@@ -277,6 +277,28 @@ def test_classify_ill_conditioned_collision_indeterminate(tmp_path, capsys):
     assert json.loads(out)["collision"] == "indeterminate"
 
 
+def test_classify_exactly_singular_exit_3(tmp_path, capsys):
+    # det M of (1e308, 1e308, 1e308) is exactly zero, where the float
+    # cofactors once gave inf - inf and exit 2 for the range
+    mu = _write(tmp_path, "mu.json", [1e308, 1e308, 1e308])
+    code, _, err = _run(capsys, ["classify", mu])
+    assert code == 3
+    assert "det M is exactly zero" in err and "Traceback" not in err
+
+
+def test_classify_k_past_double_range_exit_0(tmp_path, capsys):
+    # 3 mu1 / mu0 = 3e135, whose cube overflows: K is null and the bounded
+    # verdict abstains, while the collision verdict stands ("yes", as the
+    # exact restricted discriminant of the line has it)
+    mu = _write(tmp_path, "mu.json", [9.410610622527965e-136, 0.9269749573460788,
+                                      0.447240161215134, 1.3261816923284035,
+                                      1.575189086247684])
+    code, out, _ = _run(capsys, ["classify", mu])
+    assert code == 0
+    doc = json.loads(out)
+    assert (doc["collision"], doc["bounded"], doc["K"]) == ("yes", "indeterminate", None)
+
+
 def test_classify_wrong_length(tmp_path, capsys):
     mu = _write(tmp_path, "mu.json", [1, 2, 3, 4])
     code, _, err = _run(capsys, ["classify", mu])
@@ -335,12 +357,12 @@ def test_analyze_pole_at_a_critical_point_exit_3(tmp_path, capsys):
 
 
 def test_analyze_singular_to_lu_exit_3(tmp_path, capsys):
-    # M passes the det M policy but is singular to LU: the line, which
-    # needs no LU, builds, and its domain abstains on resolution
+    # M is singular to LU, and its exact det M is 1.8e-15 of the largest
+    # first minor: the exact det M policy refuses the line
     mu = _write(tmp_path, "mu.json", SINGULAR_LU_MU[:7])
     code, _, err = _run(capsys, ["analyze", mu])
     assert code == 3
-    assert "critical values" in err and "below the resolution" in err
+    assert "is degenerate" in err and "Traceback" not in err
 
 
 def test_analyze_and_curve_build_one_domain(tmp_path, capsys, monkeypatch):
@@ -434,13 +456,12 @@ BAD_INPUTS = [  # command, input document, a phrase naming the cause
                  "h_grid": 5}, "malformed config"),
     ("classify", [1e200, 1, 1e-200, 2, 3],  # det M ** 4 overflows
      "moments exceed double range: det M^4 overflows"),
-    ("classify", [1e308, 1e308, 1e308],  # det M = inf - inf
-     "moments exceed double range: det M or a minor is not finite"),
+    ("classify", [1e200, 0.0, 1e200],  # det M = 1e400
+     "moments exceed double range: det M is not finite"),
     ("classify", [math.nan, 1, 2], "moments must be finite"),
     ("classify", [[1, 2], [3]], "sequence"),
-    ("classify", [9.410610622527965e-136, 0.9269749573460788, 0.447240161215134,
-                  1.3261816923284035, 1.575189086247684],  # K's cubes overflow
-     "moments exceed double range: the cubic discriminant"),
+    ("classify", [1e-11, 0.0, 1e300],  # the slope -1e311
+     "moments exceed double range: the line is not finite"),
     ("amplify", {"d": 2, "epsilon": 1e-10, "trials": True, "seed": 0,
                  "h_grid": [0.4, 0.2]}, "trials must be numeric"),
 ]

@@ -19,6 +19,7 @@ Worked values used below:
 
 import json
 import pathlib
+from fractions import Fraction
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -106,10 +107,26 @@ def test_cubes_past_the_double_range_are_refused():
     mu = [9.410610622527965e-136, 0.9269749573460788, 0.447240161215134,
           1.3261816923284035, 1.575189086247684]
     for call in (lambda: cf.discriminant_cubic_paper((1.0, 1e103, 0.0)),
-                 lambda: cf.K_value(mu), lambda: cf.P8_second_form(mu),
-                 lambda: cf.classify_d3(mu)):
+                 lambda: cf.K_value(mu), lambda: cf.P8_second_form(mu)):
         with pytest.raises(ValueError, match="^moments exceed double range"):
             call()
+    # classify_d3 keeps its collision verdict; only the bounded one, which
+    # K decides, abstains
+    c = cf.classify_d3(mu)
+    assert c.evidence["K"] is None and c.bounded == "indeterminate"
+    assert c.collision in ("yes", "no", "indeterminate")
+
+
+def test_k_past_the_double_range_keeps_the_collision_verdict():
+    # K_value overflows (3 mu1 / mu0 = 2.3e87 cubed); the quartic and the
+    # domain agree on a collision, which the exact restricted discriminant
+    # of the line confirms (tools/d3_census.py's truth)
+    mu = [-3.2682254325574194e-88, 0.7529654638716203, -0.3164047227263107,
+          3.1587356023181123e-52, 1.563936994570299]
+    with pytest.raises(ValueError, match="^moments exceed double range"):
+        cf.K_value(mu)
+    c = cf.classify_d3(mu)
+    assert (c.collision, c.bounded, c.evidence["K"]) == ("yes", "indeterminate", None)
 
 
 def test_products_past_the_double_range_are_refused():
@@ -298,10 +315,16 @@ def test_classify_d2_worked_examples():
 
 
 def test_classify_d2_indeterminate_zone():
-    # detM = 5e-7 sits inside the 1e-6 * (|mu0 mu2| + mu1^2) = 2e-6 band
+    # det M = 5e-7, once inside the 1e-6 * (|mu0 mu2| + mu1^2) = 2e-6 band
+    # that abstained: det M is correctly rounded, so its sign is exact, and
+    # the det M policy refuses what lies closer to zero
     c = cf.classify_d2((1.0, 1.0, 1.0 + 5e-7))
-    assert c.collision == "indeterminate"
+    assert c.evidence["detM"] == float(Fraction(1.0 + 5e-7) - 1)
+    assert c.collision == "no"
     assert c.bounded == "no"
+    assert cf.classify_d2((1.0, 1.0, 1.0 - 5e-7)).collision == "yes"
+    with pytest.raises(DegenerateHankel):
+        cf.classify_d2((1.0, 1.0, 1.0 + 2**-52))
 
 
 def test_classify_d2_degenerate():

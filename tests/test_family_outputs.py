@@ -5,11 +5,13 @@ CollisionReport field, both EscapeReports and the sample_curve samples of a
 small vector set: three vectors per d = 2..5 from the stream fixed below,
 the worked vectors (0, 1, 0) and (3, 3, 5, 9, 17), and four vectors of
 extreme scale.  It was written before the analyses ran on plain-float
-lists; the companion seeds (np.linalg.eigvals), the line's linear solves
-and the products of linear factors (npoly.polyfromroots) fix the bits,
-and the rest repeats their arithmetic.  A mismatch on one platform only
-points at its numpy build (the BLAS and LAPACK that CI prints before the
-tests).
+lists; the companion seeds (np.linalg.eigvals) and the products of linear
+factors (npoly.polyfromroots) fix the bits, and the rest repeats their
+arithmetic.  The line and det M are exact values rounded once; the
+product mismatches of the samples and the collision probes, which
+compare prod a_i * Vandermonde^2 with |det M|, were rewritten when det M
+became exact.  A mismatch on one platform only points at its numpy
+build (the BLAS and LAPACK that CI prints before the tests).
 """
 
 import json
@@ -159,11 +161,11 @@ _POLE_AT_CRITICAL_POINT = [-1.830210993303282, -1.355682011867008e+90, 1.9443637
 _GRID = (-1e200, -1e150, -1.0, 0.0, 1.0, 1e150, 1e200)
 _FAILURES = [
     ([1.0, 1.0, 1.0], "sample_curve", DegenerateHankel,
-     "det M = 0.000e+00 is degenerate, below 1e-12 of the largest first minor "
-     "1.000e+00: nodes collide identically or an amplitude vanishes identically"),
-    # subnormal moments: det M underflows to zero
+     "det M is exactly zero: nodes collide identically or an amplitude vanishes "
+     "identically"),
+    # subnormal moments: the exact det M, -3 * 2**-2148, rounds to -0.0
     ([5e-324, 1e-323, 5e-324], "detect_collisions", DegenerateHankel,
-     "det M = 0.000e+00 is degenerate, below 1e-12 of the largest first minor "
+     "det M = -0.000e+00 is degenerate, below 1e-12 of the largest first minor "
      "9.881e-324: nodes collide identically or an amplitude vanishes identically"),
     # a finite line whose node polynomial's roots are of size 1e-217
     ([1.817577904359152, -1.8944829793962815e+153, 1.8390666379559986e-64],

@@ -14,8 +14,11 @@ from hypothesis import strategies as st
 
 from helpers import (
     SINGULAR_LU_MU,
+    exact_det,
     exact_discriminant,
+    exact_hankel,
     exact_line,
+    exact_policy_ratio,
     random_signal,
     relerr,
     signal_strategy,
@@ -26,7 +29,7 @@ from prony import poly_engine as pe
 from prony import prony_line as pl
 from prony.errors import (
     DegenerateHankel,
-    IllConditionedHankel,
+    NoRealSolution,
     UnresolvedDomain,
     ResidualTooLarge,
 )
@@ -72,51 +75,34 @@ def test_hankel_examples():
     assert H.determinant == 1.0
     H = pl.hankel([1.0, 1.0, 1.0, 1.0, 1.0])
     assert H.d == 3
-    assert H.determinant == pytest.approx(0.0, abs=1e-14)
+    assert H.determinant == 0.0
 
 
-def _det_cofactor_reference(a):
-    # the np.delete recursion the nested-list cofactors replace
-    n = a.shape[0]
-    if n == 1:
-        return float(a[0, 0])
-    if n == 2:
-        return float(a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0])
-    acc = 0.0
-    for j in range(n):
-        sub = np.delete(np.delete(a, 0, axis=0), j, axis=1)
-        term = float(a[0, j]) * _det_cofactor_reference(sub)
-        acc = acc + term if j % 2 == 0 else acc - term
-    return acc
-
-
-def _hankel_reference(values):
-    d = (len(values) + 1) // 2
-    m = np.array([[values[i + j] for j in range(d)] for i in range(d)])
-
-    def det(a):
-        return _det_cofactor_reference(a) if a.shape[0] <= 4 else float(np.linalg.det(a))
-
-    minors = np.ones((1, 1)) if d == 1 else np.array(
-        [[det(np.delete(np.delete(m, i, axis=0), j, axis=1)) for j in range(d)]
-         for i in range(d)])
-    return det(m), minors
-
-
-def test_hankel_cofactors_match_delete_recursion():
+def test_hankel_is_exact_rounded_once():
+    # _bareiss on integer matrices, row swaps included, and hankel()'s
+    # determinant and first minors, against exact Fraction values rounded
+    # once, on the draws of the float cofactor table this replaced
     rng = np.random.default_rng(1011)
     for n in range(1, 5):
         for _ in range(50):
             a = rng.normal(size=(n, n)) * 10.0 ** rng.integers(-4, 5)
-            full = tuple(range(n))
-            assert pl._sub_det(a.tolist(), full, full, {}) == _det_cofactor_reference(a)
+            ints = [[int(v * 2.0**80) for v in row] for row in a.tolist()]
+            ints[0][0] = 0  # a zero pivot to swap
+            assert pl._bareiss([row[:] for row in ints], n) == exact_det(ints)
     for d in range(1, 6):
         for _ in range(40):
             values = rng.uniform(-3.0, 3.0, 2 * d - 1) * 10.0 ** rng.integers(-3, 4)
             H = pl.hankel(values)
-            det, minors = _hankel_reference(values)
-            assert H.determinant == det
-            assert np.array_equal(H.minors, minors)
+            det, minors = exact_hankel(values.tolist())
+            assert H.determinant == float(det)
+            assert H.minors.tolist() == [[float(m) for m in row] for row in minors]
+    # past the double range: +-inf, and the minors of order 1 stay doubles
+    H = pl.hankel([1e200, 0.0, -1e200])
+    assert H.determinant == -math.inf
+    assert H.minors.tolist() == [[-1e200, 0.0], [0.0, 1e200]]
+    assert pl.hankel([1e200, 0.0, 1e200]).determinant == math.inf
+    with pytest.raises(ValueError, match="finite"):
+        pl.hankel([1.0, math.inf, 1.0])
 
 
 def test_hankel_validation():
@@ -184,19 +170,24 @@ def test_line_params_d1():
 
 
 def test_line_params_refuses_moments_past_double_range():
-    # inf - inf in det M gave NaN, every check passed, and classify_d2
-    # returned collision "no"; the other overflows det M
-    for mu in ([1e308, 1e308, 1e308], [1e200, 0.0, 1e200]):
-        with pytest.raises(ValueError, match="exceed double range"):
+    # det M = 1e400 is past the double range; the exact det M of
+    # (1e308, 1e308, 1e308), which once gave inf - inf = NaN and collision
+    # "no", is zero, so the det M policy refuses it
+    for mu, error in (([1e200, 0.0, 1e200], ValueError), ([1e308, 1e308, 1e308], DegenerateHankel)):
+        with pytest.raises(error):
             pl.line_params(mu)
         # and without an overflow warning on the way
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="exceed double range"):
+            with pytest.raises(error):
                 pl.line_params(mu)
-    with pytest.raises(ValueError, match="exceed double range"):
+    with pytest.raises(ValueError, match="exceed double range: det M"):
+        pl.line_params([1e200, 0.0, 1e200])
+    with pytest.raises(DegenerateHankel):
         cf.classify_d2([1e308, 1e308, 1e308])
-    with pytest.raises(ValueError, match="exceed double range"):
+    # the complete system reads the policy on M^-1 in floats, where LU's
+    # rounding leaves this M regular; the recovered signal is refused
+    with pytest.raises(NoRealSolution):
         solve_complete([1e308, 1e308, 1e308, 1e308])
     # det M = 1e200 and the exact line (1e-200, 0) are doubles; a line
     # with a component past the double range, here -1e311, is refused
@@ -208,7 +199,7 @@ def test_line_params_refuses_moments_past_double_range():
 def test_line_params_returns_a_line_unchanged():
     line = pl.line_params([0.0, 1.0, 0.0])
     assert pl.line_params(line) is line
-    assert line.detM == line.hankel.determinant == -1.0
+    assert line.detM == pl.hankel([0.0, 1.0, 0.0]).determinant == -1.0
 
 
 def test_equal_bits_share_one_line():
@@ -229,9 +220,10 @@ def test_signed_zeros_are_different_moments():
 
 @pytest.mark.parametrize("mu, error", [
     ([1.0, 1.0, 1.0], DegenerateHankel),
-    ([1e308, 1e308, 1e308], ValueError),
+    ([1e200, 0.0, 1e200], ValueError),
     ([1.0, math.inf, 1.0], ValueError),
     ([1.0, math.nan, 1.0], ValueError),
+    ([1e308, 1e308, 1e308], DegenerateHankel),
 ])
 def test_refused_moments_raise_on_every_call(mu, error):
     for _ in range(3):
@@ -245,8 +237,7 @@ def test_refused_moments_raise_on_every_call(mu, error):
 def test_remembered_line_is_read_only():
     # every caller of line_params on these moments gets these objects
     line = pl.line_params([2.0, 1.0, 3.0])
-    for array in (line.slopes, line.intercepts, line.mu.values,
-                  line.hankel.entries, line.hankel.minors):
+    for array in (line.slopes, line.intercepts, line.mu.values):
         assert not array.flags.writeable
     assert isinstance(line.domain.intervals, tuple)
     for obj, field in ((line, "d"), (line.domain, "intervals")):
@@ -376,13 +367,21 @@ def _moment_case(draw):
 
 
 def _assert_exact_line_rounded_once(mu):
-    # every component of the line is its exact rational value on the float
-    # moments (sympy, apart from the package), correctly rounded
+    # det M and every component of the line are their exact rational values
+    # on the float moments (sympy and Fractions, apart from the package),
+    # correctly rounded; the det M policy refuses exactly where the exact
+    # ratio of det M to the largest first minor is at most 1e-12
+    if exact_policy_ratio(mu) <= Fraction(1e-12):
+        with pytest.raises(DegenerateHankel):
+            pl.line_params(mu)
+        return
     line = pl.line_params(mu)
     base, slope = exact_line(mu)
     for got, want in ((line.slopes, slope), (line.intercepts, base)):
         want = np.array([float(Fraction(int(v.p), int(v.q))) for v in want])
         assert got.tobytes() == want.tobytes(), (mu, got.tolist(), want.tolist())
+    det, _ = exact_hankel(mu)
+    assert line.detM.hex() == float(det).hex()
 
 
 @settings(max_examples=200, deadline=None)
@@ -390,8 +389,10 @@ def _assert_exact_line_rounded_once(mu):
 def test_line_is_the_exact_line_rounded_once(mu):
     try:
         pl.line_params(mu)
-    except (DegenerateHankel, ValueError):
-        return  # the det M policy, or a line past the double range
+    except ValueError:
+        return  # det M or the line past the double range
+    except DegenerateHankel:
+        pass  # checked against the exact policy below
     _assert_exact_line_rounded_once(mu)
 
 
@@ -444,13 +445,14 @@ def test_line_abstains_where_refinement_does_not_settle():
 
 
 def test_line_abstains_where_lu_finds_m_singular():
-    # M passes the det M policy, but LAPACK's LU finds it singular: the
-    # complete system abstains instead of raising numpy's LinAlgError, a
-    # ValueError that reads as malformed input.  The line needs no LU; its
-    # domain abstains on resolution
-    with pytest.raises(UnresolvedDomain, match="critical values"):
+    # LAPACK's LU finds M singular, and its exact det M is 1.8e-15 of the
+    # largest first minor: the line and the complete system both refuse it
+    # by the det M policy (exit 3), never with numpy's LinAlgError, a
+    # ValueError that reads as malformed input
+    assert exact_policy_ratio(SINGULAR_LU_MU[:7]) < Fraction(2e-15)
+    with pytest.raises(DegenerateHankel, match="is degenerate"):
         pl.hyperbolic_domain(SINGULAR_LU_MU[:7])
-    with pytest.raises(IllConditionedHankel, match="singular to LU"):
+    with pytest.raises(DegenerateHankel, match="is degenerate"):
         solve_complete(SINGULAR_LU_MU)
 
 

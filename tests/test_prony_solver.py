@@ -21,6 +21,7 @@ Worked values used below:
 
 import json
 import logging
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -28,10 +29,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import SINGULAR_LU_MU, list_solve_many
+from helpers import SINGULAR_LU_MU, exact_policy_ratio, list_solve_many
 from prony import prony_line as pl
 from prony import prony_solver as ps
 from prony.errors import (
+    DegenerateHankel,
     EmptyDomain,
     InconsistentComputation,
     MathDegeneracy,
@@ -123,6 +125,65 @@ def test_solve_repeated_root_rejected():
 def test_solve_degenerate_hankel():
     with pytest.raises(pl.DegenerateHankel):
         ps.solve_complete((1.0, 1.0, 1.0, 1.0))
+
+
+def _policy_systems(count):
+    # complete systems of d = 2..5 spikes, nodes in (-1.5, 1.5) and
+    # amplitudes 0.5..1.5 with random signs, moments summed exactly and
+    # rounded once: a third with one pair 1e-9 to 1e-2 apart, a fifth with
+    # the amplitudes times 10^U(-14, 0), half with +-1e-12 noise
+    rng = np.random.default_rng([20261020, 77])
+    for _ in range(count):
+        d = int(rng.integers(2, 6))
+        x = np.sort(rng.uniform(-1.5, 1.5, d))
+        if rng.random() < 1 / 3:
+            k = int(rng.integers(0, d - 1))
+            x[k + 1] = x[k] + 10 ** rng.uniform(-9, -2)
+        a = rng.uniform(0.5, 1.5, d) * rng.choice([-1.0, 1.0], d)
+        if rng.random() < 1 / 5:
+            a = a * 10 ** rng.uniform(-14, 0)
+        xs, amps = [Fraction(v) for v in x.tolist()], [Fraction(v) for v in a.tolist()]
+        mu = [float(sum(c * v**k for c, v in zip(amps, xs))) for k in range(2 * d)]
+        if rng.random() < 1 / 2:
+            mu = [m + n for m, n in zip(mu, rng.uniform(-1e-12, 1e-12, 2 * d).tolist())]
+        yield mu
+
+
+def test_solver_policy_is_the_exact_det_m_policy():
+    # solve_complete reads the det M policy on M^-1 in floats; it refuses
+    # with DegenerateHankel exactly where the exact ratio of |det M| to the
+    # largest first minor is at most 1e-12, but within a relative 1e-6 of
+    # that threshold, where rounding may decide
+    bound = Fraction(1e-12)
+    refused = decided = 0
+    for mu in _policy_systems(1200):
+        ratio = exact_policy_ratio(mu[:-1])
+        if abs(ratio - bound) <= Fraction(1e-6) * bound:
+            continue
+        decided += 1
+        try:
+            ps.solve_complete(mu)
+            degenerate = False
+        except DegenerateHankel:
+            degenerate = True
+        except MathDegeneracy:
+            degenerate = False
+        assert degenerate == (ratio <= bound), (mu, float(ratio))
+        refused += degenerate
+    assert decided >= 1000 and refused >= 50
+
+
+def test_solver_refuses_what_the_float_cofactors_let_through():
+    # the exact |det M| is 8.1e-18 of the largest first minor; the float
+    # cofactor table once passed it, and solve_complete returned a signal
+    mu = [1.3984206490677926, -0.7509563905674917, 0.40114384659482905, -0.21292272116524186,
+          0.11214267516204647, -0.058498002934274984, 0.03014640091376976,
+          -0.015293476262087883]
+    assert exact_policy_ratio(mu[:-1]) < Fraction(1e-17)
+    with pytest.raises(DegenerateHankel):
+        ps.solve_complete(mu)
+    with pytest.raises(DegenerateHankel):
+        pl.line_params(mu[:-1])
 
 
 def test_solve_validation():

@@ -1,15 +1,21 @@
-"""classify_d3 on two fixed d = 3 input streams, and the verdicts that move
-between two checkouts, each with the exact collision truth.
+"""classify_d3 on two fixed d = 3 input streams, the outcomes that move
+between two checkouts, and a bound on the wrong verdicts of one checkout,
+each against the exact collision truth.
 
     python3 tools/d3_census.py run <checkout> <verdicts.json>
     python3 tools/d3_census.py compare <before.json> <after.json> <census.json>
+    python3 tools/d3_census.py check <checkout> <max_wrong_A> <max_wrong_B>
 
 `run` imports prony from `<checkout>/src` and records, per input, the
 collision and bounded verdicts of `classify_d3`, or the class and the
 message head of what it raised.  `compare` reads two such files, decides
 each input's collision exactly (a real root of the restricted discriminant
 of the exact line of the float moments, `perfbench/exact.py`) and writes
-the counts of both sides and every input whose outcome moved.
+the counts of both sides and every input whose outcome moved: its verdict
+pair, or the class it raised.  Inputs that raise the same class with
+another message are counted as `message_only`, not listed.  `check` runs
+both streams on `<checkout>` and exits 1 where a stream has more wrong
+yes/no collision verdicts than its bound.
 
 Stream A: 20,000 inputs from default_rng([20261019, 2]).  A quarter are
 uniform moments in (-2, 2); the rest are the moments, summed exactly and
@@ -67,7 +73,9 @@ def stream_b():
         yield mu.tolist()
 
 
-def run(checkout, path):
+def outcomes(checkout):
+    """Per stream, [mu, collision, bounded] or [mu, class, message head]
+    of classify_d3 on each input, with prony imported from checkout."""
     sys.path.insert(0, os.path.join(checkout, "src"))
     from prony import closed_forms
 
@@ -82,8 +90,12 @@ def run(checkout, path):
                 rows.append([mu, c.collision, c.bounded])
             except Exception as exc:  # recorded as the outcome
                 rows.append([mu, type(exc).__name__, str(exc).split(":")[0]])
+    return out
+
+
+def run(checkout, path):
     with open(path, "w") as handle:
-        json.dump(out, handle)
+        json.dump(outcomes(checkout), handle)
 
 
 def exact_collision(mu):
@@ -111,6 +123,11 @@ def _counts(rows, truth):
             "raised": dict(collections.Counter(r[1] for r in rows if r[1] not in VERDICTS))}
 
 
+def _outcome(row):
+    # the verdict pair of a classified input, the class of a raised one
+    return row[1:] if row[1] in VERDICTS else row[1:2]
+
+
 def compare(before_path, after_path, path):
     with open(before_path) as handle:
         before = json.load(handle)
@@ -122,9 +139,11 @@ def compare(before_path, after_path, path):
         if [r[0] for r in old] != [r[0] for r in new]:
             raise SystemExit(f"stream {name}: the two files hold different inputs")
         truth = [exact_collision(r[0]) for r in new]
-        counts[name] = {"before": _counts(old, truth), "after": _counts(new, truth)}
+        counts[name] = {"before": _counts(old, truth), "after": _counts(new, truth),
+                        "message_only": sum(1 for r, s in zip(old, new)
+                                            if _outcome(r) == _outcome(s) and r[2] != s[2])}
         moved[name] = [{"mu": r[0], "before": r[1:], "after": s[1:], "exact_collision": t}
-                       for r, s, t in zip(old, new, truth) if r[1:] != s[1:]]
+                       for r, s, t in zip(old, new, truth) if _outcome(r) != _outcome(s)]
     # one moved input a line
     head = json.dumps({"streams": __doc__.split("\n\n")[-1].strip(), "counts": counts}, indent=1)
     body = ",\n".join(f'  "{name}": [\n' + ",\n".join("   " + json.dumps(row) for row in rows)
@@ -133,6 +152,19 @@ def compare(before_path, after_path, path):
         handle.write(head[:-2] + ',\n "moved": {\n' + body + "\n }\n}\n")
 
 
+def check(checkout, max_wrong_a, max_wrong_b):
+    failed = False
+    bounds = (int(max_wrong_a), int(max_wrong_b))
+    for (name, rows), bound in zip(outcomes(checkout).items(), bounds):
+        counts = _counts(rows, [exact_collision(r[0]) if r[1] in ("yes", "no") else None
+                                for r in rows])
+        print(f"stream {name}: {counts['wrong']} wrong of {counts['yes_no']} yes/no verdicts "
+              f"(at most {bound}), {counts['indeterminate']} indeterminate, "
+              f"raised {counts['raised']}")
+        failed |= counts["wrong"] > bound
+    sys.exit(1 if failed else 0)
+
+
 if __name__ == "__main__":
     command, *args = sys.argv[1:]
-    {"run": run, "compare": compare}[command](*args)
+    {"run": run, "compare": compare, "check": check}[command](*args)
