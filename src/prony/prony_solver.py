@@ -239,24 +239,13 @@ def _solve_many(vs) -> list:
         for k in _leave(live, ~np.isfinite(y).all(axis=1)):
             out[k] = ValueError("sigma must be finite")
 
-        if d == 2:
-            hyperbolic, lo, hi = poly_engine._hyperbolic_quadratics(y[:, 0], y[:, 1])
-            x = np.stack([lo, hi], axis=1)
-        else:
-            ks = live.nonzero()[0]
-            hyperbolic = np.zeros(T, dtype=bool)
-            x = np.full((T, d), np.nan)
-            for k, nodes in zip(ks.tolist(), _real_nodes_many([c + [1.0] for c in y[ks].tolist()])):
-                if isinstance(nodes, list):
-                    hyperbolic[k] = True
-                    x[k] = nodes
+        hyperbolic, x, amps = _nodes_and_amplitudes(y, v[:d], live)
         for k in _leave(live, ~hyperbolic):
             out[k] = _caused(NoRealSolution("no real node configuration matches these moments"),
                              NotHyperbolic(_NOT_HYPERBOLIC))
 
         # a vanishing Lagrange denominator (RepeatedNodes in the scalar
         # code) leaves the row's amplitudes not finite
-        amps = _amplitude_columns(v[:d], list(x.T))
         degenerate = (~np.isfinite(amps).all(axis=1) | ~np.isfinite(x).all(axis=1)
                       | (amps == 0.0).any(axis=1) | ~(x[:, 1:] > x[:, :-1]).all(axis=1))
         for k in _leave(live, degenerate):
@@ -330,6 +319,31 @@ def _degenerate_inverse(top: float) -> DegenerateHankel:
         "first minor: nodes collide identically or an amplitude vanishes identically")
 
 
+def _nodes_and_amplitudes(y: np.ndarray, head: list, rows: np.ndarray):
+    # the roots of the monic node polynomials with the coefficients y (T, d)
+    # = (sigma_d, ..., sigma_1), and their amplitudes from head =
+    # mu_0..mu_{d-1}, (T,) columns or plain floats: (hyperbolic, x, amps),
+    # where hyperbolic marks the rows among rows (a (T,) mask) whose
+    # polynomial has d certified distinct real roots, and x and amps are
+    # (T, d) arrays, junk on the other rows.  Quadratics are rooted on the
+    # columns (poly_engine._hyperbolic_quadratics), the others in one
+    # _real_nodes_many call; both give each row the bits of its own call
+    T, d = y.shape
+    if d == 2:
+        hyperbolic, lo, hi = poly_engine._hyperbolic_quadratics(y[:, 0], y[:, 1])
+        hyperbolic &= rows
+        x = np.stack([lo, hi], axis=1)
+    else:
+        ks = rows.nonzero()[0]
+        hyperbolic = np.zeros(T, dtype=bool)
+        x = np.full((T, d), np.nan)
+        for k, nodes in zip(ks.tolist(), _real_nodes_many([c + [1.0] for c in y[ks].tolist()])):
+            if isinstance(nodes, list):
+                hyperbolic[k] = True
+                x[k] = nodes
+    return hyperbolic, x, _amplitude_columns(head, list(x.T))
+
+
 def _amplitude_columns(head: list, x: list) -> np.ndarray:
     # signal_model._amplitudes over the (T,) columns head = mu_0..mu_{d-1}
     # and x = the d nodes, elementwise, as a (T, d) array
@@ -394,40 +408,62 @@ def make_cluster_signal(d: int, h: float) -> Signal:
     return Signal(amps, nodes)
 
 
-def _distances(line, targets: list, ts) -> list:
-    # Euclidean distance from each (amplitudes + nodes) sequence of targets
-    # to the family point at the t beside it in ts, inf outside the
-    # hyperbolic set; the family points come from one PronyLine._points
-    # call, and a t whose sigma(t) is not finite leaves its ValueError.
-    # The sums of squares come from one stacked np.matmul, which runs
-    # BLAS's ddot on each row as np.linalg.norm does
-    inside = [line.domain.contains(t) for t in ts]
-    points = iter(line._points([t for t, ok in zip(ts, inside) if ok]))
-    out = []
-    found, near = [], []
-    for target, ok in zip(targets, inside):
-        point = next(points) if ok else None
-        if point is None or isinstance(point, (NotHyperbolic, RepeatedNodes)):
-            out.append(np.inf)
-        elif isinstance(point, ValueError):
-            out.append(point)
-        else:
-            _, nodes, amps = point
-            found.append(len(out))
-            near.append(amps + nodes)
-            out.append(target)
-    if found:
-        diff = np.subtract(near, [out[k] for k in found])
-        for k, sq in zip(found, _row_dots(diff, diff)):
-            out[k] = math.sqrt(sq)
+def _distances(line, targets, ts) -> list:
+    # _point_distance at each (amplitudes + nodes) row of targets, an
+    # array-like (T, 2d), and the t beside it in ts, with the family points
+    # built on (T,) columns: sigma(t) = slopes * t + intercepts, its roots
+    # and their amplitudes from the stage _solve_many uses, each row with
+    # the bits of PronyLine._points at its t.  A row whose sigma(t) or
+    # amplitudes are not finite (a vanishing or overflowing Lagrange
+    # product) takes the scalar route, which keeps its ValueError or inf.
+    # The sums of squares come from one stacked np.matmul (_row_dots)
+    if len(ts) == 0:  # the domain is built only where a t asks for it
+        return []
+    ts = np.asarray(ts, dtype=float)
+    inside = np.zeros(len(ts), dtype=bool)
+    for lo, hi in line.domain.intervals:
+        inside |= (lo < ts) & (ts < hi)
+    slopes, intercepts, head = line._plain
+    # rows outside the domain and odd rows run on whatever their columns
+    # hold; y holds (sigma_d, ..., sigma_1) at each t
+    with np.errstate(all="ignore"):
+        y = np.stack([s * ts + b for s, b in zip(slopes, intercepts)][::-1], axis=1)
+        plain = inside & np.isfinite(y).all(axis=1)
+        hyperbolic, x, amps = _nodes_and_amplitudes(y, head, plain)
+        odd = (inside & ~plain) | (hyperbolic & ~np.isfinite(amps).all(axis=1))
+        found = (hyperbolic & ~odd).nonzero()[0]
+        diff = np.concatenate([amps[found], x[found]], axis=1) - np.asarray(targets, dtype=float)[found]
+        out = [np.inf] * len(ts)
+        for k, sq in zip(found.tolist(), np.sqrt(_row_dots(diff, diff)).tolist()):
+            out[k] = sq
+    for k in odd.nonzero()[0].tolist():
+        out[k] = _point_distance(line, targets[k], float(ts[k]))
     return out
+
+
+def _point_distance(line, target, t: float):
+    # Euclidean distance from the (amplitudes + nodes) sequence target to
+    # the family point at t, on plain floats (PronyLine._points): inf
+    # outside the hyperbolic set or where sigma(t) has no d distinct real
+    # roots, the ValueError where sigma(t) is not finite.  The sum of
+    # squares goes to _row_dots as a row of one
+    if not line.domain.contains(t):
+        return np.inf
+    point = line._points([t])[0]
+    if isinstance(point, (NotHyperbolic, RepeatedNodes)):
+        return np.inf
+    if isinstance(point, ValueError):
+        return point
+    _, nodes, amps = point
+    diff = np.subtract([amps + nodes], [target])
+    return math.sqrt(_row_dots(diff, diff)[0])
 
 
 def _row_dots(a: np.ndarray, b: np.ndarray) -> list:
     # np.dot(a[k], b[k]) for each row k of the (T, n) arrays a and b, from one
     # stacked np.matmul of (T, 1, n) by (T, n, 1): it hands each row pair to
     # BLAS's ddot as np.dot does, where np.einsum and a (T, n) @ (n,) product
-    # round differently.  np.dot reports no overflow, nor does this
+    # round differently.  An overflow is not reported
     with np.errstate(all="ignore"):
         return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0].tolist()
 
@@ -476,7 +512,7 @@ def _min_distance(line, target, t_grid):
     lo = grid[best - 1] if best > 0 else grid[best] - step
     hi = grid[best + 1] if best + 1 < grid.size else grid[best] + step
     def distance(t):
-        return _unwrap(_distances(line, [target], [t])[0])
+        return _unwrap(_point_distance(line, target, t))
 
     t_ref = _golden(distance, lo, grid[best], hi)
     # no bracket: the grid minimum is already as good as it gets
@@ -617,20 +653,24 @@ def amplification_experiment(cfg: NoiseConfig) -> AmplificationResult:
     check recomputes the rows from them, and any other stream moves every
     row, which belongs in a change that moves the rows anyway.
 
-    Per h the trials run in stages, each one pass over all of them:
-    - the noise of every trial is drawn and added to the true moments;
-    - each trial runs the checks of solve_complete without building a
-      Signal (_solve_many), on (T,) numpy columns: finite moments, the
-      det M policy on the Hankel inverses of one stacked np.linalg.inv,
-      the Hankel systems in one stacked np.linalg.solve, the
-      node polynomials (for d = 2 on the columns, by the vertex test and
-      the closed form; for d >= 3 in one batch of certified roots, trial
-      by trial), nonzero amplitudes on strictly increasing nodes, and the
-      residual within 1e-8 of the moment scale;
-    - the parameters t-hat of the reconstructions and, under the square
-      root of each distance, the sum of squares to the family point at
-      t-hat, each from one stacked np.matmul; the family points come from
-      one PronyLine._points call (_distances).
+    The trials of every h run in stages, each one pass over all of them:
+    - the noise of every (h, trial) is drawn and added to that h's true
+      moments;
+    - each of the len(h_grid) * trials systems runs the checks of
+      solve_complete without building a Signal, in one _solve_many call,
+      on numpy columns: finite moments, the det M policy on the Hankel
+      inverses of one stacked np.linalg.inv, the Hankel systems in one
+      stacked np.linalg.solve, the node polynomials (for d = 2 on the
+      columns, by the vertex test and the closed form; for d >= 3 in one
+      batch of certified roots, trial by trial), nonzero amplitudes on
+      strictly increasing nodes, and the residual within 1e-8 of the
+      moment scale.
+    Then the h values are walked in order, each with its own checks, line
+    and rows as if it ran alone: per h the parameters t-hat of the
+    reconstructions and, under the square root of each distance, the sum
+    of squares to the family point at t-hat come from one stacked
+    np.matmul each, and the family points are built on (T,) columns with
+    the node and amplitude stage of _solve_many (_distances).
     The columns keep the bits of running the trials one at a time on plain
     floats: numpy's elementwise +, -, *, / and sqrt round as Python's
     floats do; np.matmul of (T, 1, n) by (T, n, 1) hands each row to BLAS's
@@ -648,12 +688,28 @@ def amplification_experiment(cfg: NoiseConfig) -> AmplificationResult:
     if not isinstance(cfg, NoiseConfig):
         cfg = NoiseConfig.from_mapping(cfg)
     q = 2 * cfg.d - 1
-    streams = _uniform_streams(cfg.seed, len(cfg.h_grid), range(cfg.trials), cfg.epsilon, 2 * cfg.d)
-    rows = []
+    T = cfg.trials
+    noise = np.array(list(_uniform_streams(cfg.seed, len(cfg.h_grid), range(T), cfg.epsilon, 2 * cfg.d)))
+    # each h's true signal and moments, or the ValueError their build
+    # raises, at that h's turn below
+    clusters = []
     for h in cfg.h_grid:
-        true = make_cluster_signal(cfg.d, h)
+        try:
+            true = make_cluster_signal(cfg.d, h)
+            clusters.append((true, compute_moments(true, q)))
+        except ValueError as exc:
+            clusters.append(exc)
+    # every (h, trial) system in one _solve_many call, T rows per h; an h
+    # without moments has rows of NaN, never read
+    mu = np.full(noise.shape, np.nan)
+    for i, cluster in enumerate(clusters):
+        if isinstance(cluster, tuple):
+            mu[i] = cluster[1].values + noise[i]
+    solved_all = _solve_many(mu.reshape(-1, 2 * cfg.d))
+    rows = []
+    for i, (h, cluster) in enumerate(zip(cfg.h_grid, clusters)):
+        true, mu_true = _unwrap(cluster)
         true_point = true.amplitudes.tolist() + true.nodes.tolist()
-        mu_true = compute_moments(true, q)
         scale = float(np.max(np.abs(mu_true.values)))
         if cfg.epsilon > 0.1 * scale:
             raise ValueError(
@@ -665,7 +721,7 @@ def amplification_experiment(cfg: NoiseConfig) -> AmplificationResult:
         # equation reads dot(mu[d-1:2d-1], reversed(sigma)) = -mu_{2d-1}
         t_star = -float(mu_true.values[q])
 
-        solved = _solve_many(mu_true.values + np.array(next(streams)))
+        solved = solved_all[i * T : (i + 1) * T]
         # the family point at each reconstruction's own parameter, not the
         # nearest family point; sigma of the nodes is finite, since their
         # moments passed the residual.  t-hat is line.parameter_of at the
@@ -676,7 +732,7 @@ def amplification_experiment(cfg: NoiseConfig) -> AmplificationResult:
         row = np.broadcast_to(mu_true.values[cfg.d - 1 : q], sigma.shape)
         t_hats = _row_dots(row, sigma)
         point_errs = abs(points - true_point).max(axis=1).tolist()
-        found = zip(guesses, point_errs, t_hats, _distances(line, guesses, t_hats))
+        found = zip(guesses, point_errs, t_hats, _distances(line, points, t_hats))
 
         worst_point = 0.0
         worst_curve = 0.0

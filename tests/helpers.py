@@ -1,5 +1,6 @@
 """Shared test utilities: tolerances, random-instance builders, strategies."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -163,6 +164,28 @@ def list_solve_many(vs):
             out[k] = _signal_of(vs[k], nodes)
         except (ValueError, NoRealSolution, ResidualTooLarge) as exc:
             out[k] = exc
+    return out
+
+
+def list_distances(line, targets, ts):
+    """The reference for prony_solver._distances: per t of ts, the Euclidean
+    distance from the (amplitudes + nodes) sequence beside it in targets to
+    the family point at t, point by point on plain floats
+    (PronyLine._points of one t): inf outside the hyperbolic set or where
+    sigma(t) has no d distinct real roots, the ValueError where sigma(t) is
+    not finite.  Each sum of squares is one np.dot."""
+    out = []
+    for target, t in zip(targets, ts):
+        point = line._points([t])[0] if line.domain.contains(t) else None
+        if point is None or isinstance(point, (NotHyperbolic, RepeatedNodes)):
+            out.append(math.inf)
+        elif isinstance(point, ValueError):
+            out.append(point)
+        else:
+            _, nodes, amps = point
+            with np.errstate(all="ignore"):  # sums past the double range
+                diff = np.subtract(amps + nodes, target)
+                out.append(math.sqrt(np.dot(diff, diff)))
     return out
 
 

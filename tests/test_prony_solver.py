@@ -19,23 +19,32 @@ Worked values used below:
     no parameter is hyperbolic at all, so the d=3 family is empty.
 """
 
+import dataclasses
 import json
 import logging
+import math
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from helpers import SINGULAR_LU_MU, exact_policy_ratio, list_solve_many
+from helpers import (
+    SINGULAR_LU_MU,
+    exact_policy_ratio,
+    list_distances,
+    list_solve_many,
+    signal_strategy,
+)
 from prony import prony_line as pl
 from prony import prony_solver as ps
 from prony.errors import (
     DegenerateHankel,
     EmptyDomain,
     InconsistentComputation,
+    InterpolationInconsistency,
     MathDegeneracy,
     NoRealSolution,
     ResidualTooLarge,
@@ -430,6 +439,98 @@ def test_noisy_reconstructions_hug_the_family():
         assert ps.curve_distance(rec, head, grid) <= l2_err + 1e-13
 
 
+# a d = 2 line sigma(t) = (0, -t), so z^2 - t, whose mu_0..mu_2 are 1e300:
+# at t = 1e20 its nodes are -1e10 and 1e10 and the amplitudes' numerators
+# overflow
+OVERFLOW_LINE = pl.PronyLine(d=2, slopes=np.array([0.0, -1.0]), intercepts=np.zeros(2),
+                             detM=1.0, mu=MomentVector([1e300] * 3))
+
+
+def _on_the_whole_axis(line):
+    # a copy of line whose domain is the whole axis, so that every finite
+    # t reaches the node polynomial, hyperbolic or not
+    copy = dataclasses.replace(line)
+    copy.__dict__["domain"] = pl.HyperbolicDomain(intervals=((-math.inf, math.inf),),
+                                                  endpoints=())
+    return copy
+
+
+@st.composite
+def _distance_cases(draw):
+    # (line, targets, ts): the line of a d = 2..4 signal, on its own domain
+    # or on the whole axis, and one to thirty parameters beside targets
+    # near the signal.  The parameters lie in and out of the domain, near
+    # its ends, at the signal's own parameter, and past the range where
+    # sigma(t) overflows, and include +-inf and NaN
+    signal = draw(signal_strategy(min_d=2, max_d=4))
+    d = signal.d
+    mu = compute_moments(signal, 2 * d - 1).values
+    try:
+        line = pl.line_params(mu[: 2 * d - 1])
+        assert line.domain is not None  # built now, or refused
+    except (MathDegeneracy, InterpolationInconsistency):
+        assume(False)
+    if draw(st.booleans()):
+        line = _on_the_whole_axis(line)
+    t_star = -float(mu[2 * d - 1])
+    ends = [v for iv in line.domain.intervals for v in iv if math.isfinite(v)] or [t_star]
+    ts = draw(st.lists(st.one_of(
+        st.sampled_from([t_star, 0.0, 1e300, -1e300, 1e308, -1.7e308,
+                         math.inf, -math.inf, math.nan]),
+        st.floats(-10.0, 10.0).map(lambda e: t_star + e * max(1.0, abs(t_star))),
+        st.tuples(st.sampled_from(ends), st.floats(-1e-6, 1e-6)).map(
+            lambda p: p[0] * (1.0 + p[1]) + p[1]),
+        st.floats()), min_size=1, max_size=30))
+    point = signal.amplitudes.tolist() + signal.nodes.tolist()
+    targets = [[v + e for v, e in zip(point, draw(st.lists(
+        st.floats(-1e-3, 1e-3), min_size=2 * d, max_size=2 * d)))] for _ in ts]
+    return line, targets, ts
+
+
+def _assert_same_distances(got, want):
+    # the same bits, as a Python float, or the same class and message
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        if isinstance(w, Exception):
+            assert type(g) is type(w) and str(g) == str(w)
+        else:
+            assert type(g) is float and g.hex() == w.hex()
+
+
+@settings(max_examples=150, deadline=None)
+@given(_distance_cases())
+def test_columnar_distances_equal_the_point_by_point_route(case):
+    # _distances builds the family points on numpy columns and sends the
+    # rows whose sigma(t) or amplitudes are not finite to the scalar route;
+    # each entry is that of list_distances, one PronyLine._points call per
+    # t: the same bits (a Python float), or the same class and message.
+    # Where the roots of a finite but huge sigma(t) overflow in the Rolle
+    # pass, both raise its ValueError
+    line, targets, ts = case
+    try:
+        want = list_distances(line, targets, ts)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as err:
+            ps._distances(line, np.array(targets), ts)
+        assert str(err.value) == str(exc)
+        return
+    _assert_same_distances(ps._distances(line, np.array(targets), ts), want)
+
+
+def test_overflowing_amplitudes_take_the_scalar_route():
+    # at t = 1e20 and 1e-300 sigma is finite and hyperbolic, but the column
+    # amplitudes overflow, so those rows go point by point; 4.0 stays on
+    # the columns, -1.0 is outside the domain and inf leaves sigma infinite
+    ts = [1e20, 4.0, 1e-300, -1.0, math.inf]
+    with np.errstate(all="ignore"):
+        hyperbolic, _, amps = ps._nodes_and_amplitudes(
+            np.array([[-t, 0.0] for t in ts[:3]]), OVERFLOW_LINE._plain[2], np.ones(3, dtype=bool))
+    assert hyperbolic.all() and np.isfinite(amps).all(axis=1).tolist() == [False, True, False]
+    targets = [[1.0, -1.0, -1e10, 1e10]] * len(ts)
+    _assert_same_distances(ps._distances(OVERFLOW_LINE, targets, ts),
+                           list_distances(OVERFLOW_LINE, targets, ts))
+
+
 # ---------------------------------------------------------------------------
 # NoiseConfig / AmplificationResult
 
@@ -553,6 +654,24 @@ def test_noise_streams_match_numpy_bit_for_bit():
                         assert per_h == [
                             np.random.default_rng([seed, h, t]).uniform(-eps, eps, 2 * d).tolist()
                             for t in trials]
+
+
+@pytest.mark.parametrize("epsilon, error", [
+    (1e-14, "TooFewValidTrials: 18/20 perturbed systems had no real solution at h=0.02"),
+    (1e-5, "TooFewValidTrials: 19/20 perturbed systems had no real solution at h=0.4"),
+])
+def test_experiment_raises_at_the_first_failing_h(epsilon, error):
+    # one _solve_many call covers the trials of every h, but each h's
+    # line, distances and checks still come at its turn: h = 0.005's line
+    # is refused (DegenerateHankel), and the earlier h whose trials fail
+    # raises first
+    cfg = ps.NoiseConfig(d=4, epsilon=epsilon, trials=20, seed=0,
+                         h_grid=(0.4, 0.1, 0.02, 0.005))
+    with pytest.raises(DegenerateHankel):
+        pl.line_params(compute_moments(ps.make_cluster_signal(4, 0.005), 6))
+    with pytest.raises(TooFewValidTrials) as err:
+        ps.amplification_experiment(cfg)
+    assert f"{type(err.value).__name__}: {err.value}" == error
 
 
 def test_experiment_errors_scale_with_epsilon():
