@@ -30,21 +30,12 @@ def poly_derivative(c):
     return [k * c[k] for k in range(1, n)]
 
 
-def max_abs(c):
-    m = 0.0
-    for v in c:
-        a = abs(v)
-        if a > m:
-            m = a
-    return m
-
-
-def trim_coeffs(c, rel_tol=_TRIM_TOL):
-    """Drop leading-degree coefficients below rel_tol * max|c|."""
-    m = max_abs(c)
+def trim_coeffs(c):
+    """Drop leading-degree coefficients below _TRIM_TOL * max|c|."""
+    m = max(map(abs, c), default=0.0)
     if m == 0.0:
         return [0.0]
-    cut = rel_tol * m
+    cut = _TRIM_TOL * m
     n = len(c)
     while n > 1 and abs(c[n - 1]) <= cut:
         n -= 1
@@ -72,11 +63,12 @@ def _dyadic(values):
     return [num << (e - den.bit_length() + 1) for num, den in ratios], e
 
 
-def sign_changes(vals, zero_tol):
+def sign_changes(vals):
+    # sign changes along vals, zeros skipped; floats or integers
     prev = 0
     count = 0
     for v in vals:
-        if abs(v) <= zero_tol:
+        if v == 0:
             continue
         s = 1 if v > 0.0 else -1
         if prev != 0 and s != prev:

@@ -3,9 +3,9 @@
 At d=2 one Hankel determinant decides both questions.  At d=3 the decision
 reduces to a degree-4 polynomial in the line parameter whose leading
 coefficient has an explicit 2x2-determinant expression; this module expands
-that quartic from the line's slopes and intercepts.  The numeric domain is
-attached as evidence, and the d=3 collision verdict is given only where the
-domain's finite endpoints agree with it.
+that quartic in integers from the exact line and decides both verdicts from
+exact signs and an exact count of its real roots.  The numeric domain is
+attached as evidence only.
 
 Sign convention: `discriminant_cubic_paper` is the negative of the standard
 cubic discriminant, so negative values mean three distinct real roots.
@@ -19,8 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import poly_engine, prony_line
+from . import prony_line
+from ._kernels import _dyadic
 from .errors import UnresolvedDomain
+from .prony_line import _poly_mul, _real_root_count, _rounded
 
 __all__ = [
     "Classification",
@@ -35,13 +37,6 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-# Verdicts become "indeterminate" when the deciding quantity sits within
-# _INDET_REL of zero, measured against what its own monomials add up to
-# before cancellation (term-magnitude scale).  The underlying statements are
-# strict inequalities, so near-zero pivots are genuinely undecidable in
-# floating point.
-_INDET_REL = 1e-6
-
 _VERDICTS = ("yes", "no", "indeterminate")
 
 
@@ -52,7 +47,7 @@ class Classification:
     collision and bounded are "yes", "no", or "indeterminate"; evidence
     carries the numbers the verdict was read from (det M always; for d=3
     additionally the quartic coefficients, K, the hypothesis flags, and the
-    numeric domain intervals used as a cross-check).
+    numeric domain intervals, attached for cross-examination).
     """
 
     d: int
@@ -67,10 +62,6 @@ class Classification:
             raise ValueError(f"unsupported collision verdict {self.collision!r}")
         if self.bounded not in _VERDICTS:
             raise ValueError(f"unsupported bounded verdict {self.bounded!r}")
-
-
-def _moment_scale(mu: np.ndarray) -> float:
-    return max(1.0, float(np.max(np.abs(mu))))
 
 
 def discriminant_cubic_paper(sigma) -> float:
@@ -99,13 +90,6 @@ def discriminant_cubic_paper(sigma) -> float:
     return disc
 
 
-def _delta_term_scale(s1: float, s2: float, s3: float) -> float:
-    # Magnitude the five monomials of the cubic discriminant add up to before
-    # cancellation; the natural yardstick for "is this value really nonzero".
-    return (27.0 * s3 * s3 + 4.0 * abs(s2) ** 3 + s1 * s1 * s2 * s2
-            + 4.0 * abs(s1) ** 3 * abs(s3) + 18.0 * abs(s1 * s2 * s3))
-
-
 def _check_length(mu, n: int) -> np.ndarray:
     if isinstance(mu, prony_line.PronyLine):
         mu = mu.mu
@@ -121,12 +105,14 @@ def P8_closed_form(mu) -> float:
     """Leading (t^4) coefficient of the denominator-cleared quartic, as the
     explicit combination 4*d1^3*d2 - d1^2*d3^2 of 2x2 Hankel determinants
     d1 = mu0*mu2 - mu1^2, d2 = mu1*mu3 - mu2^2, d3 = mu0*mu3 - mu1*mu2.
+
+    Exact for the float moments and rounded once (+-inf past the double
+    range), so it is the t^4 coefficient of quartic_Pmu.
     """
     m = _check_length(mu, 5)
-    d1 = m[0] * m[2] - m[1] * m[1]
-    d2 = m[1] * m[3] - m[2] * m[2]
-    d3 = m[0] * m[3] - m[1] * m[2]
-    return float(4.0 * d1 ** 3 * d2 - d1 * d1 * d3 * d3)
+    (m0, m1, m2, m3, _), e = _dyadic(m.tolist())
+    d1, d2, d3 = m0 * m2 - m1 * m1, m1 * m3 - m2 * m2, m0 * m3 - m1 * m2
+    return _rounded(4 * d1 ** 3 * d2 - d1 * d1 * d3 * d3, 8 * e)
 
 
 def K_value(mu) -> float:
@@ -160,51 +146,41 @@ def P8_second_form(mu) -> float:
 
 def quartic_Pmu(mu) -> list[float]:
     """Ascending coefficients of the degree <= 4 polynomial in t whose real
-    roots are the finite endpoints of the hyperbolic parameter set of the
-    one-missing-moment line at d=3; leading coefficients of at most 1e-14 of
-    the largest are dropped (see :func:`poly_engine.real_roots`).
+    roots are where the node cubic of the one-missing-moment line at d=3
+    has a repeated root, the finite endpoints of its hyperbolic parameter
+    set among them: det(M)^4 times the cubic discriminant along the line,
+    with P8_closed_form leading.
 
-    Computed as det(M)^4 times the cubic discriminant along the line,
-    expanded from sigma_j(t) = intercept_j + slope_j * t; the denominator
-    clearing makes every coefficient polynomial in the moments, with
-    P8_closed_form leading.
-
-    mu may be the d=3 line itself.  Raises DegenerateHankel through
-    line_params, and ValueError when det(M)^4 or a coefficient exceeds the
-    double range.
+    The quartic is expanded exactly, in integers, from the exact line of
+    the float moments; each coefficient is then rounded once (+-inf past
+    the double range), and only leading coefficients that are exactly zero
+    are dropped.  mu may be the d=3 line itself.  Raises what line_params
+    raises.
     """
     _check_length(mu, 5)
-    line = prony_line.line_params(mu)
-    try:
-        scale4 = line.detM ** 4
-    except OverflowError:
-        raise ValueError(
-            "moments exceed double range: det M^4 overflows "
-            f"(det M = {line.detM:.3e})") from None
-    slopes, intercepts, _ = line._plain
-    s1, s2, s3 = ([b, s] for s, b in zip(slopes, intercepts))
-    s11, s22 = _mul(s1, s1), _mul(s2, s2)
+    quartic, shift = _exact_quartic(prony_line.line_params(mu))
+    return [_rounded(c, shift) for c in quartic] or [0.0]
+
+
+def _exact_quartic(line) -> tuple:
+    # (D, shift): the ascending integer coefficients of the quartic of
+    # quartic_Pmu times 2**shift, exact zeros dropped from the top.  With
+    # sigma_j(t) = (b_j + t*s_j) / p each monomial of the discriminant of
+    # degree k is cleared by p**(4-k)
+    p, b, s, e = line._exact
+    u1, u2, u3 = ([bj, sj] for bj, sj in zip(b, s))
+    u11, u22 = _poly_mul(u1, u1), _poly_mul(u2, u2)
     # the five monomials of discriminant_cubic_paper, in its order
-    terms = ((27.0, _mul(s3, s3)), (4.0, _mul(s22, s2)), (-1.0, _mul(s11, s22)),
-             (4.0, _mul(_mul(s11, s1), s3)), (-18.0, _mul(_mul(s1, s2), s3)))
-    disc = [0.0] * 5
-    for w, p in terms:
-        for k, c in enumerate(p):
-            disc[k] += w * c
-    cleared = [scale4 * c for c in disc]
-    if not all(map(math.isfinite, cleared)):
-        raise ValueError("moments exceed double range: the quartic is not finite")
-    return poly_engine._coeffs(cleared)
-
-
-def _mul(p: list, q: list) -> list:
-    # product of two ascending coefficient lists on plain floats, where a
-    # product past the double range is inf without a warning
-    out = [0.0] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    return out
+    terms = ((27 * p * p, _poly_mul(u3, u3)), (4 * p, _poly_mul(u22, u2)),
+             (-1, _poly_mul(u11, u22)), (4, _poly_mul(_poly_mul(u11, u1), u3)),
+             (-18 * p, _poly_mul(_poly_mul(u1, u2), u3)))
+    quartic = [0] * 5
+    for w, poly in terms:
+        for k, c in enumerate(poly):
+            quartic[k] += w * c
+    while quartic and quartic[-1] == 0:
+        quartic.pop()
+    return quartic, 12 * e
 
 
 def classify_d2(mu) -> Classification:
@@ -221,9 +197,11 @@ def classify_d2(mu) -> Classification:
 
 
 def _domain_evidence(line) -> dict:
+    # the domain, or why it is unavailable: below the resolution of its
+    # build, or past the double range
     try:
         dom = line.domain
-    except UnresolvedDomain as exc:
+    except (UnresolvedDomain, ValueError) as exc:
         logger.warning("domain evidence unavailable: %s", exc)
         return {"domain_intervals": None, "domain_all_bounded": None,
                 "domain_error": str(exc)}
@@ -235,82 +213,51 @@ def _domain_evidence(line) -> dict:
 
 
 def classify_d3(mu) -> Classification:
-    """Collision iff the cleared quartic has a real root (counted by
-    :func:`poly_engine.real_roots`); bounded iff K < 0, decided only while
-    mu0, the top-left 2x2 Hankel determinant, and P8 are all safely nonzero.
+    """Collision iff the cleared quartic D has a real root; bounded iff
+    P8 > 0 (that is K < 0), given mu0, the top-left 2x2 Hankel determinant
+    d1 and P8 are nonzero.
 
-    Whenever a pivot quantity falls inside its indeterminate band the verdict
-    abstains, and the bounded verdict also where K is past the double range
-    (evidence K None).  The collision verdict is given only where the
-    numeric domain agrees with it, a finite endpoint for "yes" and none for
-    "no", and abstains where the domain build abstains on resolution
-    (evidence domain_error).  The numeric hyperbolic-set intervals are
-    always attached as evidence so callers can cross-examine the
-    closed-form answer.
+    Both verdicts are decided exactly, from the integer quartic of the exact
+    line (see quartic_Pmu) and the exact moments: the collision verdict by a
+    Sturm count of the distinct real roots of D, "indeterminate" only where
+    D vanishes identically, and the bounded verdict "indeterminate" only
+    where mu0, d1 or P8 is exactly zero.  Under those hypotheses
+    P8 = -(mu0^4/27) * d1^2 * K, so the sign of P8 gives that of K.  K itself
+    is evidence only (None where mu0 = 0 or K is past the double range), as
+    are the numeric hyperbolic-set intervals, attached so callers can
+    cross-examine the closed-form answer (domain_error where the domain
+    build abstains on resolution or is past the double range).
     """
     m = _check_length(mu, 5)
     line = prony_line.line_params(mu)
-    quartic = quartic_Pmu(line)
-    s = _moment_scale(m)
+    quartic, shift = _exact_quartic(line)
+    n_real = _real_root_count(quartic) if quartic else None
+    collision = "indeterminate" if n_real is None else "yes" if n_real else "no"
 
-    d1 = m[0] * m[2] - m[1] * m[1]
-    d2 = m[1] * m[3] - m[2] * m[2]
-    d3 = m[0] * m[3] - m[1] * m[2]
-    p8 = P8_closed_form(m)
-    p8_scale = 4.0 * abs(d1) ** 3 * abs(d2) + (d1 * d3) ** 2
-    p8_ok = abs(p8) > _INDET_REL * max(1.0, p8_scale)
-    mu0_ok = abs(m[0]) > _INDET_REL * s
-    d1_ok = abs(d1) > _INDET_REL * max(1.0, abs(m[0] * m[2]) + m[1] * m[1])
-
-    if p8_ok and len(quartic) == 5:
-        n_real = len(poly_engine.real_roots(quartic))
-        collision = "yes" if n_real >= 1 else "no"
+    (m0, m1, m2), _ = _dyadic(m[:3].tolist())
+    mu0_ok, d1_ok, p8_ok = m0 != 0, m0 * m2 != m1 * m1, len(quartic) == 5
+    if mu0_ok and d1_ok and p8_ok:
+        bounded = "yes" if quartic[4] > 0 else "no"
     else:
-        # With the leading coefficient this close to zero, or trimmed as
-        # below 1e-14 of the largest one, the quartic's behaviour at
-        # infinity, and with it the root count, is unreliable.
-        n_real = None
-        collision = "indeterminate"
-    domain = _domain_evidence(line)
-    if "domain_error" in domain:
-        # critical values closer than the domain build resolves are a
-        # near-double root of the quartic, whose count rounding decides
-        collision = "indeterminate"
-    elif collision != ("yes" if line.domain.endpoints else "no"):
-        # the domain's finite ends are the real roots of the quartic: where
-        # the two routes part, rounding decided one of them
-        collision = "indeterminate"
-
+        bounded = "indeterminate"
     K = None
-    if m[0] != 0.0:
+    if mu0_ok:
         try:
             K = K_value(m)
-        except ValueError:  # K past the double range: the bounded verdict abstains
+        except ValueError:  # K past the double range
             pass
-    if K is None or not (mu0_ok and d1_ok and p8_ok):
-        bounded = "indeterminate"
-    else:
-        r1, r2, r3 = 3.0 * m[1] / m[0], 3.0 * m[2] / m[0], m[3] / m[0]
-        k_tol = _INDET_REL * max(1.0, _delta_term_scale(r1, r2, r3))
-        if K < -k_tol:
-            bounded = "yes"
-        elif K > k_tol:
-            bounded = "no"
-        else:
-            bounded = "indeterminate"
 
-    coeffs = np.zeros(5)
-    coeffs[: len(quartic)] = quartic
+    coeffs = [_rounded(c, shift) for c in quartic] + [0.0] * (5 - len(quartic))
     evidence = {
         "detM": line.detM,
-        "quartic_coefficients": tuple(float(c) for c in coeffs[::-1]),
-        "P8": p8,
+        "quartic_coefficients": tuple(coeffs[::-1]),
+        "P8": coeffs[4],
         "K": K,
         "real_root_count": n_real,
         "mu0_ok": mu0_ok,
         "d1_ok": d1_ok,
         "p8_ok": p8_ok,
     }
-    evidence.update(domain)
+    evidence.update(_domain_evidence(line))
     return Classification(d=3, collision=collision, bounded=bounded,
                           evidence=evidence)

@@ -111,7 +111,7 @@ def sign_variation(p, x) -> SignVariation:
     (*ints, big_x), e = K._dyadic(c + [float(x)])
     n = len(ints) - 1
     shifted = K.shifted_coeffs([v << e * (n - k) for k, v in enumerate(ints)], big_x)
-    return SignVariation(float(x), K.sign_changes(shifted, 0))
+    return SignVariation(float(x), K.sign_changes(shifted))
 
 
 def budan_fourier_bound(p, a, b) -> int:

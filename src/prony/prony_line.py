@@ -15,7 +15,7 @@ node vector.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -122,7 +122,9 @@ class PronyLine:
     ``slopes[j-1]`` and ``intercepts[j-1]`` belong to sigma_j.  The source
     moments (length 2d-1) and det M, the determinant of their Hankel
     matrix (correctly rounded), are kept for residual evaluation and
-    downstream certificates.  The analyses of the family
+    downstream certificates, and line_params keeps the exact line
+    privately as integers (p, b, s, e): sigma_j(t) = (b[j-1] + t*s[j-1]) / p
+    and p = +-2**(e*d) det M.  The analyses of the family
     (hyperbolic_domain, sample_curve, detect_collisions, escape_analysis,
     curve_distance, classify_d2/d3, quartic_Pmu) accept the line in place
     of the moments.
@@ -133,6 +135,7 @@ class PronyLine:
     intercepts: np.ndarray
     detM: float
     mu: MomentVector
+    _exact: tuple = field(default=None, repr=False)
 
     @cached_property
     def domain(self) -> "HyperbolicDomain":
@@ -256,6 +259,44 @@ def _bareiss(rows: list, n: int) -> int:
     return sign * prev
 
 
+def _poly_mul(p: list, q: list) -> list:
+    # product of two ascending integer coefficient lists
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
+def _real_root_count(p: list) -> int:
+    # the number of distinct real roots of the integer polynomial p
+    # (ascending, leading coefficient nonzero), by Sturm's theorem.  Each
+    # pseudo-remainder is scaled by |lc| of the divisor, not by lc, and made
+    # primitive, so the chain is the classical Sturm sequence up to positive
+    # factors; read only at -inf and +inf, where the signs are the leading
+    # ones and the degrees
+    if len(p) < 2:
+        return 0
+    chain = [p, [k * c for k, c in enumerate(p)][1:]]
+    while len(chain[-1]) > 1:
+        r, b = list(chain[-2]), chain[-1]
+        scale, sign = abs(b[-1]), 1 if b[-1] > 0 else -1
+        while len(r) >= len(b):
+            c, shift = sign * r[-1], len(r) - len(b)
+            r = [scale * x for x in r]
+            for i, y in enumerate(b):
+                r[shift + i] -= c * y
+            r.pop()
+        while r and r[-1] == 0:
+            r.pop()
+        if not r:
+            break
+        g = math.gcd(*r)
+        chain.append([-x // g for x in r])
+    at_neg = [q[-1] if len(q) % 2 else -q[-1] for q in chain]
+    return K.sign_changes(at_neg) - K.sign_changes([q[-1] for q in chain])
+
+
 def _rounded(num: int, shift: int) -> float:
     # num / 2**shift rounded once, +-inf past the double range
     try:
@@ -265,7 +306,8 @@ def _rounded(num: int, shift: int) -> float:
 
 
 def _exact_line(vals: list):
-    # (det M, slopes, intercepts), the line as lists: the exact solutions of
+    # (det M, slopes, intercepts, exact), the line as lists and as the
+    # integers (p, b, s, e) PronyLine keeps: the exact solutions of
     # M (sigma_d..sigma_1)^T = rhs for rhs_s = (0, ..., 0, 1) and
     # rhs_b = (-mu_d, ..., -mu_{2d-2}, 0), each value rounded once, for the
     # moments vals as plain floats.  The moments are integers over one
@@ -273,7 +315,8 @@ def _exact_line(vals: list):
     # after _bareiss the back substitution of each right-hand side gives
     # det times its solution, which is integral: +-2**(e*d) adj M rhs.  The
     # identity columns so give +-2**(e*d) adj M, whose entries are the first
-    # minors up to sign and whose last column is the slopes
+    # minors up to sign and whose last column is the slopes.  The last
+    # pivot p divides each of them to give the line
     ints, e = _dyadic(vals)
     d = (len(ints) + 1) // 2
     a = [ints[i : i + d] + [-ints[i + d] if i < d - 1 else 0]
@@ -304,9 +347,10 @@ def _exact_line(vals: list):
     if not math.isfinite(detM):
         raise ValueError("moments exceed double range: det M is not finite")
     try:
-        return detM, *([sign * v / abs(prev) for v in y] for y in (cols[-1], cols[0]))
+        line = [[sign * v / abs(prev) for v in y] for y in (cols[-1], cols[0])]
     except OverflowError:
         raise ValueError("moments exceed double range: the line is not finite") from None
+    return detM, *line, (prev, cols[0], cols[-1], e)
 
 
 @lru_cache(maxsize=1)
@@ -316,9 +360,9 @@ def _line_of(raw: bytes) -> PronyLine:
     mu = MomentVector(np.frombuffer(raw))
     if len(mu) % 2 == 0:
         raise ValueError("need an odd number of moments mu_0..mu_{2d-2}")
-    detM, slopes, intercepts = _exact_line(mu.values.tolist())
+    detM, slopes, intercepts, exact = _exact_line(mu.values.tolist())
     return PronyLine(d=len(slopes), slopes=_frozen(slopes), intercepts=_frozen(intercepts),
-                     detM=detM, mu=mu)
+                     detM=detM, mu=mu, _exact=exact)
 
 
 @dataclass(frozen=True)

@@ -95,6 +95,30 @@ def exact_policy_ratio(mu):
     return abs(det) / max(abs(m) for row in minors for m in row) if det else Fraction(0)
 
 
+def exact_d3_verdicts(mu):
+    """(collision, bounded) of the d = 3 closed form, decided exactly from
+    the float moments mu_0..mu_4: collision iff the paper's cubic
+    discriminant along the exact line has a real root, by sympy's Sturm
+    count ("indeterminate" where it vanishes identically), bounded iff
+    mu0^4 K < 0, in Fractions, where
+    K = discriminant_cubic_paper(3 mu1/mu0, 3 mu2/mu0, mu3/mu0)
+    ("indeterminate" where mu0, mu0 mu2 - mu1^2 or K is zero)."""
+    t = sympy.Symbol("t")
+    s1, s2, s3 = (b + s * t for b, s in zip(*exact_line(mu)))
+    disc = sympy.Poly(27 * s3 ** 2 + 4 * s2 ** 3 - s1 ** 2 * s2 ** 2
+                      + 4 * s1 ** 3 * s3 - 18 * s1 * s2 * s3, t)
+    collision = ("indeterminate" if disc.is_zero
+                 else "yes" if disc.count_roots() > 0 else "no")
+
+    m0, m1, m2, m3 = map(Fraction, mu[:4])
+    if m0 == 0 or m0 * m2 == m1 * m1:
+        return collision, "indeterminate"
+    r1, r2, r3 = 3 * m1 / m0, 3 * m2 / m0, m3 / m0
+    k4 = m0 ** 4 * (27 * r3 * r3 + 4 * r2 ** 3 - r1 * r1 * r2 * r2
+                    + 4 * r1 ** 3 * r3 - 18 * r1 * r2 * r3)
+    return collision, "indeterminate" if k4 == 0 else "yes" if k4 < 0 else "no"
+
+
 def exact_discriminant(sigma):
     """Standard discriminant of z^d + s1*z^(d-1) + ... + sd, exact from the
     rational values of the float sigma (a vector or SymmetricCoords)."""

@@ -95,8 +95,8 @@ def test_acceptance_02_d2_classification_oracle():
 
 def test_acceptance_03_d3_classification_oracle():
     # seed screened for the double-root conditioning wall, see module
-    # docstring; instances are accepted exactly when both closed-form
-    # verdicts are decided, which is the |detM|,|P8|,|K| > 1e-6*scale gate
+    # docstring; every instance whose line and domain build is accepted,
+    # whatever its verdicts
     start = time.perf_counter()
     rng = np.random.default_rng(30303)
     n = mismatches = 0
@@ -106,8 +106,6 @@ def test_acceptance_03_d3_classification_oracle():
         try:
             verdict = cf.classify_d3(m)
         except DegenerateHankel:
-            continue
-        if "indeterminate" in (verdict.collision, verdict.bounded):
             continue
         if verdict.evidence.get("domain_intervals") is None:
             continue

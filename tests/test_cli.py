@@ -265,16 +265,19 @@ def test_classify_d3_fixture_bounded(tmp_path, capsys):
     assert "P8" in doc and "quartic_coefficients" in doc
 
 
-def test_classify_ill_conditioned_collision_indeterminate(tmp_path, capsys):
+def test_classify_ill_conditioned_collision_decided(tmp_path, capsys):
     # nodes 1.1656062, 1.1655938 and 0.2774, kappa_inf(M) = 6.2e11: the line
-    # builds, but its domain abstains on resolution, so the collision
-    # verdict does
+    # builds, but its domain abstains on resolution.  The verdicts come from
+    # the exact quartic of the line (the exact restricted discriminant has
+    # two real roots); the domain's abstention is reported as evidence
     mu = _write(tmp_path, "mu.json", [0.9303531462841692, -0.6754644035109824,
                                       -1.2754877121027866, -1.6221178328224701,
                                       -1.9282997715611514])
     code, out, _ = _run(capsys, ["classify", mu])
     assert code == 0
-    assert json.loads(out)["collision"] == "indeterminate"
+    doc = json.loads(out)
+    assert (doc["collision"], doc["bounded"], doc["real_root_count"]) == ("yes", "no", 2)
+    assert doc["domain_intervals"] is None and "critical values" in doc["domain_error"]
 
 
 def test_classify_exactly_singular_exit_3(tmp_path, capsys):
@@ -287,16 +290,29 @@ def test_classify_exactly_singular_exit_3(tmp_path, capsys):
 
 
 def test_classify_k_past_double_range_exit_0(tmp_path, capsys):
-    # 3 mu1 / mu0 = 3e135, whose cube overflows: K is null and the bounded
-    # verdict abstains, while the collision verdict stands ("yes", as the
-    # exact restricted discriminant of the line has it)
+    # 3 mu1 / mu0 = 3e135, whose cube overflows: K is null, and both
+    # verdicts come from the exact quartic ("yes", as the exact restricted
+    # discriminant of the line has it, and "no" from P8 < 0)
     mu = _write(tmp_path, "mu.json", [9.410610622527965e-136, 0.9269749573460788,
                                       0.447240161215134, 1.3261816923284035,
                                       1.575189086247684])
     code, out, _ = _run(capsys, ["classify", mu])
     assert code == 0
     doc = json.loads(out)
-    assert (doc["collision"], doc["bounded"], doc["K"]) == ("yes", "indeterminate", None)
+    assert (doc["collision"], doc["bounded"], doc["K"]) == ("yes", "no", None)
+
+
+def test_classify_quartic_past_double_range_exit_0(tmp_path, capsys):
+    # det M^4 and every coefficient of the quartic are past the double
+    # range, which once refused the input with exit 2: the exact quartic
+    # decides, and its rounded coefficients are reported as infinities
+    mu = _write(tmp_path, "mu.json", [1e200, 1, 1e-200, 2, 3])
+    code, out, _ = _run(capsys, ["classify", mu])
+    assert code == 0
+    doc = json.loads(out)
+    assert (doc["collision"], doc["bounded"]) == ("yes", "no")
+    assert doc["quartic_coefficients"] == ["-inf", "inf", "inf", "inf", "inf"]
+    assert doc["P8"] == "-inf"
 
 
 def test_classify_wrong_length(tmp_path, capsys):
@@ -454,8 +470,8 @@ BAD_INPUTS = [  # command, input document, a phrase naming the cause
     ("moments", {"amplitudes": [1], "nodes": {"x": 1}}, "nodes must be numbers"),
     ("amplify", {"d": 2, "epsilon": 1e-10, "trials": 4, "seed": 0,
                  "h_grid": 5}, "malformed config"),
-    ("classify", [1e200, 1, 1e-200, 2, 3],  # det M ** 4 overflows
-     "moments exceed double range: det M^4 overflows"),
+    ("classify", [1e200, 0.0, 1e200, 0.0, 2e200],  # det M = 1e600
+     "moments exceed double range: det M is not finite"),
     ("classify", [1e200, 0.0, 1e200],  # det M = 1e400
      "moments exceed double range: det M is not finite"),
     ("classify", [math.nan, 1, 2], "moments must be finite"),

@@ -14,19 +14,22 @@ Worked values used below:
     in floating point.
   * mu=(3,-4,5,-6,0): the ratios (-4,5,-2) are the coefficients of
     (z-1)^2 (z-2), a cubic with a double root, so K = 0 exactly and with it
-    P8 = -(mu0^4/27) d1^2 K = 0: both verdicts must abstain.
+    P8 = -(mu0^4/27) d1^2 K = 0: the bounded verdict must abstain.
 """
 
 import json
 import pathlib
+import warnings
 from fractions import Fraction
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import exact_discriminant, exact_line
+from helpers import exact_d3_verdicts, exact_discriminant, exact_hankel, exact_line
 from prony import closed_forms as cf
 from prony import curve_analysis as ca
 from prony import poly_engine as pe
@@ -110,23 +113,24 @@ def test_cubes_past_the_double_range_are_refused():
                  lambda: cf.K_value(mu), lambda: cf.P8_second_form(mu)):
         with pytest.raises(ValueError, match="^moments exceed double range"):
             call()
-    # classify_d3 keeps its collision verdict; only the bounded one, which
-    # K decides, abstains
+    # classify_d3 decides both verdicts exactly, the bounded one from the
+    # sign of P8, with K null as evidence
     c = cf.classify_d3(mu)
-    assert c.evidence["K"] is None and c.bounded == "indeterminate"
-    assert c.collision in ("yes", "no", "indeterminate")
+    assert c.evidence["K"] is None
+    assert (c.collision, c.bounded) == exact_d3_verdicts(mu) == ("yes", "no")
 
 
 def test_k_past_the_double_range_keeps_the_collision_verdict():
-    # K_value overflows (3 mu1 / mu0 = 2.3e87 cubed); the quartic and the
-    # domain agree on a collision, which the exact restricted discriminant
-    # of the line confirms (tools/d3_census.py's truth)
+    # K_value overflows (3 mu1 / mu0 = 2.3e87 cubed); the exact quartic has
+    # real roots, as the exact restricted discriminant of the line has it
+    # (tools/d3_census.py's truth), and P8 > 0 gives K < 0: bounded
     mu = [-3.2682254325574194e-88, 0.7529654638716203, -0.3164047227263107,
           3.1587356023181123e-52, 1.563936994570299]
     with pytest.raises(ValueError, match="^moments exceed double range"):
         cf.K_value(mu)
     c = cf.classify_d3(mu)
-    assert (c.collision, c.bounded, c.evidence["K"]) == ("yes", "indeterminate", None)
+    assert (c.collision, c.bounded, c.evidence["K"]) == ("yes", "yes", None)
+    assert exact_d3_verdicts(mu) == ("yes", "yes")
 
 
 def test_products_past_the_double_range_are_refused():
@@ -157,6 +161,20 @@ def test_p8_two_forms_agree():
         a = cf.P8_closed_form(mu)
         b = cf.P8_second_form(mu)
         assert abs(a - b) <= 1e-9 * max(abs(a), abs(b), 1e-300)
+
+
+def test_p8_past_the_double_range_without_a_warning():
+    # 4 d1^3 d2 with d1 near 1e114 is past the double range: numpy's
+    # float64 products once overflowed there with a RuntimeWarning; the
+    # exact value rounds to -inf, and classify_d3 decides both verdicts
+    mu = [4.8860275630043606e+114, 0.5037999444635619, -1.4960028921619317,
+          1.2004323745542655, -0.7913962778522756]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cf.P8_closed_form(mu) == -np.inf
+        c = cf.classify_d3(mu)
+    assert c.evidence["P8"] == -np.inf and c.evidence["p8_ok"]
+    assert (c.collision, c.bounded) == exact_d3_verdicts(mu) == ("yes", "no")
 
 
 def test_p8_homogeneity_degree_8():
@@ -198,11 +216,9 @@ def test_quartic_leading_coefficient_is_p8():
         except DegenerateHankel:
             continue
         checked += 1
-        assert len(q) - 1 <= 4
-        p8 = cf.P8_closed_form(mu)
-        if len(q) - 1 == 4:
-            lead = q[-1]
-            assert abs(lead - p8) <= 1e-8 * max(abs(p8), 1e-300)
+        # both are the one exact value, rounded once
+        assert len(q) == 5
+        assert q[-1] == cf.P8_closed_form(mu)
 
 
 def test_quartic_homogeneity_sweep():
@@ -252,43 +268,41 @@ def test_quartic_roots_are_domain_endpoints():
             assert min(abs(t - r) for t in ends) <= 1e-8 * max(1.0, abs(r))
 
 
+def _rounded(value):
+    # a rational rounded once to a double, +-inf past the range
+    try:
+        return float(value)
+    except OverflowError:
+        return np.inf if value > 0 else -np.inf
+
+
 def test_quartic_is_the_expansion_along_the_float_line():
-    # each coefficient is the exact expansion of det(M)^4 disc(sigma(t))
-    # from the float det M, slopes and intercepts of the line, to within a
-    # few roundings of what its terms add up to in magnitude; a coefficient
-    # the trim dropped is at most 1e-14 of the largest
+    # each coefficient is det(M)^4 disc(sigma(t)) expanded exactly along the
+    # line of the float moments and rounded once, however widely the
+    # coefficients spread; only leading coefficients that are exactly zero
+    # are dropped
     rng = np.random.default_rng(19)
     t = sympy.Symbol("t")
-    eps = np.finfo(float).eps
     vectors = [rng.uniform(-2, 2, 5) for _ in range(30)]
     vectors += [rng.uniform(-2, 2, 5) * 10.0 ** rng.uniform(-30, 30, 5) for _ in range(30)]
     checked = 0
     for mu in vectors + CLOSE_ROOT_COLLISIONS:
         try:
-            line = pl.line_params(mu)
-            q = cf.quartic_Pmu(line)
+            q = cf.quartic_Pmu(mu)
         except (DegenerateHankel, ValueError):
             continue
         checked += 1
-        slopes, intercepts, _ = line._plain
-        scale4 = sympy.Rational(line.detM ** 4)
-
-        def cleared(sign):
-            # sign = -1 gives the magnitudes: every term taken positive
-            s1, s2, s3 = (sympy.Rational(b) * (sign if b < 0 else 1)
-                          + sympy.Rational(s) * (sign if s < 0 else 1) * t
-                          for s, b in zip(slopes, intercepts))
-            disc = (27 * s3 ** 2 + 4 * s2 ** 3 - sign * s1 ** 2 * s2 ** 2
-                    + 4 * s1 ** 3 * s3 - 18 * sign * s1 * s2 * s3)
-            return sympy.Poly(abs(scale4) * disc, t).all_coeffs()[::-1]
-
-        exact, size = cleared(1), cleared(-1)
-        exact += [0] * (5 - len(exact))
-        size += [0] * (5 - len(size))
-        for k in range(5):
-            have = q[k] if k < len(q) else 0.0
-            slack = 16 * eps * size[k] + (0 if k < len(q) else 1e-14 * max(map(abs, q)))
-            assert abs(sympy.Rational(have) - exact[k]) <= slack, (mu, k)
+        base, slope = exact_line(mu)
+        det = exact_hankel(mu)[0]
+        s1, s2, s3 = (b + s * t for b, s in zip(base, slope))
+        disc = (27 * s3 ** 2 + 4 * s2 ** 3 - s1 ** 2 * s2 ** 2
+                + 4 * s1 ** 3 * s3 - 18 * s1 * s2 * s3)
+        coeffs = sympy.Poly(sympy.Rational(det.numerator, det.denominator) ** 4 * disc,
+                            t).all_coeffs()[::-1]
+        exact = [Fraction(int(c.p), int(c.q)) for c in coeffs]
+        while exact and exact[-1] == 0:
+            exact.pop()
+        assert q == ([_rounded(c) for c in exact] or [0.0]), mu
     assert checked >= 50
 
 
@@ -372,27 +386,34 @@ def test_classify_d3_moment_anchor():
 
 
 def test_classify_d3_abstains_on_vanishing_p8():
-    c = cf.classify_d3((3.0, -4.0, 5.0, -6.0, 0.0))
-    assert c.collision == "indeterminate"
+    # P8 = 0 exactly: the bounded verdict abstains, while the quartic, of
+    # degree 3 here, still has its real root counted exactly
+    mu = (3.0, -4.0, 5.0, -6.0, 0.0)
+    c = cf.classify_d3(mu)
     assert c.bounded == "indeterminate"
     assert c.evidence["P8"] == 0.0
     assert not c.evidence["p8_ok"]
+    assert len(cf.quartic_Pmu(mu)) == 4
+    assert c.collision == "yes"
+    assert c.evidence["real_root_count"] == _exact_restricted_discriminant(mu).count_roots() == 1
+    assert (c.collision, c.bounded) == exact_d3_verdicts(mu)
     assert c.evidence["domain_intervals"] is not None
 
 
-def test_classify_d3_abstains_where_the_trim_drops_p8():
-    # the cleared quartic's coefficients span more than 14 orders here, so
-    # the trim drops its t^4 term although P8 is safely nonzero: the count
-    # of what is left misses the exact restricted discriminant's roots far
-    # out on the line
+def test_classify_d3_keeps_the_p8_a_float_trim_dropped():
+    # the cleared quartic's coefficients span 300 orders here, and a trim
+    # of those below 1e-14 of the largest once dropped its t^4 term and
+    # abstained: the exact quartic keeps P8, and its count finds the exact
+    # restricted discriminant's roots far out on the line
     mu = [-1.7577390749778945, 0.9309519252183325, -6.449894114541485e-118,
           4.494699568639492e+24, -1.991478508431113]
     c = cf.classify_d3(mu)
+    q = cf.quartic_Pmu(mu)
     assert c.evidence["p8_ok"]
-    assert len(cf.quartic_Pmu(mu)) < 5
-    assert c.collision == "indeterminate"
-    assert c.evidence["real_root_count"] is None
-    assert _exact_restricted_discriminant(mu).count_roots() > 0
+    assert len(q) == 5 and q[-1] == c.evidence["P8"] == cf.P8_closed_form(mu)
+    assert abs(q[-1]) < 1e-14 * max(map(abs, q))
+    assert c.evidence["real_root_count"] == _exact_restricted_discriminant(mu).count_roots() == 2
+    assert (c.collision, c.bounded) == exact_d3_verdicts(mu) == ("yes", "no")
 
 
 def test_classify_d3_abstains_on_zero_leading_moment():
@@ -403,19 +424,18 @@ def test_classify_d3_abstains_on_zero_leading_moment():
     assert c.collision in ("yes", "no")  # P8 = -8 still decides collision
 
 
-def test_classify_d3_abstains_where_the_domain_does():
+def test_classify_d3_decides_where_the_domain_abstains():
     # critical values 0.3228735890 and 0.3228735913, within _ENDPOINT_REL of
-    # each other: the domain build abstains, and the float quartic, near a
-    # double root there, counted no real root.  The exact restricted
-    # discriminant of the float moments has real roots, so the verdict
-    # "no" was wrong; it abstains now
+    # each other: the domain build abstains, and a float quartic, near a
+    # double root there, once counted no real root and called collision
+    # "no".  The exact count finds the two roots of the exact restricted
+    # discriminant of the float moments; the domain's abstention is evidence
     mu = [-0.4461703704981166, -0.7115262368540809, 0.2162391280819644,
           -0.3978698551150798, 0.3035255520760064]
     c = cf.classify_d3(mu)
     assert "domain_error" in c.evidence
-    assert c.collision == "indeterminate"
-    assert c.bounded == "no"
-    assert _exact_restricted_discriminant(mu).count_roots() > 0
+    assert c.evidence["real_root_count"] == _exact_restricted_discriminant(mu).count_roots() == 2
+    assert (c.collision, c.bounded) == exact_d3_verdicts(mu) == ("yes", "no")
 
 
 @pytest.mark.parametrize("mu", CLOSE_ROOT_COLLISIONS, ids=["two-roots", "four-roots"])
@@ -443,31 +463,70 @@ def test_classify_d3_fixture_instances():
 
 
 def test_classify_d3_evidence_shape():
-    c = cf.classify_d3((3.0, 3.0, 5.0, 9.0, 17.0))
-    for key in ("detM", "quartic_coefficients", "P8", "K", "real_root_count",
-                "mu0_ok", "d1_ok", "p8_ok", "domain_intervals",
-                "domain_all_bounded"):
-        assert key in c.evidence
-    assert len(c.evidence["quartic_coefficients"]) == 5
-    # descending order: first entry is the expanded t^4 coefficient
-    lead = c.evidence["quartic_coefficients"][0]
-    assert abs(lead - c.evidence["P8"]) <= 1e-8 * abs(c.evidence["P8"])
-
-
-@pytest.mark.parametrize("root, factor", [(-1.9, [5.0, 2.0, 1.0]), (0.7, [0.02, 0.0, 1.0])])
-def test_classify_d3_counts_an_inexact_double_root_once(monkeypatch, root, factor):
-    # a quartic whose only real root is a double one, not exact in floats:
-    # rounding noise at the critical point must neither hide the collision
-    # nor count the root twice.  The domain of these moments has no finite
-    # endpoint, so the quartic's "yes" disagrees with it and abstains
-    quartic = npoly.polymul(npoly.polyfromroots([root, root]), factor).tolist()
-    monkeypatch.setattr(cf, "quartic_Pmu", lambda mu: quartic)
     mu = (3.0, 3.0, 5.0, 9.0, 17.0)
     c = cf.classify_d3(mu)
-    assert c.evidence["p8_ok"]
+    assert set(c.evidence) == {"detM", "quartic_coefficients", "P8", "K", "real_root_count",
+                               "mu0_ok", "d1_ok", "p8_ok", "domain_intervals",
+                               "domain_all_bounded"}
+    # descending order: the first entry is the t^4 coefficient, P8 itself
+    assert c.evidence["quartic_coefficients"] == tuple(cf.quartic_Pmu(mu)[::-1])
+    assert c.evidence["quartic_coefficients"][0] == c.evidence["P8"] == -3456.0
+    assert c.evidence["real_root_count"] == 0
+    assert c.evidence["mu0_ok"] is c.evidence["d1_ok"] is c.evidence["p8_ok"] is True
+
+
+# moments (q**(4-k) p**k (c0 + c1 k + c2 k^2))_k, which the triple node p/q
+# satisfies: the line passes through (z - p/q)^3, where D(t) has a double
+# root at a t that is not a double, and D has no other real root
+TRIPLE_NODE_LINES = [[2401.0, 1029.0, 343.0, 91.0, 21.0],  # node 1/7, t = -31/7
+                     [2401.0, 5145.0, 8575.0, 11375.0, 13125.0]]  # node 5/7, t = -96875/7
+
+
+@pytest.mark.parametrize("mu", TRIPLE_NODE_LINES, ids=["node-one-seventh", "node-five-sevenths"])
+def test_classify_d3_counts_an_inexact_double_root_once(mu):
+    # the float quartic of these lines once counted the double root and
+    # the domain, which has no finite endpoint, disagreed: "indeterminate".
+    # The exact count neither hides the collision nor counts the root twice
+    D = _exact_restricted_discriminant(mu)
+    assert [k for _, k in sympy.sqf_list(D)[1]] == [1, 2] and D.count_roots() == 1
+    c = cf.classify_d3(mu)
     assert c.evidence["real_root_count"] == 1
     assert pl.hyperbolic_domain(mu).endpoints == ()
-    assert c.collision == "indeterminate"
+    assert (c.collision, c.bounded) == exact_d3_verdicts(mu) == ("yes", "yes")
+
+
+@st.composite
+def _d3_moments(draw):
+    # a d = 3 moment vector as the two streams of tools/d3_census.py draw
+    # them: a third separated signals, a third signals with one close pair,
+    # whose moments are summed exactly and rounded once, and a third uniform
+    # moments with some entries scaled by 10^U(-150, 150)
+    kind = draw(st.sampled_from(["separated", "close", "extreme"]))
+    if kind == "extreme":
+        mu = draw(st.lists(st.floats(-2.0, 2.0), min_size=5, max_size=5))
+        powers = draw(st.lists(st.one_of(st.none(), st.none(), st.floats(-150.0, 150.0)),
+                               min_size=5, max_size=5))
+        return [m if p is None else m * 10.0 ** p for m, p in zip(mu, powers)]
+    x = sorted(draw(st.lists(st.floats(-1.5, 1.5), min_size=3, max_size=3)))
+    if kind == "close":
+        k = draw(st.integers(0, 1))
+        x[k + 1] = x[k] + 10.0 ** draw(st.floats(-8.0, -3.0))
+    a = [draw(st.floats(0.5, 1.5)) * draw(st.sampled_from([-1, 1])) for _ in x]
+    return [float(sum(Fraction(ai) * Fraction(xi) ** k for ai, xi in zip(a, x)))
+            for k in range(5)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_d3_moments())
+def test_classify_d3_matches_an_exact_fraction_decision(mu):
+    try:
+        c = cf.classify_d3(mu)
+    except (DegenerateHankel, ValueError):
+        # only the line refuses: the det M policy, or the double range
+        with pytest.raises((DegenerateHankel, ValueError)):
+            pl.line_params(mu)
+        return
+    assert (c.collision, c.bounded) == exact_d3_verdicts(mu)
 
 
 def test_classify_d3_builds_one_line_and_one_domain(monkeypatch):

@@ -24,8 +24,8 @@ def test_shifted_coeffs_is_taylor_shift():
 
 
 def test_sign_changes():
-    assert K.sign_changes([1.0, -1.0, 1.0], 0.0) == 2
-    assert K.sign_changes([1.0, 0.0, 1.0], 0.0) == 0
-    assert K.sign_changes([1.0, 0.0, -1.0], 0.0) == 1
-    assert K.sign_changes([], 0.0) == 0
+    assert K.sign_changes([1.0, -1.0, 1.0]) == 2
+    assert K.sign_changes([1.0, 0.0, 1.0]) == 0
+    assert K.sign_changes([1.0, 0.0, -1.0]) == 1
+    assert K.sign_changes([]) == 0
 

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     SINGULAR_LU_MU,
+    exact_d3_verdicts,
     exact_det,
     exact_discriminant,
     exact_hankel,
@@ -430,11 +431,14 @@ def test_ill_conditioned_line_is_the_exact_line_rounded_once(mu):
 @pytest.mark.parametrize("mu", _ILL_CONDITIONED, ids=["two-steps", "more-steps", "wrong-verdict"])
 def test_ill_conditioned_line_abstains(mu):
     # the exact line builds, but the critical values of its domain are
-    # closer than the build resolves: classify_d3 gives no yes/no collision
-    # verdict that the exact restricted discriminant could contradict
+    # closer than the build resolves, and the domain abstains.  classify_d3
+    # reads the exact quartic of the line instead, and decides as the exact
+    # Fraction decision does; the abstention stays as its evidence
+    with pytest.raises(UnresolvedDomain, match="critical values"):
+        pl.hyperbolic_domain(mu)
     c = cf.classify_d3(mu)
-    assert c.collision == "indeterminate"
     assert "domain_error" in c.evidence
+    assert (c.collision, c.bounded) == exact_d3_verdicts(mu)
 
 
 def test_line_abstains_where_refinement_does_not_settle():
@@ -498,6 +502,26 @@ def test_parameter_of_inverts_sigma_at():
         t = float(rng.uniform(-10.0, 10.0))
         back = line.parameter_of(line.sigma_at(t))
         assert relerr(back, t) < 1e-9
+
+
+def test_real_root_count_is_the_number_of_distinct_real_roots():
+    # integer polynomials of degree 0 to 6, either sign of the leading
+    # coefficient, with repeated integer roots times a random factor, and
+    # x^4 + 4x + b, whose first remainder skips a degree and leads with a
+    # negative coefficient (three pseudo-division steps: the scale must be
+    # |lc|, or the chain's last sign flips); sympy's count is the reference
+    rng = np.random.default_rng(1006)
+    x = sympy.Symbol("x")
+    polys = [sympy.Poly(sign * (x ** 4 + 4 * x + b), x) for b in (-1, 3, 5) for sign in (1, -1)]
+    for _ in range(300):
+        roots = rng.integers(-3, 4, int(rng.integers(0, 4))).tolist()
+        factor = rng.integers(-9, 10, int(rng.integers(1, 4))).tolist()
+        if any(factor):
+            polys.append(sympy.Poly(sympy.prod([x - r for r in roots])
+                                    * sum(int(c) * x ** k for k, c in enumerate(factor)), x))
+    for poly in polys:
+        p = [int(c) for c in poly.all_coeffs()[::-1]]
+        assert pl._real_root_count(p) == poly.count_roots(), p
 
 
 # ---------------------------------------------------------------------------

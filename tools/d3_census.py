@@ -1,6 +1,6 @@
 """classify_d3 on two fixed d = 3 input streams, the outcomes that move
 between two checkouts, and a bound on the wrong verdicts of one checkout,
-each against the exact collision truth.
+each against the exact collision and boundedness truth.
 
     python3 tools/d3_census.py run <checkout> <verdicts.json>
     python3 tools/d3_census.py compare <before.json> <after.json> <census.json>
@@ -13,9 +13,13 @@ each input's collision exactly (a real root of the restricted discriminant
 of the exact line of the float moments, `perfbench/exact.py`) and writes
 the counts of both sides and every input whose outcome moved: its verdict
 pair, or the class it raised.  Inputs that raise the same class with
-another message are counted as `message_only`, not listed.  `check` runs
-both streams on `<checkout>` and exits 1 where a stream has more wrong
-yes/no collision verdicts than its bound.
+another message are counted as `message_only`, not listed.  The bounded
+truth is the exact sign of P8 = 4*d1^3*d2 - d1^2*d3^2 of the float moments
+(bounded iff P8 > 0), and none where mu0, d1 or P8 is zero, the hypotheses
+of the closed form: there a yes/no bounded verdict counts as wrong.  `check`
+runs both streams on `<checkout>` and exits 1 where a stream has more wrong
+yes/no collision verdicts, or more wrong yes/no bounded verdicts, than its
+bound.
 
 Stream A: 20,000 inputs from default_rng([20261019, 2]).  A quarter are
 uniform moments in (-2, 2); the rest are the moments, summed exactly and
@@ -115,11 +119,28 @@ def exact_collision(mu):
     return "yes" if exact.count_real_roots(exact.sturm_chain(disc)) > 0 else "no"
 
 
+def exact_bounded(mu):
+    """"yes" or "no" from the exact sign of P8; None where a moment is not
+    finite or mu0, d1 or P8 is zero."""
+    if not all(map(math.isfinite, mu)):
+        return None
+    m0, m1, m2, m3, _ = map(Fraction, mu)
+    d1, d2, d3 = m0 * m2 - m1 * m1, m1 * m3 - m2 * m2, m0 * m3 - m1 * m2
+    p8 = 4 * d1 ** 3 * d2 - d1 * d1 * d3 * d3
+    if m0 == 0 or d1 == 0 or p8 == 0:
+        return None
+    return "yes" if p8 > 0 else "no"
+
+
 def _counts(rows, truth):
     decided = [(r[1], t) for r, t in zip(rows, truth) if r[1] in ("yes", "no")]
+    bounded = [(r[2], exact_bounded(r[0])) for r in rows if r[2] in ("yes", "no")]
     return {"yes_no": len(decided),
             "wrong": sum(1 for v, t in decided if t is not None and v != t),
             "indeterminate": sum(1 for r in rows if r[1] == "indeterminate"),
+            "bounded_yes_no": len(bounded),
+            "bounded_wrong": sum(1 for v, t in bounded if v != t),
+            "bounded_indeterminate": sum(1 for r in rows if r[2] == "indeterminate"),
             "raised": dict(collections.Counter(r[1] for r in rows if r[1] not in VERDICTS))}
 
 
@@ -158,10 +179,12 @@ def check(checkout, max_wrong_a, max_wrong_b):
     for (name, rows), bound in zip(outcomes(checkout).items(), bounds):
         counts = _counts(rows, [exact_collision(r[0]) if r[1] in ("yes", "no") else None
                                 for r in rows])
-        print(f"stream {name}: {counts['wrong']} wrong of {counts['yes_no']} yes/no verdicts "
-              f"(at most {bound}), {counts['indeterminate']} indeterminate, "
+        print(f"stream {name}: collision {counts['wrong']} wrong of {counts['yes_no']} "
+              f"yes/no verdicts (at most {bound}), {counts['indeterminate']} indeterminate; "
+              f"bounded {counts['bounded_wrong']} wrong of {counts['bounded_yes_no']} "
+              f"(at most {bound}), {counts['bounded_indeterminate']} indeterminate; "
               f"raised {counts['raised']}")
-        failed |= counts["wrong"] > bound
+        failed |= max(counts["wrong"], counts["bounded_wrong"]) > bound
     sys.exit(1 if failed else 0)
 
 
