@@ -136,12 +136,23 @@ def K_value(mu) -> float:
 
 def P8_second_form(mu) -> float:
     """-(mu0^4/27) * d1^2 * K_value(mu); identical to P8_closed_form whenever
-    mu0 != 0 (the division by mu0 inside K cancels against the mu0^4)."""
+    mu0 != 0 (the division by mu0 inside K cancels against the mu0^4).
+    Raises ValueError where a power, a product or K exceeds the double
+    range."""
     m = _check_length(mu, 5)
     if m[0] == 0.0:
         raise ValueError("the second form needs a nonzero leading moment")
-    d1 = m[0] * m[2] - m[1] * m[1]
-    return float(-(m[0] ** 4 / 27.0) * d1 * d1 * K_value(m))
+    # plain floats, as in K_value: a product past the double range is inf,
+    # without a RuntimeWarning, and refused as not finite
+    m0, m1, m2 = m[:3].tolist()
+    d1 = m0 * m2 - m1 * m1
+    try:
+        p8 = -(m0**4 / 27.0) * d1 * d1 * K_value(m)
+    except OverflowError:  # from a float power past the double range
+        p8 = math.inf
+    if not math.isfinite(p8):
+        raise ValueError(f"moments exceed double range: P8 of {m.tolist()} overflows")
+    return p8
 
 
 def quartic_Pmu(mu) -> list[float]:

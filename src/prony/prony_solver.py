@@ -327,7 +327,9 @@ def _nodes_and_amplitudes(y: np.ndarray, head: list, rows: np.ndarray):
     # polynomial has d certified distinct real roots, and x and amps are
     # (T, d) arrays, junk on the other rows.  Quadratics are rooted on the
     # columns (poly_engine._hyperbolic_quadratics), the others in one
-    # _real_nodes_many call; both give each row the bits of its own call
+    # _real_nodes_many call, certified on columns too where the rows are
+    # at least poly_engine._COLUMN_ROWS; each row gets the bits of its own
+    # call
     T, d = y.shape
     if d == 2:
         hyperbolic, lo, hi = poly_engine._hyperbolic_quadratics(y[:, 0], y[:, 1])
@@ -408,28 +410,58 @@ def make_cluster_signal(d: int, h: float) -> Signal:
     return Signal(amps, nodes)
 
 
-def _distances(line, targets, ts) -> list:
+def _family_columns(jobs) -> list:
+    # the family points at the parameters ts of each (line, ts) of jobs, on
+    # (R,) columns over the R parameters of all jobs: sigma(t) = slopes * t
+    # + intercepts, then the node and amplitude stage of _solve_many, whose
+    # node polynomials are rooted in one batch.  Per job (inside, plain,
+    # hyperbolic, x, amps) over its ts: inside marks the t inside its
+    # line's domain, which is built where ts is not empty, plain those of
+    # them whose sigma(t) is finite, and the rest are as
+    # _nodes_and_amplitudes gives them.  Each row has the bits of
+    # PronyLine._points at its t
+    sizes = [len(ts) for _, ts in jobs]
+    live = [(line, np.asarray(ts, dtype=float)) for line, ts in jobs if len(ts)]
+    if not live:
+        return [None] * len(jobs)
+    ts = np.concatenate([t for _, t in live])
+    inside = np.zeros(len(ts), dtype=bool)
+    at = 0
+    for line, t in live:
+        part = inside[at : at + len(t)]
+        for lo, hi in line.domain.intervals:
+            part |= (lo < t) & (t < hi)
+        at += len(t)
+    # each row's slopes, intercepts and mu_0..mu_{d-1}; rows outside the
+    # domain run on whatever their columns hold.  y holds (sigma_d, ...,
+    # sigma_1) at each t
+    counts = [len(t) for _, t in live]
+    slopes, intercepts, head = (np.repeat(m, counts, axis=0)
+                                for m in map(np.array, zip(*(line._plain for line, _ in live))))
+    with np.errstate(all="ignore"):
+        y = (slopes * ts[:, None] + intercepts)[:, ::-1]
+        plain = inside & np.isfinite(y).all(axis=1)
+        hyperbolic, x, amps = _nodes_and_amplitudes(y, list(head.T), plain)
+    out, at = [], 0
+    for size in sizes:
+        part = slice(at, at + size)
+        out.append((inside[part], plain[part], hyperbolic[part], x[part], amps[part]) if size else None)
+        at += size
+    return out
+
+
+def _distances(line, targets, ts, columns=None) -> list:
     # _point_distance at each (amplitudes + nodes) row of targets, an
-    # array-like (T, 2d), and the t beside it in ts, with the family points
-    # built on (T,) columns: sigma(t) = slopes * t + intercepts, its roots
-    # and their amplitudes from the stage _solve_many uses, each row with
-    # the bits of PronyLine._points at its t.  A row whose sigma(t) or
-    # amplitudes are not finite (a vanishing or overflowing Lagrange
-    # product) takes the scalar route, which keeps its ValueError or inf.
-    # The sums of squares come from one stacked np.matmul (_row_dots)
+    # array-like (T, 2d), and the t beside it in ts, from the family points
+    # at ts that _family_columns builds (columns, its entry for (line, ts),
+    # or built here).  A row whose sigma(t) or amplitudes are not finite (a
+    # vanishing or overflowing Lagrange product) takes the scalar route,
+    # which keeps its ValueError or inf.  The sums of squares come from one
+    # stacked np.matmul (_row_dots)
     if len(ts) == 0:  # the domain is built only where a t asks for it
         return []
-    ts = np.asarray(ts, dtype=float)
-    inside = np.zeros(len(ts), dtype=bool)
-    for lo, hi in line.domain.intervals:
-        inside |= (lo < ts) & (ts < hi)
-    slopes, intercepts, head = line._plain
-    # rows outside the domain and odd rows run on whatever their columns
-    # hold; y holds (sigma_d, ..., sigma_1) at each t
+    inside, plain, hyperbolic, x, amps = columns or _family_columns([(line, ts)])[0]
     with np.errstate(all="ignore"):
-        y = np.stack([s * ts + b for s, b in zip(slopes, intercepts)][::-1], axis=1)
-        plain = inside & np.isfinite(y).all(axis=1)
-        hyperbolic, x, amps = _nodes_and_amplitudes(y, head, plain)
         odd = (inside & ~plain) | (hyperbolic & ~np.isfinite(amps).all(axis=1))
         found = (hyperbolic & ~odd).nonzero()[0]
         diff = np.concatenate([amps[found], x[found]], axis=1) - np.asarray(targets, dtype=float)[found]
@@ -629,6 +661,39 @@ def _uniform_streams(seed: int, n_h: int, trials, epsilon: float, size: int):
         yield noise
 
 
+def _turn(cfg: NoiseConfig, h: float, cluster, solved: list):
+    # the part of the turn of h in amplification_experiment that comes
+    # before its trials are walked, from its cluster (the true signal and
+    # moments, or their ValueError) and its trial outcomes solved: the
+    # checks of h, and (line, t_hats, t_star, points, point_errs) for the
+    # reconstructions among them: their parameters t-hat, their
+    # (amplitudes + nodes) rows and their max-norm errors
+    true, mu_true = _unwrap(cluster)
+    true_point = true.amplitudes.tolist() + true.nodes.tolist()
+    scale = float(np.max(np.abs(mu_true.values)))
+    if cfg.epsilon > 0.1 * scale:
+        raise ValueError(
+            f"epsilon {cfg.epsilon} is not small against the moment "
+            f"scale {scale} at h={h}")
+    q = 2 * cfg.d - 1
+    line = prony_line.line_params(mu_true.values[:q])
+    # the family parameter of the true signal: the last complete-system
+    # equation reads dot(mu[d-1:2d-1], reversed(sigma)) = -mu_{2d-1}
+    t_star = -float(mu_true.values[q])
+    # the family point at each reconstruction's own parameter, not the
+    # nearest family point; sigma of the nodes is finite, since their
+    # moments passed the residual.  t-hat is line.parameter_of at the
+    # coefficients (sigma_d, ..., sigma_1) of the node polynomial
+    guesses = [amps + x for amps, x in (s for s in solved if isinstance(s, tuple))]
+    points = np.array(guesses).reshape(len(guesses), 2 * cfg.d)
+    sigma = np.stack(_monic_product(list(points[:, cfg.d :].T))[: cfg.d], axis=1)
+    row = np.broadcast_to(mu_true.values[cfg.d - 1 : q], sigma.shape)
+    t_hats = _row_dots(row, sigma)
+    if t_hats:
+        line.domain  # built, or refused, at this turn
+    return line, t_hats, t_star, points, abs(points - true_point).max(axis=1).tolist()
+
+
 def amplification_experiment(cfg: NoiseConfig) -> AmplificationResult:
     """Worst-case reconstruction errors of a noisy size-h cluster, per h.
 
@@ -662,15 +727,18 @@ def amplification_experiment(cfg: NoiseConfig) -> AmplificationResult:
       inverses of one stacked np.linalg.inv, the Hankel systems in one
       stacked np.linalg.solve, the node polynomials (for d = 2 on the
       columns, by the vertex test and the closed form; for d >= 3 in one
-      batch of certified roots, trial by trial), nonzero amplitudes on
-      strictly increasing nodes, and the residual within 1e-8 of the
-      moment scale.
-    Then the h values are walked in order, each with its own checks, line
-    and rows as if it ran alone: per h the parameters t-hat of the
-    reconstructions and, under the square root of each distance, the sum
-    of squares to the family point at t-hat come from one stacked
-    np.matmul each, and the family points are built on (T,) columns with
-    the node and amplitude stage of _solve_many (_distances).
+      batch of certified roots, on numpy columns from 16 rows on), nonzero
+      amplitudes on strictly increasing nodes, and the residual within
+      1e-8 of the moment scale.
+    Then each h's checks, line and parameters t-hat of the reconstructions
+    (one stacked np.matmul per h) are made in order, up to the first h
+    that raises; the family points at the t-hats of every h are built in
+    one pass on (H T,) columns with the node and amplitude stage of
+    _solve_many, their node polynomials rooted in one batch
+    (_family_columns).  The h values are then walked in order, each with
+    its rows, warnings and exceptions as if it ran alone; under the square
+    root of each distance, the sum of squares to the family point at t-hat
+    comes from one stacked np.matmul per h (_distances).
     The columns keep the bits of running the trials one at a time on plain
     floats: numpy's elementwise +, -, *, / and sqrt round as Python's
     floats do; np.matmul of (T, 1, n) by (T, n, 1) hands each row to BLAS's
@@ -706,38 +774,26 @@ def amplification_experiment(cfg: NoiseConfig) -> AmplificationResult:
         if isinstance(cluster, tuple):
             mu[i] = cluster[1].values + noise[i]
     solved_all = _solve_many(mu.reshape(-1, 2 * cfg.d))
-    rows = []
+    # each h's checks, line and t-hats, in order up to the first h that
+    # raises, whose exception waits for its turn below; then the family
+    # points at the t-hats of every h in one _family_columns call
+    turns = []
     for i, (h, cluster) in enumerate(zip(cfg.h_grid, clusters)):
-        true, mu_true = _unwrap(cluster)
-        true_point = true.amplitudes.tolist() + true.nodes.tolist()
-        scale = float(np.max(np.abs(mu_true.values)))
-        if cfg.epsilon > 0.1 * scale:
-            raise ValueError(
-                f"epsilon {cfg.epsilon} is not small against the moment "
-                f"scale {scale} at h={h}")
-
-        line = prony_line.line_params(mu_true.values[:q])
-        # the family parameter of the true signal: the last complete-system
-        # equation reads dot(mu[d-1:2d-1], reversed(sigma)) = -mu_{2d-1}
-        t_star = -float(mu_true.values[q])
-
-        solved = solved_all[i * T : (i + 1) * T]
-        # the family point at each reconstruction's own parameter, not the
-        # nearest family point; sigma of the nodes is finite, since their
-        # moments passed the residual.  t-hat is line.parameter_of at the
-        # coefficients (sigma_d, ..., sigma_1) of the node polynomial
-        guesses = [amps + x for amps, x in (s for s in solved if isinstance(s, tuple))]
-        points = np.array(guesses).reshape(len(guesses), 2 * cfg.d)
-        sigma = np.stack(_monic_product(list(points[:, cfg.d :].T))[: cfg.d], axis=1)
-        row = np.broadcast_to(mu_true.values[cfg.d - 1 : q], sigma.shape)
-        t_hats = _row_dots(row, sigma)
-        point_errs = abs(points - true_point).max(axis=1).tolist()
-        found = zip(guesses, point_errs, t_hats, _distances(line, points, t_hats))
+        try:
+            turns.append(_turn(cfg, h, cluster, solved_all[i * T : (i + 1) * T]))
+        except Exception as exc:
+            turns.append(exc)
+            break
+    columns = iter(_family_columns([turn[:2] for turn in turns if isinstance(turn, tuple)]))
+    rows = []
+    for i, (h, turn) in enumerate(zip(cfg.h_grid, turns)):
+        line, t_hats, t_star, points, point_errs = _unwrap(turn)
+        found = zip(points.tolist(), point_errs, t_hats, _distances(line, points, t_hats, next(columns)))
 
         worst_point = 0.0
         worst_curve = 0.0
         failed = 0
-        for trial, outcome in enumerate(solved):
+        for trial, outcome in enumerate(solved_all[i * T : (i + 1) * T]):
             if isinstance(outcome, (NoRealSolution, ResidualTooLarge, DegenerateHankel)):
                 failed += 1
                 continue

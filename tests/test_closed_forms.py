@@ -177,6 +177,20 @@ def test_p8_past_the_double_range_without_a_warning():
     assert (c.collision, c.bounded) == exact_d3_verdicts(mu) == ("yes", "no")
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_p8_second_form_refuses_the_range_without_a_warning():
+    # mu0^4 = 1e400 is past the double range, where numpy's float64 power
+    # once warned and gave -inf; the second form computes on plain floats
+    # and refuses, as K_value does, while the exact form rounds -4e300
+    mu = [1e100, 0.0, 1.0, 0.0, 1.0]
+    with pytest.raises(ValueError, match="^moments exceed double range"):
+        cf.P8_second_form(mu)
+    assert cf.P8_closed_form(mu) == -4e300
+    # finite powers whose product overflows: inf, refused the same way
+    with pytest.raises(ValueError, match="^moments exceed double range"):
+        cf.P8_second_form([1e60, 0.0, 1.0, 0.0, 1.0])
+
+
 def test_p8_homogeneity_degree_8():
     rng = np.random.default_rng(14)
     for _ in range(50):

@@ -25,6 +25,7 @@ from prony.errors import (
     DegenerateHankel,
     InconsistentComputation,
     InterpolationInconsistency,
+    NotHyperbolic,
     NoUnboundedComponent,
     UnresolvedDomain,
 )
@@ -125,6 +126,35 @@ def test_sample_curve_skips_out_of_domain_points(caplog):
     assert [s.t for s in samples] == [-1.0]
     skipped = [r for r in caplog.records if "outside the hyperbolic set" in r.message]
     assert len(skipped) == 2
+
+
+# a d = 4 line whose domain reaches +inf from 81.8: at t = 1e308 sigma(t)
+# is finite, but the derivatives of its node polynomial, which the Rolle
+# pass roots, are past the double range
+HUGE_T_MU = [-2.0, 0.25, -2.4375, -0.921875, -3.43359375, -2.04980469, -4.81420898]
+
+
+def test_sample_curve_rejects_a_point_past_the_range_alone(caplog):
+    # the point at 1e308 is rejected on its own, as not hyperbolic (exit
+    # 3), where it once failed the whole batch with a malformed-input
+    # ValueError; the points at 100 and 200 are those asked for alone
+    line = pl.line_params(HUGE_T_MU)
+    assert line.domain.intervals[-1][1] == math.inf and line.domain.contains(1e308)
+    for t in (1e300, 1e308):
+        with pytest.raises(NotHyperbolic):
+            line.point(t)
+    with caplog.at_level(logging.WARNING, logger="prony.curve_analysis"):
+        samples = ca.sample_curve(HUGE_T_MU, [1e308, 100.0, 200.0])
+    alone = ca.sample_curve(HUGE_T_MU, [100.0, 200.0])
+    assert [(s.t, s.nodes.tolist(), s.amplitudes.tolist()) for s in samples] == \
+        [(s.t, s.nodes.tolist(), s.amplitudes.tolist()) for s in alone]
+    assert [s.t for s in alone] == [100.0, 200.0]
+    (rejected,) = caplog.records
+    assert rejected.getMessage().startswith("grid point t=1e+308 rejected on direct evaluation")
+    # real_roots keeps its contract: a ValueError where the Rolle pass
+    # needs a derivative past the range
+    with pytest.raises(ValueError, match="derivative"):
+        pe.real_roots(line._node_poly(1e308))
 
 
 def test_sample_curve_skips_points_that_miss_the_moments(caplog):

@@ -514,12 +514,16 @@ def test_certified_real_roots_equal_the_exact_roots(coeffs):
 
 @st.composite
 def _root_stacks(draw):
-    # a stack of one to six polynomials of one degree n = 3..6: real roots,
+    # a stack of polynomials of one degree n = 3..6, smaller than
+    # _COLUMN_ROWS (certified one by one) or not (on columns): real roots,
     # a complex pair (fewer real seeds than n, so the Rolle pass runs) or a
-    # pair 0 to 1e-4 apart (a double root, or a pair below resolution)
+    # pair 0 to 1e-4 apart (a double root, or a pair below resolution),
+    # scaled up to 1e+-300, where a derivative may be past the double range
     n = draw(st.integers(3, 6))
+    size = draw(st.one_of(st.integers(1, pe._COLUMN_ROWS - 1),
+                          st.integers(pe._COLUMN_ROWS, 3 * pe._COLUMN_ROWS)))
     stack = []
-    for _ in range(draw(st.integers(1, 6))):
+    for _ in range(size):
         roots = draw(st.lists(st.floats(-20.0, 20.0), min_size=n - 2, max_size=n - 2))
         kind = draw(st.sampled_from(["real", "pair", "double"]))
         a = draw(st.floats(-20.0, 20.0))
@@ -530,26 +534,88 @@ def _root_stacks(draw):
             last = np.array([a * a + b * b, -2.0 * a, 1.0])
         else:
             last = npoly.polyfromroots([a, a + draw(st.sampled_from([0.0, 1e-12, 1e-8, 1e-4]))])
-        scale = draw(st.sampled_from([-3.0, 0.5, 1.0, 2.0]))
+        scale = draw(st.sampled_from([-3.0, 0.5, 1.0, 2.0, 1e-300, -1e300]))
         stack.append((scale * npoly.polymul(npoly.polyfromroots(roots), last)).tolist())
     return stack
+
+
+def _hexes(roots):
+    return None if roots is None else [x.hex() for x in roots]
+
+
+def _single_call(c):
+    # the roots of c from the seeds of an eigvals call on its companion
+    # matrix alone, certified one by one
+    n = len(c) - 1
+    companion = np.zeros((n, n))
+    companion[np.arange(1, n), np.arange(n - 1)] = 1.0
+    companion[:, -1] = [v / -c[-1] for v in c[:-1]]
+    seeds = sorted(z.real for z in np.linalg.eigvals(companion).tolist() if z.imag == 0.0)
+    single = pe._seeded_roots(c, seeds, n)
+    return pe._rolle_roots(c, seeds) if single is None else single
 
 
 @settings(max_examples=80, deadline=None)
 @given(_root_stacks())
 def test_stacked_roots_carry_the_bits_of_single_calls(stack):
-    # _roots_many roots the whole stack from one stacked eigvals call; each
+    # _roots_many roots the whole stack from one stacked eigvals call, and
+    # certifies a stack of _COLUMN_ROWS or more on numpy columns; each
     # polynomial gets the bits of its own call, and of the seeds of an
     # eigvals call on its companion matrix alone
     got = pe._roots_many(stack)
     assert len(got) == len(stack)
     for c, roots in zip(stack, got):
-        n = len(c) - 1
-        companion = np.zeros((n, n))
-        companion[np.arange(1, n), np.arange(n - 1)] = 1.0
-        companion[:, -1] = [v / -c[-1] for v in c[:-1]]
-        seeds = sorted(z.real for z in np.linalg.eigvals(companion).tolist() if z.imag == 0.0)
-        single = pe._seeded_roots(c, seeds, n)
-        single = pe._rolle_roots(c, seeds) if single is None else single
-        assert [x.hex() for x in roots] == [x.hex() for x in single]
-        assert [x.hex() for x in roots] == [x.hex() for x in pe._roots(c)]
+        assert _hexes(roots) == _hexes(_single_call(c)) == _hexes(pe._roots_many([c])[0])
+
+
+def test_columns_place_a_negative_subnormal_root_by_its_ulp(monkeypatch):
+    # the root -5e-324 passes _on_root only by the one-ulp Newton step (see
+    # test_real_roots_subnormal_root), and is not bisected again; on the
+    # columns math.ulp(x) is np.spacing(abs(x)), since np.spacing(x) is
+    # negative for x < 0
+    c = [-3e-323, -4.5, 7.5, -3.0]
+    want = _hexes(pe._roots(c))
+    assert want[0] == (-5e-324).hex()
+    refined = []
+    refine = pe._refine
+    monkeypatch.setattr(pe, "_refine", lambda *args: refined.append(args) or refine(*args))
+    assert all(_hexes(r) == want for r in pe._roots_many([c] * pe._COLUMN_ROWS))
+    assert refined == []
+
+
+def test_columns_keep_the_order_of_signed_zero_seeds(monkeypatch):
+    # sorted keeps 0.0 and -0.0 in the order eigvals gives them, and so
+    # must the columns' sort of each row; numpy's default sort reorders
+    # them in rows of 8
+    seen = []
+    brackets = pe._seed_brackets
+    monkeypatch.setattr(pe, "_seed_brackets", lambda c, rows, s, *rest: seen.append(s.copy())
+                        or brackets(c, rows, s, *rest))
+    c = npoly.polyfromroots([0.0] * 4 + [-2.0, -1.0, 1.0, 2.0]).tolist()
+    rng = np.random.default_rng(8)
+    eig = np.array([rng.permutation([0.0, -0.0, -0.0, 0.0, -2.0, -1.0, 1.0, 2.0])
+                    for _ in range(pe._COLUMN_ROWS)])
+    pe._seeded_columns([c] * len(eig), np.array([c] * len(eig)), eig)
+    assert [x.hex() for x in seen[0]] == [x.hex() for row in eig.tolist() for x in sorted(row)]
+
+
+def test_horner_at_infinity_is_nan_on_floats_and_columns():
+    # the first Horner step 0.0 * x + c_n stays, so that x = +-inf gives
+    # NaN, no sure sign, on plain floats and on columns alike
+    c = [1.0, -2.0, 3.0]
+    for x in (INF, -INF):
+        assert np.isnan(K.horner(c, x))
+        with np.errstate(invalid="ignore"):
+            assert np.isnan(K.horner(np.array(c)[:, None], np.array([x]))).all()
+
+
+def test_columns_read_a_real_eigenvalue_array():
+    # np.linalg.eigvals returns a real array when every eigenvalue of the
+    # stack is real; its imaginary part reads 0 and every row certifies
+    stack = [npoly.polyfromroots([-1.0 - k, 0.25, 2.0 + k]).tolist() for k in range(pe._COLUMN_ROWS)]
+    companions = np.zeros((len(stack), 3, 3))
+    companions[:, 1:, :2] = np.eye(2)
+    companions[:, :, -1] = [[v / -c[-1] for v in c[:-1]] for c in stack]
+    assert np.linalg.eigvals(companions).dtype == np.float64
+    for c, roots in zip(stack, pe._roots_many(stack)):
+        assert _hexes(roots) == _hexes(_single_call(c))

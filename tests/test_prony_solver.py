@@ -38,6 +38,7 @@ from helpers import (
     list_solve_many,
     signal_strategy,
 )
+from prony import poly_engine as pe
 from prony import prony_line as pl
 from prony import prony_solver as ps
 from prony.errors import (
@@ -672,6 +673,21 @@ def test_experiment_raises_at_the_first_failing_h(epsilon, error):
     with pytest.raises(TooFewValidTrials) as err:
         ps.amplification_experiment(cfg)
     assert f"{type(err.value).__name__}: {err.value}" == error
+
+
+def test_experiment_roots_the_distances_of_every_h_in_one_batch(monkeypatch, caplog):
+    # a d = 3 run roots its node polynomials in two batches of more than
+    # one: the trials of every h (_solve_many) and the family points at the
+    # t-hats of every h (_family_columns), H * T rows each where no trial
+    # fails and no t-hat leaves the domain
+    sizes = []
+    roots_many = pe._roots_many
+    monkeypatch.setattr(pe, "_roots_many", lambda cs: sizes.append(len(cs)) or roots_many(cs))
+    cfg = ps.NoiseConfig(d=3, epsilon=1e-10, trials=16, seed=0, h_grid=(0.4, 0.2, 0.1, 0.05))
+    with caplog.at_level(logging.WARNING, logger="prony.prony_solver"):
+        res = ps.amplification_experiment(cfg)
+    assert [row[3] for row in res.rows] == [0] * 4 and not caplog.records
+    assert [n for n in sizes if n > 1] == [64, 64]
 
 
 def test_experiment_errors_scale_with_epsilon():
