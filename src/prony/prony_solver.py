@@ -588,15 +588,26 @@ def _fit_loglog(h_grid, maxima):
 
 
 def _uniform_streams(seed: int, n_h: int, trials, epsilon: float, size: int):
-    """Per h index below n_h, the noise of the trial indices in trials: for
-    each, np.random.default_rng([seed, h, trial]).uniform(-epsilon,
-    epsilon, size).tolist(), bit for bit, without building a generator.
+    """The noise of the trial indices in trials at each h index below n_h,
+    as an (n_h, len(trials), size) float array whose row [h, i] is
+    np.random.default_rng([seed, h, trials[i]]).uniform(-epsilon, epsilon,
+    size), bit for bit, without building a generator.
 
-    The SeedSequence hash runs once, at the first h, for every (h, trial)
-    stream at once, in uint32 arrays whose products and differences wrap
-    as numpy's C code does.  Its state seeds PCG64 (XSL-RR 128/64), which
-    runs per h in Python integers.  The seed and trial indices below 2**64
-    are split into uint32 words as numpy splits them; h takes one word.
+    Each (h, trial) stream is one column, and each stage one pass over all
+    of them.  The SeedSequence hash runs in uint32 arrays whose products
+    and differences wrap as numpy's C code does; the seed and trial indices
+    below 2**64 are split into uint32 words as numpy splits them, and h
+    takes one word.  Its state seeds PCG64 (XSL-RR 128/64), whose step
+    s -> s M + inc mod 2**128 is affine, so a stream jumps ahead to any
+    draw (Brown, "Random Number Generation with Arbitrary Strides", Trans.
+    ANS 1994): draw k is at init M^(k+2) + inc G_(k+3), where G_j is the
+    sum of M^i over i < j.  These constants are Python integers, computed
+    once per call.  Each 128-bit product of a constant and a column is
+    taken on 64-bit words, the low words multiplied in 32-bit halves; the
+    two products are added with the carry of their low words.  XSL-RR and
+    uniform's low + span * ((x >> 11) * 2**-53) then run elementwise on the
+    (size, n_h len(trials)) block.  Every integer operand is uint64, since
+    numpy 1.x promotes uint64 with int64 to float64.
     """
     low = -float(epsilon)
     span = float(epsilon) - low
@@ -642,23 +653,40 @@ def _uniform_streams(seed: int, n_h: int, trials, epsilon: float, size: int):
     b = consts(_INIT_B, _MULT_B, 8)
     state = (np.tile(pool, (2, 1)) ^ b[:8]) * b[1:]
     state = (state ^ (state >> 16)).astype(np.uint64)
-    state = (state[0::2] | state[1::2] << 32).T
+    w0, w1, w2, w3 = state[0::2] | state[1::2] << np.uint64(32)
 
-    for h in range(n_h):
-        noise = []
-        for w0, w1, w2, w3 in state[h * len(trials) : (h + 1) * len(trials)].tolist():
-            # pcg64_set_seed: state 0, step, add the seed, step
-            inc = (((w2 << 64) | w3) << 1 | 1) & _MASK128
-            s = ((inc + ((w0 << 64) | w1)) * _PCG_MULT + inc) & _MASK128
-            draws = []
-            for _ in range(size):
-                s = (s * _PCG_MULT + inc) & _MASK128
-                x = (s >> 64) ^ (s & _MASK64)
-                r = s >> 122
-                x = ((x >> r) | (x << (64 - r))) & _MASK64
-                draws.append(low + span * ((x >> 11) * 2.0**-53))
-            noise.append(draws)
-        yield noise
+    # pcg64_set_seed: from state 0 with increment inc = seq << 1 | 1, a
+    # step, the seed init added, a step; each draw steps, then outputs, so
+    # draw k is k + 2 steps from init + inc
+    powers, sums = [1], [1]  # M^j and G_(j+1)
+    for _ in range(size + 1):
+        powers.append(powers[-1] * _PCG_MULT & _MASK128)
+        sums.append((sums[-1] + powers[-1]) & _MASK128)
+    one, half, low32 = np.uint64(1), np.uint64(32), np.uint64(_MASK32)
+
+    def times(hi, lo, cs):
+        # the 128-bit columns (hi, lo) times the constant cs[k] in row k,
+        # mod 2**128: lo times the constant's low word in 32-bit halves,
+        # whose carries the middle sum mid keeps
+        c = np.array([[v >> 64, v & _MASK64] for v in cs], dtype=np.uint64)
+        c_hi, c_lo = c[:, :1], c[:, 1:]
+        l0, l1, k0, k1 = lo & low32, lo >> half, c_lo & low32, c_lo >> half
+        p00, p01, p10 = l0 * k0, l0 * k1, l1 * k0
+        mid = (p00 >> half) + (p01 & low32) + (p10 & low32)
+        hi = l1 * k1 + (p01 >> half) + (p10 >> half) + (mid >> half) + lo * c_hi + hi * c_lo
+        return hi, (mid << half) | (p00 & low32)
+
+    a_hi, a_lo = times(w0, w1, powers[2:])
+    b_hi, b_lo = times(w2 << one | w3 >> np.uint64(63), w3 << one | one, sums[2:])
+    s_lo = a_lo + b_lo
+    s_hi = a_hi + b_hi + (s_lo < a_lo)  # the carry of the low words
+    # XSL-RR: the xor of the words rotated right by the top 6 bits r; the
+    # left shift count -r & 63, as numpy's C takes it, is 0 at r = 0
+    x = s_hi ^ s_lo
+    r = s_hi >> np.uint64(58)
+    x = (x >> r) | (x << (-r & np.uint64(63)))
+    draws = low + span * ((x >> np.uint64(11)) * 2.0**-53)
+    return draws.T.reshape(n_h, len(trials), size)
 
 
 def _turn(cfg: NoiseConfig, h: float, cluster, solved: list):
@@ -713,10 +741,11 @@ def amplification_experiment(cfg: NoiseConfig) -> AmplificationResult:
     np.random.default_rng([seed, h index, trial]).uniform(-epsilon,
     epsilon, 2d), so results are reproducible regardless of evaluation
     order.  _uniform_streams draws these streams bit for bit without
-    building a generator: the seed hash of every stream in one batch, the
-    draws per h.  The streams stay, one per trial: the benchmark's amplify
-    check recomputes the rows from them, and any other stream moves every
-    row, which belongs in a change that moves the rows anyway.
+    building a generator, every draw of every stream in one pass on uint64
+    columns (PCG64 jumped ahead to each draw).  The streams stay, one per
+    trial: the benchmark's amplify check recomputes the rows from them, and
+    any other stream moves every row, which belongs in a change that moves
+    the rows anyway.
 
     The trials of every h run in stages, each one pass over all of them:
     - the noise of every (h, trial) is drawn and added to that h's true
@@ -757,7 +786,7 @@ def amplification_experiment(cfg: NoiseConfig) -> AmplificationResult:
         cfg = NoiseConfig.from_mapping(cfg)
     q = 2 * cfg.d - 1
     T = cfg.trials
-    noise = np.array(list(_uniform_streams(cfg.seed, len(cfg.h_grid), range(T), cfg.epsilon, 2 * cfg.d)))
+    noise = _uniform_streams(cfg.seed, len(cfg.h_grid), range(T), cfg.epsilon, 2 * cfg.d)
     # each h's true signal and moments, or the ValueError their build
     # raises, at that h's turn below
     clusters = []

@@ -23,6 +23,7 @@ import dataclasses
 import json
 import logging
 import math
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -649,12 +650,34 @@ def test_noise_streams_match_numpy_bit_for_bit():
         for d in (2, 3, 4, 5):
             for eps in (1e-10, 3e-4, 1e300):
                 for trials in trial_sets if d == 2 else trial_sets[:1]:
-                    noise = list(ps._uniform_streams(seed, 6, trials, eps, 2 * d))
-                    assert len(noise) == 6
-                    for h, per_h in enumerate(noise):
-                        assert per_h == [
+                    noise = ps._uniform_streams(seed, 6, trials, eps, 2 * d)
+                    assert noise.shape == (6, len(trials), 2 * d)
+                    for h in range(6):
+                        assert noise[h].tolist() == [
                             np.random.default_rng([seed, h, t]).uniform(-eps, eps, 2 * d).tolist()
                             for t in trials]
+
+
+def test_noise_streams_meet_the_edges_of_the_column_draw():
+    # cases found by search.  Stream [3, 0, 27]'s draw 2 sits at a state
+    # whose top 6 bits are 0, an XSL-RR rotation by 0.  Stream [3, 0, 1]'s
+    # draw 0 sits at init M^2 + inc (1 + M + M^2) mod 2**128, and the low
+    # words of the two products carry into the high word.  A single
+    # stream, of a 3-word seed and a 2-word trial index, is drawn under
+    # warnings as errors: numpy warns on overflow in scalar arithmetic
+    bg = np.random.PCG64(np.random.SeedSequence([3, 0, 27]))
+    bg.random_raw(3)
+    assert bg.state["state"]["state"] >> 122 == 0
+    w0, w1, w2, w3 = (int(w) for w in np.random.SeedSequence([3, 0, 1]).generate_state(4, np.uint64))
+    init, inc, m, low = w0 << 64 | w1, w2 << 65 | w3 << 1 | 1, ps._PCG_MULT, 2**64 - 1
+    assert (init * m**2 & low) + (inc * (1 + m + m**2) & low) > low
+    eps, seed, trial = 3e-4, 2**64 + 5, 2**32
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        edges = ps._uniform_streams(3, 1, [1, 27], eps, 4)
+        single = ps._uniform_streams(seed, 1, [trial], eps, 6)
+    assert edges[0].tolist() == [np.random.default_rng([3, 0, t]).uniform(-eps, eps, 4).tolist() for t in (1, 27)]
+    assert single.tolist() == [[np.random.default_rng([seed, 0, trial]).uniform(-eps, eps, 6).tolist()]]
 
 
 @pytest.mark.parametrize("epsilon, error", [

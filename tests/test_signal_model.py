@@ -1,11 +1,13 @@
 """Signals, moments, symmetric coordinates, and the node/amplitude conversions."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from numpy.polynomial import polynomial as npoly
 
-from helpers import random_signal, relerr, signal_strategy
+from helpers import exact_det, random_signal, relerr, signal_strategy
 from prony import poly_engine as pe
 from prony import signal_model as sm
 from prony.errors import NotHyperbolic, RepeatedNodes
@@ -260,12 +262,34 @@ def test_amplitudes_match_vandermonde_solve():
 # round trips
 
 
+def exact_amplitudes(mu, nodes):
+    # the Vandermonde system sum_i a_i x_i^k = mu_k, k < d, solved exactly
+    # in Fractions by Cramer's rule, then rounded
+    rows = [[Fraction(x) ** k for x in nodes] for k in range(len(nodes))]
+    det = exact_det(rows)
+    return [float(exact_det([row[:i] + [Fraction(m)] + row[i + 1 :] for row, m in zip(rows, mu)]) / det)
+            for i in range(len(nodes))]
+
+
 @settings(max_examples=80, deadline=None)
 @given(signal_strategy(min_d=1, max_d=5))
+@example(sm.Signal(amplitudes=[-1.0, -1.0, 1.0, 1.0, -6.0], nodes=[3.0, 3.1, 3.2, 3.309375, 4.309375]))
+@example(sm.Signal(amplitudes=[-1.0] * 5, nodes=[
+    2.937199150031314, 3.038761650031314, 3.163761650031314, 3.273136650031314, 3.382511650031314]))
 def test_moment_round_trip(s):
+    # the moments are rounded once, and on a tight d = 5 cluster the
+    # amplitudes are so ill-conditioned in them that even their exact solve
+    # misses ROUND_TRIP_RTOL (by 7.0e-10 and 6.4e-10 on the two examples,
+    # where amplitudes_from_nodes misses by 1.4e-9 and 1.2e-9).  The
+    # tolerance holds where the exact solve is within a quarter of it;
+    # elsewhere the formula may miss by 4 times what the exact solve misses
     mu = sm.compute_moments(s, s.d - 1)
-    a = sm.amplitudes_from_nodes(mu, s.nodes)
-    assert relerr(a, s.amplitudes) < sm.ROUND_TRIP_RTOL
+    err = relerr(sm.amplitudes_from_nodes(mu, s.nodes), s.amplitudes)
+    floor = relerr(exact_amplitudes(mu.values, s.nodes), s.amplitudes)
+    if floor <= sm.ROUND_TRIP_RTOL / 4:
+        assert err < sm.ROUND_TRIP_RTOL
+    else:
+        assert err <= 4 * floor
 
 
 @settings(max_examples=80, deadline=None)
